@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 domain failure (infeasible solve, dead config,
 missing dataset), 2 usage or configuration errors. Every run directory gets
-a frozen copy of its effective config plus a provenance file; all reports
-are written atomically.
+a frozen copy of its effective config plus a provenance file. Every
+artifact (records, manifest, reports, checkpoints and config.txt) is
+written atomically.
 """
 
 from __future__ import annotations
@@ -264,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
         p.add_argument("--seed", type=int, help="training seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="reserved for parallel runs")
         if run:
             p.add_argument("--run", required=True, help="finished training run directory")
 

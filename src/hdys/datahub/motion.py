@@ -1,8 +1,7 @@
 """Smooth synthetic motion generators with exact analytic derivatives.
 
-Three families: multi-harmonic oscillation around a posture (gait-like),
-quintic point-to-point transitions (reach-like), and cubic splines through
-random knots (broad coverage). Every generator returns exact (q, qd, qdd)
+Two families: multi-harmonic oscillation around a posture (gait-like) and
+cubic splines through random knots (broad coverage). Every generator returns exact (q, qd, qdd)
 sampled on the frame grid, so inverse-dynamics labels need no approximation.
 """
 
@@ -15,7 +14,7 @@ from scipy.interpolate import CubicSpline
 
 from ..rbd import GeneralizedState
 
-FAMILIES = ("periodic-gait-like", "reach-like", "random-smooth-spline")
+FAMILIES = ("periodic-gait-like", "random-smooth-spline")
 
 
 class MotionError(Exception):
@@ -61,26 +60,6 @@ def sample_trajectory(
             q += a * np.sin(arg)
             qd += a * om * np.cos(arg)
             qdd -= a * om**2 * np.sin(arg)
-        return GeneralizedState(q, qd, qdd)
-
-    if spec.family == "reach-like":
-        n_way = int(rng.integers(3, 6))
-        times = np.concatenate([[0.0], np.sort(rng.uniform(0.15, 0.85, n_way - 2)) * duration, [duration]])
-        way = bias + rng.uniform(-1.0, 1.0, size=(n_way, n)) * amps
-        q = np.empty((frames, n))
-        qd = np.empty((frames, n))
-        qdd = np.empty((frames, n))
-        seg = np.clip(np.searchsorted(times, t, side="right") - 1, 0, n_way - 2)
-        t0, t1 = times[seg], times[seg + 1]
-        u = ((t - t0) / (t1 - t0))[:, None]
-        dw = way[seg + 1] - way[seg]
-        s = u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
-        ds = 30.0 * u**2 * (1.0 - u) ** 2
-        dds = 60.0 * u * (1.0 - 3.0 * u + 2.0 * u**2)
-        dt = (t1 - t0)[:, None]
-        q[:] = way[seg] + dw * s
-        qd[:] = dw * ds / dt
-        qdd[:] = dw * dds / dt**2
         return GeneralizedState(q, qd, qdd)
 
     # random-smooth-spline

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from ..codec import atomic_write
 from ..kinrep import SequenceRecord, attach_dynamics, build_representations
 from ..rbd import (
     T1_EMG_MUSCLES,
@@ -35,7 +36,7 @@ from ..rbd import (
     t1_muscles,
     t2_muscles,
 )
-from .motion import MotionSpec, sample_trajectory
+from .motion import FAMILIES, MotionSpec, sample_trajectory
 from .records import DatasetError, read_record, record_path, write_record
 
 MANIFEST_SCHEMA = "hdys-dataset/1"
@@ -63,6 +64,8 @@ class DomainProfile:
             raise DatasetError(f"profile {self.profile_id}: needs at least one kinematics channel")
         if self.jitter_sigma < 0:
             raise DatasetError(f"profile {self.profile_id}: jitter sigma must be >= 0")
+        if self.family not in FAMILIES:
+            raise DatasetError(f"profile {self.profile_id}: unknown motion family '{self.family}'")
 
 
 # -- tree registry -----------------------------------------------------------
@@ -170,12 +173,14 @@ class DatasetManifest:
     def from_dict(cls, doc: dict) -> "DatasetManifest":
         if doc.get("schema") != MANIFEST_SCHEMA:
             raise DatasetError(f"unsupported manifest schema {doc.get('schema')!r}")
+        names = {f.name for f in fields(DomainProfile)}
         profiles = []
         for p in doc["profiles"]:
+            unknown, missing = sorted(set(p) - names), sorted(names - set(p))
+            if unknown or missing:
+                raise DatasetError(f"manifest profile: unknown keys {unknown}, missing keys {missing}")
             p = dict(p)
-            for key in ("kin_mask", "dyn_mask", "marker_counts"):
-                p[key] = tuple(p[key])
-            for key in ("amp_scale", "freq_range", "duration"):
+            for key in ("kin_mask", "dyn_mask", "marker_counts", "amp_scale", "freq_range", "duration"):
                 p[key] = tuple(p[key])
             profiles.append(DomainProfile(**p))
         m = cls(seed=doc["seed"], profiles=profiles,
@@ -186,10 +191,7 @@ class DatasetManifest:
 
 
 def save_manifest(root, manifest: DatasetManifest) -> None:
-    tmp = os.path.join(root, MANIFEST_NAME + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest.to_dict(), fh, indent=1, sort_keys=True)
-    os.replace(tmp, os.path.join(root, MANIFEST_NAME))
+    atomic_write(os.path.join(root, MANIFEST_NAME), json.dumps(manifest.to_dict(), indent=1, sort_keys=True))
 
 
 def load_manifest(root) -> DatasetManifest:

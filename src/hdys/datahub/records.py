@@ -1,23 +1,22 @@
 """On-disk dataset layout: binary sequence records plus a JSON manifest.
 
-Record layout (magic "HDYSREC1", integers little-endian, payload float64):
+Record layout (strings, arrays and payloads as encoded by `hdys.codec`):
 
-    magic, u32 version,
-    seq_id / profile_id / tree_name as u16-length-prefixed utf-8,
+    magic "HDYSREC1", u32 version,
+    seq_id / profile_id / tree_name strings,
     f64 fps, f64 subject_mass, u32 n_frames, u32 n_actuated,
-    u32 n_marker_ids, n * i64 marker ids,
-    u8 n_channels, per channel: name, u8 rank, rank * u32 extents, payload
+    u32 n_marker_ids, i64 marker id payload,
+    u8 n_channels, per channel: name string, array (frames on axis 0)
 
-Round trips are lossless: payloads are raw float64 bytes.
+Round trips are lossless: payloads are raw float64 bytes. Files are
+replaced atomically.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 
-import numpy as np
-
+from ..codec import Reader, Writer, atomic_write
 from ..kinrep import CHANNELS, SequenceRecord
 
 MAGIC = b"HDYSREC1"
@@ -28,74 +27,40 @@ class DatasetError(Exception):
     pass
 
 
-def _pstr(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<H", len(raw)) + raw
-
-
 def record_to_bytes(rec: SequenceRecord) -> bytes:
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<I", VERSION)
-    buf += _pstr(rec.seq_id)
-    buf += _pstr(rec.profile_id)
-    buf += _pstr(rec.tree_name)
-    buf += struct.pack("<ddII", rec.fps, rec.subject_mass, rec.n_frames, rec.n_actuated)
-    buf += struct.pack("<I", rec.marker_ids.size)
-    buf += rec.marker_ids.astype("<i8").tobytes()
+    w = Writer(MAGIC, DatasetError)
+    w.pack("<I", VERSION)
+    w.str(rec.seq_id)
+    w.str(rec.profile_id)
+    w.str(rec.tree_name)
+    w.pack("<ddII", rec.fps, rec.subject_mass, rec.n_frames, rec.n_actuated)
+    w.pack("<I", rec.marker_ids.size)
+    w.payload(rec.marker_ids, "<i8")
     names = [c for c in CHANNELS if c in rec.channels]
-    buf += struct.pack("<B", len(names))
+    w.pack("<B", len(names))
     for name in names:
-        a = rec.channels[name]
-        buf += _pstr(name)
-        buf += struct.pack("<B", a.ndim)
-        for e in a.shape:
-            buf += struct.pack("<I", e)
-        buf += np.ascontiguousarray(a, dtype="<f8").tobytes()
-    return bytes(buf)
+        w.str(name)
+        w.array(rec.channels[name])
+    return w.bytes()
 
 
 def record_from_bytes(data: bytes) -> SequenceRecord:
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(data):
-            raise DatasetError("truncated record file")
-        out = data[pos : pos + n]
-        pos += n
-        return out
-
-    def unpack(fmt):
-        vals = struct.unpack(fmt, take(struct.calcsize(fmt)))
-        return vals[0] if len(vals) == 1 else vals
-
-    def pstr():
-        return take(unpack("<H")).decode("utf-8")
-
-    if take(len(MAGIC)) != MAGIC:
-        raise DatasetError("bad magic: not a sequence record")
-    version = unpack("<I")
+    r = Reader(data, MAGIC, "record", DatasetError)
+    version = r.unpack("<I")
     if version != VERSION:
         raise DatasetError(f"unsupported record version {version}")
-    seq_id, profile_id, tree_name = pstr(), pstr(), pstr()
-    fps, mass, n_frames, n_act = unpack("<ddII")
-    n_ids = unpack("<I")
-    marker_ids = np.frombuffer(take(8 * n_ids), dtype="<i8").astype(np.int64)
-    n_ch = unpack("<B")
+    seq_id, profile_id, tree_name = r.str(), r.str(), r.str()
+    fps, mass, n_frames, n_act = r.unpack("<ddII")
+    marker_ids = r.payload((r.unpack("<I"),), "<i8")
     channels = {}
-    for _ in range(n_ch):
-        name = pstr()
+    for _ in range(r.unpack("<B")):
+        name = r.str()
         if name not in CHANNELS:
             raise DatasetError(f"unknown channel '{name}' in record")
-        rank = unpack("<B")
-        shape = tuple(unpack("<I") for _ in range(rank))
-        count = int(np.prod(shape))
-        channels[name] = np.frombuffer(take(8 * count), dtype="<f8").astype(np.float64).reshape(shape)
-        if shape[0] != n_frames:
+        channels[name] = r.array()
+        if channels[name].shape[:1] != (n_frames,):
             raise DatasetError(f"channel '{name}' frame count disagrees with header")
-    if pos != len(data):
-        raise DatasetError("trailing bytes after record payload")
+    r.done()
     try:
         return SequenceRecord(
             seq_id=seq_id,
@@ -112,10 +77,7 @@ def record_from_bytes(data: bytes) -> SequenceRecord:
 
 
 def write_record(path, rec: SequenceRecord) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(record_to_bytes(rec))
-    os.replace(tmp, path)
+    atomic_write(path, record_to_bytes(rec))
 
 
 def read_record(path) -> SequenceRecord:

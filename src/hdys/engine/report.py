@@ -6,6 +6,8 @@ import hashlib
 import json
 import os
 
+from ..codec import atomic_write
+
 
 def _fmt(v) -> str:
     if isinstance(v, float):
@@ -14,19 +16,13 @@ def _fmt(v) -> str:
 
 
 def write_csv(path, columns: list[str], rows: list[dict]) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(c, "")) for c in columns) + "\n")
-    os.replace(tmp, path)
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(row.get(c, "")) for c in columns) for row in rows]
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_json(path, payload: dict) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(payload, indent=1, sort_keys=True))
 
 
 def file_sha256(path) -> str:

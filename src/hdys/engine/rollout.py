@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..datahub import DatasetManifest, generate_sequence, profile_index, tree_bundle
-from ..kinrep import SequenceRecord
 from ..model import HDySConfig, HDySModel
 from ..rbd import DivergedRollout, GeneralizedState, rnea, step
 from .batching import Standardizer

@@ -12,6 +12,7 @@ from ..datahub import DatasetManifest, balanced_epoch_sampler, load_records
 from ..model import ChannelInventory, HDySConfig, HDySModel, total_loss
 from ..numcore import AdamWState, NonFiniteError, adamw_step, backward, load_checkpoint, save_checkpoint
 from .batching import Standardizer, WindowRef, build_groups
+from .report import write_csv
 
 
 class TrainError(Exception):
@@ -142,7 +143,7 @@ def train(
     arrays = dict(model.ps.arrays())
     arrays.update(stdizer.to_arrays())
     save_checkpoint(ckpt_path, arrays, opt)
-    _write_curve(os.path.join(out_dir, "loss_curve.csv"), curve)
+    write_csv(os.path.join(out_dir, "loss_curve.csv"), ["epoch", "recon", "align", "total"], curve)
     return TrainResult(
         checkpoint_path=ckpt_path,
         curve=curve,
@@ -151,15 +152,6 @@ def train(
         seconds=time.time() - t_begin,
         param_count=model.param_count(),
     )
-
-
-def _write_curve(path: str, curve: list[dict]) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("epoch,recon,align,total\n")
-        for row in curve:
-            fh.write(f"{row['epoch']},{row['recon']!r},{row['align']!r},{row['total']!r}\n")
-    os.replace(tmp, path)
 
 
 def load_model(cfg: HDySConfig, manifest: DatasetManifest, ckpt_path: str) -> tuple[HDySModel, Standardizer, AdamWState]:

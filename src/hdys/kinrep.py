@@ -75,28 +75,40 @@ def _triple_flat(q: np.ndarray, v: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def strip_acceleration(channel: str, block: np.ndarray) -> np.ndarray:
-    """The representation with acceleration entries removed (same layout)."""
-    if channel in ("x_m", "x_k"):
-        return block[..., :6]
-    if channel in ("x_a", "x_s"):
-        f = block.shape[0]
-        keep = block.reshape(f, -1, 3)[..., :2]
-        return keep.reshape(f, -1)
-    raise RepresentationError(f"channel {channel} has no acceleration view")
-
-
 @dataclass
-class FrameSample:
-    """One frame's view over the channels present in a sequence."""
+class SequenceRecord:
+    """A fixed-fps trajectory with a shared availability mask."""
 
-    t: int
+    seq_id: str
+    profile_id: str
+    tree_name: str
     fps: float
     subject_mass: float
     channels: dict[str, np.ndarray]
-    boundary: bool = False
+    marker_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    n_actuated: int = 0
 
     def __post_init__(self):
+        self.validate()
+
+    @property
+    def n_frames(self) -> int:
+        return next(iter(self.channels.values())).shape[0]
+
+    @property
+    def mask(self) -> frozenset:
+        return frozenset(self.channels)
+
+    def validate(self) -> None:
+        """Check the channel layouts and value ranges over every frame."""
+        lengths = {v.shape[0] for v in self.channels.values()}
+        if len(lengths) > 1:
+            raise RepresentationError("channel frame counts differ")
+        if self.n_frames < 3:
+            raise RepresentationError("sequences need at least 3 frames")
+        for name, n in (("tau_tr", self.n_actuated), ("tau_ts", self.n_actuated)):
+            if name in self.channels and self.n_actuated and self.channels[name].shape[1] != n:
+                raise RepresentationError(f"{name} must have one column per actuated DoF")
         for name in self.channels:
             if name not in CHANNELS:
                 raise RepresentationError(f"unknown channel '{name}'")
@@ -112,55 +124,6 @@ class FrameSample:
                 raise RepresentationError("muscle actions must lie in [0, 1]")
         if "tau_e" in self.channels and (self.channels["tau_e"] < -1e-12).any():
             raise RepresentationError("sEMG must be non-negative")
-
-    @property
-    def mask(self) -> frozenset:
-        return frozenset(self.channels)
-
-
-@dataclass
-class SequenceRecord:
-    """A fixed-fps trajectory with a shared availability mask."""
-
-    seq_id: str
-    profile_id: str
-    tree_name: str
-    fps: float
-    subject_mass: float
-    channels: dict[str, np.ndarray]
-    marker_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    n_actuated: int = 0
-
-    def __post_init__(self):
-        lengths = {v.shape[0] for v in self.channels.values()}
-        if len(lengths) > 1:
-            raise RepresentationError("channel frame counts differ")
-        if self.n_frames < 3:
-            raise RepresentationError("sequences need at least 3 frames")
-        for name, n in (("tau_tr", self.n_actuated), ("tau_ts", self.n_actuated)):
-            if name in self.channels and self.n_actuated and self.channels[name].shape[1] != n:
-                raise RepresentationError(f"{name} must have one column per actuated DoF")
-        self.frame(0)  # run FrameSample validation once per record
-
-    @property
-    def n_frames(self) -> int:
-        return next(iter(self.channels.values())).shape[0]
-
-    @property
-    def mask(self) -> frozenset:
-        return frozenset(self.channels)
-
-    def is_boundary(self, t: int) -> bool:
-        return t == 0 or t == self.n_frames - 1
-
-    def frame(self, t: int) -> FrameSample:
-        return FrameSample(
-            t=t,
-            fps=self.fps,
-            subject_mass=self.subject_mass,
-            channels={k: v[t] for k, v in self.channels.items()},
-            boundary=self.is_boundary(t),
-        )
 
 
 def build_representations(
@@ -268,5 +231,5 @@ def attach_dynamics(
         if "tau_e" in kinds:
             picked = acts[:, list(emg_muscles)] if emg_muscles else acts
             record.channels["tau_e"] = synth_emg(picked, record.fps, noise_seed=seed)
-    record.frame(0)
+    record.validate()
     return record

@@ -9,7 +9,6 @@ from .config import (
     apply_override,
     config_from_text,
     config_hash,
-    config_to_flat_dict,
     config_to_text,
     desk_config,
     load_config,

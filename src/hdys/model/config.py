@@ -9,7 +9,9 @@ line, `key = value`, '#' comments. Unknown keys are errors, not warnings.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
+
+from ..codec import atomic_write
 
 
 class ConfigError(Exception):
@@ -37,8 +39,6 @@ class ModelConfig:
     alpha2: float = 0.05
     temperature: float = 0.1
     similarity: str = "cosine"  # "cosine" | "dot" (raw inner product)
-    activation: str = "gelu"
-    dropout: float = 0.0
     no_fdae: bool = False
     no_align: bool = False
     no_temporal_refinement: bool = False
@@ -54,8 +54,6 @@ class ModelConfig:
             raise ConfigError("latent dim must be divisible by the head counts")
         if self.similarity not in ("cosine", "dot"):
             raise ConfigError(f"unknown similarity mode '{self.similarity}'")
-        if self.activation != "gelu":
-            raise ConfigError("only the gelu activation is available")
 
 
 @dataclass
@@ -70,14 +68,11 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     grad_clip: float = 0.0  # 0 disables
-    lr_schedule: str = "constant"
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.lr_schedule != "constant":
-            raise ConfigError("only the constant schedule is available")
 
 
 @dataclass
@@ -196,17 +191,8 @@ def load_config(path) -> HDySConfig:
 
 
 def save_config(path, cfg: HDySConfig) -> None:
-    with open(path, "w") as fh:
-        fh.write(config_to_text(cfg))
+    atomic_write(path, config_to_text(cfg))
 
 
 def config_hash(cfg: HDySConfig) -> str:
     return hashlib.sha256(config_to_text(cfg).encode("utf-8")).hexdigest()[:16]
-
-
-def config_to_flat_dict(cfg: HDySConfig) -> dict:
-    out = {}
-    for section in ("model", "train", "rollout"):
-        for k, v in asdict(getattr(cfg, section)).items():
-            out[f"{section}.{k}"] = v
-    return out

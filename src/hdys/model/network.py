@@ -60,11 +60,6 @@ class ChannelInventory:
                     dyn[ch] = len(bundle.emg) if bundle.emg else bundle.muscles.n_muscles
         return cls(dyn, coords, kp, ptree, ctree)
 
-    def kin_channels(self) -> list[str]:
-        out = list(SET_CHANNELS)
-        out.extend(c for c in COORD_CHANNELS if c in self.coord_widths)
-        return out
-
 
 @dataclass
 class WindowGroup:
@@ -113,14 +108,11 @@ class GroupOutput:
     accel_preds: dict[str, Tensor] = field(default_factory=dict)  # (S'*n_win, W, width)
     accel_targets: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def source_block(self, which: str, index: int) -> slice:
-        n = self.group.n_windows
-        return slice(index * n, (index + 1) * n)
-
     def dyn_pred_by_source(self, kin: str, dyn: str) -> np.ndarray:
         """(n_win, W, width) prediction for one kinematics source."""
         s = self.kin_order.index(kin)
-        return self.dyn_preds[dyn].data[self.source_block("kin", s)]
+        n = self.group.n_windows
+        return self.dyn_preds[dyn].data[s * n : (s + 1) * n]
 
 
 def strip_accel_block(channel: str, block: np.ndarray) -> np.ndarray:
@@ -235,10 +227,6 @@ class HDySModel:
         if self.cfg.no_temporal_refinement:
             return z
         return self.temporal(z)
-
-    def compose_fdae(self, z_kin: Tensor, dyn_channel: str, dyn_block: np.ndarray) -> Tensor:
-        z_dyn = self.dyn_enc[dyn_channel](Tensor(dyn_block))
-        return self.composer(concat([z_kin, z_dyn], axis=-1))
 
     def accel_head_key(self, target: str, tree_key: str) -> str:
         return f"acc_k.{tree_key}" if target == "acc_k" else target

@@ -1,26 +1,27 @@
 """Self-describing binary checkpoint files.
 
-Layout (all integers little-endian, payloads little-endian float64):
+Layout (strings, arrays and payloads as encoded by `hdys.codec`):
 
     magic "HDYS1"
     u32 number of arrays
-    per array: u16 name length, name utf-8, u8 rank, rank * u32 extents, payload
+    per array: name string, array
     u8 optimizer-present flag
     if present: u64 step, f64 lr, f64 weight_decay, f64 beta1, f64 beta2, f64 eps,
                 u32 number of tracked arrays,
-                per array: u16 name length, name utf-8, m payload, v payload
+                per array: name string, m payload, v payload
                 (shapes as recorded for the parameter of the same name)
 
 Round trips are byte-identical: float64 payloads are written verbatim.
+Files are replaced atomically.
 """
 
 from __future__ import annotations
 
-import struct
 from typing import Optional
 
 import numpy as np
 
+from ..codec import Reader, Writer, atomic_write
 from .adamw import AdamWState
 
 MAGIC = b"HDYS1"
@@ -30,100 +31,44 @@ class CheckpointError(Exception):
     pass
 
 
-def _write_name(buf: bytearray, name: str) -> None:
-    raw = name.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise CheckpointError(f"name too long: {name!r}")
-    buf += struct.pack("<H", len(raw))
-    buf += raw
-
-
-def _pack_array(buf: bytearray, a: np.ndarray) -> None:
-    buf += np.ascontiguousarray(a, dtype="<f8").tobytes()
-
-
 def save_checkpoint(path, arrays: dict[str, np.ndarray], opt: Optional[AdamWState] = None) -> None:
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<I", len(arrays))
+    w = Writer(MAGIC, CheckpointError)
+    w.pack("<I", len(arrays))
     for name, a in arrays.items():
-        a = np.asarray(a, dtype=np.float64)
-        _write_name(buf, name)
-        if a.ndim > 0xFF:
-            raise CheckpointError("rank too large")
-        buf += struct.pack("<B", a.ndim)
-        for extent in a.shape:
-            buf += struct.pack("<I", extent)
-        _pack_array(buf, a)
+        w.str(name)
+        w.array(a)
     if opt is None:
-        buf += struct.pack("<B", 0)
+        w.pack("<B", 0)
     else:
-        buf += struct.pack("<B", 1)
-        buf += struct.pack(
-            "<Qddddd", opt.step, opt.lr, opt.weight_decay, opt.beta1, opt.beta2, opt.eps
-        )
-        buf += struct.pack("<I", len(opt.m))
+        w.pack("<B", 1)
+        w.pack("<Qddddd", opt.step, opt.lr, opt.weight_decay, opt.beta1, opt.beta2, opt.eps)
+        w.pack("<I", len(opt.m))
         for name in opt.m:
             if name not in arrays:
                 raise CheckpointError(f"optimizer slot '{name}' has no matching array")
-            _write_name(buf, name)
-            _pack_array(buf, opt.m[name])
-            _pack_array(buf, opt.v[name])
-    with open(path, "wb") as fh:
-        fh.write(bytes(buf))
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointError("truncated checkpoint file")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        vals = struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-        return vals[0] if len(vals) == 1 else vals
-
-    def name(self) -> str:
-        n = self.unpack("<H")
-        return self.take(n).decode("utf-8")
-
-    def array(self, shape) -> np.ndarray:
-        count = int(np.prod(shape)) if shape else 1
-        raw = self.take(8 * count)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            w.str(name)
+            w.payload(opt.m[name])
+            w.payload(opt.v[name])
+    atomic_write(path, w.bytes())
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], Optional[AdamWState]]:
     with open(path, "rb") as fh:
-        data = fh.read()
-    r = _Reader(data)
-    if r.take(len(MAGIC)) != MAGIC:
-        raise CheckpointError("bad magic: not a checkpoint file")
-    n = r.unpack("<I")
+        r = Reader(fh.read(), MAGIC, "checkpoint", CheckpointError)
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(n):
-        name = r.name()
-        rank = r.unpack("<B")
-        shape = tuple(r.unpack("<I") for _ in range(rank))
-        arrays[name] = r.array(shape)
+    for _ in range(r.unpack("<I")):
+        name = r.str()
+        arrays[name] = r.array()
     opt = None
     if r.unpack("<B"):
         step, lr, wd, b1, b2, eps = r.unpack("<Qddddd")
         opt = AdamWState(lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps, step=step)
-        k = r.unpack("<I")
-        for _ in range(k):
-            name = r.name()
+        for _ in range(r.unpack("<I")):
+            name = r.str()
             if name not in arrays:
                 raise CheckpointError(f"optimizer slot '{name}' has no matching array")
             shape = arrays[name].shape
-            opt.m[name] = r.array(shape)
-            opt.v[name] = r.array(shape)
-    if r.pos != len(data):
-        raise CheckpointError("trailing bytes after checkpoint payload")
+            opt.m[name] = r.payload(shape)
+            opt.v[name] = r.payload(shape)
+    r.done()
     return arrays, opt

@@ -69,11 +69,6 @@ def _sample(kind: str, rng: np.random.Generator):
     raise UnknownOpError(f"no sampler for op kind '{kind}'")
 
 
-def _scalarize(kind: str, arrays, attrs, weights: np.ndarray) -> Tensor:
-    out = op_forward(kind, [Tensor(a, requires_grad=True) for a in arrays], attrs)
-    return tz.sum_(tz.mul(out, Tensor(weights)))
-
-
 def grad_check(kind: str, trials: int = 10, tol: float = 1e-4, seed: int = 0) -> KernelReport:
     """Compare analytic gradients of one kernel against central differences."""
     if kind not in tz.OP_NAMES:

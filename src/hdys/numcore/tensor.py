@@ -115,9 +115,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         op = f" op={self._op}" if self._op else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{op})"

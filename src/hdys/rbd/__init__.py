@@ -9,7 +9,6 @@ from .dynamics import (
     step,
     total_energy,
 )
-from .io import load_tree, save_tree, tree_from_dict, tree_to_dict
 from .muscle import InfeasibleActivation, MuscleError, MuscleSet, muscle_to_torque, solve_activations, synth_emg
 from .standard import T1_EMG_MUSCLES, T2_BIAS_POSTURE, build_t1, build_t2, t1_muscles, t2_muscles
 from .tree import KinematicTree, Link, TreeError

@@ -1,9 +1,11 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
 from hdys.cli import main
+from hdys.datahub import DatasetManifest, default_profiles
 from hdys.numcore import load_checkpoint
 
 
@@ -35,6 +37,22 @@ def test_unknown_override_is_usage_error(cli_dataset, capsys):
     )
     assert code == 2
     assert "bogus_key" in capsys.readouterr().err
+
+
+def test_malformed_manifest_profile_is_domain_error(tmp_path, capsys):
+    good = DatasetManifest(seed=0, profiles=default_profiles(n_train=1, n_test=1)).to_dict()
+    unknown = json.loads(json.dumps(good))
+    unknown["profiles"][0]["bogus"] = 1
+    missing = json.loads(json.dumps(good))
+    del missing["profiles"][0]["fps"]
+    family = json.loads(json.dumps(good))
+    family["profiles"][0]["family"] = "reach-like"
+    for name, doc in (("unknown", unknown), ("missing", missing), ("family", family)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code = main(["train", "--data", str(tmp_path), "--manifest", str(path), "--out", str(tmp_path / "run")])
+        assert code == 1, name
+        assert "error:" in capsys.readouterr().err
 
 
 def test_train_eval_rollout_roundtrip(cli_dataset, tmp_path, capsys):

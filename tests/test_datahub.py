@@ -1,4 +1,5 @@
 import os
+import struct
 from collections import Counter
 
 import numpy as np
@@ -68,6 +69,17 @@ def test_corrupt_magic_rejected(tmp_path, small_dataset):
     blob2 = open(record_path(root, "A", "A0000"), "rb").read()[:-9]
     with pytest.raises(DatasetError, match="truncated|trailing"):
         record_from_bytes(blob2)
+
+    def pstr(text):
+        return struct.pack("<H", len(text)) + text.encode()
+
+    rank0 = (
+        b"HDYSREC1" + struct.pack("<I", 1) + pstr("A9999") + pstr("A") + pstr("t1")
+        + struct.pack("<ddIII", 90.0, 70.0, 5, 0, 0)
+        + struct.pack("<B", 1) + pstr("x_m") + struct.pack("<Bd", 0, 1.0)
+    )
+    with pytest.raises(DatasetError, match="frame count"):
+        record_from_bytes(rank0)
 
 
 def test_empty_manifest_roundtrip():

@@ -10,7 +10,6 @@ from hdys.kinrep import (
     attach_dynamics,
     build_representations,
     finite_difference,
-    strip_acceleration,
 )
 from hdys.rbd import GeneralizedState, muscle_to_torque, rnea
 from conftest import make_pendulum, random_chain
@@ -56,16 +55,6 @@ def test_fd_linearity(seed):
     vy, ay = finite_difference(y, 50.0)
     assert np.allclose(v1, al * vx + be * vy, atol=1e-9, rtol=0)
     assert np.allclose(a1, al * ax + be * ay, atol=1e-6, rtol=0)
-
-
-def test_strip_acceleration_views():
-    rng = np.random.default_rng(0)
-    rows = rng.normal(size=(4, 5, 9))
-    assert np.array_equal(strip_acceleration("x_m", rows), rows[..., :6])
-    flat = rng.normal(size=(4, 12))
-    got = strip_acceleration("x_a", flat)
-    expect = flat.reshape(4, 4, 3)[..., :2].reshape(4, 8)
-    assert np.array_equal(got, expect)
 
 
 def _static_traj(tree, frames=10):
@@ -177,10 +166,20 @@ def test_attach_muscle_actions_roundtrip():
 def test_frame_sample_invariants():
     rec_channels = {"x_m": np.zeros((5, 3, 9)), "tau_m": np.full((5, 2), 0.5)}
     rec = SequenceRecord("s", "p", "t", 90.0, 70.0, rec_channels)
-    assert rec.frame(0).boundary and not rec.frame(2).boundary
-    assert rec.frame(1).mask == frozenset({"x_m", "tau_m"})
+    assert rec.mask == frozenset({"x_m", "tau_m"})
     bad = {"x_m": np.zeros((5, 3, 8))}
     with pytest.raises(RepresentationError):
         SequenceRecord("s", "p", "t", 90.0, 70.0, bad)
     with pytest.raises(RepresentationError):
         SequenceRecord("s", "p", "t", 90.0, 70.0, {"tau_m": np.full((5, 2), 1.5)})
+
+
+def test_record_validation_checks_every_frame():
+    tau_m = np.full((5, 2), 0.5)
+    tau_m[3, 1] = 1.5
+    with pytest.raises(RepresentationError, match="muscle actions"):
+        SequenceRecord("s", "p", "t", 90.0, 70.0, {"tau_m": tau_m})
+    tau_e = np.full((5, 2), 0.5)
+    tau_e[4, 0] = -1.0
+    with pytest.raises(RepresentationError, match="sEMG"):
+        SequenceRecord("s", "p", "t", 90.0, 70.0, {"tau_e": tau_e})

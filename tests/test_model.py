@@ -170,14 +170,15 @@ def test_temporal_ablation_is_frame_local():
     assert dctx[3] > 1e-6 and np.delete(dctx, 3).max() > 1e-9  # attention spreads it
 
 
-def test_fdae_single_pair_api_and_tied_variant():
+def test_fdae_stack_tied_and_untied():
+    rng = np.random.default_rng(9)
+    g = make_group(rng, mask=("x_m", "x_a", "tau_tr"))
     for tie in (False, True):
         model = HDySModel(small_cfg(tie_fdae_encoders=tie), INV, seed=0)
-        rng = np.random.default_rng(9)
-        stripped = rng.normal(size=(2, 4, 6, 6))
-        z_kin = model.encode_kinematics_stripped("x_m", stripped)
-        z = model.compose_fdae(z_kin, "tau_tr", rng.normal(size=(2, 4, 23)))
-        assert z.shape == (2, 4, 32)
+        assert (model.fenc_set is model.enc_set) == tie
+        out = model.forward_group(g)
+        assert out.fdae_order == [("x_m", "tau_tr"), ("x_a", "tau_tr")]
+        assert out.fdae_stack.shape == (2 * 2, 8, 32)
 
 
 def test_accel_block_helpers():
@@ -186,6 +187,7 @@ def test_accel_block_helpers():
     assert np.array_equal(strip_accel_block("x_m", rows), rows[..., :6])
     assert accel_block("x_k", rows).shape == (2, 3, 15)
     flat = rng.normal(size=(2, 3, 12))
+    assert np.array_equal(strip_accel_block("x_a", flat), flat.reshape(2, 3, 4, 3)[..., :2].reshape(2, 3, 8))
     assert accel_block("x_a", flat).shape == (2, 3, 4)
     assert np.array_equal(accel_block("x_a", flat), flat.reshape(2, 3, 4, 3)[..., 2])
 

@@ -228,5 +228,13 @@ def test_checkpoint_bad_magic(tmp_path):
     p.write_bytes(b"NOTHDYS" + b"\x00" * 16)
     from hdys.numcore import CheckpointError
 
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="magic"):
+        load_checkpoint(p)
+    save_checkpoint(p, {"w": np.ones((2, 3))}, AdamWState(lr=1e-3))
+    good = p.read_bytes()
+    p.write_bytes(good[:-3])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(p)
+    p.write_bytes(good + b"\x00")
+    with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(p)
