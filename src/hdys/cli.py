@@ -21,6 +21,7 @@ from .datahub import (
     default_profiles,
     generate_dataset,
     load_manifest,
+    read_manifest,
 )
 from .engine import (
     RecordCache,
@@ -78,11 +79,7 @@ def _load_cfg(args) -> HDySConfig:
 
 def _manifest_for(args, root: str) -> DatasetManifest:
     if getattr(args, "manifest", None):
-        import json
-
-        with open(args.manifest) as fh:
-            m = DatasetManifest.from_dict(json.load(fh))
-        return m
+        return read_manifest(args.manifest)
     return _require_dataset(root)
 
 

@@ -63,7 +63,8 @@ class Reader:
     """Walks one file image written by `Writer`.
 
     `kind` names the file in error messages ("record", "checkpoint"); bad
-    magic, truncation and trailing bytes raise the caller's `error` class.
+    magic, truncation, trailing bytes and names that are not utf-8 raise the
+    caller's `error` class.
     """
 
     def __init__(self, data: bytes, magic: bytes, kind: str, error: type[Exception]):
@@ -86,7 +87,11 @@ class Reader:
         return vals[0] if len(vals) == 1 else vals
 
     def str(self) -> str:
-        return self.take(self.unpack("<H")).decode("utf-8")
+        raw = self.take(self.unpack("<H"))
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise self.error(f"{self.kind} name is not utf-8: {raw!r}") from None
 
     def array(self) -> np.ndarray:
         rank = self.unpack("<B")

@@ -10,6 +10,7 @@ from .profiles import (
     load_manifest,
     load_records,
     profile_index,
+    read_manifest,
     restrict_profiles,
     save_manifest,
     tree_bundle,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -194,12 +194,26 @@ def save_manifest(root, manifest: DatasetManifest) -> None:
     atomic_write(os.path.join(root, MANIFEST_NAME), json.dumps(manifest.to_dict(), indent=1, sort_keys=True))
 
 
+def read_manifest(path) -> DatasetManifest:
+    """Parse one manifest file; unreadable or malformed content raises DatasetError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DatasetError(f"cannot read manifest {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DatasetError(f"manifest {path}: not a JSON object")
+    try:
+        return DatasetManifest.from_dict(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DatasetError(f"manifest {path}: malformed ({type(exc).__name__}: {exc})") from None
+
+
 def load_manifest(root) -> DatasetManifest:
     path = os.path.join(root, MANIFEST_NAME)
     if not os.path.exists(path):
         raise DatasetError(f"no manifest at {path}")
-    with open(path) as fh:
-        return DatasetManifest.from_dict(json.load(fh))
+    return read_manifest(path)
 
 
 # -- generation ---------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import Tensor, add, attention, concat, gelu, layer_norm, matmul, mean, slice_axis
+from ..numcore import Tensor, add, attention, gelu, layer_norm, matmul, mean, slice_axis
 
 
 class ParamSet:
@@ -51,12 +51,14 @@ class ParamSet:
 
 
 class Linear:
+    """`x @ w + b` over the last axis, as one fused `matmul` op."""
+
     def __init__(self, ps: ParamSet, name: str, d_in: int, d_out: int):
         self.w = ps.new(f"{name}.w", (d_in, d_out), fan_in=d_in)
         self.b = ps.new(f"{name}.b", (d_out,), fan_in=d_in)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.w), self.b)
+        return matmul(x, self.w, self.b)
 
 
 class MLP:

@@ -38,11 +38,10 @@ class ChannelInventory:
     coord_widths: dict[str, int]  # x_a / x_s -> 3n layout width
     keypoint_counts: dict[str, int]  # tree_key -> joint count
     profile_tree: dict[str, str]  # profile_id -> tree_key
-    coord_tree: dict[str, str]  # x_a / x_s -> tree_key
 
     @classmethod
     def from_manifest(cls, manifest: DatasetManifest) -> "ChannelInventory":
-        dyn, coords, kp, ptree, ctree = {}, {}, {}, {}, {}
+        dyn, coords, kp, ptree = {}, {}, {}, {}
         for p in manifest.profiles:
             bundle = tree_bundle(p.tree_key)
             ptree[p.profile_id] = p.tree_key
@@ -50,7 +49,6 @@ class ChannelInventory:
             for ch in p.kin_mask:
                 if ch in COORD_CHANNELS:
                     coords[ch] = 3 * bundle.tree.n_dof
-                    ctree[ch] = p.tree_key
             for ch in p.dyn_mask:
                 if ch in ("tau_tr", "tau_ts"):
                     dyn[ch] = bundle.tree.n_actuated
@@ -58,7 +56,7 @@ class ChannelInventory:
                     dyn[ch] = bundle.muscles.n_muscles
                 elif ch == "tau_e":
                     dyn[ch] = len(bundle.emg) if bundle.emg else bundle.muscles.n_muscles
-        return cls(dyn, coords, kp, ptree, ctree)
+        return cls(dyn, coords, kp, ptree)
 
 
 @dataclass

@@ -26,11 +26,21 @@ class KernelReport:
         return self.max_rel_err <= self.tol
 
 
+def _cases(kind: str, rng: np.random.Generator):
+    """Every (inputs, attributes) form one trial checks for `kind`."""
+    if kind == "matmul":
+        u = lambda *shape: rng.uniform(-2.0, 2.0, size=shape)
+        return [
+            ([u(3, 4), u(4, 2)], {}),
+            ([u(2, 3, 2, 4), u(4, 3), u(3)], {}),  # activation @ shared weight + bias
+            ([u(2, 3, 4), u(2, 4, 2)], {}),  # batched
+        ]
+    return [_sample(kind, rng)]
+
+
 def _sample(kind: str, rng: np.random.Generator):
     """Random float64 inputs in [-2, 2] plus op attributes."""
     u = lambda *shape: rng.uniform(-2.0, 2.0, size=shape)
-    if kind == "matmul":
-        return [u(3, 4), u(4, 2)], {}
     if kind in ("add", "sub", "mul"):
         return [u(3, 4), u(3, 4)], {}
     if kind == "concat":
@@ -76,8 +86,7 @@ def grad_check(kind: str, trials: int = 10, tol: float = 1e-4, seed: int = 0) ->
     rng = np.random.default_rng(seed)
     h = 1e-5
     worst = 0.0
-    for _ in range(trials):
-        arrays, attrs = _sample(kind, rng)
+    for arrays, attrs in (case for _ in range(trials) for case in _cases(kind, rng)):
         out0 = op_forward(kind, [Tensor(a) for a in arrays], attrs)
         weights = rng.uniform(-1.0, 1.0, size=out0.shape)
 

@@ -207,21 +207,49 @@ def mul(a, b) -> Tensor:
     return _make(out, "mul", (a, b), bwd)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
+    """`a @ b`, plus `bias` of shape (n,) over the last axis when given.
+
+    A 2-D `b` is a weight shared by every leading index of `a`: those axes
+    fold into rows, so the forward pass and each gradient are one 2-D GEMM
+    (`a2 @ w`, `g2 @ w.T`, `a2.T @ g2`) and the bias gradient is one column
+    sum. The bias is added in place, so no second full-size array is kept.
+    Other ranks use numpy's batched matmul with broadcasting.
+    """
     a, b = _coerce(a), _coerce(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: inputs must be at least 2-D, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    n = b.shape[-1]
+    parents = (a, b)
+    if bias is not None:
+        bias = _coerce(bias)
+        if bias.shape != (n,):
+            raise ShapeError(f"matmul: bias shape {bias.shape} does not match output width {n}")
+        parents += (bias,)
     ad, bd = a.data, b.data
+    if b.ndim == 2:
+        a2 = ad.reshape(-1, a.shape[-1])
+        out = (a2 @ bd).reshape(a.shape[:-1] + (n,))
+    else:
+        out = ad @ bd
+    if bias is not None:
+        out += bias.data
 
     def bwd(g):
-        ga = g @ bd.swapaxes(-1, -2)
-        gb = ad.swapaxes(-1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        g2 = g.reshape(-1, n)
+        if b.ndim == 2:
+            ga = np.empty(a.shape)
+            np.matmul(g2, bd.T, out=ga.reshape(a2.shape))
+            grads = (ga, a2.T @ g2)
+        else:
+            ga = g @ bd.swapaxes(-1, -2)
+            gb = ad.swapaxes(-1, -2) @ g
+            grads = (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+        return grads if bias is None else grads + (g2.sum(axis=0),)
 
-    return _make(out, "matmul", (a, b), bwd)
+    return _make(out, "matmul", parents, bwd)
 
 
 def concat(parts: Sequence, axis: int = -1) -> Tensor:
@@ -350,10 +378,10 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"layer_norm: gamma/beta must have shape ({d},), got {gamma.shape}/{beta.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x.data - mu) * inv
+    # Centre once; the mean of squares then equals np.var bit for bit.
+    y = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(y).mean(axis=-1, keepdims=True) + eps)
+    y *= inv
     out = gamma.data * y + beta.data
     gd = gamma.data
 

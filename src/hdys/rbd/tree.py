@@ -9,7 +9,7 @@ decomposition only introduces massless internal bodies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

@@ -55,6 +55,30 @@ def test_malformed_manifest_profile_is_domain_error(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_unreadable_manifest_is_domain_error(tmp_path, capsys):
+    good = json.dumps(DatasetManifest(seed=0, profiles=default_profiles(n_train=1, n_test=1)).to_dict())
+    no_seed = json.loads(good)
+    del no_seed["seed"]
+    docs = {
+        "truncated": good[: good.index('"profiles": [') + len('"profiles": [')],
+        "not-object": "[1, 2]",
+        "no-seed": json.dumps(no_seed),
+        "not-utf8": b"\xff\xfe{}",
+    }
+    for name, text in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        code = main(["train", "--data", str(tmp_path), "--manifest", str(path), "--out", str(tmp_path / "run")])
+        assert code == 1, name
+        assert "manifest" in capsys.readouterr().err, name
+    root = tmp_path / "root"
+    root.mkdir()
+    (root / "manifest.json").write_text(docs["truncated"])
+    for argv in (["validate"], ["train", "--out", str(tmp_path / "run")]):
+        assert main(argv + ["--data", str(root)]) == 1, argv[0]
+        assert "manifest" in capsys.readouterr().err
+
+
 def test_train_eval_rollout_roundtrip(cli_dataset, tmp_path, capsys):
     run = str(tmp_path / "run")
     code = main(

@@ -82,6 +82,16 @@ def test_corrupt_magic_rejected(tmp_path, small_dataset):
         record_from_bytes(rank0)
 
 
+def test_non_utf8_name_rejected(small_dataset):
+    root, _ = small_dataset
+    blob = open(record_path(root, "A", "A0000"), "rb").read()
+    head = len(b"HDYSREC1") + 4
+    (n,) = struct.unpack_from("<H", blob, head)
+    bad = blob[:head] + struct.pack("<H", 2) + b"\xff\xfe" + blob[head + 2 + n :]
+    with pytest.raises(DatasetError, match="utf-8"):
+        record_from_bytes(bad)
+
+
 def test_empty_manifest_roundtrip():
     m = DatasetManifest(seed=3, profiles=[])
     m2 = DatasetManifest.from_dict(m.to_dict())

@@ -27,7 +27,6 @@ INV = ChannelInventory(
     coord_widths={"x_a": 69, "x_s": 36},
     keypoint_counts={"t1": 9, "t2": 12},
     profile_tree={"A": "t1", "B": "t2", "C": "t2", "D": "t1", "E": "t2"},
-    coord_tree={"x_a": "t1", "x_s": "t2"},
 )
 
 

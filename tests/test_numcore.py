@@ -53,6 +53,44 @@ def test_matmul_identity():
     assert np.array_equal(out.data, a)
 
 
+def test_matmul_bias_fused_equals_separate_add():
+    rng = np.random.default_rng(11)
+    xa, wa, ba = rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(4, 6)), rng.normal(size=6)
+    weights = Tensor(rng.normal(size=(2, 3, 5, 6)))
+
+    def run(f):
+        x, w, b = (Tensor(a, requires_grad=True) for a in (xa, wa, ba))
+        out = f(x, w, b)
+        return out.data, backward(tz.sum_(tz.mul(out, weights)), [x, w, b])
+
+    fused, fused_grads = run(lambda x, w, b: tz.matmul(x, w, b))
+    split, split_grads = run(lambda x, w, b: tz.add(tz.matmul(x, w), b))
+    # The batched path with a broadcast weight is the unfolded reference.
+    batched, batched_grads = run(lambda x, w, b: tz.add(tz.matmul(x, tz.reshape(w, (1, 4, 6))), b))
+    assert np.array_equal(fused, split)
+    assert np.abs(fused - batched).max() <= 1e-12 * np.abs(batched).max()
+    for ref in (split_grads, batched_grads):
+        for got, want in zip(fused_grads, ref):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    rule = tz.matmul(Tensor(xa, requires_grad=True), Tensor(wa))._backward
+    assert rule(np.ones((2, 3, 5, 6)))[0].base is None  # owned, so the reverse pass need not copy it
+
+
+def test_gradcheck_checks_matmul_bias(monkeypatch):
+    real = tz.matmul
+
+    def corrupt(a, b, bias=None):
+        out = real(a, b, bias)
+        orig = out._backward
+        out._backward = lambda g: orig(g)[:2] + tuple(gb * 1.5 for gb in orig(g)[2:])
+        return out
+
+    monkeypatch.setattr(tz, "matmul", corrupt)
+    report = grad_check("matmul", trials=1, tol=1e-4)
+    assert not report.passed and report.max_rel_err > 1e-4
+
+
 def test_softmax_uniform_and_rowsums():
     out = tz.softmax(Tensor([0.0, 0.0, 0.0]))
     assert np.allclose(out.data, 1.0 / 3.0, atol=1e-15)
@@ -137,6 +175,8 @@ def test_non_finite_forward_raises():
 def test_shape_errors_name_offenders():
     with pytest.raises(ShapeError, match="matmul"):
         tz.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    with pytest.raises(ShapeError, match="bias"):
+        tz.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
     with pytest.raises(ShapeError):
         tz.attention(Tensor(np.ones((1, 2, 6))), Tensor(np.ones((1, 2, 6))), Tensor(np.ones((1, 2, 6))), 4)
 
