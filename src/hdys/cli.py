@@ -24,6 +24,8 @@ from .datahub import (
     read_manifest,
 )
 from .engine import (
+    CSV_COLUMNS,
+    ROLLOUT_COLUMNS,
     RecordCache,
     TrainError,
     ablation_suite,
@@ -31,11 +33,12 @@ from .engine import (
     load_model,
     provenance,
     rollout_eval,
+    run_one,
+    scale_variants,
     train,
     write_csv,
     write_json,
 )
-from .engine.ablation import CSV_COLUMNS
 from .model import ConfigError, HDySConfig, apply_override, config_hash, desk_config, load_config, save_config
 from .model.losses import DeadConfigError
 from .rbd import InfeasibleActivation
@@ -182,7 +185,7 @@ def cmd_rollout(args) -> int:
     out = args.out or os.path.join(args.run, "rollout")
     os.makedirs(out, exist_ok=True)
     rows = [r.__dict__ for r in report.rows]
-    write_csv(os.path.join(out, "rollout.csv"), ["k", "fps", "source", "mse", "n_starts", "diverged"], rows)
+    write_csv(os.path.join(out, "rollout.csv"), ROLLOUT_COLUMNS, rows)
     for r in report.rows:
         print(f"k={r.k} fps={r.fps:5.0f} {r.source:9s} mse {r.mse:.3e} ({r.n_starts} starts)")
     return EXIT_OK
@@ -215,19 +218,9 @@ def cmd_reproduce(args) -> int:
                                 log=lambda s: print(s, flush=True))
         print(f"study CSV: {result.csv_path}")
     elif args.study == "table2-analogue":
-        from .engine.ablation import RunSpec, run_one, _with_quota
-        from .datahub import fifty_fifty, restrict_profiles, single_profile_50
-
         rows = []
-        n = len(manifest.profiles)
         for target in ("A", "D"):
-            specs = [
-                RunSpec(f"single50-{target}", single_profile_50(manifest, target), _with_quota(cfg, n, 1), [target]),
-                RunSpec(f"5050-{target}", fifty_fifty(manifest, target),
-                        _with_quota(cfg, n, len(fifty_fifty(manifest, target).profiles)), [target]),
-                RunSpec(f"single-{target}", restrict_profiles(manifest, [target]), _with_quota(cfg, n, 1), [target]),
-            ]
-            for spec in specs:
+            for spec in scale_variants(cfg, manifest, target):
                 for seed in seeds:
                     print(f"[table2] {spec.name} seed {seed}", flush=True)
                     rows.extend(run_one(spec, root, os.path.join(out, f"{spec.name}-s{seed}"), seed))
@@ -241,7 +234,7 @@ def cmd_reproduce(args) -> int:
         report = rollout_eval(result.model, result.stdizer, cfg, manifest)
         rows = [r.__dict__ for r in report.rows]
         csv_path = os.path.join(out, "rollout_table.csv")
-        write_csv(csv_path, ["k", "fps", "source", "mse", "n_starts", "diverged"], rows)
+        write_csv(csv_path, ROLLOUT_COLUMNS, rows)
         print(f"study CSV: {csv_path}")
     else:
         raise CliError(f"unknown study '{args.study}'")

@@ -59,17 +59,19 @@ def grid(base_cfg: HDySConfig, manifest: DatasetManifest, target: str = "A") -> 
     for dim in (32, 64, 128):
         cfg = replace(base_cfg, model=replace(base_cfg.model, latent_dim=dim))
         runs.append(RunSpec(f"dim-{dim}", manifest, cfg, pids))
-    runs.append(
-        RunSpec(f"single50-{target}", single_profile_50(manifest, target),
-                _with_quota(base_cfg, n, 1), [target])
-    )
+    return runs + scale_variants(base_cfg, manifest, target)
+
+
+def scale_variants(base_cfg: HDySConfig, manifest: DatasetManifest, target: str) -> list[RunSpec]:
+    """The three data-scale runs scored on `target`: half of its training
+    set alone, that half mixed 50/50 with the other profiles, and all of it."""
+    n = len(manifest.profiles)
     ff = fifty_fifty(manifest, target)
-    runs.append(RunSpec(f"5050-{target}", ff, _with_quota(base_cfg, n, len(ff.profiles)), [target]))
-    runs.append(
-        RunSpec(f"single-{target}", restrict_profiles(manifest, [target]),
-                _with_quota(base_cfg, n, 1), [target])
-    )
-    return runs
+    return [
+        RunSpec(f"single50-{target}", single_profile_50(manifest, target), _with_quota(base_cfg, n, 1), [target]),
+        RunSpec(f"5050-{target}", ff, _with_quota(base_cfg, n, len(ff.profiles)), [target]),
+        RunSpec(f"single-{target}", restrict_profiles(manifest, [target]), _with_quota(base_cfg, n, 1), [target]),
+    ]
 
 
 def run_one(spec: RunSpec, root: str, out_dir: str, seed: int) -> list[dict]:

@@ -108,6 +108,32 @@ def predict_sequences(
     return out
 
 
+def _labelled_profiles(cache, profiles: list[str] | None, split: str):
+    """Each selected profile with torque labels and sequences in `split`.
+
+    Yields (profile, dyn channel, sequence ids, records, stacked true
+    dynamics, subject mass).
+    """
+    manifest: DatasetManifest = cache.manifest
+    records = cache.test if split == "test" else cache.train
+    for profile in manifest.profiles:
+        pid = profile.profile_id
+        if profiles is not None and pid not in profiles:
+            continue
+        ids = (manifest.test_ids if split == "test" else manifest.train_ids)[pid]
+        if not (profile.dyn_mask and ids):
+            continue
+        dyn = profile.dyn_mask[0]
+        true = np.concatenate([records[(pid, sid)].channels[dyn] for sid in ids], axis=0)
+        yield profile, dyn, ids, records, true, records[(pid, ids[0])].subject_mass
+
+
+def _scores(true: np.ndarray, pred: np.ndarray, dyn: str, mass: float):
+    """(mPJE, RMSE, PCC, guarded channels, headline) of `pred` against `true`."""
+    mpje, rmse, pcc, guarded = _metrics(pred - true, true, pred, mass if dyn in MASS_NORMALIZED else 1.0)
+    return mpje, rmse, pcc, guarded, mpje if HEADLINE[dyn] == "mpje" else rmse
+
+
 def evaluate(
     model: HDySModel,
     stdizer: Standardizer,
@@ -117,23 +143,10 @@ def evaluate(
     split: str = "test",
 ) -> EvalReport:
     """Pure function of (checkpoint, data): no randomness anywhere."""
-    manifest: DatasetManifest = cache.manifest
-    records = cache.test if split == "test" else cache.train
     report = EvalReport()
-    for profile in manifest.profiles:
+    for profile, dyn, ids, records, true, mass in _labelled_profiles(cache, profiles, split):
         pid = profile.profile_id
-        if profiles is not None and pid not in profiles:
-            continue
-        if not profile.dyn_mask:
-            continue
-        ids = (manifest.test_ids if split == "test" else manifest.train_ids)[pid]
-        if not ids:
-            continue
         preds = predict_sequences(model, stdizer, cfg, records, pid, profile.tree_key, ids)
-        dyn = profile.dyn_mask[0]
-        mass = records[(pid, ids[0])].subject_mass
-        mass_norm = mass if dyn in MASS_NORMALIZED else 1.0
-        true = np.concatenate([records[(pid, sid)].channels[dyn] for sid in ids], axis=0)
         sources = sorted(preds[ids[0]].keys())
         stacked: dict[str, np.ndarray] = {}
         for kin in sources:
@@ -141,18 +154,7 @@ def evaluate(
         stacked["avg"] = np.mean([stacked[k] for k in sources], axis=0)
         rows_here = {}
         for name in sources + ["avg"]:
-            p = stacked[name]
-            mpje, rmse, pcc, guarded = _metrics(p - true, true, p, mass_norm)
-            row = MetricRow(
-                profile=pid,
-                dyn_channel=dyn,
-                representation=name,
-                mpje=mpje,
-                rmse=rmse,
-                pcc=pcc,
-                pcc_guarded=guarded,
-                headline=mpje if HEADLINE[dyn] == "mpje" else rmse,
-            )
+            row = MetricRow(pid, dyn, name, *_scores(true, stacked[name], dyn, mass))
             rows_here[name] = row
             report.rows.append(row)
         best = min(sources, key=lambda k: rows_here[k].headline)
@@ -165,18 +167,12 @@ def evaluate(
 
 
 def zero_baseline(cache, profiles: list[str] | None = None) -> dict[str, float]:
-    """mPJE of the all-zero predictor per profile (headline-comparable)."""
-    manifest: DatasetManifest = cache.manifest
-    out = {}
-    for profile in manifest.profiles:
-        pid = profile.profile_id
-        if profiles is not None and pid not in profiles:
-            continue
-        if not profile.dyn_mask:
-            continue
-        dyn = profile.dyn_mask[0]
-        ids = manifest.test_ids[pid]
-        true = np.concatenate([cache.test[(pid, sid)].channels[dyn] for sid in ids], axis=0)
-        mass = cache.test[(pid, ids[0])].subject_mass if dyn in MASS_NORMALIZED else 1.0
-        out[pid] = float(np.abs(true).mean()) / mass
-    return out
+    """Headline metric of the all-zero predictor per profile on the test split.
+
+    The zero prediction goes through the same scoring as a model in
+    `evaluate`: mPJE for joint torques, RMSE for muscle activations and EMG.
+    """
+    return {
+        profile.profile_id: _scores(true, np.zeros_like(true), dyn, mass)[-1]
+        for profile, dyn, _, _, true, mass in _labelled_profiles(cache, profiles, "test")
+    }

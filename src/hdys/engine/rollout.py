@@ -10,7 +10,7 @@ every deviation under predicted torques is attributable to the predictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,6 +29,9 @@ class RolloutRow:
     mse: float
     n_starts: int
     diverged: int
+
+
+ROLLOUT_COLUMNS = [f.name for f in fields(RolloutRow)]  # rollout CSV header
 
 
 @dataclass

@@ -59,8 +59,6 @@ def _sample(kind: str, rng: np.random.Generator):
         return [u(3, 4)], {}
     if kind == "layernorm":
         return [u(2, 5), u(5), u(5)], {}
-    if kind == "softmax":
-        return [u(3, 5)], {"axis": -1}
     if kind == "logsumexp":
         return [u(3, 5)], {"axis": -1}
     if kind == "l2norm":

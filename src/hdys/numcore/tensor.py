@@ -39,7 +39,6 @@ __all__ = [
     "transpose",
     "gelu",
     "layer_norm",
-    "softmax",
     "logsumexp",
     "l2_normalize",
     "l1_distance",
@@ -398,20 +397,6 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _make(out, "layernorm", (x, gamma, beta), bwd)
 
 
-def softmax(x, axis: int = -1) -> Tensor:
-    x = _coerce(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-    p = out
-
-    def bwd(g):
-        inner = (g * p).sum(axis=axis, keepdims=True)
-        return (p * (g - inner),)
-
-    return _make(out, "softmax", (x,), bwd)
-
-
 def logsumexp(x, axis: int = -1) -> Tensor:
     x = _coerce(x)
     m = x.data.max(axis=axis, keepdims=True)
@@ -519,7 +504,6 @@ _DISPATCH = {
     "reshape": lambda ins, at: reshape(ins[0], at["shape"]),
     "gelu": lambda ins, at: gelu(ins[0]),
     "layernorm": lambda ins, at: layer_norm(ins[0], ins[1], ins[2], eps=at.get("eps", 1e-5)),
-    "softmax": lambda ins, at: softmax(ins[0], axis=at.get("axis", -1)),
     "logsumexp": lambda ins, at: logsumexp(ins[0], axis=at.get("axis", -1)),
     "l2norm": lambda ins, at: l2_normalize(ins[0], axis=at.get("axis", -1)),
     "l1dist": lambda ins, at: l1_distance(*ins),

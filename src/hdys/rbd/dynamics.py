@@ -1,8 +1,9 @@
 """Inverse and forward dynamics on kinematic trees.
 
-Recursive Newton-Euler runs batched over frames (spatial vectors kept as
-separate angular/linear 3-vector arrays); the mass matrix comes from the
-composite-rigid-body recursion, and forward dynamics solves
+Recursive Newton-Euler (RNEA) is the one dynamics recursion: it runs
+batched over frames, with spatial vectors kept as separate angular/linear
+3-vector arrays. The mass matrix is RNEA at unit accelerations, one frame per
+column (zero velocity, no gravity), and forward dynamics solves
 M(q) qdd = tau - bias with a Cholesky factorization.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .tree import KinematicTree, TreeError
+from .tree import KinematicTree, TreeError, joint_transform
 
 
 class DynamicsError(Exception):
@@ -51,7 +52,14 @@ class ExternalForce:
     torque: tuple[float, float, float] = (0.0, 0.0, 0.0)  # world frame, N*m
 
 
-def _ext_body_wrench(tree: KinematicTree, ext, r_world, p_world, f):
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, broadcasting; the same arithmetic as numpy's cross."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _ext_body_wrench(tree: KinematicTree, ext, r_world, f):
     """Per-internal-body spatial force (n, f) in body coordinates."""
     nb = len(tree._bodies)
     wrench_n = np.zeros((f, nb, 3))
@@ -69,7 +77,7 @@ def _ext_body_wrench(tree: KinematicTree, ext, r_world, p_world, f):
         f_l = np.einsum("fij,j->fi", rw.transpose(0, 2, 1), fw)
         t_l = np.einsum("fij,j->fi", rw.transpose(0, 2, 1), tw)
         wrench_f[:, bi] += f_l
-        wrench_n[:, bi] += np.cross(np.broadcast_to(pt, f_l.shape), f_l) + t_l
+        wrench_n[:, bi] += _cross(pt, f_l) + t_l
     return wrench_n, wrench_f
 
 
@@ -96,9 +104,8 @@ def rnea(
     bodies = tree._bodies
     nb = len(bodies)
 
-    r_world, p_world = tree.body_poses(q)
     if ext:
-        ext_n, ext_f = _ext_body_wrench(tree, ext, r_world, p_world, f)
+        ext_n, ext_f = _ext_body_wrench(tree, ext, tree.body_poses(q)[0], f)
     else:
         ext_n = ext_f = None
 
@@ -108,19 +115,14 @@ def rnea(
     aa = np.zeros((f, nb, 3))  # linear acceleration (spatial)
     fn = np.zeros((f, nb, 3))  # net moment at body origin
     ff = np.zeros((f, nb, 3))  # net force
+    xs = []  # joint transforms (child pose in the parent frame), reused by the backward pass
 
     a_base = np.broadcast_to(-g, (f, 3))
 
     for bi, b in enumerate(bodies):
-        qi, qdi, qddi = q[:, b.dof], qd[:, b.dof], qdd[:, b.dof]
-        if b.kind == "rev":
-            from .tree import _rot_axis
-
-            r_pc = b.r_fix @ _rot_axis(b.axis, qi)
-            p_pc = np.broadcast_to(b.p_fix, (f, 3))
-        else:
-            r_pc = np.broadcast_to(b.r_fix, (f, 3, 3))
-            p_pc = b.p_fix + (b.r_fix @ b.axis) * qi[:, None]
+        qdi, qddi = qd[:, b.dof], qdd[:, b.dof]
+        r_pc, p_pc = joint_transform(b, q[:, b.dof])
+        xs.append((r_pc, p_pc))
         e = r_pc.transpose(0, 2, 1)  # parent -> child
         if b.parent == -1:
             wp = vp = np.zeros((f, 3))
@@ -130,18 +132,17 @@ def rnea(
             wp, vp = w[:, b.parent], v[:, b.parent]
             alp, aap = al[:, b.parent], aa[:, b.parent]
         wi = np.einsum("fij,fj->fi", e, wp)
-        vi = np.einsum("fij,fj->fi", e, vp + np.cross(wp, p_pc))
+        vi = np.einsum("fij,fj->fi", e, vp + _cross(wp, p_pc))
         ali = np.einsum("fij,fj->fi", e, alp)
-        aai = np.einsum("fij,fj->fi", e, aap + np.cross(alp, p_pc))
+        aai = np.einsum("fij,fj->fi", e, aap + _cross(alp, p_pc))
         sj = b.axis[None, :] * qdi[:, None]
         if b.kind == "rev":
             wi = wi + sj
-            ali = ali + b.axis[None, :] * qddi[:, None] + np.cross(wi, sj)
-            aai = aai + np.cross(vi, sj)
+            ali = ali + b.axis[None, :] * qddi[:, None] + _cross(wi, sj)
+            aai = aai + _cross(vi, sj)
         else:
             vi = vi + sj
-            ali = ali
-            aai = aai + b.axis[None, :] * qddi[:, None] + np.cross(wi, sj)
+            aai = aai + b.axis[None, :] * qddi[:, None] + _cross(wi, sj)
         w[:, bi], v[:, bi], al[:, bi], aa[:, bi] = wi, vi, ali, aai
 
         if b.mass == 0.0:
@@ -150,12 +151,12 @@ def rnea(
         else:
             m, c, ic = b.mass, b.com, b.inertia
             # spatial inertia applied to velocity: momentum (h_n, h_f)
-            h_n = np.einsum("ij,fj->fi", ic, wi) - m * np.cross(c, np.cross(c, wi)) + m * np.cross(c, vi)
-            h_f = m * (vi + np.cross(wi, c))
-            i_al = np.einsum("ij,fj->fi", ic, ali) - m * np.cross(c, np.cross(c, ali)) + m * np.cross(c, aai)
-            i_aa = m * (aai + np.cross(ali, c))
-            ni = i_al + np.cross(wi, h_n) + np.cross(vi, h_f)
-            fi = i_aa + np.cross(wi, h_f)
+            h_n = np.einsum("ij,fj->fi", ic, wi) - m * _cross(c, _cross(c, wi)) + m * _cross(c, vi)
+            h_f = m * (vi + _cross(wi, c))
+            i_al = np.einsum("ij,fj->fi", ic, ali) - m * _cross(c, _cross(c, ali)) + m * _cross(c, aai)
+            i_aa = m * (aai + _cross(ali, c))
+            ni = i_al + _cross(wi, h_n) + _cross(vi, h_f)
+            fi = i_aa + _cross(wi, h_f)
         if ext_n is not None:
             ni = ni - ext_n[:, bi]
             fi = fi - ext_f[:, bi]
@@ -169,83 +170,28 @@ def rnea(
         else:
             tau[:, b.dof] = np.einsum("fi,i->f", ff[:, bi], b.axis)
         if b.parent != -1:
-            qi = q[:, b.dof]
-            if b.kind == "rev":
-                from .tree import _rot_axis
-
-                r_pc = b.r_fix @ _rot_axis(b.axis, qi)
-                p_pc = np.broadcast_to(b.p_fix, (f, 3))
-            else:
-                r_pc = np.broadcast_to(b.r_fix, (f, 3, 3))
-                p_pc = b.p_fix + (b.r_fix @ b.axis) * qi[:, None]
+            r_pc, p_pc = xs[bi]
             f_par = np.einsum("fij,fj->fi", r_pc, ff[:, bi])
-            n_par = np.einsum("fij,fj->fi", r_pc, fn[:, bi]) + np.cross(p_pc, f_par)
+            n_par = np.einsum("fij,fj->fi", r_pc, fn[:, bi]) + _cross(p_pc, f_par)
             fn[:, b.parent] += n_par
             ff[:, b.parent] += f_par
     return tau[0] if single else tau
 
 
-def _spatial_inertia(b) -> np.ndarray:
-    m, c, ic = b.mass, b.com, b.inertia
-    cx = np.array([[0, -c[2], c[1]], [c[2], 0, -c[0]], [-c[1], c[0], 0]])
-    out = np.zeros((6, 6))
-    out[:3, :3] = ic - m * (cx @ cx)
-    out[:3, 3:] = m * cx
-    out[3:, :3] = -m * cx
-    out[3:, 3:] = m * np.eye(3)
-    return out
-
-
-def _spatial_x(e: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """6x6 motion transform parent->child from E (parent->child) and r."""
-    rx = np.array([[0, -r[2], r[1]], [r[2], 0, -r[0]], [-r[1], r[0], 0]])
-    x = np.zeros((6, 6))
-    x[:3, :3] = e
-    x[3:, 3:] = e
-    x[3:, :3] = -e @ rx
-    return x
-
-
 def mass_matrix(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
-    """Composite-rigid-body generalized inertia at configuration q."""
+    """Generalized inertia at configuration q, one column per coordinate.
+
+    Column j is the inverse dynamics of a unit acceleration of coordinate j
+    at rest without gravity, so all n columns come from one batched RNEA.
+    """
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != tree.n_dof:
         raise TreeError(f"q must be ({tree.n_dof},)")
     if not np.isfinite(q).all():
         raise DynamicsError("non-finite configuration")
-    from .tree import _rot_axis
-
-    bodies = tree._bodies
-    nb = len(bodies)
-    xs = []
-    ss = []
-    for b in bodies:
-        if b.kind == "rev":
-            r_pc = b.r_fix @ _rot_axis(b.axis, np.asarray(q[b.dof]))
-            p_pc = b.p_fix
-            s = np.concatenate([b.axis, np.zeros(3)])
-        else:
-            r_pc = b.r_fix
-            p_pc = b.p_fix + (b.r_fix @ b.axis) * q[b.dof]
-            s = np.concatenate([np.zeros(3), b.axis])
-        xs.append(_spatial_x(r_pc.T, p_pc))
-        ss.append(s)
-    comp = [_spatial_inertia(b) for b in bodies]
-    for bi in range(nb - 1, -1, -1):
-        b = bodies[bi]
-        if b.parent != -1:
-            comp[b.parent] = comp[b.parent] + xs[bi].T @ comp[bi] @ xs[bi]
-    m = np.zeros((tree.n_dof, tree.n_dof))
-    for bi, b in enumerate(bodies):
-        fvec = comp[bi] @ ss[bi]
-        m[b.dof, b.dof] = ss[bi] @ fvec
-        j = bi
-        while bodies[j].parent != -1:
-            fvec = xs[j].T @ fvec
-            j = bodies[j].parent
-            m[b.dof, bodies[j].dof] = ss[j] @ fvec
-            m[bodies[j].dof, b.dof] = m[b.dof, bodies[j].dof]
-    return m
+    n = tree.n_dof
+    state = GeneralizedState(np.broadcast_to(q, (n, n)), np.zeros((n, n)), np.eye(n))
+    return rnea(tree, state, gravity=np.zeros(3)).T
 
 
 def forward_dynamics(

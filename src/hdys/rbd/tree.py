@@ -66,6 +66,18 @@ def _rot_axis(axis: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _EYE3 + s * k + (1.0 - c) * (k @ k)
 
 
+def joint_transform(body: _Body, qi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pose of `body` in its parent's frame at joint coordinates qi of shape (F,).
+
+    Returns (R, p) with shapes (F, 3, 3) and (F, 3): the child's orientation
+    and origin expressed in the parent frame.
+    """
+    f = qi.shape[0]
+    if body.kind == "rev":
+        return body.r_fix @ _rot_axis(body.axis, qi), np.broadcast_to(body.p_fix, (f, 3))
+    return np.broadcast_to(body.r_fix, (f, 3, 3)), body.p_fix + (body.r_fix @ body.axis) * qi[:, None]
+
+
 class KinematicTree:
     """Immutable articulated chain with inertial data and marker sites."""
 
@@ -217,13 +229,7 @@ class KinematicTree:
         r = np.empty((f, nb, 3, 3))
         p = np.empty((f, nb, 3))
         for bi, b in enumerate(self._bodies):
-            qi = q[:, b.dof]
-            if b.kind == "rev":
-                r_pc = b.r_fix @ _rot_axis(b.axis, qi)
-                p_pc = np.broadcast_to(b.p_fix, (f, 3))
-            else:
-                r_pc = np.broadcast_to(b.r_fix, (f, 3, 3))
-                p_pc = b.p_fix + (b.r_fix @ b.axis) * qi[:, None]
+            r_pc, p_pc = joint_transform(b, q[:, b.dof])
             if b.parent == -1:
                 r[:, bi] = r_pc
                 p[:, bi] = p_pc

@@ -175,6 +175,11 @@ def test_zero_baseline_positive(small_cache):
     zb = zero_baseline(cache)
     assert set(zb) == {"A", "B", "C", "D"}
     assert all(v > 0 for v in zb.values())
+    man = cache.manifest
+    for pid in "CD":  # headline RMSE: the zero predictor scores the RMS of the truth
+        dyn = next(p for p in man.profiles if p.profile_id == pid).dyn_mask[0]
+        true = np.concatenate([cache.test[(pid, s)].channels[dyn] for s in man.test_ids[pid]])
+        assert zb[pid] == float(np.sqrt((true**2).mean()))
 
 
 # -- rollout --------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,18 +138,38 @@ def test_mass_matrix_symmetric_spd_100():
         np.linalg.cholesky(m)  # SPD via factorization success
 
 
-def test_mass_matrix_matches_unit_acceleration_columns():
+def _jacobian_inertia_oracle(tree, q, h=1e-5):
+    """M = sum over links of m Jv^T Jv + Jw^T (R I R^T) Jw, with no dynamics code.
+
+    The COM Jacobian Jv and the angular Jacobian Jw come from central
+    differences of the body poses (kinematics only): column j of Jw is the
+    axial vector of (dR/dq_j) R^T.
+    """
+    n = tree.n_dof
+    qs = np.concatenate([q + h * np.eye(n), q - h * np.eye(n), q[None]])
+    r, p = tree.body_poses(qs)
+    m = np.zeros((n, n))
+    for li, link in enumerate(tree.links):
+        bi = tree._link_body[li]
+        com = p[:, bi] + r[:, bi] @ np.asarray(link.com)
+        jv = (com[:n] - com[n : 2 * n]).T / (2 * h)
+        r0 = r[-1, bi]
+        w = (r[:n, bi] - r[n : 2 * n, bi]) / (2 * h) @ r0.T
+        jw = np.stack([w[:, 2, 1], w[:, 0, 2], w[:, 1, 0]])
+        m += link.mass * jv.T @ jv + jw.T @ (r0 @ np.asarray(link.inertia) @ r0.T) @ jw
+    return m
+
+
+def test_mass_matrix_matches_jacobian_inertia_oracle():
     rng = np.random.default_rng(5)
-    tree = random_chain(rng, 4)
-    q = rng.uniform(-1, 1, tree.n_dof)
-    m = mass_matrix(tree, q)
-    zero = np.zeros(tree.n_dof)
-    base = rnea(tree, GeneralizedState(q, zero, zero), gravity=np.zeros(3))
-    for i in range(tree.n_dof):
-        e = np.zeros(tree.n_dof)
-        e[i] = 1.0
-        col = rnea(tree, GeneralizedState(q, zero, e), gravity=np.zeros(3)) - base
-        assert np.abs(col - m[:, i]).max() < 1e-9
+    trees = [random_chain(rng, int(rng.integers(2, 6))) for _ in range(12)]
+    assert sum(l.joint == "spherical" for t in trees for l in t.links) >= 10
+    free = random_chain(rng, 4)
+    trees.append(KinematicTree([replace(free.links[0], joint="free")] + free.links[1:]))
+    for tree in trees:
+        q = rng.uniform(-1.5, 1.5, tree.n_dof)
+        expect = _jacobian_inertia_oracle(tree, q)
+        assert np.abs(mass_matrix(tree, q) - expect).max() <= 1e-6 * np.abs(expect).max()
 
 
 def test_pendulum_mass_matrix_analytic():
@@ -183,6 +205,15 @@ def test_rnea_batched_equals_single():
     for i in range(6):
         single = rnea(tree, GeneralizedState(qs[i], qd[i], qdd[i]))
         assert np.array_equal(batch[i], single)
+
+
+def test_cross_is_bitwise_numpy_cross():
+    from hdys.rbd.dynamics import _cross
+
+    rng = np.random.default_rng(8)
+    a, b, c = rng.normal(size=(5, 3)), rng.normal(size=(5, 3)), rng.normal(size=3)
+    for x, y in ((a, b), (c, a), (a, c), (c, c)):
+        assert np.array_equal(_cross(x, y), np.cross(x, y))
 
 
 def test_external_force_consistency():
