@@ -132,15 +132,6 @@ def cmd_train(args) -> int:
     _freeze_run(out, cfg, root, [cfg.train.seed])
     cache = RecordCache.load(root, manifest)
     result = train(cfg, cache, out, log=lambda s: print(s, flush=True))
-    write_json(
-        os.path.join(out, "meta.json"),
-        {
-            "config_hash": config_hash(cfg),
-            "seed": cfg.train.seed,
-            "param_count": result.param_count,
-            "seconds": round(result.seconds, 2),
-        },
-    )
     print(f"checkpoint: {result.checkpoint_path}")
     return EXIT_OK
 
@@ -230,7 +221,9 @@ def cmd_reproduce(args) -> int:
     elif args.study == "rollout-table":
         cache = RecordCache.load(root, manifest)
         run_dir = os.path.join(out, f"train-s{seeds[0]}")
-        result = train(replace(cfg, train=replace(cfg.train, seed=seeds[0])), cache, run_dir)
+        run_cfg = replace(cfg, train=replace(cfg.train, seed=seeds[0]))
+        _freeze_run(run_dir, run_cfg, root, seeds[:1])
+        result = train(run_cfg, cache, run_dir)
         report = rollout_eval(result.model, result.stdizer, cfg, manifest)
         rows = [r.__dict__ for r in report.rows]
         csv_path = os.path.join(out, "rollout_table.csv")

@@ -16,7 +16,7 @@ from .train import RecordCache, TrainError, train
 
 CSV_COLUMNS = [
     "run", "seed", "profile", "dyn_channel", "representation",
-    "mpje", "rmse", "pcc", "headline", "param_count", "train_seconds",
+    "mpje", "rmse", "pcc", "headline", "param_count",
 ]
 
 
@@ -92,7 +92,6 @@ def run_one(spec: RunSpec, root: str, out_dir: str, seed: int) -> list[dict]:
                 "pcc": r.pcc,
                 "headline": r.headline,
                 "param_count": result.param_count,
-                "train_seconds": round(result.seconds, 2),
             }
         )
     return rows

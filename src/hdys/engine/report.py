@@ -33,12 +33,10 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def provenance(out_dir, config_hash: str, dataset_manifest_path: str, seeds: list[int], extra: dict | None = None) -> None:
+def provenance(out_dir, config_hash: str, dataset_manifest_path: str, seeds: list[int]) -> None:
     payload = {
         "config_hash": config_hash,
         "dataset_hash": file_sha256(dataset_manifest_path),
         "seeds": list(seeds),
     }
-    if extra:
-        payload.update(extra)
     write_json(os.path.join(out_dir, "provenance.json"), payload)

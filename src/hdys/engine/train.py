@@ -9,10 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..datahub import DatasetManifest, balanced_epoch_sampler, load_records
-from ..model import ChannelInventory, HDySConfig, HDySModel, total_loss
+from ..model import ChannelInventory, HDySConfig, HDySModel, config_hash, total_loss
 from ..numcore import AdamWState, NonFiniteError, adamw_step, backward, load_checkpoint, save_checkpoint
 from .batching import Standardizer, WindowRef, build_groups
-from .report import write_csv
+from .report import write_csv, write_json
 
 
 class TrainError(Exception):
@@ -25,7 +25,6 @@ class TrainResult:
     curve: list[dict]
     model: HDySModel
     stdizer: Standardizer
-    seconds: float
     param_count: int
 
 
@@ -65,7 +64,9 @@ def train(
 
     Per epoch: one balanced draw of sequences, one random window per draw,
     shuffled into fixed-size frame batches, one optimizer step per batch.
-    Zero epochs saves the untouched initialization.
+    Zero epochs saves the untouched initialization. Beside `model.ckpt`,
+    `meta.json` records the config hash, the effective seed, the parameter
+    count and the wall time, so no other artifact carries a clock reading.
     """
     t_begin = time.time()
     manifest = cache.manifest
@@ -144,12 +145,20 @@ def train(
     arrays.update(stdizer.to_arrays())
     save_checkpoint(ckpt_path, arrays, opt)
     write_csv(os.path.join(out_dir, "loss_curve.csv"), ["epoch", "recon", "align", "total"], curve)
+    write_json(
+        os.path.join(out_dir, "meta.json"),
+        {
+            "config_hash": config_hash(cfg),
+            "seed": seed,
+            "param_count": model.param_count(),
+            "seconds": round(time.time() - t_begin, 2),
+        },
+    )
     return TrainResult(
         checkpoint_path=ckpt_path,
         curve=curve,
         model=model,
         stdizer=stdizer,
-        seconds=time.time() - t_begin,
         param_count=model.param_count(),
     )
 

@@ -3,7 +3,6 @@ from .config import (
     ConfigError,
     HDySConfig,
     ModelConfig,
-    PRESETS,
     RolloutConfig,
     TrainConfig,
     apply_override,

@@ -38,11 +38,9 @@ class ModelConfig:
     alpha1: float = 0.01
     alpha2: float = 0.05
     temperature: float = 0.1
-    similarity: str = "cosine"  # "cosine" | "dot" (raw inner product)
     no_fdae: bool = False
     no_align: bool = False
     no_temporal_refinement: bool = False
-    tie_fdae_encoders: bool = False
     exclude_boundary_frames: bool = True
 
     def __post_init__(self):
@@ -52,8 +50,6 @@ class ModelConfig:
             raise ConfigError("window length must be >= 1")
         if self.latent_dim % self.set_heads or self.latent_dim % self.id_heads:
             raise ConfigError("latent dim must be divisible by the head counts")
-        if self.similarity not in ("cosine", "dot"):
-            raise ConfigError(f"unknown similarity mode '{self.similarity}'")
 
 
 @dataclass
@@ -101,9 +97,6 @@ def paper_config() -> HDySConfig:
         model=ModelConfig(latent_dim=128, set_ffn_mult=4),
         train=TrainConfig(epochs=1000, frames_per_batch=9600, quota=3000, lr=1e-3),
     )
-
-
-PRESETS = {"desk": desk_config, "paper": paper_config}
 
 
 # -- text round trip ----------------------------------------------------------

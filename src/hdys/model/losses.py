@@ -3,8 +3,12 @@
 Reconstruction sums per-target mean absolute errors: one term per dynamics
 channel (pooled over kinematics sources, windows and unmasked frames) plus
 one per acceleration target. Alignment is InfoNCE over every ordered pair of
-distinct latent sources: the positive is the same frame seen by another
-source, the denominator runs over that source's other frames in the batch.
+distinct latent sources, scored by the cosine of unit-norm latents divided
+by the temperature: the positive is the same frame seen by another source,
+the denominator runs over that source's other frames in the batch. Each
+unordered pair computes one score matrix and reads it by rows and by
+columns for its two orders (Oord et al., arXiv:1807.03748; the symmetric
+loss of Radford et al., arXiv:2103.00020).
 """
 
 from __future__ import annotations
@@ -95,35 +99,28 @@ def loss_recon(outputs: list[GroupOutput], cfg: ModelConfig) -> tuple[Tensor, di
     return total, per_target
 
 
-def _pair_nce(z1: Tensor, z2: Tensor, temperature_scale: float) -> Tensor:
-    """InfoNCE for one ordered source pair over a batch of B frames."""
-    b = z1.shape[0]
-    sims = matmul(z1, transpose(z2))
-    if temperature_scale != 1.0:
-        sims = mul(sims, Tensor(temperature_scale))
-    pos = mul(sum_(mul(sims, Tensor(np.eye(b)))), Tensor(1.0 / b))
-    return sub(mean(logsumexp(sims, axis=1)), pos)
+def _pair_nce(z_i: Tensor, z_j: Tensor, scale: float) -> Tensor:
+    """InfoNCE of the ordered pairs (i, j) and (j, i), summed, over B frames.
+
+    One score matrix serves both orders: its rows score each frame of
+    source i against every frame of source j, its columns the reverse. The
+    positives are its diagonal, the row-wise dot products of z_i and z_j.
+    """
+    b = z_i.shape[0]
+    sims = mul(matmul(z_i, transpose(z_j)), Tensor(scale))
+    lse = add(mean(logsumexp(sims, axis=1)), mean(logsumexp(sims, axis=0)))
+    return sub(lse, mul(sum_(mul(z_i, z_j)), Tensor(2.0 * scale / b)))
 
 
-def _group_sources(out: GroupOutput, cfg: ModelConfig) -> list[Tensor]:
-    """Flattened (B, d) latents, one per available source."""
-    g = out.group
-    b = g.n_windows * g.window
+def _group_sources(out: GroupOutput) -> list[Tensor]:
+    """Unit-norm flattened (B, d) latents, one per available source."""
+    b = out.group.n_windows * out.group.window
     sources = []
-    if out.kin_stack is not None:
-        d = out.kin_stack.shape[-1]
-        flat = reshape(out.kin_stack, (len(out.kin_order) * b, d))
-        if cfg.similarity == "cosine":
-            flat = l2_normalize(flat, axis=-1)
-        for s in range(len(out.kin_order)):
-            sources.append(slice_axis(flat, 0, s * b, (s + 1) * b))
-    if out.fdae_stack is not None:
-        d = out.fdae_stack.shape[-1]
-        flat = reshape(out.fdae_stack, (len(out.fdae_order) * b, d))
-        if cfg.similarity == "cosine":
-            flat = l2_normalize(flat, axis=-1)
-        for s in range(len(out.fdae_order)):
-            sources.append(slice_axis(flat, 0, s * b, (s + 1) * b))
+    for stack, order in ((out.kin_stack, out.kin_order), (out.fdae_stack, out.fdae_order)):
+        if stack is None:
+            continue
+        flat = l2_normalize(reshape(stack, (len(order) * b, stack.shape[-1])), axis=-1)
+        sources += [slice_axis(flat, 0, s * b, (s + 1) * b) for s in range(len(order))]
     return sources
 
 
@@ -133,31 +130,26 @@ def loss_align(outputs: list[GroupOutput], cfg: ModelConfig) -> Tensor:
     Sources of one group are its per-channel encoder latents plus the
     composed forward-dynamics latents; groups enter independently (a frame
     is only contrasted against frames with the same availability) and are
-    weighted by frame count.
+    weighted by frame count. Each unordered pair is scored once, both ways.
     """
-    scale = 1.0 / cfg.temperature if cfg.similarity == "cosine" else 1.0
+    scale = 1.0 / cfg.temperature
     total = None
     weight_sum = 0.0
-    usable = 0
     for out in outputs:
-        sources = _group_sources(out, cfg)
-        if len(sources) < 2:
+        sources = _group_sources(out)
+        n = len(sources)
+        if n < 2:
             continue
-        usable += 1
         b = out.group.n_windows * out.group.window
         group_loss = None
-        n_pairs = 0
-        for i in range(len(sources)):
-            for j in range(len(sources)):
-                if i == j:
-                    continue
+        for i in range(n):
+            for j in range(i + 1, n):
                 term = _pair_nce(sources[i], sources[j], scale)
                 group_loss = term if group_loss is None else add(group_loss, term)
-                n_pairs += 1
-        group_loss = mul(group_loss, Tensor(b / n_pairs))
+        group_loss = mul(group_loss, Tensor(b / (n * (n - 1))))
         total = group_loss if total is None else add(total, group_loss)
         weight_sum += b
-    if usable == 0:
+    if total is None:
         raise DeadConfigError("alignment needs at least two latent sources per batch")
     return mul(total, Tensor(1.0 / weight_sum))
 

@@ -129,17 +129,6 @@ def accel_block(channel: str, block: np.ndarray) -> np.ndarray:
     return block.reshape(block.shape[:-1] + (n, 3))[..., 2]
 
 
-def _pad_accel_zeros(channel: str, stripped: np.ndarray) -> np.ndarray:
-    """Re-embed an acceleration-free block into the full layout with zeros."""
-    if channel in SET_CHANNELS:
-        pad = np.zeros(stripped.shape[:-1] + (3,))
-        return np.concatenate([stripped, pad], axis=-1)
-    n = stripped.shape[-1] // 2
-    out = np.zeros(stripped.shape[:-1] + (n, 3))
-    out[..., :2] = stripped.reshape(stripped.shape[:-1] + (n, 2))
-    return out.reshape(stripped.shape[:-1] + (3 * n,))
-
-
 class HDySModel:
     def __init__(self, cfg: ModelConfig, inventory: ChannelInventory, seed: int = 0):
         self.cfg = cfg
@@ -165,17 +154,14 @@ class HDySModel:
         }
 
         if not cfg.no_fdae:
-            if cfg.tie_fdae_encoders:
-                self.fenc_set, self.fenc_coord = self.enc_set, self.enc_coord
-            else:
-                self.fenc_set = {
-                    ch: SetEncoder(ps, f"fenc.{ch}", 6, d, cfg.set_layers, cfg.set_heads, cfg.set_ffn_mult)
-                    for ch in SET_CHANNELS
-                }
-                self.fenc_coord = {
-                    ch: MLP(ps, f"fenc.{ch}", [2 * w // 3, cfg.mlp_hidden[0], cfg.mlp_hidden[1], d])
-                    for ch, w in inventory.coord_widths.items()
-                }
+            self.fenc_set = {
+                ch: SetEncoder(ps, f"fenc.{ch}", 6, d, cfg.set_layers, cfg.set_heads, cfg.set_ffn_mult)
+                for ch in SET_CHANNELS
+            }
+            self.fenc_coord = {
+                ch: MLP(ps, f"fenc.{ch}", [2 * w // 3, cfg.mlp_hidden[0], cfg.mlp_hidden[1], d])
+                for ch, w in inventory.coord_widths.items()
+            }
             self.dyn_enc = {
                 ch: MLP(ps, f"fenc.dyn.{ch}", [w, cfg.dyn_encoder_hidden, d])
                 for ch, w in inventory.dyn_widths.items()
@@ -215,8 +201,6 @@ class HDySModel:
         """Acceleration-free block to FDAE-side latents."""
         if self.cfg.no_fdae:
             raise ModelError("model was built without the forward-dynamics branch")
-        if self.cfg.tie_fdae_encoders:
-            return self.encode_kinematics(channel, _pad_accel_zeros(channel, stripped))
         if channel in SET_CHANNELS:
             return self.fenc_set[channel](Tensor(stripped))
         return self.fenc_coord[channel](Tensor(stripped))
@@ -231,9 +215,9 @@ class HDySModel:
 
     # -- full group pass ------------------------------------------------------
 
-    def forward_group(self, group: WindowGroup, with_fdae: bool | None = None) -> GroupOutput:
+    def forward_group(self, group: WindowGroup, with_fdae: bool = True) -> GroupOutput:
         out = GroupOutput(group=group)
-        use_fdae = (not self.cfg.no_fdae) if with_fdae is None else (with_fdae and not self.cfg.no_fdae)
+        use_fdae = with_fdae and not self.cfg.no_fdae
         out.kin_order = list(group.kin_present)
         latents = [self.encode_kinematics(ch, group.x[ch]) for ch in out.kin_order]
         out.kin_stack = latents[0] if len(latents) == 1 else concat(latents, axis=0)

@@ -118,19 +118,6 @@ class Tensor:
         op = f" op={self._op}" if self._op else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{op})"
 
-    # Convenience arithmetic used by model code.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)

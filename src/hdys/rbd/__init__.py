@@ -1,7 +1,6 @@
 from .dynamics import (
     DivergedRollout,
     DynamicsError,
-    ExternalForce,
     GeneralizedState,
     forward_dynamics,
     mass_matrix,

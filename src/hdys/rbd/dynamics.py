@@ -4,7 +4,9 @@ Recursive Newton-Euler (RNEA) is the one dynamics recursion: it runs
 batched over frames, with spatial vectors kept as separate angular/linear
 3-vector arrays. The mass matrix is RNEA at unit accelerations, one frame per
 column (zero velocity, no gravity), and forward dynamics solves
-M(q) qdd = tau - bias with a Cholesky factorization.
+M(q) qdd = tau - bias with a Cholesky factorization. Joint torques and
+gravity are the only forces; contact and other external wrenches are not
+modelled.
 """
 
 from __future__ import annotations
@@ -44,14 +46,6 @@ class GeneralizedState:
                 raise DynamicsError("non-finite generalized state")
 
 
-@dataclass(frozen=True)
-class ExternalForce:
-    link: int
-    point: tuple[float, float, float]  # application point, link frame
-    force: tuple[float, float, float]  # world frame, N
-    torque: tuple[float, float, float] = (0.0, 0.0, 0.0)  # world frame, N*m
-
-
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b over the last axis, broadcasting; the same arithmetic as numpy's cross."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
@@ -59,35 +53,12 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
-def _ext_body_wrench(tree: KinematicTree, ext, r_world, f):
-    """Per-internal-body spatial force (n, f) in body coordinates."""
-    nb = len(tree._bodies)
-    wrench_n = np.zeros((f, nb, 3))
-    wrench_f = np.zeros((f, nb, 3))
-    for e in ext:
-        if not (0 <= e.link < tree.n_links):
-            raise DynamicsError(f"external force on unknown link {e.link}")
-        bi = tree._link_body[e.link]
-        rw = r_world[:, bi]
-        fw = np.asarray(e.force, dtype=np.float64)
-        tw = np.asarray(e.torque, dtype=np.float64)
-        pt = np.asarray(e.point, dtype=np.float64)
-        if not (np.isfinite(fw).all() and np.isfinite(tw).all() and np.isfinite(pt).all()):
-            raise DynamicsError("non-finite external force")
-        f_l = np.einsum("fij,j->fi", rw.transpose(0, 2, 1), fw)
-        t_l = np.einsum("fij,j->fi", rw.transpose(0, 2, 1), tw)
-        wrench_f[:, bi] += f_l
-        wrench_n[:, bi] += _cross(pt, f_l) + t_l
-    return wrench_n, wrench_f
-
-
 def rnea(
     tree: KinematicTree,
     state: GeneralizedState,
-    ext: list[ExternalForce] | None = None,
     gravity: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Generalized forces required to realize (q, qd, qdd) under `ext`.
+    """Generalized forces required to realize (q, qd, qdd).
 
     Accepts a single state or a trajectory of shape (F, n_dof); output
     matches. For a free-root tree the first six entries are the residual
@@ -103,11 +74,6 @@ def rnea(
     g = tree.gravity if gravity is None else np.asarray(gravity, dtype=np.float64)
     bodies = tree._bodies
     nb = len(bodies)
-
-    if ext:
-        ext_n, ext_f = _ext_body_wrench(tree, ext, tree.body_poses(q)[0], f)
-    else:
-        ext_n = ext_f = None
 
     w = np.zeros((f, nb, 3))  # angular velocity, body coords
     v = np.zeros((f, nb, 3))  # linear velocity of body origin
@@ -157,9 +123,6 @@ def rnea(
             i_aa = m * (aai + _cross(ali, c))
             ni = i_al + _cross(wi, h_n) + _cross(vi, h_f)
             fi = i_aa + _cross(wi, h_f)
-        if ext_n is not None:
-            ni = ni - ext_n[:, bi]
-            fi = fi - ext_f[:, bi]
         fn[:, bi], ff[:, bi] = ni, fi
 
     tau = np.zeros((f, tree.n_dof))
@@ -199,13 +162,12 @@ def forward_dynamics(
     q: np.ndarray,
     qd: np.ndarray,
     tau: np.ndarray,
-    ext: list[ExternalForce] | None = None,
 ) -> np.ndarray:
     """Accelerations produced by tau at (q, qd): solves the inverse relation."""
     q = np.asarray(q, dtype=np.float64)
     qd = np.asarray(qd, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)
-    bias = rnea(tree, GeneralizedState(q, qd, np.zeros_like(q)), ext)
+    bias = rnea(tree, GeneralizedState(q, qd, np.zeros_like(q)))
     m = mass_matrix(tree, q)
     try:
         factor = cho_factor(m, lower=True)
@@ -219,13 +181,12 @@ def step(
     q: np.ndarray,
     qd: np.ndarray,
     tau: np.ndarray,
-    ext: list[ExternalForce] | None = None,
     dt: float = 1.0 / 90.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One semi-implicit Euler step: velocity first, then position."""
     if dt <= 0:
         raise DynamicsError("dt must be positive")
-    qdd = forward_dynamics(tree, q, qd, tau, ext)
+    qdd = forward_dynamics(tree, q, qd, tau)
     qd_next = qd + dt * qdd
     q_next = q + dt * qd_next
     if not (np.isfinite(q_next).all() and np.isfinite(qd_next).all()):

@@ -31,12 +31,13 @@ def test_validate_missing_dataset(tmp_path, capsys):
     assert "gen-data" in capsys.readouterr().err  # remediation hint
 
 
-def test_unknown_override_is_usage_error(cli_dataset, capsys):
-    code = main(
-        ["train", "--data", cli_dataset, "--out", "/tmp/cli-x", "--set", "train.bogus_key=1"]
-    )
-    assert code == 2
-    assert "bogus_key" in capsys.readouterr().err
+def test_unknown_override_is_usage_error(cli_dataset, tmp_path, capsys):
+    # the last two keys existed once; a config that still sets them is rejected
+    for kv in ("train.bogus_key=1", "model.similarity=dot", "model.tie_fdae_encoders=true"):
+        code = main(["train", "--data", cli_dataset, "--out", str(tmp_path / "x"), "--set", kv])
+        assert code == 2
+        assert kv.split("=")[0].split(".")[1] in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "x")
 
 
 def test_malformed_manifest_profile_is_domain_error(tmp_path, capsys):
@@ -94,6 +95,9 @@ def test_train_eval_rollout_roundtrip(cli_dataset, tmp_path, capsys):
     assert os.path.exists(os.path.join(run, "config.txt"))
     assert os.path.exists(os.path.join(run, "provenance.json"))
     assert os.path.exists(os.path.join(run, "loss_curve.csv"))
+    with open(os.path.join(run, "meta.json")) as fh:
+        meta = json.load(fh)
+    assert meta["seed"] == 5 and meta["param_count"] > 0 and meta["seconds"] >= 0
 
     assert main(["eval", "--data", cli_dataset, "--run", run]) == 0
     assert os.path.exists(os.path.join(run, "eval", "eval.csv"))
@@ -133,6 +137,26 @@ def test_reproduce_rollout_table_byte_identical(cli_dataset, tmp_path):
     b2 = open(os.path.join(out2, "rollout_table.csv"), "rb").read()
     assert b1 == b2
     assert b"oracle" in b1 and b"predicted" in b1
+    # the trained model's directory is a finished run that eval accepts
+    assert main(["eval", "--data", cli_dataset, "--run", os.path.join(out1, "train-s0")]) == 0
+
+
+def test_reproduce_table2_byte_identical(cli_dataset, tmp_path):
+    args = [
+        "reproduce", "--study", "table2-analogue", "--data", cli_dataset, "--seeds", "0",
+        "--set", "train.epochs=1", "--set", "train.quota=2",
+    ]
+    out1, out2 = str(tmp_path / "t1"), str(tmp_path / "t2")
+    assert main(args + ["--out", out1]) == 0
+    assert main(args + ["--out", out2]) == 0
+    b1 = open(os.path.join(out1, "table2.csv"), "rb").read()
+    b2 = open(os.path.join(out2, "table2.csv"), "rb").read()
+    assert b1 == b2
+    header = b1.split(b"\n", 1)[0].split(b",")
+    assert b"param_count" in header and not any(b"seconds" in c for c in header)
+    for run in ("single50-A", "5050-A", "single-A", "single50-D", "5050-D", "single-D"):
+        with open(os.path.join(out1, f"{run}-s0", "meta.json")) as fh:
+            assert json.load(fh)["seconds"] >= 0
 
 
 def test_usage_error_on_bad_subcommand(capsys):

@@ -169,15 +169,14 @@ def test_temporal_ablation_is_frame_local():
     assert dctx[3] > 1e-6 and np.delete(dctx, 3).max() > 1e-9  # attention spreads it
 
 
-def test_fdae_stack_tied_and_untied():
+def test_fdae_stack_untied():
     rng = np.random.default_rng(9)
     g = make_group(rng, mask=("x_m", "x_a", "tau_tr"))
-    for tie in (False, True):
-        model = HDySModel(small_cfg(tie_fdae_encoders=tie), INV, seed=0)
-        assert (model.fenc_set is model.enc_set) == tie
-        out = model.forward_group(g)
-        assert out.fdae_order == [("x_m", "tau_tr"), ("x_a", "tau_tr")]
-        assert out.fdae_stack.shape == (2 * 2, 8, 32)
+    model = HDySModel(small_cfg(), INV, seed=0)
+    assert model.fenc_set is not model.enc_set
+    out = model.forward_group(g)
+    assert out.fdae_order == [("x_m", "tau_tr"), ("x_a", "tau_tr")]
+    assert out.fdae_stack.shape == (2 * 2, 8, 32)
 
 
 def test_accel_block_helpers():
@@ -245,7 +244,7 @@ def _latent_output(latents_by_source, window=1):
 
 
 def test_loss_align_single_frame_batch_is_zero():
-    cfg = small_cfg(similarity="dot", temperature=1.0)
+    cfg = small_cfg(temperature=1.0)
     z = np.array([[1.0, 0.0]])
     out = _latent_output([z, z])
     val = float(loss_align([out], cfg).data)
@@ -253,7 +252,7 @@ def test_loss_align_single_frame_batch_is_zero():
 
 
 def test_loss_align_orthonormal_two_by_two():
-    cfg = small_cfg(similarity="dot", temperature=1.0)
+    cfg = small_cfg(temperature=1.0)
     z = np.array([[1.0, 0.0], [0.0, 1.0]])
     out = _latent_output([z.copy(), z.copy()])
     val = float(loss_align([out], cfg).data)
@@ -276,8 +275,77 @@ def test_loss_align_needs_two_sources():
         loss_align([out], cfg)
 
 
+def _numpy_infonce(groups, temperature):
+    """Ordered-pair InfoNCE in plain numpy; `groups` holds (B, d) sources per group."""
+    total = weight = 0.0
+    for sources in groups:
+        b = sources[0].shape[0]
+        unit = [z / np.linalg.norm(z, axis=1, keepdims=True) for z in sources]
+        terms = []
+        for i, zi in enumerate(unit):
+            for j, zj in enumerate(unit):
+                if i == j:
+                    continue
+                sims = zi @ zj.T / temperature
+                top = sims.max(axis=1, keepdims=True)
+                lse = np.log(np.exp(sims - top).sum(axis=1)) + top[:, 0]
+                terms.append(lse.mean() - np.trace(sims) / b)
+        total += b * np.mean(terms)
+        weight += b
+    return total / weight
+
+
+def _stacked_output(rng, n_kin, n_fdae, n_win=3, window=4, d=5):
+    """A group with `n_kin` encoder and `n_fdae` composed sources, plus its (B, d) sources."""
+    g = WindowGroup("A", "t1", 0, {}, np.ones((n_win, window)), 70.0)
+    out = GroupOutput(group=g)
+    kin = rng.normal(size=(n_kin * n_win, window, d))
+    out.kin_order = [f"k{s}" for s in range(n_kin)]
+    out.kin_stack = Tensor(kin)
+    blocks = [kin[s * n_win : (s + 1) * n_win].reshape(-1, d) for s in range(n_kin)]
+    if n_fdae:
+        fdae = rng.normal(size=(n_fdae * n_win, window, d))
+        out.fdae_order = [(f"k{s}", "tau_tr") for s in range(n_fdae)]
+        out.fdae_stack = Tensor(fdae)
+        blocks += [fdae[s * n_win : (s + 1) * n_win].reshape(-1, d) for s in range(n_fdae)]
+    return out, blocks
+
+
+def test_loss_align_matches_numpy_ordered_pairs():
+    cfg = small_cfg(temperature=0.1)
+    rng = np.random.default_rng(14)
+    cases = [[(2, 0)], [(3, 0)], [(4, 0)], [(2, 2)], [(2, 1), (3, 0)]]
+    for case in cases:
+        built = [_stacked_output(rng, n_kin, n_fdae) for n_kin, n_fdae in case]
+        got = float(loss_align([out for out, _ in built], cfg).data)
+        want = _numpy_infonce([blocks for _, blocks in built], 0.1)
+        assert abs(got - want) <= 1e-12 * abs(want), (case, got, want)
+
+
+def test_loss_align_gradient_matches_numpy_differences():
+    from hdys.numcore import backward
+
+    cfg = small_cfg(temperature=0.1)
+    out, _ = _stacked_output(np.random.default_rng(15), 3, 0, n_win=2, window=2, d=3)
+    leaf = Tensor(out.kin_stack.data, requires_grad=True)
+    out.kin_stack = leaf
+    (grad,) = backward(loss_align([out], cfg), [leaf])
+
+    def ref(x):
+        return _numpy_infonce([[x[s * 2 : (s + 1) * 2].reshape(-1, 3) for s in range(3)]], 0.1)
+
+    x, h = leaf.data.copy(), 1e-6
+    num = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        up, dn = x.copy(), x.copy()
+        up[idx] += h
+        dn[idx] -= h
+        num[idx] = (ref(up) - ref(dn)) / (2 * h)
+    assert np.abs(grad - num).max() <= 1e-6 * np.abs(num).max()
+
+
 def test_total_loss_weighting_and_flags():
-    cfg = small_cfg(similarity="dot", alpha1=0.01, alpha2=0.05)
+    cfg = small_cfg(temperature=1.0, alpha1=0.01, alpha2=0.05)
     rng = np.random.default_rng(13)
     pred = rng.normal(size=(2, 2, 3))
     tgt = rng.normal(size=(2, 2, 3))
@@ -290,7 +358,7 @@ def test_total_loss_weighting_and_flags():
     total, bd = total_loss(cfg, [out])
     assert abs(bd.total - (0.01 * bd.recon + 0.05 * bd.align)) < 1e-12
 
-    cfg_na = small_cfg(similarity="dot", alpha1=0.01, alpha2=0.05, no_align=True)
+    cfg_na = small_cfg(temperature=1.0, alpha1=0.01, alpha2=0.05, no_align=True)
     total2, bd2 = total_loss(cfg_na, [out])
     assert bd2.align == 0.0 and abs(bd2.total - 0.01 * bd2.recon) < 1e-15
 
@@ -300,7 +368,7 @@ def test_total_loss_hand_value():
     # total = 0.01 * 2 + 0.05 * 0 = 0.02; with recon 2, align 1 the formula
     # gives 0.07, checked arithmetically
     assert abs(0.01 * 2 + 0.05 * 1 - 0.07) < 1e-15
-    cfg = small_cfg(similarity="dot", alpha1=0.01, alpha2=0.05)
+    cfg = small_cfg(temperature=1.0, alpha1=0.01, alpha2=0.05)
     out = _single_pred_output(np.full((1, 1, 1), 3.0), np.full((1, 1, 1), 1.0))
     z = np.array([[1.0, 0.0]])
     out.kin_order = ["x_a", "x_k"]

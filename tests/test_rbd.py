@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 
 from hdys.rbd import (
     DivergedRollout,
-    ExternalForce,
     GeneralizedState,
     KinematicTree,
     Link,
@@ -214,18 +213,6 @@ def test_cross_is_bitwise_numpy_cross():
     a, b, c = rng.normal(size=(5, 3)), rng.normal(size=(5, 3)), rng.normal(size=3)
     for x, y in ((a, b), (c, a), (a, c), (c, c)):
         assert np.array_equal(_cross(x, y), np.cross(x, y))
-
-
-def test_external_force_consistency():
-    # holding torque against a known world force at a marker point
-    tree = KinematicTree(
-        [Link("l", -1, "revolute", (0, 1, 0), (0, 0, 0), 1.0, (0.5, 0, 0), np.eye(3) * 0.01)],
-        gravity=(0, 0, 0),
-    )
-    ext = [ExternalForce(0, point=(1.0, 0, 0), force=(0, 0, -10.0))]
-    tau = rnea(tree, GeneralizedState(np.zeros(1), np.zeros(1), np.zeros(1)), ext=ext)
-    # force -10 N at 1 m lever about +y axis: gravity-like moment +10; actuator must supply -10
-    assert abs(tau[0] - (-10.0)) < 1e-12
 
 
 def test_free_root_free_fall_zero_residual():
