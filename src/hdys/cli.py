@@ -1,9 +1,16 @@
 """hdysctl: generation, training, evaluation, rollouts and study reproduction.
 
 Exit codes: 0 success, 1 domain failure (infeasible solve, dead config,
-missing dataset), 2 usage or configuration errors. Every run directory gets
-a frozen copy of its effective config plus a provenance file. Every
-artifact (records, manifest, reports, checkpoints and config.txt) is
+missing dataset or run), 2 usage or configuration errors, unknown flags
+included: each subcommand takes only the flags it reads.
+
+Every run directory, whether `train` or a `reproduce` study wrote it, holds
+its effective `config.txt` (seed included), the manifest it trained on
+(`run_manifest.json`), `provenance.json`, `model.ckpt`, `loss_curve.csv` and
+`meta.json`. `eval --run` reads the model from it and scores the records
+under `--data`; `rollout --run` needs nothing else, because it regenerates
+its sequences from the run's manifest. A study directory holds the same
+config, manifest and provenance files plus its CSV. Every artifact is
 written atomically.
 """
 
@@ -12,34 +19,23 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
-
-from .datahub import (
-    DatasetError,
-    DatasetManifest,
-    MANIFEST_NAME,
-    default_profiles,
-    generate_dataset,
-    load_manifest,
-    read_manifest,
-)
+from .datahub import DatasetError, DatasetManifest, default_profiles, generate_dataset, load_manifest, read_manifest
 from .engine import (
-    CSV_COLUMNS,
     ROLLOUT_COLUMNS,
     RecordCache,
     TrainError,
-    ablation_suite,
     evaluate,
-    load_model,
-    provenance,
+    freeze_run,
+    grid,
+    load_run,
     rollout_eval,
-    run_one,
+    run_study,
     scale_variants,
     train,
     write_csv,
     write_json,
 )
-from .model import ConfigError, HDySConfig, apply_override, config_hash, desk_config, load_config, save_config
+from .model import ConfigError, HDySConfig, apply_override, desk_config, load_config
 from .model.losses import DeadConfigError
 from .rbd import InfeasibleActivation
 
@@ -69,27 +65,23 @@ def _require_dataset(root: str) -> DatasetManifest:
 
 
 def _load_cfg(args) -> HDySConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else desk_config()
-    for kv in getattr(args, "set", None) or []:
+    cfg = load_config(args.config) if args.config else desk_config()
+    for kv in args.set or []:
         if "=" not in kv:
             raise CliError(f"--set expects key=value, got {kv!r}")
         key, value = kv.split("=", 1)
         cfg = apply_override(cfg, key.strip(), value.strip())
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
     return cfg
 
 
+def _log(msg: str) -> None:
+    print(msg, flush=True)
+
+
 def _manifest_for(args, root: str) -> DatasetManifest:
-    if getattr(args, "manifest", None):
+    if args.manifest:
         return read_manifest(args.manifest)
     return _require_dataset(root)
-
-
-def _freeze_run(out_dir: str, cfg: HDySConfig, root: str, seeds) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    save_config(os.path.join(out_dir, "config.txt"), cfg)
-    provenance(out_dir, config_hash(cfg), os.path.join(root, MANIFEST_NAME), list(seeds))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -98,7 +90,7 @@ def _freeze_run(out_dir: str, cfg: HDySConfig, root: str, seeds) -> None:
 def cmd_gen_data(args) -> int:
     root = _data_dir(args)
     manifest = DatasetManifest(
-        seed=args.seed if args.seed is not None else 0,
+        seed=0 if args.seed is None else args.seed,
         profiles=default_profiles(n_train=args.train_seqs, n_test=args.test_seqs, fps=args.fps),
     )
     generate_dataset(root, manifest, verbose=True)
@@ -113,11 +105,14 @@ def cmd_validate(args) -> int:
     manifest.validate_splits()
     for p in manifest.profiles:
         pid = p.profile_id
-        n_train = sum(cache.train[(pid, sid)].n_frames for sid in manifest.train_ids[pid])
+        train_ids = manifest.train_ids[pid]
+        if not train_ids:
+            raise CliError(f"profile {pid} has no training sequences", code=EXIT_DOMAIN)
+        n_train = sum(cache.train[(pid, sid)].n_frames for sid in train_ids)
         n_test = sum(cache.test[(pid, sid)].n_frames for sid in manifest.test_ids[pid])
-        mask = sorted(next(iter(cache.train[(pid, sid)].mask for sid in manifest.train_ids[pid][:1])))
+        mask = sorted(cache.train[(pid, train_ids[0])].mask)
         print(
-            f"profile {pid}: {len(manifest.train_ids[pid])} train seqs / {n_train} frames, "
+            f"profile {pid}: {len(train_ids)} train seqs / {n_train} frames, "
             f"{len(manifest.test_ids[pid])} test seqs / {n_test} frames, channels {mask}"
         )
     print("dataset valid")
@@ -127,32 +122,16 @@ def cmd_validate(args) -> int:
 def cmd_train(args) -> int:
     root = _data_dir(args)
     cfg = _load_cfg(args)
-    manifest = _manifest_for(args, root)
-    out = args.out or "runs/train"
-    _freeze_run(out, cfg, root, [cfg.train.seed])
-    cache = RecordCache.load(root, manifest)
-    result = train(cfg, cache, out, log=lambda s: print(s, flush=True))
+    cache = RecordCache.load(root, _manifest_for(args, root))
+    result = train(cfg, cache, args.out or "runs/train", seed=args.seed, log=_log)
     print(f"checkpoint: {result.checkpoint_path}")
     return EXIT_OK
 
 
-def _load_run(args, root: str):
-    run_dir = args.run
-    cfg_path = os.path.join(run_dir, "config.txt")
-    ckpt_path = os.path.join(run_dir, "model.ckpt")
-    if not os.path.exists(cfg_path) or not os.path.exists(ckpt_path):
-        raise CliError(f"{run_dir} is not a finished run directory", code=EXIT_DOMAIN)
-    cfg = load_config(cfg_path)
-    manifest = _manifest_for(args, root)
-    model, stdizer, _ = load_model(cfg, manifest, ckpt_path)
-    return cfg, manifest, model, stdizer
-
-
 def cmd_eval(args) -> int:
     root = _data_dir(args)
-    cfg, manifest, model, stdizer = _load_run(args, root)
-    cache = RecordCache.load(root, manifest)
-    report = evaluate(model, stdizer, cfg, cache)
+    cfg, manifest, model, stdizer = load_run(args.run)
+    report = evaluate(model, stdizer, cfg, RecordCache.load(root, manifest))
     out = args.out or os.path.join(args.run, "eval")
     os.makedirs(out, exist_ok=True)
     rows = [r.__dict__ for r in report.rows]
@@ -170,8 +149,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    root = _data_dir(args)
-    cfg, manifest, model, stdizer = _load_run(args, root)
+    cfg, manifest, model, stdizer = load_run(args.run)
     report = rollout_eval(model, stdizer, cfg, manifest)
     out = args.out or os.path.join(args.run, "rollout")
     os.makedirs(out, exist_ok=True)
@@ -182,111 +160,69 @@ def cmd_rollout(args) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(args) -> int:
-    root = _data_dir(args)
-    cfg = _load_cfg(args)
-    manifest = _manifest_for(args, root)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    out = args.out or "runs/ablation"
-    _freeze_run(out, cfg, root, seeds)
-    result = ablation_suite(
-        cfg, root, manifest, out, seeds=seeds, target=args.target,
-        log=lambda s: print(s, flush=True),
-    )
-    print(f"comparative table: {result.csv_path} ({len(result.rows)} rows)")
-    return EXIT_OK
-
-
 def cmd_reproduce(args) -> int:
     root = _data_dir(args)
     cfg = _load_cfg(args)
-    manifest = _require_dataset(root)
+    manifest = _manifest_for(args, root)
     out = args.out or f"runs/{args.study}"
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    _freeze_run(out, cfg, root, seeds)
+    freeze_run(out, cfg, manifest, seeds)
     if args.study == "table1-analogue":
-        result = ablation_suite(cfg, root, manifest, out, seeds=seeds, target=args.target,
-                                log=lambda s: print(s, flush=True))
-        print(f"study CSV: {result.csv_path}")
+        csv_path = run_study(grid(cfg, manifest, args.target), root, out, seeds, "ablation.csv", _log)
     elif args.study == "table2-analogue":
-        rows = []
-        for target in ("A", "D"):
-            for spec in scale_variants(cfg, manifest, target):
-                for seed in seeds:
-                    print(f"[table2] {spec.name} seed {seed}", flush=True)
-                    rows.extend(run_one(spec, root, os.path.join(out, f"{spec.name}-s{seed}"), seed))
-        csv_path = os.path.join(out, "table2.csv")
-        write_csv(csv_path, CSV_COLUMNS, rows)
-        print(f"study CSV: {csv_path}")
-    elif args.study == "rollout-table":
+        specs = scale_variants(cfg, manifest, "A") + scale_variants(cfg, manifest, "D")
+        csv_path = run_study(specs, root, out, seeds, "table2.csv", _log)
+    else:  # rollout-table
         cache = RecordCache.load(root, manifest)
-        run_dir = os.path.join(out, f"train-s{seeds[0]}")
-        run_cfg = replace(cfg, train=replace(cfg.train, seed=seeds[0]))
-        _freeze_run(run_dir, run_cfg, root, seeds[:1])
-        result = train(run_cfg, cache, run_dir)
+        result = train(cfg, cache, os.path.join(out, f"train-s{seeds[0]}"), seed=seeds[0])
         report = rollout_eval(result.model, result.stdizer, cfg, manifest)
-        rows = [r.__dict__ for r in report.rows]
         csv_path = os.path.join(out, "rollout_table.csv")
-        write_csv(csv_path, ROLLOUT_COLUMNS, rows)
-        print(f"study CSV: {csv_path}")
-    else:
-        raise CliError(f"unknown study '{args.study}'")
+        write_csv(csv_path, ROLLOUT_COLUMNS, [r.__dict__ for r in report.rows])
+    print(f"study CSV: {csv_path}")
     return EXIT_OK
 
 
 # -- parser --------------------------------------------------------------------
 
 
+FLAGS = {
+    "--data": dict(help="dataset root (default: $HDYS_DATA_DIR or ./hdys_data)"),
+    "--manifest": dict(help="manifest JSON over the records under --data (default: the dataset's own)"),
+    "--config": dict(help="config file (hdys-config/1; default: the desk preset)"),
+    "--set": dict(action="append", metavar="KEY=VALUE", help="config override, repeatable"),
+    "--seed": dict(type=int, help="dataset seed (gen-data, default 0) or training seed (train, default: the config's)"),
+    "--out": dict(help="output directory"),
+    "--run": dict(required=True, help="run directory that train or reproduce finished"),
+    "--train-seqs": dict(type=int, default=120),
+    "--test-seqs": dict(type=int, default=30),
+    "--fps": dict(type=float, default=90.0),
+    "--study": dict(required=True, choices=["table1-analogue", "table2-analogue", "rollout-table"]),
+    "--seeds": dict(default="0,1,2", help="comma-separated seeds"),
+    "--target": dict(default="A", help="target profile of table1's data-scale runs"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hdysctl", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, run=False):
-        p.add_argument("--data", help="dataset root (default: $HDYS_DATA_DIR or ./hdys_data)")
-        p.add_argument("--manifest", help="alternative manifest JSON over the same records")
-        p.add_argument("--config", help="config file (hdys-config/1)")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
-        p.add_argument("--seed", type=int, help="training seed")
-        p.add_argument("--out", help="output directory")
-        if run:
-            p.add_argument("--run", required=True, help="finished training run directory")
+    def command(name, fn, summary, *flags):
+        # no prefix matching: `reproduce --seed` must not pass for `--seeds`
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(fn=fn)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
 
-    p = sub.add_parser("gen-data", help="generate the five synthetic domain profiles")
-    common(p)
-    p.add_argument("--train-seqs", type=int, default=120)
-    p.add_argument("--test-seqs", type=int, default=30)
-    p.add_argument("--fps", type=float, default=90.0)
-    p.set_defaults(fn=cmd_gen_data)
-
-    p = sub.add_parser("validate", help="check dataset integrity and print a summary")
-    common(p)
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("train", help="train a model")
-    common(p)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("eval", help="metric table for a finished run")
-    common(p, run=True)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("rollout", help="k-step torque playback benchmark")
-    common(p, run=True)
-    p.set_defaults(fn=cmd_rollout)
-
-    p = sub.add_parser("ablate", help="run the 20-run comparative grid")
-    common(p)
-    p.add_argument("--seeds", default="0", help="comma-separated seeds")
-    p.add_argument("--target", default="A", help="target profile for scale variants")
-    p.set_defaults(fn=cmd_ablate)
-
-    p = sub.add_parser("reproduce", help="regenerate a full study CSV with pinned seeds")
-    common(p)
-    p.add_argument("--study", required=True,
-                   choices=["table1-analogue", "table2-analogue", "rollout-table"])
-    p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
-    p.add_argument("--target", default="A")
-    p.set_defaults(fn=cmd_reproduce)
+    command("gen-data", cmd_gen_data, "generate the five synthetic domain profiles",
+            "--data", "--seed", "--train-seqs", "--test-seqs", "--fps")
+    command("validate", cmd_validate, "check dataset integrity and print a summary", "--data")
+    command("train", cmd_train, "train a model into a run directory",
+            "--data", "--manifest", "--config", "--set", "--seed", "--out")
+    command("eval", cmd_eval, "metric table for a finished run", "--data", "--run", "--out")
+    # rollouts regenerate their sequences from the run's manifest, so no --data
+    command("rollout", cmd_rollout, "k-step torque playback benchmark", "--run", "--out")
+    command("reproduce", cmd_reproduce, "regenerate a study CSV with pinned seeds",
+            "--data", "--manifest", "--config", "--set", "--out", "--study", "--seeds", "--target")
     return ap
 
 

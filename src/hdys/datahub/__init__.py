@@ -12,8 +12,8 @@ from .profiles import (
     profile_index,
     read_manifest,
     restrict_profiles,
-    save_manifest,
     tree_bundle,
+    write_manifest,
 )
 from .records import DatasetError, read_record, record_from_bytes, record_path, record_to_bytes, write_record
 from .sampler import SamplerError, balanced_epoch_sampler, fifty_fifty, single_profile_50, subset_dataset

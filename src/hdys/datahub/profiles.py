@@ -190,8 +190,8 @@ class DatasetManifest:
         return m
 
 
-def save_manifest(root, manifest: DatasetManifest) -> None:
-    atomic_write(os.path.join(root, MANIFEST_NAME), json.dumps(manifest.to_dict(), indent=1, sort_keys=True))
+def write_manifest(path, manifest: DatasetManifest) -> None:
+    atomic_write(path, json.dumps(manifest.to_dict(), indent=1, sort_keys=True))
 
 
 def read_manifest(path) -> DatasetManifest:
@@ -323,7 +323,7 @@ def generate_dataset(root, manifest: DatasetManifest, verbose: bool = False) -> 
         if verbose:
             print(f"profile {profile.profile_id}: {len(train)} train / {len(test)} test sequences")
     manifest.validate_splits()
-    save_manifest(root, manifest)
+    write_manifest(os.path.join(root, MANIFEST_NAME), manifest)
     return manifest
 
 

@@ -6,7 +6,7 @@ splits and an equal per-epoch sample budget.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..datahub import DatasetManifest, fifty_fifty, restrict_profiles, single_profile_50
 from ..model import HDySConfig
@@ -26,12 +26,6 @@ class RunSpec:
     manifest: DatasetManifest
     cfg: HDySConfig
     eval_profiles: list[str]
-
-
-@dataclass
-class AblationResult:
-    rows: list[dict] = field(default_factory=list)
-    csv_path: str = ""
 
 
 def _with_quota(cfg: HDySConfig, base_profiles: int, run_profiles: int) -> HDySConfig:
@@ -75,6 +69,7 @@ def scale_variants(base_cfg: HDySConfig, manifest: DatasetManifest, target: str)
 
 
 def run_one(spec: RunSpec, root: str, out_dir: str, seed: int) -> list[dict]:
+    """Train `spec` at `seed` into the run directory `out_dir` and score it."""
     cache = RecordCache.load(root, spec.manifest)
     result = train(spec.cfg, cache, out_dir, seed=seed)
     report = evaluate(result.model, result.stdizer, spec.cfg, cache, profiles=spec.eval_profiles)
@@ -97,28 +92,18 @@ def run_one(spec: RunSpec, root: str, out_dir: str, seed: int) -> list[dict]:
     return rows
 
 
-def ablation_suite(
-    base_cfg: HDySConfig,
-    root: str,
-    manifest: DatasetManifest,
-    out_dir: str,
-    seeds=(0,),
-    target: str = "A",
-    log=None,
-) -> AblationResult:
-    os.makedirs(out_dir, exist_ok=True)
-    result = AblationResult()
-    runs = grid(base_cfg, manifest, target=target)
-    for spec in runs:
+def run_study(specs: list[RunSpec], root: str, out_dir: str, seeds, csv_name: str, log=None) -> str:
+    """Train and score every spec at every seed, each in its own run directory
+    `<out_dir>/<name>-s<seed>`, and write the rows to `<out_dir>/<csv_name>`."""
+    rows = []
+    for spec in specs:
         for seed in seeds:
-            run_dir = os.path.join(out_dir, f"{spec.name}-s{seed}")
             if log:
-                log(f"[ablation] {spec.name} seed {seed}")
+                log(f"[study] {spec.name} seed {seed}")
             try:
-                result.rows.extend(run_one(spec, root, run_dir, seed))
+                rows.extend(run_one(spec, root, os.path.join(out_dir, f"{spec.name}-s{seed}"), seed))
             except TrainError as exc:
                 raise TrainError(f"run {spec.name} seed {seed}: {exc}") from exc
-    csv_path = os.path.join(out_dir, "ablation.csv")
-    write_csv(csv_path, CSV_COLUMNS, result.rows)
-    result.csv_path = csv_path
-    return result
+    csv_path = os.path.join(out_dir, csv_name)
+    write_csv(csv_path, CSV_COLUMNS, rows)
+    return csv_path

@@ -1,4 +1,5 @@
-"""Deterministic CSV/JSON artifact writing with atomic replacement."""
+"""Deterministic CSV/JSON artifact writing with atomic replacement, and the
+files that identify a run directory."""
 
 from __future__ import annotations
 
@@ -7,6 +8,12 @@ import json
 import os
 
 from ..codec import atomic_write
+from ..datahub import DatasetManifest, write_manifest
+from ..model import HDySConfig, config_hash, save_config
+
+# A run's own manifest copy; never `manifest.json`, so a run directory placed
+# at a dataset root leaves the dataset's manifest alone.
+RUN_MANIFEST = "run_manifest.json"
 
 
 def _fmt(v) -> str:
@@ -33,10 +40,17 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def provenance(out_dir, config_hash: str, dataset_manifest_path: str, seeds: list[int]) -> None:
+def freeze_run(out_dir, cfg: HDySConfig, manifest: DatasetManifest, seeds: list[int]) -> None:
+    """Write what identifies a run or study directory: the effective
+    `config.txt`, the manifest it reads as `RUN_MANIFEST`, and
+    `provenance.json` (config hash, sha256 of that manifest copy, seeds)."""
+    os.makedirs(out_dir, exist_ok=True)
+    save_config(os.path.join(out_dir, "config.txt"), cfg)
+    manifest_path = os.path.join(out_dir, RUN_MANIFEST)
+    write_manifest(manifest_path, manifest)
     payload = {
-        "config_hash": config_hash,
-        "dataset_hash": file_sha256(dataset_manifest_path),
+        "config_hash": config_hash(cfg),
+        "dataset_hash": file_sha256(manifest_path),
         "seeds": list(seeds),
     }
     write_json(os.path.join(out_dir, "provenance.json"), payload)

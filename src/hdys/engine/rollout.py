@@ -61,20 +61,16 @@ def rollout_eval(
     stdizer: Standardizer,
     cfg: HDySConfig,
     manifest: DatasetManifest,
-    k_list=None,
     fps_list=None,
-    profile_id: str | None = None,
-    representation: str | None = None,
     max_sequences: int | None = None,
-    start_stride: int | None = None,
 ) -> RolloutReport:
+    """The `cfg.rollout` grid; `fps_list` and `max_sequences` narrow it."""
     rc = cfg.rollout
-    k_list = list(k_list if k_list is not None else rc.k_list)
+    k_list = list(rc.k_list)
     fps_list = list(fps_list if fps_list is not None else rc.fps_list)
-    pid = profile_id or rc.profile
-    representation = representation or rc.representation
+    pid = rc.profile
+    representation = rc.representation
     max_sequences = max_sequences or rc.max_sequences
-    start_stride = start_stride or rc.start_stride
 
     profile = manifest.profile(pid)
     bundle = tree_bundle(profile.tree_key)
@@ -111,7 +107,7 @@ def rollout_eval(
                     raise EvalError(f"representation '{representation}' not available")
                 tau_pred = preds[representation][dyn]
 
-            for t0 in range(1, n - k_max - 1, start_stride):
+            for t0 in range(1, n - k_max - 1, rc.start_stride):
                 for source, tau_seq in (("oracle", tau_oracle), ("predicted", tau_pred)):
                     q = q_ref[t0].copy()
                     qd = qd_ref[t0].copy()

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..datahub import DatasetManifest, balanced_epoch_sampler, load_records
-from ..model import ChannelInventory, HDySConfig, HDySModel, config_hash, total_loss
+from ..datahub import DatasetManifest, balanced_epoch_sampler, load_records, read_manifest
+from ..model import ChannelInventory, HDySConfig, HDySModel, config_hash, load_config, total_loss
 from ..numcore import AdamWState, NonFiniteError, adamw_step, backward, load_checkpoint, save_checkpoint
 from .batching import Standardizer, WindowRef, build_groups
-from .report import write_csv, write_json
+from .report import RUN_MANIFEST, freeze_run, write_csv, write_json
 
 
 class TrainError(Exception):
@@ -64,13 +64,19 @@ def train(
 
     Per epoch: one balanced draw of sequences, one random window per draw,
     shuffled into fixed-size frame batches, one optimizer step per batch.
-    Zero epochs saves the untouched initialization. Beside `model.ckpt`,
-    `meta.json` records the config hash, the effective seed, the parameter
-    count and the wall time, so no other artifact carries a clock reading.
+    Zero epochs saves the untouched initialization.
+
+    `out_dir` becomes a run directory that `load_run` reads back: before the
+    first step `freeze_run` writes the effective config (seed included), the
+    manifest trained on and `provenance.json`; after the last come
+    `model.ckpt`, `loss_curve.csv` and `meta.json`. `meta.json` records the
+    config hash, the seed, the parameter count and the wall time, so no
+    other artifact carries a clock reading.
     """
     t_begin = time.time()
     manifest = cache.manifest
     seed = cfg.train.seed if seed is None else seed
+    cfg = replace(cfg, train=replace(cfg.train, seed=seed))
     window = cfg.model.window
     os.makedirs(out_dir, exist_ok=True)
 
@@ -80,6 +86,7 @@ def train(
     for (pid, sid), rec in train_records.items():
         if rec.n_frames < window:
             raise TrainError(f"sequence {sid} shorter than one window")
+    freeze_run(out_dir, cfg, manifest, [seed])
 
     stdizer = Standardizer.fit(list(train_records.values()))
     inventory = ChannelInventory.from_manifest(manifest)
@@ -102,9 +109,7 @@ def train(
         refs = []
         for pid, sid in draws:
             rec = train_records[(pid, sid)]
-            hi = rec.n_frames - window + 1
-            for _ in range(cfg.train.windows_per_sequence):
-                refs.append(WindowRef(pid, sid, int(rng.integers(0, hi))))
+            refs.append(WindowRef(pid, sid, int(rng.integers(0, rec.n_frames - window + 1))))
         order = rng.permutation(len(refs))
         refs = [refs[i] for i in order]
 
@@ -112,11 +117,7 @@ def train(
         n_batches = 0
         for lo in range(0, len(refs), windows_per_batch):
             chunk = refs[lo : lo + windows_per_batch]
-            groups = build_groups(
-                train_records, chunk, window, stdizer, tree_of,
-                exclude_boundary=cfg.model.exclude_boundary_frames,
-                marker_rng=rng,
-            )
+            groups = build_groups(train_records, chunk, window, stdizer, tree_of, marker_rng=rng)
             outputs = [model.forward_group(g) for g in groups]
             try:
                 loss, bd = total_loss(cfg.model, outputs)
@@ -125,7 +126,7 @@ def train(
             named = list(params.items())
             grads_list = backward(loss, [p for _, p in named])
             grads = {name: g for (name, _), g in zip(named, grads_list)}
-            adamw_step(opt, params, grads, grad_clip=cfg.train.grad_clip)
+            adamw_step(opt, params, grads)
             sums["recon"] += bd.recon
             sums["align"] += bd.align
             sums["total"] += bd.total
@@ -171,3 +172,16 @@ def load_model(cfg: HDySConfig, manifest: DatasetManifest, ckpt_path: str) -> tu
     model.ps.load_arrays({k: v for k, v in arrays.items() if not k.startswith("norm.")})
     stdizer = Standardizer.from_arrays(arrays)
     return model, stdizer, opt
+
+
+def load_run(run_dir: str) -> tuple[HDySConfig, DatasetManifest, HDySModel, Standardizer]:
+    """Config, manifest, model and normalization of a run directory `train` finished."""
+    names = ("config.txt", RUN_MANIFEST, "model.ckpt")
+    missing = [n for n in names if not os.path.exists(os.path.join(run_dir, n))]
+    if missing:
+        raise TrainError(f"{run_dir} is not a finished run directory (missing {', '.join(missing)})")
+    cfg_path, manifest_path, ckpt_path = (os.path.join(run_dir, n) for n in names)
+    cfg = load_config(cfg_path)
+    manifest = read_manifest(manifest_path)
+    model, stdizer, _ = load_model(cfg, manifest, ckpt_path)
+    return cfg, manifest, model, stdizer

@@ -41,7 +41,6 @@ class ModelConfig:
     no_fdae: bool = False
     no_align: bool = False
     no_temporal_refinement: bool = False
-    exclude_boundary_frames: bool = True
 
     def __post_init__(self):
         if self.alpha1 < 0 or self.alpha2 < 0:
@@ -57,13 +56,11 @@ class TrainConfig:
     epochs: int = 200
     frames_per_batch: int = 480
     quota: int = 6  # sequences per profile per epoch
-    windows_per_sequence: int = 1
     lr: float = 2e-3
     weight_decay: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    grad_clip: float = 0.0  # 0 disables
     seed: int = 0
 
     def __post_init__(self):

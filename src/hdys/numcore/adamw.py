@@ -21,12 +21,7 @@ class AdamWState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adamw_step(
-    state: AdamWState,
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
-    grad_clip: float = 0.0,
-) -> None:
+def adamw_step(state: AdamWState, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> None:
     """One optimizer step, updating parameter data in place.
 
     `grads` must cover every parameter. With all-zero gradients and zero
@@ -35,11 +30,6 @@ def adamw_step(
     missing = [k for k in params if k not in grads]
     if missing:
         raise KeyError(f"gradients missing for parameters: {missing[:4]}")
-    if grad_clip > 0.0:
-        total = np.sqrt(sum(float((grads[k] ** 2).sum()) for k in params))
-        if total > grad_clip:
-            scale = grad_clip / total
-            grads = {k: g * scale for k, g in grads.items()}
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2

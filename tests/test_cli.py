@@ -1,12 +1,24 @@
+import argparse
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from hdys.cli import main
-from hdys.datahub import DatasetManifest, default_profiles
+from hdys.cli import build_parser, main
+from hdys.datahub import DatasetManifest, default_profiles, load_manifest, restrict_profiles, write_manifest
 from hdys.numcore import load_checkpoint
+
+# the flags each subcommand reads; any other flag is a usage error
+DECLARED = {
+    "gen-data": {"--data", "--seed", "--train-seqs", "--test-seqs", "--fps"},
+    "validate": {"--data"},
+    "train": {"--data", "--manifest", "--config", "--set", "--seed", "--out"},
+    "eval": {"--data", "--run", "--out"},
+    "rollout": {"--run", "--out"},
+    "reproduce": {"--data", "--manifest", "--config", "--set", "--out", "--study", "--seeds", "--target"},
+}
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +44,11 @@ def test_validate_missing_dataset(tmp_path, capsys):
 
 
 def test_unknown_override_is_usage_error(cli_dataset, tmp_path, capsys):
-    # the last two keys existed once; a config that still sets them is rejected
-    for kv in ("train.bogus_key=1", "model.similarity=dot", "model.tie_fdae_encoders=true"):
+    # all but the first key existed once; a config that still sets them is rejected
+    for kv in (
+        "train.bogus_key=1", "model.similarity=dot", "model.tie_fdae_encoders=true",
+        "train.grad_clip=1.0", "model.exclude_boundary_frames=false", "train.windows_per_sequence=2",
+    ):
         code = main(["train", "--data", cli_dataset, "--out", str(tmp_path / "x"), "--set", kv])
         assert code == 2
         assert kv.split("=")[0].split(".")[1] in capsys.readouterr().err
@@ -104,8 +119,22 @@ def test_train_eval_rollout_roundtrip(cli_dataset, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "best" in out
 
-    assert main(["rollout", "--data", cli_dataset, "--run", run]) == 0
+    assert main(["rollout", "--run", run]) == 0
     assert os.path.exists(os.path.join(run, "rollout", "rollout.csv"))
+
+    # the frozen manifest round-trips the dataset's to the byte, and provenance hashes it
+    frozen = open(os.path.join(run, "run_manifest.json"), "rb").read()
+    assert frozen == open(os.path.join(cli_dataset, "manifest.json"), "rb").read()
+    with open(os.path.join(run, "provenance.json")) as fh:
+        prov = json.load(fh)
+    assert prov["dataset_hash"] == hashlib.sha256(frozen).hexdigest()
+    assert prov["config_hash"] == meta["config_hash"] and prov["seeds"] == [5]
+
+    # a run directory without its frozen manifest is not a finished run
+    os.remove(os.path.join(run, "run_manifest.json"))
+    for argv in (["eval", "--data", cli_dataset, "--run", run], ["rollout", "--run", run]):
+        assert main(argv) == 1
+        assert "run_manifest.json" in capsys.readouterr().err
 
 
 def test_train_zero_epochs_writes_init(cli_dataset, tmp_path):
@@ -155,9 +184,68 @@ def test_reproduce_table2_byte_identical(cli_dataset, tmp_path):
     header = b1.split(b"\n", 1)[0].split(b",")
     assert b"param_count" in header and not any(b"seconds" in c for c in header)
     for run in ("single50-A", "5050-A", "single-A", "single50-D", "5050-D", "single-D"):
-        with open(os.path.join(out1, f"{run}-s0", "meta.json")) as fh:
+        run_dir = os.path.join(out1, f"{run}-s0")
+        with open(os.path.join(run_dir, "meta.json")) as fh:
             assert json.load(fh)["seconds"] >= 0
+        # every study run is a run directory that eval scores on its own manifest
+        assert main(["eval", "--data", cli_dataset, "--run", run_dir]) == 0, run
 
 
 def test_usage_error_on_bad_subcommand(capsys):
     assert main(["frobnicate"]) == 2
+    assert main(["ablate"]) == 2  # gone: `reproduce --study table1-analogue` runs the grid
+    assert "invalid choice: 'ablate'" in capsys.readouterr().err
+
+
+def test_subcommands_declare_only_the_flags_they_read():
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    assert declared == DECLARED
+    assert sum(len(flags) for flags in declared.values()) == 25
+
+
+def test_subcommands_reject_undeclared_flags(tmp_path, monkeypatch, capsys):
+    # e.g. `validate --set`, `eval --set`, `gen-data --out`, `reproduce --seed`, `rollout --data`
+    monkeypatch.chdir(tmp_path)  # a flag that slipped through must not write into the repository
+    every = set().union(*DECLARED.values())
+    required = {"eval": ["--run", "r"], "rollout": ["--run", "r"], "reproduce": ["--study", "rollout-table"]}
+    for name, flags in DECLARED.items():
+        for flag in sorted(every - flags):
+            argv = [name, *required.get(name, []), flag, "1"]
+            assert main(argv) == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err, argv
+    assert os.listdir(tmp_path) == []
+
+
+def test_validate_rejects_profile_without_training_sequences(tmp_path, capsys):
+    root = str(tmp_path / "data")
+    assert main(["gen-data", "--data", root, "--train-seqs", "0", "--test-seqs", "1"]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--data", root]) == 1
+    assert "profile A has no training sequences" in capsys.readouterr().err
+
+
+def test_runs_freeze_the_manifest_they_train_on(cli_dataset, tmp_path):
+    sub = str(tmp_path / "sub.json")
+    write_manifest(sub, restrict_profiles(load_manifest(cli_dataset), ["A", "C"]))
+    sub_bytes = open(sub, "rb").read()
+    small = ["--set", "train.epochs=1", "--set", "train.quota=2", "--set", "rollout.max_sequences=1",
+             "--set", "rollout.start_stride=60", "--set", "rollout.k_list=1", "--set", "rollout.fps_list=90"]
+
+    run = str(tmp_path / "run")
+    assert main(["train", "--data", cli_dataset, "--manifest", sub, "--out", run] + small) == 0
+    study = str(tmp_path / "study")
+    assert main(["reproduce", "--study", "rollout-table", "--data", cli_dataset, "--manifest", sub,
+                 "--seeds", "0", "--out", study] + small) == 0
+    for run_dir in (run, study, os.path.join(study, "train-s0")):
+        assert open(os.path.join(run_dir, "run_manifest.json"), "rb").read() == sub_bytes, run_dir
+    # the model fits the subset's channels: eval and rollout need only the run directory
+    for run_dir in (run, os.path.join(study, "train-s0")):
+        assert main(["eval", "--data", cli_dataset, "--run", run_dir]) == 0
+        assert main(["rollout", "--run", run_dir]) == 0
+        with open(os.path.join(run_dir, "eval", "eval.json")) as fh:
+            assert set(json.load(fh)["best"]) == {"A", "C"}

@@ -7,7 +7,6 @@ from dataclasses import replace
 from hdys.engine import (
     RecordCache,
     Standardizer,
-    ablation_suite,
     evaluate,
     load_model,
     rollout_eval,
@@ -22,7 +21,7 @@ from hdys.numcore import load_checkpoint
 
 def tiny_cfg(**train_kw):
     cfg = desk_config()
-    tr = dict(epochs=2, quota=2, windows_per_sequence=1, lr=1e-3)
+    tr = dict(epochs=2, quota=2, lr=1e-3)
     tr.update(train_kw)
     return replace(cfg, train=replace(cfg.train, **tr))
 
@@ -203,8 +202,9 @@ def test_rollout_rejects_profiles_without_torques(small_cache, tmp_path):
     root, cache = small_cache
     cfg = tiny_cfg(epochs=0)
     res = train(cfg, cache, str(tmp_path / "rr"), seed=0)
+    cfg = replace(cfg, rollout=replace(cfg.rollout, profile="C"))
     with pytest.raises(EvalError):
-        rollout_eval(res.model, res.stdizer, cfg, cache.manifest, profile_id="C")
+        rollout_eval(res.model, res.stdizer, cfg, cache.manifest)
 
 
 # -- ablation machinery ------------------------------------------------------------

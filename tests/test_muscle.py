@@ -11,6 +11,7 @@ from hdys.rbd import (
     solve_activations,
     synth_emg,
 )
+from hdys.rbd.muscle import _newton_solve
 
 
 def antagonist_pair():
@@ -92,9 +93,8 @@ def test_solve_requires_enough_muscles():
         solve_activations(ms, np.zeros(2))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_roundtrip_property_random_feasible_targets(seed):
+def random_feasible(seed):
+    """A random full-rank muscle set and a target torque that `a_true` reaches."""
     rng = np.random.default_rng(seed)
     n_dof = int(rng.integers(1, 5))
     n_mus = int(rng.integers(n_dof + 1, n_dof + 6))
@@ -103,11 +103,34 @@ def test_roundtrip_property_random_feasible_targets(seed):
         arms = rng.uniform(-0.08, 0.08, (n_mus, n_dof))
     ms = MuscleSet(tuple(f"m{i}" for i in range(n_mus)), arms, rng.uniform(100, 900, n_mus))
     a_true = rng.uniform(0.05, 0.95, n_mus)
-    tau = muscle_to_torque(ms, a_true)  # feasible by construction
+    return ms, a_true, muscle_to_torque(ms, a_true)
+
+
+def assert_solved(ms, a_true, tau):
     a = solve_activations(ms, tau)
     assert (a >= -1e-12).all() and (a <= 1 + 1e-12).all()
     assert np.abs(muscle_to_torque(ms, a) - tau).max() <= 1e-6 * max(1.0, np.abs(tau).max())
     assert float(a @ a) <= float(a_true @ a_true) + 1e-9  # never worse than a witness
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_roundtrip_property_random_feasible_targets(seed):
+    assert_solved(*random_feasible(seed))
+
+
+def test_solve_falls_back_when_first_newton_run_misses():
+    # seed 523: 2 DoF, 3 muscles, a feasible target outside the box that the
+    # Newton run from the closed-form multipliers does not reach
+    ms, a_true, tau = random_feasible(523)
+    assert ms.torque_map.shape == (2, 3)
+    b = ms.torque_map
+    lam0 = np.linalg.solve(b @ b.T, tau)
+    a_free = b.T @ lam0
+    assert ((a_free < 0.0) | (a_free > 1.0)).any()
+    _, r = _newton_solve(b, tau, lam0)
+    assert np.abs(r).max() > 1e-6 * max(1.0, np.abs(tau).max())
+    assert_solved(ms, a_true, tau)
 
 
 # -- surface EMG -------------------------------------------------------------------
