@@ -7,7 +7,7 @@ included: each subcommand takes only the flags it reads.
 Every run directory, whether `train` or a `reproduce` study wrote it, holds
 its effective `config.txt` (seed included), the manifest it trained on
 (`run_manifest.json`), `provenance.json`, `model.ckpt`, `loss_curve.csv` and
-`meta.json`. `eval --run` reads the model from it and scores the records
+`meta.json`. `eval --run` reads the model from it and scores the test records
 under `--data`; `rollout --run` needs nothing else, because it regenerates
 its sequences from the run's manifest. A study directory holds the same
 config, manifest and provenance files plus its CSV. Every artifact is
@@ -131,7 +131,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     root = _data_dir(args)
     cfg, manifest, model, stdizer = load_run(args.run)
-    report = evaluate(model, stdizer, cfg, RecordCache.load(root, manifest))
+    report = evaluate(model, stdizer, cfg, RecordCache.load(root, manifest, splits=("test",)))
     out = args.out or os.path.join(args.run, "eval")
     os.makedirs(out, exist_ok=True)
     rows = [r.__dict__ for r in report.rows]
@@ -166,6 +166,8 @@ def cmd_reproduce(args) -> int:
     manifest = _manifest_for(args, root)
     out = args.out or f"runs/{args.study}"
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    if args.study == "rollout-table":
+        seeds = seeds[:1]  # one model is trained and rolled out
     freeze_run(out, cfg, manifest, seeds)
     if args.study == "table1-analogue":
         csv_path = run_study(grid(cfg, manifest, args.target), root, out, seeds, "ablation.csv", _log)
@@ -197,7 +199,7 @@ FLAGS = {
     "--test-seqs": dict(type=int, default=30),
     "--fps": dict(type=float, default=90.0),
     "--study": dict(required=True, choices=["table1-analogue", "table2-analogue", "rollout-table"]),
-    "--seeds": dict(default="0,1,2", help="comma-separated seeds"),
+    "--seeds": dict(default="0,1,2", help="comma-separated seeds (rollout-table trains only the first)"),
     "--target": dict(default="A", help="target profile of table1's data-scale runs"),
 }
 

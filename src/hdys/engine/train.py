@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -9,7 +10,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..datahub import DatasetManifest, balanced_epoch_sampler, load_records, read_manifest
-from ..model import ChannelInventory, HDySConfig, HDySModel, config_hash, load_config, total_loss
+from ..model import (
+    ChannelInventory,
+    HDySConfig,
+    HDySModel,
+    LossBreakdown,
+    Normalisers,
+    config_hash,
+    load_config,
+    total_loss,
+)
 from ..numcore import AdamWState, NonFiniteError, adamw_step, backward, load_checkpoint, save_checkpoint
 from .batching import Standardizer, WindowRef, build_groups
 from .report import RUN_MANIFEST, freeze_run, write_csv, write_json
@@ -38,19 +48,32 @@ class RecordCache:
     test: dict[tuple[str, str], object] = field(default_factory=dict)
 
     @classmethod
-    def load(cls, root: str, manifest: DatasetManifest) -> "RecordCache":
+    def load(
+        cls, root: str, manifest: DatasetManifest, splits: tuple[str, ...] = ("train", "test")
+    ) -> "RecordCache":
+        """Read the records of `splits` ("train", "test") of every profile."""
         cache = cls(root=root, manifest=manifest)
-        for p in manifest.profiles:
-            pid = p.profile_id
-            for rec in load_records(root, manifest, pid, manifest.train_ids.get(pid, [])):
-                cache.train[(pid, rec.seq_id)] = rec
-            for rec in load_records(root, manifest, pid, manifest.test_ids.get(pid, [])):
-                cache.test[(pid, rec.seq_id)] = rec
+        ids = {"train": manifest.train_ids, "test": manifest.test_ids}
+        for split in splits:
+            records = getattr(cache, split)
+            for p in manifest.profiles:
+                pid = p.profile_id
+                for rec in load_records(root, manifest, pid, ids[split].get(pid, [])):
+                    records[(pid, rec.seq_id)] = rec
         return cache
 
 
 def _profile_tree(manifest: DatasetManifest) -> dict[str, str]:
     return {p.profile_id: p.tree_key for p in manifest.profiles}
+
+
+def _epoch_row(epoch: int, steps: list[dict]) -> dict:
+    """Each value's mean over the epoch's steps that report it."""
+    row = {"epoch": epoch}
+    for key in dict.fromkeys(k for step in steps for k in step):
+        values = [step[key] for step in steps if key in step]
+        row[key] = sum(values) / len(values)
+    return row
 
 
 def train(
@@ -102,6 +125,8 @@ def train(
     tree_of = _profile_tree(manifest)
     windows_per_batch = max(1, cfg.train.frames_per_batch // window)
 
+    names = list(params)
+    leaves = list(params.values())
     curve: list[dict] = []
     for epoch in range(cfg.train.epochs):
         draws = balanced_epoch_sampler(manifest, cfg.train.quota, seed, epoch)
@@ -113,39 +138,48 @@ def train(
         order = rng.permutation(len(refs))
         refs = [refs[i] for i in order]
 
-        sums = {"recon": 0.0, "align": 0.0, "total": 0.0}
-        n_batches = 0
+        steps: list[dict] = []
         for lo in range(0, len(refs), windows_per_batch):
             chunk = refs[lo : lo + windows_per_batch]
             groups = build_groups(train_records, chunk, window, stdizer, tree_of, marker_rng=rng)
-            outputs = [model.forward_group(g) for g in groups]
-            try:
-                loss, bd = total_loss(cfg.model, outputs)
-            except NonFiniteError as exc:
-                raise TrainError(f"non-finite loss at epoch {epoch}, batch {n_batches}: {exc}")
-            named = list(params.items())
-            grads_list = backward(loss, [p for _, p in named])
-            grads = {name: g for (name, _), g in zip(named, grads_list)}
+            norm = Normalisers.of_groups(cfg.model, groups)
+            bd = LossBreakdown()
+            grads: dict[str, np.ndarray] = {}
+            # One group at a time: its activations and graph are freed by its
+            # backward pass, so peak memory follows the largest group.
+            for group in groups:
+                out = model.forward_group(group)
+                try:
+                    loss, part = total_loss(cfg.model, [out], norm)
+                except NonFiniteError as exc:
+                    raise TrainError(f"non-finite loss at epoch {epoch}, batch {len(steps)}: {exc}")
+                del out
+                bd += part
+                if loss is None:
+                    continue
+                for name, g in zip(names, backward(loss, leaves)):
+                    if name in grads:
+                        grads[name] += g
+                    else:
+                        grads[name] = g
             adamw_step(opt, params, grads)
-            sums["recon"] += bd.recon
-            sums["align"] += bd.align
-            sums["total"] += bd.total
-            n_batches += 1
-        row = {
-            "epoch": epoch,
-            "recon": sums["recon"] / max(n_batches, 1),
-            "align": sums["align"] / max(n_batches, 1),
-            "total": sums["total"] / max(n_batches, 1),
-        }
-        curve.append(row)
+            grad_norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+            steps.append(
+                {"recon": bd.recon, "align": bd.align, "total": bd.total, "grad_norm": grad_norm}
+                | {f"recon_{t}": v for t, v in sorted(bd.per_target.items())}
+            )
+        curve.append(_epoch_row(epoch, steps))
         if log and (epoch % 20 == 0 or epoch == cfg.train.epochs - 1):
+            row = curve[-1]
             log(f"epoch {epoch:4d}  recon {row['recon']:.4f}  align {row['align']:.4f}")
 
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     arrays = dict(model.ps.arrays())
     arrays.update(stdizer.to_arrays())
     save_checkpoint(ckpt_path, arrays, opt)
-    write_csv(os.path.join(out_dir, "loss_curve.csv"), ["epoch", "recon", "align", "total"], curve)
+    targets = sorted({key for row in curve for key in row if key.startswith("recon_")})
+    columns = ["epoch", "recon", "align", "total", "grad_norm"] + targets
+    write_csv(os.path.join(out_dir, "loss_curve.csv"), columns, curve)
     write_json(
         os.path.join(out_dir, "meta.json"),
         {

@@ -9,11 +9,15 @@ the denominator runs over that source's other frames in the batch. Each
 unordered pair computes one score matrix and reads it by rows and by
 columns for its two orders (Oord et al., arXiv:1807.03748; the symmetric
 loss of Radford et al., arXiv:2103.00020).
+
+Both are sums of one term per window group over divisors that are fixed
+for the whole batch (`Normalisers`), so a batch can be differentiated one
+group at a time and the gradients added.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from ..numcore import (
     transpose,
 )
 from .config import ModelConfig
-from .network import GroupOutput
+from .network import GroupOutput, WindowGroup, accel_targets, fdae_order
 
 
 class DeadConfigError(Exception):
@@ -42,60 +46,109 @@ class DeadConfigError(Exception):
 
 @dataclass
 class LossBreakdown:
-    recon: float
-    align: float
-    total: float
-    per_target: dict[str, float]
+    recon: float = 0.0
+    align: float = 0.0
+    total: float = 0.0
+    per_target: dict[str, float] = field(default_factory=dict)
+
+    def __add__(self, other: "LossBreakdown") -> "LossBreakdown":
+        per_target = dict(self.per_target)
+        for name, value in other.per_target.items():
+            per_target[name] = per_target.get(name, 0.0) + value
+        return LossBreakdown(
+            self.recon + other.recon, self.align + other.align, self.total + other.total, per_target
+        )
 
 
-def _stacked_l1(pred: Tensor, target: np.ndarray, weight: np.ndarray):
-    """(sum_of_absolute_error tensor, unmasked element count) for one pair.
+@dataclass
+class Normalisers:
+    """Batch-wide divisors of the per-group loss terms.
+
+    `counts[target]` is the number of unmasked elements reconstruction pools
+    for a target over every group and source of the batch; `weight_sum` is
+    the frame count of the groups with at least two latent sources. Both
+    follow from window weights, source counts and target widths alone, so
+    `of_groups` knows them before any forward pass, and a batch's loss is
+    the sum of its groups' terms however the groups are passed in.
+    """
+
+    counts: dict[str, float] = field(default_factory=dict)
+    weight_sum: float = 0.0
+
+    def _add(self, weight: np.ndarray, n_sources: int, targets: dict[str, tuple[int, int]]) -> None:
+        # targets: name -> (source copies, width)
+        for name, (copies, width) in targets.items():
+            self.counts[name] = self.counts.get(name, 0.0) + float(weight.sum()) * copies * width
+        if n_sources >= 2:
+            self.weight_sum += weight.size
+
+    @classmethod
+    def of_groups(cls, cfg: ModelConfig, groups: list[WindowGroup]) -> "Normalisers":
+        """From the window groups, as `HDySModel.forward_group` will lay them out."""
+        norm = cls()
+        for g in groups:
+            n_kin = len(g.kin_present)
+            pairs = fdae_order(g, not cfg.no_fdae)
+            targets = {dyn: (n_kin, g.x[dyn].shape[-1]) for dyn in g.dyn_present}
+            if pairs:
+                targets.update({name: (len(pairs), t.shape[-1]) for name, t in accel_targets(g).items()})
+            norm._add(g.weight, n_kin + len(pairs), targets)
+        return norm
+
+    @classmethod
+    def of_outputs(cls, outputs: list[GroupOutput]) -> "Normalisers":
+        """From forward outputs: the whole batch must be in `outputs`."""
+        norm = cls()
+        for out in outputs:
+            n_win = out.group.n_windows
+            preds = {**out.dyn_preds, **out.accel_preds}
+            targets = {name: (p.shape[0] // n_win, p.shape[-1]) for name, p in preds.items()}
+            norm._add(out.group.weight, sum(len(order) for _, order in _source_stacks(out)), targets)
+        return norm
+
+
+def _l1_term(pred: Tensor, target: np.ndarray, weight: np.ndarray, count: float) -> Tensor | None:
+    """Masked absolute error of one group and target, summed and divided by
+    the target's batch-wide `count`; None when the group keeps no element.
 
     `pred` is source-stacked along axis 0; target/weight cover one copy and
     are tiled to match.
     """
+    if not weight.any():
+        return None
     copies = pred.shape[0] // target.shape[0]
     tgt = np.tile(target, (copies, 1, 1))
     w3 = np.tile(weight, (copies, 1))[..., None]
-    kept = float(w3.sum()) * target.shape[-1]
-    if kept == 0.0:
-        return None, 0.0
     term = l1_distance(mul(pred, Tensor(np.broadcast_to(w3, tgt.shape))), Tensor(tgt * w3))
-    return mul(term, Tensor(float(tgt.size))), kept
+    return mul(term, Tensor(tgt.size / count))
 
 
-def loss_recon(outputs: list[GroupOutput], cfg: ModelConfig) -> tuple[Tensor, dict[str, float]]:
-    """Sum over available targets of pooled mean absolute error."""
-    sums: dict[str, Tensor] = {}
-    counts: dict[str, float] = {}
+def loss_recon(
+    outputs: list[GroupOutput], cfg: ModelConfig, norm: Normalisers | None = None
+) -> tuple[Tensor | None, dict[str, float]]:
+    """Sum over available targets of pooled mean absolute error.
 
-    def accumulate(name, pred, target, weight):
-        term, kept = _stacked_l1(pred, target, weight)
-        if term is None:
-            return
-        sums[name] = term if name not in sums else add(sums[name], term)
-        counts[name] = counts.get(name, 0.0) + kept
-
-    saw_any = False
-    for out in outputs:
-        g = out.group
-        for dyn, pred in out.dyn_preds.items():
-            saw_any = True
-            accumulate(dyn, pred, g.x[dyn], g.weight)
-        for target, pred in out.accel_preds.items():
-            saw_any = True
-            accumulate(target, pred, out.accel_targets[target], g.weight)
-    if not saw_any:
+    `norm` holds the batch's counts (read from `outputs` when not given);
+    with it, `outputs` may be any part of the batch, and the result is that
+    part's share: None for groups without targets.
+    """
+    norm = Normalisers.of_outputs(outputs) if norm is None else norm
+    if not norm.counts:
         raise DeadConfigError("no reconstruction targets are available in this batch")
-    if not sums:
+    if not any(norm.counts.values()):
         raise DeadConfigError("all reconstruction targets were masked out")
-
     total = None
     per_target: dict[str, float] = {}
-    for name in sorted(sums):
-        mae = mul(sums[name], Tensor(1.0 / counts[name]))
-        per_target[name] = float(mae.data)
-        total = mae if total is None else add(total, mae)
+    for out in outputs:
+        g = out.group
+        pairs = [(dyn, pred, g.x[dyn]) for dyn, pred in out.dyn_preds.items()]
+        pairs += [(name, pred, out.accel_targets[name]) for name, pred in out.accel_preds.items()]
+        for name, pred, target in sorted(pairs, key=lambda p: p[0]):
+            term = _l1_term(pred, target, g.weight, norm.counts[name])
+            if term is None:
+                continue
+            per_target[name] = per_target.get(name, 0.0) + float(term.data)
+            total = term if total is None else add(total, term)
     return total, per_target
 
 
@@ -112,29 +165,37 @@ def _pair_nce(z_i: Tensor, z_j: Tensor, scale: float) -> Tensor:
     return sub(lse, mul(sum_(mul(z_i, z_j)), Tensor(2.0 * scale / b)))
 
 
+def _source_stacks(out: GroupOutput) -> list[tuple[Tensor, list]]:
+    """(stacked latents, source order) of each latent family a group has."""
+    stacks = ((out.kin_stack, out.kin_order), (out.fdae_stack, out.fdae_order))
+    return [(stack, order) for stack, order in stacks if stack is not None]
+
+
 def _group_sources(out: GroupOutput) -> list[Tensor]:
     """Unit-norm flattened (B, d) latents, one per available source."""
     b = out.group.n_windows * out.group.window
     sources = []
-    for stack, order in ((out.kin_stack, out.kin_order), (out.fdae_stack, out.fdae_order)):
-        if stack is None:
-            continue
+    for stack, order in _source_stacks(out):
         flat = l2_normalize(reshape(stack, (len(order) * b, stack.shape[-1])), axis=-1)
         sources += [slice_axis(flat, 0, s * b, (s + 1) * b) for s in range(len(order))]
     return sources
 
 
-def loss_align(outputs: list[GroupOutput], cfg: ModelConfig) -> Tensor:
+def loss_align(outputs: list[GroupOutput], cfg: ModelConfig, norm: Normalisers | None = None) -> Tensor | None:
     """Cross-source InfoNCE, averaged over ordered pairs and frames.
 
     Sources of one group are its per-channel encoder latents plus the
     composed forward-dynamics latents; groups enter independently (a frame
     is only contrasted against frames with the same availability) and are
-    weighted by frame count. Each unordered pair is scored once, both ways.
+    weighted by frame count over the batch's `norm.weight_sum`. Each
+    unordered pair is scored once, both ways. None for groups with fewer
+    than two sources.
     """
+    norm = Normalisers.of_outputs(outputs) if norm is None else norm
+    if not norm.weight_sum:
+        raise DeadConfigError("alignment needs at least two latent sources per batch")
     scale = 1.0 / cfg.temperature
     total = None
-    weight_sum = 0.0
     for out in outputs:
         sources = _group_sources(out)
         n = len(sources)
@@ -146,25 +207,26 @@ def loss_align(outputs: list[GroupOutput], cfg: ModelConfig) -> Tensor:
             for j in range(i + 1, n):
                 term = _pair_nce(sources[i], sources[j], scale)
                 group_loss = term if group_loss is None else add(group_loss, term)
-        group_loss = mul(group_loss, Tensor(b / (n * (n - 1))))
+        group_loss = mul(group_loss, Tensor(b / (n * (n - 1) * norm.weight_sum)))
         total = group_loss if total is None else add(total, group_loss)
-        weight_sum += b
-    if total is None:
-        raise DeadConfigError("alignment needs at least two latent sources per batch")
-    return mul(total, Tensor(1.0 / weight_sum))
+    return total
 
 
-def total_loss(cfg: ModelConfig, outputs: list[GroupOutput]) -> tuple[Tensor, LossBreakdown]:
-    """alpha1 * reconstruction + alpha2 * alignment, honoring ablation flags."""
-    recon_t = None
-    per_target: dict[str, float] = {}
-    if any(out.dyn_preds for out in outputs):
-        recon_t, per_target = loss_recon(outputs, cfg)
-    align_t = None
-    if not cfg.no_align:
-        align_t = loss_align(outputs, cfg)
-    if recon_t is None and align_t is None:
+def total_loss(
+    cfg: ModelConfig, outputs: list[GroupOutput], norm: Normalisers | None = None
+) -> tuple[Tensor | None, LossBreakdown]:
+    """alpha1 * reconstruction + alpha2 * alignment, honoring ablation flags.
+
+    The sum of one term per group, each scaled by the batch's `norm` (read
+    from `outputs` when not given). Training passes one group at a time with
+    `Normalisers.of_groups`; a group that adds nothing gives None. Dead
+    configurations are judged on the whole batch.
+    """
+    norm = Normalisers.of_outputs(outputs) if norm is None else norm
+    if not norm.counts and cfg.no_align:
         raise DeadConfigError("batch produced neither reconstruction nor alignment terms")
+    recon_t, per_target = loss_recon(outputs, cfg, norm) if norm.counts else (None, {})
+    align_t = None if cfg.no_align else loss_align(outputs, cfg, norm)
     total = None
     if recon_t is not None:
         total = mul(recon_t, Tensor(cfg.alpha1))
@@ -174,6 +236,6 @@ def total_loss(cfg: ModelConfig, outputs: list[GroupOutput]) -> tuple[Tensor, Lo
     return total, LossBreakdown(
         recon=float(recon_t.data) if recon_t is not None else 0.0,
         align=float(align_t.data) if align_t is not None else 0.0,
-        total=float(total.data),
+        total=float(total.data) if total is not None else 0.0,
         per_target=per_target,
     )

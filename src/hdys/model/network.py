@@ -129,6 +129,25 @@ def accel_block(channel: str, block: np.ndarray) -> np.ndarray:
     return block.reshape(block.shape[:-1] + (n, 3))[..., 2]
 
 
+def fdae_order(group: WindowGroup, use_fdae: bool) -> list[tuple[str, str]]:
+    """(kinematics, dynamics) pairs the forward-dynamics branch composes for a
+    group: every pair when the branch runs and the group has labels."""
+    if not use_fdae:
+        return []
+    return [(kin, dyn) for kin in group.kin_present for dyn in group.dyn_present]
+
+
+def accel_targets(group: WindowGroup) -> dict[str, np.ndarray]:
+    """Marker accelerations are never predicted; everything else present is."""
+    targets: dict[str, np.ndarray] = {}
+    if "x_k" in group.x:
+        targets["acc_k"] = accel_block("x_k", group.x["x_k"])
+    for coord, name in ACCEL_OF_COORD.items():
+        if coord in group.x:
+            targets[name] = accel_block(coord, group.x[coord])
+    return targets
+
+
 class HDySModel:
     def __init__(self, cfg: ModelConfig, inventory: ChannelInventory, seed: int = 0):
         self.cfg = cfg
@@ -217,7 +236,6 @@ class HDySModel:
 
     def forward_group(self, group: WindowGroup, with_fdae: bool = True) -> GroupOutput:
         out = GroupOutput(group=group)
-        use_fdae = with_fdae and not self.cfg.no_fdae
         out.kin_order = list(group.kin_present)
         latents = [self.encode_kinematics(ch, group.x[ch]) for ch in out.kin_order]
         out.kin_stack = latents[0] if len(latents) == 1 else concat(latents, axis=0)
@@ -225,19 +243,16 @@ class HDySModel:
             refined = self.refine(out.kin_stack)
             for dyn in group.dyn_present:
                 out.dyn_preds[dyn] = self.id_heads[dyn](refined)
-        if use_fdae and group.dyn_present:
-            out.accel_targets = self._accel_targets(group)
-            stripped = [
-                self.encode_kinematics_stripped(ch, strip_accel_block(ch, group.x[ch]))
+        out.fdae_order = fdae_order(group, with_fdae and not self.cfg.no_fdae)
+        if out.fdae_order:
+            out.accel_targets = accel_targets(group)
+            stripped = {
+                ch: self.encode_kinematics_stripped(ch, strip_accel_block(ch, group.x[ch]))
                 for ch in out.kin_order
-            ]
+            }
             dyn_latents = {dyn: self.dyn_enc[dyn](Tensor(group.x[dyn])) for dyn in group.dyn_present}
-            kin_parts, dyn_parts = [], []
-            for kin, z_kin in zip(out.kin_order, stripped):
-                for dyn in group.dyn_present:
-                    out.fdae_order.append((kin, dyn))
-                    kin_parts.append(z_kin)
-                    dyn_parts.append(dyn_latents[dyn])
+            kin_parts = [stripped[kin] for kin, _ in out.fdae_order]
+            dyn_parts = [dyn_latents[dyn] for _, dyn in out.fdae_order]
             kin_cat = kin_parts[0] if len(kin_parts) == 1 else concat(kin_parts, axis=0)
             dyn_cat = dyn_parts[0] if len(dyn_parts) == 1 else concat(dyn_parts, axis=0)
             out.fdae_stack = self.composer(concat([kin_cat, dyn_cat], axis=-1))
@@ -245,13 +260,3 @@ class HDySModel:
                 head = self.acc_heads[self.accel_head_key(target, group.tree_key)]
                 out.accel_preds[target] = head(out.fdae_stack)
         return out
-
-    def _accel_targets(self, group: WindowGroup) -> dict[str, np.ndarray]:
-        """Marker accelerations are never predicted; everything else present is."""
-        targets: dict[str, np.ndarray] = {}
-        if "x_k" in group.x:
-            targets["acc_k"] = accel_block("x_k", group.x["x_k"])
-        for coord, name in ACCEL_OF_COORD.items():
-            if coord in group.x:
-                targets[name] = accel_block(coord, group.x[coord])
-        return targets

@@ -515,14 +515,17 @@ class Graph:
     """Topologically ordered view of the op DAG that reaches a root tensor.
 
     Parents always precede children in `nodes`; the reverse pass visits each
-    node exactly once and a graph can be consumed only once.
+    node exactly once and a graph can be consumed only once. The pass frees
+    each op node as it goes: its backward rule (with the arrays it saved),
+    its parent links and its slot in `nodes`. A consumed op node keeps its
+    `_op` but loses `_backward`, so a later graph that reaches it raises.
     """
 
     def __init__(self, root: Tensor):
         if root.size != 1:
             raise GraphError(f"backward root must be scalar, got shape {root.shape}")
         self.root = root
-        self.nodes: list[Tensor] = []
+        self.nodes: list[Optional[Tensor]] = []
         self._consumed = False
         seen = set()
         stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -533,6 +536,8 @@ class Graph:
                 continue
             if id(t) in seen:
                 continue
+            if t._op is not None and t._backward is None:
+                raise GraphError(f"'{t._op}' node already consumed by a previous backward pass")
             seen.add(id(t))
             stack.append((t, True))
             for p in t._parents:
@@ -545,15 +550,22 @@ class Graph:
             raise GraphError("graph already consumed by a previous backward pass")
         self._consumed = True
         grads: dict[int, np.ndarray] = {id(self.root): np.ones_like(self.root.data)}
-        for t in reversed(self.nodes):
+        for i in range(len(self.nodes) - 1, -1, -1):
+            t = self.nodes[i]
             g = grads.pop(id(t), None)
-            if g is None or t._backward is None:
-                if t._backward is None and g is not None and t.requires_grad:
+            if t._backward is None:
+                if g is not None and t.requires_grad:
                     grads[id(t)] = g  # leaf: keep
                 continue
-            parent_grads = t._backward(g)
+            rule, parents = t._backward, t._parents
+            t._backward, t._parents = None, ()
+            self.nodes[i] = t = None
+            if g is None:
+                continue
+            parent_grads = rule(g)
+            del rule
             handed_out: set[int] = set()
-            for p, pg in zip(t._parents, parent_grads):
+            for p, pg in zip(parents, parent_grads):
                 if not p.requires_grad:
                     continue
                 # Stored gradients must be exclusively owned: backward rules

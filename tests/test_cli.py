@@ -170,6 +170,35 @@ def test_reproduce_rollout_table_byte_identical(cli_dataset, tmp_path):
     assert main(["eval", "--data", cli_dataset, "--run", os.path.join(out1, "train-s0")]) == 0
 
 
+def test_reproduce_rollout_table_provenance_lists_the_seed_it_trains(cli_dataset, tmp_path):
+    out = str(tmp_path / "rt")
+    args = [
+        "reproduce", "--study", "rollout-table", "--data", cli_dataset, "--seeds", "0,1,2",
+        "--set", "train.epochs=0", "--set", "rollout.max_sequences=1", "--set", "rollout.start_stride=60",
+        "--set", "rollout.k_list=1", "--set", "rollout.fps_list=90", "--out", out,
+    ]
+    assert main(args) == 0
+    with open(os.path.join(out, "provenance.json")) as fh:
+        assert json.load(fh)["seeds"] == [0]
+    assert [d for d in os.listdir(out) if d.startswith("train-")] == ["train-s0"]
+
+
+def test_eval_reads_only_the_test_split(cli_dataset, tmp_path, monkeypatch):
+    import hdys.datahub.profiles as profiles
+    from hdys.datahub import record_path
+
+    run = str(tmp_path / "run")
+    assert main(["train", "--data", cli_dataset, "--out", run, "--set", "train.epochs=0"]) == 0
+    read = []
+    real = profiles.read_record
+    monkeypatch.setattr(profiles, "read_record", lambda path: read.append(path) or real(path))
+    assert main(["eval", "--data", cli_dataset, "--run", run]) == 0
+    manifest = load_manifest(cli_dataset)
+    test_paths = [record_path(cli_dataset, pid, sid) for pid, ids in manifest.test_ids.items() for sid in ids]
+    assert len(test_paths) == 10  # 2 test sequences per profile; 30 records with the train split
+    assert sorted(read) == sorted(test_paths)
+
+
 def test_reproduce_table2_byte_identical(cli_dataset, tmp_path):
     args = [
         "reproduce", "--study", "table2-analogue", "--data", cli_dataset, "--seeds", "0",

@@ -111,27 +111,94 @@ def test_training_deterministic_per_seed(small_cache, tmp_path):
     assert r3.curve != r1.curve
 
 
-def test_every_parameter_receives_gradient(small_cache):
+def _batch(cache, cfg, quota=3):
+    """A fresh model and the window groups of one balanced draw (all five profiles)."""
     from hdys.datahub import balanced_epoch_sampler
     from hdys.engine.batching import WindowRef, build_groups
+
+    st = Standardizer.fit(list(cache.train.values()))
+    model = HDySModel(cfg.model, ChannelInventory.from_manifest(cache.manifest), seed=0)
+    rng = np.random.default_rng(0)
+    draws = balanced_epoch_sampler(cache.manifest, quota, 0, 0)
+    refs = [WindowRef(p, s, int(rng.integers(0, 200))) for p, s in draws]
+    tree_of = {p.profile_id: p.tree_key for p in cache.manifest.profiles}
+    return model, build_groups(cache.train, refs, cfg.model.window, st, tree_of, marker_rng=rng)
+
+
+def test_every_parameter_receives_gradient(small_cache):
     from hdys.model import total_loss
     from hdys.numcore import backward
 
     root, cache = small_cache
     cfg = tiny_cfg()
-    st = Standardizer.fit(list(cache.train.values()))
-    model = HDySModel(cfg.model, ChannelInventory.from_manifest(cache.manifest), seed=0)
-    rng = np.random.default_rng(0)
-    draws = balanced_epoch_sampler(cache.manifest, 3, 0, 0)
-    refs = [WindowRef(p, s, int(rng.integers(0, 200))) for p, s in draws]
-    tree_of = {p.profile_id: p.tree_key for p in cache.manifest.profiles}
-    groups = build_groups(cache.train, refs, cfg.model.window, st, tree_of, marker_rng=rng)
+    model, groups = _batch(cache, cfg)
     outputs = [model.forward_group(g) for g in groups]
     loss, _ = total_loss(cfg.model, outputs)
     named = list(model.ps.params.items())
     grads = backward(loss, [p for _, p in named])
     dead = [name for (name, _), g in zip(named, grads) if not np.any(g)]
     assert dead == [], f"dead parameters: {dead[:6]}"
+
+
+def test_per_group_gradients_add_up_to_the_batch_gradient(small_cache):
+    # train's step: one forward/backward per group over the batch normalisers,
+    # gradients added; against the same loss built over the batch as one graph
+    from hdys.model import LossBreakdown, Normalisers, total_loss
+    from hdys.numcore import backward
+
+    root, cache = small_cache
+    cfg = tiny_cfg()
+    model, groups = _batch(cache, cfg, quota=1)
+    assert len(groups) >= 2 and any(not g.dyn_present for g in groups)
+    leaves = list(model.ps.params.values())
+    whole, whole_bd = total_loss(cfg.model, [model.forward_group(g) for g in groups])
+    want = backward(whole, leaves)
+
+    norm = Normalisers.of_groups(cfg.model, groups)
+    got = [np.zeros_like(p.data) for p in leaves]
+    bd = LossBreakdown()
+    for g in groups:
+        loss, part = total_loss(cfg.model, [model.forward_group(g)], norm)
+        if not g.dyn_present:
+            assert part.recon == 0.0 and part.per_target == {} and part.align > 0.0
+        bd += part
+        for acc, grad in zip(got, backward(loss, leaves)):
+            acc += grad
+    for w, g in zip(want, got):
+        assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+    for name in ("recon", "align", "total"):
+        assert abs(getattr(bd, name) - getattr(whole_bd, name)) <= 1e-12 * abs(getattr(whole_bd, name))
+    assert bd.per_target.keys() == whole_bd.per_target.keys()
+    for name, value in whole_bd.per_target.items():
+        assert abs(bd.per_target[name] - value) <= 1e-12 * value
+
+
+@pytest.mark.parametrize("no_fdae", [False, True])
+def test_normalisers_from_groups_match_forward_outputs(small_cache, no_fdae):
+    from hdys.model import Normalisers
+
+    root, cache = small_cache
+    cfg = tiny_cfg()
+    cfg = replace(cfg, model=replace(cfg.model, no_fdae=no_fdae))
+    model, groups = _batch(cache, cfg)
+    outputs = [model.forward_group(g) for g in groups]
+    # what the loss divides by, read off the forward outputs: unmasked
+    # elements per target over every stacked source, frames of the groups
+    # with two or more latent sources
+    counts, weight_sum = {}, 0.0
+    for out in outputs:
+        w = out.group.weight
+        for name, pred in {**out.dyn_preds, **out.accel_preds}.items():
+            copies = pred.shape[0] // w.shape[0]
+            counts[name] = counts.get(name, 0.0) + float(np.tile(w, (copies, 1)).sum()) * pred.shape[-1]
+        n_sources = len(out.kin_order) + (len(out.fdae_order) if out.fdae_stack is not None else 0)
+        if n_sources >= 2:
+            weight_sum += w.size
+    assert counts and weight_sum > 0
+    assert any(name.startswith("acc_") for name in counts) != no_fdae
+    norm = Normalisers.of_groups(cfg.model, groups)
+    assert norm.counts == counts and norm.weight_sum == weight_sum
+    assert Normalisers.of_outputs(outputs) == norm
 
 
 def test_checkpoint_reload_reproduces_model(small_cache, tmp_path):

@@ -159,6 +159,22 @@ def test_graph_consumed_once():
         g.backward()
 
 
+def test_backward_frees_the_graph_and_runs_once_per_root():
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = tz.mul(x, x)
+    root = tz.sum_(y)
+    (g,) = backward(root, [x])
+    assert np.array_equal(g, np.full(3, 2.0))
+    for node in (root, y):
+        assert node._backward is None and node._parents == ()
+    # a second pass from the root, or through a consumed node, raises
+    # instead of handing back zeros
+    with pytest.raises(GraphError, match="consumed"):
+        backward(root, [x])
+    with pytest.raises(GraphError, match="consumed"):
+        backward(tz.sum_(tz.add(y, x)), [x])
+
+
 def test_non_finite_forward_raises():
     with pytest.raises(NonFiniteError):
         tz.l2_normalize(Tensor(np.zeros((1, 3))))
