@@ -1,8 +1,11 @@
 """hdysctl: generation, training, evaluation, rollouts and study reproduction.
 
-Exit codes: 0 success, 1 domain failure (infeasible solve, dead config,
-missing dataset or run), 2 usage or configuration errors, unknown flags
-included: each subcommand takes only the flags it reads.
+Exit codes: 0 success; 1 domain failure (infeasible solve, dead config,
+missing dataset or run, a training profile without training sequences, a
+rollout profile without joint-torque labels); 2 usage or configuration
+errors, before anything is written: unknown flags (each subcommand takes
+only the flags it reads), config values the program cannot run, and a
+`--seeds` list that is empty or not integers.
 
 Every run directory, whether `train` or a `reproduce` study wrote it, holds
 its effective `config.txt` (seed included), the manifest it trained on
@@ -19,9 +22,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from .datahub import DatasetError, DatasetManifest, default_profiles, generate_dataset, load_manifest, read_manifest
+from .datahub import (
+    DatasetError,
+    DatasetManifest,
+    SamplerError,
+    default_profiles,
+    generate_dataset,
+    load_manifest,
+    read_manifest,
+)
 from .engine import (
     ROLLOUT_COLUMNS,
+    EvalError,
     RecordCache,
     TrainError,
     evaluate,
@@ -165,9 +177,7 @@ def cmd_reproduce(args) -> int:
     cfg = _load_cfg(args)
     manifest = _manifest_for(args, root)
     out = args.out or f"runs/{args.study}"
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    if args.study == "rollout-table":
-        seeds = seeds[:1]  # one model is trained and rolled out
+    seeds = args.seeds[:1] if args.study == "rollout-table" else args.seeds  # rollout-table trains one model
     freeze_run(out, cfg, manifest, seeds)
     if args.study == "table1-analogue":
         csv_path = run_study(grid(cfg, manifest, args.target), root, out, seeds, "ablation.csv", _log)
@@ -187,6 +197,16 @@ def cmd_reproduce(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+def _seed_list(text: str) -> list[int]:
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects comma-separated integers, got {text!r}")
+    if not seeds:
+        raise argparse.ArgumentTypeError("lists no seed")
+    return seeds
+
+
 FLAGS = {
     "--data": dict(help="dataset root (default: $HDYS_DATA_DIR or ./hdys_data)"),
     "--manifest": dict(help="manifest JSON over the records under --data (default: the dataset's own)"),
@@ -199,7 +219,7 @@ FLAGS = {
     "--test-seqs": dict(type=int, default=30),
     "--fps": dict(type=float, default=90.0),
     "--study": dict(required=True, choices=["table1-analogue", "table2-analogue", "rollout-table"]),
-    "--seeds": dict(default="0,1,2", help="comma-separated seeds (rollout-table trains only the first)"),
+    "--seeds": dict(type=_seed_list, default="0,1,2", help="comma-separated seeds (rollout-table trains only the first)"),
     "--target": dict(default="A", help="target profile of table1's data-scale runs"),
 }
 
@@ -242,7 +262,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InfeasibleActivation, DeadConfigError, TrainError, DatasetError) as exc:
+    except (InfeasibleActivation, DeadConfigError, TrainError, DatasetError, EvalError, SamplerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

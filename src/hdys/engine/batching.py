@@ -81,7 +81,6 @@ def build_groups(
     window: int,
     stdizer: Standardizer,
     profile_tree: dict[str, str],
-    exclude_boundary: bool = True,
     marker_rng: np.random.Generator | None = None,
 ) -> list[WindowGroup]:
     """Stack windows into groups keyed by (profile, availability, marker count).
@@ -89,7 +88,9 @@ def build_groups(
     With `marker_rng` given (training), every window's marker set is first
     subsampled to the smallest count in its profile bucket, which collapses
     the per-sequence size variation into one group per profile and batch.
-    Without it (evaluation), sizes are kept and group per count.
+    Without it (evaluation), sizes are kept and group per count. Window
+    weights are 0 on a sequence's first and last frame; only the loss reads
+    them.
     """
     buckets: dict[tuple, list[WindowRef]] = {}
     for ref in refs:
@@ -106,11 +107,8 @@ def build_groups(
             cap = min(records[(pid, r.seq_id)].marker_ids.size for r in bucket)
         xs: dict[str, list[np.ndarray]] = {ch: [] for ch in mask}
         weights = []
-        mass = None
-        n_markers = 0
         for ref in bucket:
             rec = records[(pid, ref.seq_id)]
-            mass = rec.subject_mass
             t0 = ref.start
             if t0 < 0 or t0 + window > rec.n_frames:
                 raise BatchingError(f"window [{t0}, {t0 + window}) out of range for {ref.seq_id}")
@@ -120,23 +118,19 @@ def build_groups(
                     if cap is not None and block.shape[1] > cap:
                         rows = np.sort(marker_rng.choice(block.shape[1], size=cap, replace=False))
                         block = block[:, rows]
-                    n_markers = block.shape[1]
                 xs[ch].append(stdizer.apply(ch, block))
             w = np.ones(window)
-            if exclude_boundary:
-                if t0 == 0:
-                    w[0] = 0.0
-                if t0 + window == rec.n_frames:
-                    w[-1] = 0.0
+            if t0 == 0:
+                w[0] = 0.0
+            if t0 + window == rec.n_frames:
+                w[-1] = 0.0
             weights.append(w)
         groups.append(
             WindowGroup(
                 profile_id=pid,
                 tree_key=profile_tree[pid],
-                n_markers=n_markers,
                 x={ch: np.stack(v) for ch, v in xs.items()},
                 weight=np.stack(weights),
-                subject_mass=mass,
             )
         )
     return groups

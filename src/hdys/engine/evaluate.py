@@ -89,9 +89,7 @@ def predict_sequences(
             rec = records[(profile_id, sid)]
             starts = tiling_starts(rec.n_frames, window)
             refs = [WindowRef(profile_id, sid, t0) for t0 in starts]
-            groups = build_groups(
-                records, refs, window, stdizer, {profile_id: tree_key}, exclude_boundary=False
-            )
+            groups = build_groups(records, refs, window, stdizer, {profile_id: tree_key})
             assert len(groups) == 1
             g = groups[0]
             res = model.forward_group(g, with_fdae=False)

@@ -63,10 +63,6 @@ class RecordCache:
         return cache
 
 
-def _profile_tree(manifest: DatasetManifest) -> dict[str, str]:
-    return {p.profile_id: p.tree_key for p in manifest.profiles}
-
-
 def _epoch_row(epoch: int, steps: list[dict]) -> dict:
     """Each value's mean over the epoch's steps that report it."""
     row = {"epoch": epoch}
@@ -122,7 +118,6 @@ def train(
         eps=cfg.train.eps,
     )
     params = model.ps.params
-    tree_of = _profile_tree(manifest)
     windows_per_batch = max(1, cfg.train.frames_per_batch // window)
 
     names = list(params)
@@ -141,7 +136,7 @@ def train(
         steps: list[dict] = []
         for lo in range(0, len(refs), windows_per_batch):
             chunk = refs[lo : lo + windows_per_batch]
-            groups = build_groups(train_records, chunk, window, stdizer, tree_of, marker_rng=rng)
+            groups = build_groups(train_records, chunk, window, stdizer, inventory.profile_tree, marker_rng=rng)
             norm = Normalisers.of_groups(cfg.model, groups)
             bd = LossBreakdown()
             grads: dict[str, np.ndarray] = {}
@@ -150,7 +145,7 @@ def train(
             for group in groups:
                 out = model.forward_group(group)
                 try:
-                    loss, part = total_loss(cfg.model, [out], norm)
+                    loss, part = total_loss(cfg.model, out, norm)
                 except NonFiniteError as exc:
                     raise TrainError(f"non-finite loss at epoch {epoch}, batch {len(steps)}: {exc}")
                 del out

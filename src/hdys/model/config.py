@@ -12,6 +12,7 @@ import hashlib
 from dataclasses import dataclass, field, fields, replace
 
 from ..codec import atomic_write
+from ..kinrep import KINEMATIC_CHANNELS
 
 
 class ConfigError(Exception):
@@ -45,6 +46,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ConfigError("loss weights must be non-negative")
+        if self.temperature <= 0:
+            raise ConfigError("temperature must be positive")
         if self.window < 1:
             raise ConfigError("window length must be >= 1")
         if self.latent_dim % self.set_heads or self.latent_dim % self.id_heads:
@@ -66,6 +69,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        if self.quota < 1:
+            raise ConfigError("quota must be >= 1")
 
 
 @dataclass
@@ -76,6 +81,16 @@ class RolloutConfig:
     representation: str = "avg"  # kin channel name or "avg"
     max_sequences: int = 6
     start_stride: int = 15
+
+    def __post_init__(self):
+        if not self.k_list or min(self.k_list) < 1:
+            raise ConfigError("k_list must list step counts >= 1")
+        if not self.fps_list or min(self.fps_list) <= 0:
+            raise ConfigError("fps_list must list positive frame rates")
+        if self.max_sequences < 1 or self.start_stride < 1:
+            raise ConfigError("max_sequences and start_stride must be >= 1")
+        if self.representation not in ("avg",) + KINEMATIC_CHANNELS:
+            raise ConfigError(f"representation must be 'avg' or one of {', '.join(KINEMATIC_CHANNELS)}")
 
 
 @dataclass

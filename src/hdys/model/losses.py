@@ -5,14 +5,14 @@ channel (pooled over kinematics sources, windows and unmasked frames) plus
 one per acceleration target. Alignment is InfoNCE over every ordered pair of
 distinct latent sources, scored by the cosine of unit-norm latents divided
 by the temperature: the positive is the same frame seen by another source,
-the denominator runs over that source's other frames in the batch. Each
-unordered pair computes one score matrix and reads it by rows and by
+the denominator runs over that source's other frames in the window group.
+Each unordered pair computes one score matrix and reads it by rows and by
 columns for its two orders (Oord et al., arXiv:1807.03748; the symmetric
 loss of Radford et al., arXiv:2103.00020).
 
-Both are sums of one term per window group over divisors that are fixed
-for the whole batch (`Normalisers`), so a batch can be differentiated one
-group at a time and the gradients added.
+Each loss function scores one window group over divisors that are fixed
+for the whole batch (`Normalisers`), so a batch's loss is the sum of its
+groups' terms and can be differentiated one group at a time.
 """
 
 from __future__ import annotations
@@ -75,35 +75,28 @@ class Normalisers:
     counts: dict[str, float] = field(default_factory=dict)
     weight_sum: float = 0.0
 
-    def _add(self, weight: np.ndarray, n_sources: int, targets: dict[str, tuple[int, int]]) -> None:
-        # targets: name -> (source copies, width)
-        for name, (copies, width) in targets.items():
-            self.counts[name] = self.counts.get(name, 0.0) + float(weight.sum()) * copies * width
-        if n_sources >= 2:
-            self.weight_sum += weight.size
-
     @classmethod
     def of_groups(cls, cfg: ModelConfig, groups: list[WindowGroup]) -> "Normalisers":
-        """From the window groups, as `HDySModel.forward_group` will lay them out."""
+        """From the window groups, as `HDySModel.forward_group` will lay them
+        out; raises DeadConfigError when the batch cannot train."""
         norm = cls()
         for g in groups:
             n_kin = len(g.kin_present)
             pairs = fdae_order(g, not cfg.no_fdae)
+            # target -> (source copies, width)
             targets = {dyn: (n_kin, g.x[dyn].shape[-1]) for dyn in g.dyn_present}
             if pairs:
                 targets.update({name: (len(pairs), t.shape[-1]) for name, t in accel_targets(g).items()})
-            norm._add(g.weight, n_kin + len(pairs), targets)
-        return norm
-
-    @classmethod
-    def of_outputs(cls, outputs: list[GroupOutput]) -> "Normalisers":
-        """From forward outputs: the whole batch must be in `outputs`."""
-        norm = cls()
-        for out in outputs:
-            n_win = out.group.n_windows
-            preds = {**out.dyn_preds, **out.accel_preds}
-            targets = {name: (p.shape[0] // n_win, p.shape[-1]) for name, p in preds.items()}
-            norm._add(out.group.weight, sum(len(order) for _, order in _source_stacks(out)), targets)
+            for name, (copies, width) in targets.items():
+                norm.counts[name] = norm.counts.get(name, 0.0) + float(g.weight.sum()) * copies * width
+            if n_kin + len(pairs) >= 2:
+                norm.weight_sum += g.weight.size
+        if not norm.counts and cfg.no_align:
+            raise DeadConfigError("batch produced neither reconstruction nor alignment terms")
+        if norm.counts and not any(norm.counts.values()):
+            raise DeadConfigError("all reconstruction targets were masked out")
+        if not cfg.no_align and not norm.weight_sum:
+            raise DeadConfigError("alignment needs at least two latent sources per batch")
         return norm
 
 
@@ -123,32 +116,20 @@ def _l1_term(pred: Tensor, target: np.ndarray, weight: np.ndarray, count: float)
     return mul(term, Tensor(tgt.size / count))
 
 
-def loss_recon(
-    outputs: list[GroupOutput], cfg: ModelConfig, norm: Normalisers | None = None
-) -> tuple[Tensor | None, dict[str, float]]:
-    """Sum over available targets of pooled mean absolute error.
-
-    `norm` holds the batch's counts (read from `outputs` when not given);
-    with it, `outputs` may be any part of the batch, and the result is that
-    part's share: None for groups without targets.
-    """
-    norm = Normalisers.of_outputs(outputs) if norm is None else norm
-    if not norm.counts:
-        raise DeadConfigError("no reconstruction targets are available in this batch")
-    if not any(norm.counts.values()):
-        raise DeadConfigError("all reconstruction targets were masked out")
+def loss_recon(out: GroupOutput, norm: Normalisers) -> tuple[Tensor | None, dict[str, float]]:
+    """One group's share of the sum over targets of pooled mean absolute
+    error, over the batch's `norm.counts`; None when it has no target."""
+    g = out.group
+    pairs = [(dyn, pred, g.x[dyn]) for dyn, pred in out.dyn_preds.items()]
+    pairs += [(name, pred, out.accel_targets[name]) for name, pred in out.accel_preds.items()]
     total = None
     per_target: dict[str, float] = {}
-    for out in outputs:
-        g = out.group
-        pairs = [(dyn, pred, g.x[dyn]) for dyn, pred in out.dyn_preds.items()]
-        pairs += [(name, pred, out.accel_targets[name]) for name, pred in out.accel_preds.items()]
-        for name, pred, target in sorted(pairs, key=lambda p: p[0]):
-            term = _l1_term(pred, target, g.weight, norm.counts[name])
-            if term is None:
-                continue
-            per_target[name] = per_target.get(name, 0.0) + float(term.data)
-            total = term if total is None else add(total, term)
+    for name, pred, target in sorted(pairs, key=lambda p: p[0]):
+        term = _l1_term(pred, target, g.weight, norm.counts[name])
+        if term is None:
+            continue
+        per_target[name] = float(term.data)
+        total = term if total is None else add(total, term)
     return total, per_target
 
 
@@ -165,68 +146,52 @@ def _pair_nce(z_i: Tensor, z_j: Tensor, scale: float) -> Tensor:
     return sub(lse, mul(sum_(mul(z_i, z_j)), Tensor(2.0 * scale / b)))
 
 
-def _source_stacks(out: GroupOutput) -> list[tuple[Tensor, list]]:
-    """(stacked latents, source order) of each latent family a group has."""
-    stacks = ((out.kin_stack, out.kin_order), (out.fdae_stack, out.fdae_order))
-    return [(stack, order) for stack, order in stacks if stack is not None]
-
-
 def _group_sources(out: GroupOutput) -> list[Tensor]:
     """Unit-norm flattened (B, d) latents, one per available source."""
     b = out.group.n_windows * out.group.window
     sources = []
-    for stack, order in _source_stacks(out):
+    for stack, order in ((out.kin_stack, out.kin_order), (out.fdae_stack, out.fdae_order)):
+        if stack is None:
+            continue
         flat = l2_normalize(reshape(stack, (len(order) * b, stack.shape[-1])), axis=-1)
         sources += [slice_axis(flat, 0, s * b, (s + 1) * b) for s in range(len(order))]
     return sources
 
 
-def loss_align(outputs: list[GroupOutput], cfg: ModelConfig, norm: Normalisers | None = None) -> Tensor | None:
-    """Cross-source InfoNCE, averaged over ordered pairs and frames.
+def loss_align(out: GroupOutput, cfg: ModelConfig, norm: Normalisers) -> Tensor | None:
+    """One group's share of cross-source InfoNCE, averaged over ordered
+    pairs and frames.
 
-    Sources of one group are its per-channel encoder latents plus the
-    composed forward-dynamics latents; groups enter independently (a frame
-    is only contrasted against frames with the same availability) and are
-    weighted by frame count over the batch's `norm.weight_sum`. Each
-    unordered pair is scored once, both ways. None for groups with fewer
-    than two sources.
+    Sources of a group are its per-channel encoder latents plus the
+    composed forward-dynamics latents; a frame is only contrasted against
+    frames of its own group (same availability), and the group is weighted
+    by its frame count over the batch's `norm.weight_sum`. Each unordered
+    pair is scored once, both ways. None for a group with fewer than two
+    sources.
     """
-    norm = Normalisers.of_outputs(outputs) if norm is None else norm
-    if not norm.weight_sum:
-        raise DeadConfigError("alignment needs at least two latent sources per batch")
+    sources = _group_sources(out)
+    n = len(sources)
+    if n < 2:
+        return None
     scale = 1.0 / cfg.temperature
-    total = None
-    for out in outputs:
-        sources = _group_sources(out)
-        n = len(sources)
-        if n < 2:
-            continue
-        b = out.group.n_windows * out.group.window
-        group_loss = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                term = _pair_nce(sources[i], sources[j], scale)
-                group_loss = term if group_loss is None else add(group_loss, term)
-        group_loss = mul(group_loss, Tensor(b / (n * (n - 1) * norm.weight_sum)))
-        total = group_loss if total is None else add(total, group_loss)
-    return total
+    b = out.group.n_windows * out.group.window
+    group_loss = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            term = _pair_nce(sources[i], sources[j], scale)
+            group_loss = term if group_loss is None else add(group_loss, term)
+    return mul(group_loss, Tensor(b / (n * (n - 1) * norm.weight_sum)))
 
 
-def total_loss(
-    cfg: ModelConfig, outputs: list[GroupOutput], norm: Normalisers | None = None
-) -> tuple[Tensor | None, LossBreakdown]:
+def total_loss(cfg: ModelConfig, out: GroupOutput, norm: Normalisers) -> tuple[Tensor | None, LossBreakdown]:
     """alpha1 * reconstruction + alpha2 * alignment, honoring ablation flags.
 
-    The sum of one term per group, each scaled by the batch's `norm` (read
-    from `outputs` when not given). Training passes one group at a time with
-    `Normalisers.of_groups`; a group that adds nothing gives None. Dead
-    configurations are judged on the whole batch.
+    One group's term over the batch's `norm` (`Normalisers.of_groups`, which
+    also judges dead configurations); a batch's loss is the sum over its
+    groups. None for a group that adds nothing.
     """
-    norm = Normalisers.of_outputs(outputs) if norm is None else norm
-    if not norm.counts and cfg.no_align:
-        raise DeadConfigError("batch produced neither reconstruction nor alignment terms")
-    recon_t, per_target = loss_recon(outputs, cfg, norm) if norm.counts else (None, {})
-    align_t = None if cfg.no_align else loss_align(outputs, cfg, norm)
+    recon_t, per_target = loss_recon(out, norm)
+    align_t = None if cfg.no_align else loss_align(out, cfg, norm)
     total = None
     if recon_t is not None:
         total = mul(recon_t, Tensor(cfg.alpha1))

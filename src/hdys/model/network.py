@@ -65,10 +65,8 @@ class WindowGroup:
 
     profile_id: str
     tree_key: str
-    n_markers: int
     x: dict[str, np.ndarray]  # standardized channel blocks, (n_win, W, ...)
     weight: np.ndarray  # (n_win, W) loss weight, 0 on boundary frames
-    subject_mass: float
 
     @property
     def n_windows(self) -> int:

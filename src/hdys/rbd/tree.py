@@ -14,12 +14,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-JOINT_DOF = {"revolute": 1, "spherical": 3, "free": 6}
-
 _EYE3 = np.eye(3)
 _AX = np.array([1.0, 0.0, 0.0])
 _AY = np.array([0.0, 1.0, 0.0])
 _AZ = np.array([0.0, 0.0, 1.0])
+
+# joint type -> its internal 1-DoF bodies (kind, axis), parent first; a
+# revolute's axis (None here) is its link's own
+_CHAINS = {
+    "revolute": (("rev", None),),
+    "spherical": (("rev", _AX), ("rev", _AY), ("rev", _AZ)),
+    "free": (("prism", _AX), ("prism", _AY), ("prism", _AZ), ("rev", _AX), ("rev", _AY), ("rev", _AZ)),
+}
+JOINT_DOF = {joint: len(chain) for joint, chain in _CHAINS.items()}
 
 
 class TreeError(Exception):
@@ -45,8 +52,7 @@ class _Body:
     parent: int  # internal body index, -1 for world
     kind: str  # "rev" | "prism"
     axis: np.ndarray
-    r_fix: np.ndarray  # 3x3
-    p_fix: np.ndarray  # 3
+    p_fix: np.ndarray  # 3, joint origin in the parent body's frame
     mass: float
     com: np.ndarray
     inertia: np.ndarray  # 3x3 about COM
@@ -74,8 +80,8 @@ def joint_transform(body: _Body, qi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     f = qi.shape[0]
     if body.kind == "rev":
-        return body.r_fix @ _rot_axis(body.axis, qi), np.broadcast_to(body.p_fix, (f, 3))
-    return np.broadcast_to(body.r_fix, (f, 3, 3)), body.p_fix + (body.r_fix @ body.axis) * qi[:, None]
+        return _rot_axis(body.axis, qi), np.broadcast_to(body.p_fix, (f, 3))
+    return np.broadcast_to(_EYE3, (f, 3, 3)), body.p_fix + body.axis * qi[:, None]
 
 
 class KinematicTree:
@@ -134,67 +140,25 @@ class KinematicTree:
         zero3 = np.zeros(3)
         zero33 = np.zeros((3, 3))
         for li, l in enumerate(self.links):
-            parent_body = -1 if l.parent == -1 else link_body[l.parent]
-            r_fix = _EYE3
-            p_fix = np.asarray(l.offset, dtype=np.float64)
-            mass = float(l.mass)
-            com = np.asarray(l.com, dtype=np.float64)
-            inertia = np.asarray(l.inertia, dtype=np.float64)
-            if l.joint == "revolute":
-                axis = np.asarray(l.axis, dtype=np.float64)
-                bodies.append(_Body(parent_body, "rev", axis, r_fix, p_fix, mass, com, inertia, dof, li))
-                dof += 1
-            elif l.joint == "spherical":
-                for j, ax in enumerate((_AX, _AY, _AZ)):
-                    last = j == 2
-                    bodies.append(
-                        _Body(
-                            parent_body if j == 0 else len(bodies) - 1,
-                            "rev",
-                            ax,
-                            r_fix if j == 0 else _EYE3,
-                            p_fix if j == 0 else zero3,
-                            mass if last else 0.0,
-                            com if last else zero3,
-                            inertia if last else zero33,
-                            dof + j,
-                            li,
-                        )
+            # the joint offset goes on the chain's first body, the link's inertia on its last
+            chain = _CHAINS[l.joint]
+            for j, (kind, axis) in enumerate(chain):
+                first, last = j == 0, j == len(chain) - 1
+                parent = (-1 if l.parent == -1 else link_body[l.parent]) if first else len(bodies) - 1
+                bodies.append(
+                    _Body(
+                        parent,
+                        kind,
+                        np.asarray(l.axis, dtype=np.float64) if axis is None else axis,
+                        np.asarray(l.offset, dtype=np.float64) if first else zero3,
+                        float(l.mass) if last else 0.0,
+                        np.asarray(l.com, dtype=np.float64) if last else zero3,
+                        np.asarray(l.inertia, dtype=np.float64) if last else zero33,
+                        dof + j,
+                        li,
                     )
-                dof += 3
-            else:  # free
-                for j, ax in enumerate((_AX, _AY, _AZ)):
-                    bodies.append(
-                        _Body(
-                            parent_body if j == 0 else len(bodies) - 1,
-                            "prism",
-                            ax,
-                            r_fix if j == 0 else _EYE3,
-                            p_fix if j == 0 else zero3,
-                            0.0,
-                            zero3,
-                            zero33,
-                            dof + j,
-                            li,
-                        )
-                    )
-                for j, ax in enumerate((_AX, _AY, _AZ)):
-                    last = j == 2
-                    bodies.append(
-                        _Body(
-                            len(bodies) - 1,
-                            "rev",
-                            ax,
-                            _EYE3,
-                            zero3,
-                            mass if last else 0.0,
-                            com if last else zero3,
-                            inertia if last else zero33,
-                            dof + 3 + j,
-                            li,
-                        )
-                    )
-                dof += 6
+                )
+            dof += len(chain)
             link_body.append(len(bodies) - 1)
         self._bodies = bodies
         self._link_body = link_body

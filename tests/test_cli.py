@@ -278,3 +278,42 @@ def test_runs_freeze_the_manifest_they_train_on(cli_dataset, tmp_path):
         assert main(["rollout", "--run", run_dir]) == 0
         with open(os.path.join(run_dir, "eval", "eval.json")) as fh:
             assert set(json.load(fh)["best"]) == {"A", "C"}
+
+
+def test_reproduce_rejects_bad_seeds_before_writing(cli_dataset, tmp_path, capsys):
+    for seeds in (",", "a"):
+        out = tmp_path / "study"
+        argv = ["reproduce", "--study", "rollout-table", "--data", cli_dataset, "--seeds", seeds, "--out", str(out)]
+        assert main(argv) == 2, seeds
+        assert "--seeds" in capsys.readouterr().err, seeds
+        assert not out.exists(), seeds
+
+
+def test_unrunnable_config_value_is_usage_error(cli_dataset, tmp_path, capsys):
+    for argv in (
+        ["train", "--set", "model.temperature=0"],
+        ["train", "--set", "rollout.k_list="],
+        ["reproduce", "--study", "rollout-table", "--set", "rollout.start_stride=0"],
+    ):
+        out = tmp_path / "run"
+        assert main(argv + ["--data", cli_dataset, "--out", str(out)]) == 2, argv
+        assert "config error" in capsys.readouterr().err, argv
+        assert not out.exists(), argv
+
+
+def test_rollout_on_profile_without_torque_labels_is_domain_error(cli_dataset, tmp_path, capsys):
+    run = str(tmp_path / "run")
+    argv = ["train", "--data", cli_dataset, "--out", run, "--set", "train.epochs=0", "--set", "rollout.profile=C"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["rollout", "--run", run]) == 1
+    assert "profile C has no joint-torque labels" in capsys.readouterr().err
+
+
+def test_train_on_profile_without_training_ids_is_domain_error(cli_dataset, tmp_path, capsys):
+    manifest = load_manifest(cli_dataset)
+    manifest.train_ids["B"] = []
+    path = str(tmp_path / "no-b.json")
+    write_manifest(path, manifest)
+    assert main(["train", "--data", cli_dataset, "--manifest", path, "--out", str(tmp_path / "run")]) == 1
+    assert "profile B has no training sequences" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import functools
 import os
 
 import numpy as np
@@ -125,15 +126,23 @@ def _batch(cache, cfg, quota=3):
     return model, build_groups(cache.train, refs, cfg.model.window, st, tree_of, marker_rng=rng)
 
 
+def _one_graph_loss(model, cfg, groups):
+    """The batch's loss as one graph: every group's term, joined with `add`."""
+    from hdys.model import Normalisers, total_loss
+    from hdys.numcore import add
+
+    norm = Normalisers.of_groups(cfg.model, groups)
+    terms = [total_loss(cfg.model, model.forward_group(g), norm)[0] for g in groups]
+    return functools.reduce(add, [t for t in terms if t is not None])
+
+
 def test_every_parameter_receives_gradient(small_cache):
-    from hdys.model import total_loss
     from hdys.numcore import backward
 
     root, cache = small_cache
     cfg = tiny_cfg()
     model, groups = _batch(cache, cfg)
-    outputs = [model.forward_group(g) for g in groups]
-    loss, _ = total_loss(cfg.model, outputs)
+    loss = _one_graph_loss(model, cfg, groups)
     named = list(model.ps.params.items())
     grads = backward(loss, [p for _, p in named])
     dead = [name for (name, _), g in zip(named, grads) if not np.any(g)]
@@ -151,14 +160,14 @@ def test_per_group_gradients_add_up_to_the_batch_gradient(small_cache):
     model, groups = _batch(cache, cfg, quota=1)
     assert len(groups) >= 2 and any(not g.dyn_present for g in groups)
     leaves = list(model.ps.params.values())
-    whole, whole_bd = total_loss(cfg.model, [model.forward_group(g) for g in groups])
+    whole = _one_graph_loss(model, cfg, groups)
     want = backward(whole, leaves)
 
     norm = Normalisers.of_groups(cfg.model, groups)
     got = [np.zeros_like(p.data) for p in leaves]
     bd = LossBreakdown()
     for g in groups:
-        loss, part = total_loss(cfg.model, [model.forward_group(g)], norm)
+        loss, part = total_loss(cfg.model, model.forward_group(g), norm)
         if not g.dyn_present:
             assert part.recon == 0.0 and part.per_target == {} and part.align > 0.0
         bd += part
@@ -166,11 +175,8 @@ def test_per_group_gradients_add_up_to_the_batch_gradient(small_cache):
             acc += grad
     for w, g in zip(want, got):
         assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
-    for name in ("recon", "align", "total"):
-        assert abs(getattr(bd, name) - getattr(whole_bd, name)) <= 1e-12 * abs(getattr(whole_bd, name))
-    assert bd.per_target.keys() == whole_bd.per_target.keys()
-    for name, value in whole_bd.per_target.items():
-        assert abs(bd.per_target[name] - value) <= 1e-12 * value
+    assert abs(bd.total - float(whole.data)) <= 1e-12 * abs(float(whole.data))
+    assert bd.per_target.keys() == norm.counts.keys()
 
 
 @pytest.mark.parametrize("no_fdae", [False, True])
@@ -198,7 +204,6 @@ def test_normalisers_from_groups_match_forward_outputs(small_cache, no_fdae):
     assert any(name.startswith("acc_") for name in counts) != no_fdae
     norm = Normalisers.of_groups(cfg.model, groups)
     assert norm.counts == counts and norm.weight_sum == weight_sum
-    assert Normalisers.of_outputs(outputs) == norm
 
 
 def test_checkpoint_reload_reproduces_model(small_cache, tmp_path):

@@ -7,6 +7,7 @@ from hdys.model import (
     DeadConfigError,
     HDySModel,
     ModelError,
+    Normalisers,
     WindowGroup,
     apply_override,
     config_from_text,
@@ -49,7 +50,7 @@ def make_group(rng, profile="A", n_win=2, window=8, n_markers=6, mask=("x_m", "x
             x[ch] = rng.normal(size=(n_win, window, INV.coord_widths[ch]))
         else:
             x[ch] = rng.normal(size=(n_win, window, INV.dyn_widths[ch]))
-    return WindowGroup(profile, tree, n_markers, x, np.ones((n_win, window)), 70.0)
+    return WindowGroup(profile, tree, x, np.ones((n_win, window)))
 
 
 # -- encoders ----------------------------------------------------------------------
@@ -150,10 +151,7 @@ def test_window_length_one_works():
 def test_temporal_ablation_is_frame_local():
     rng = np.random.default_rng(8)
     g1 = make_group(rng, n_win=1, mask=("x_a", "tau_tr"))
-    g2 = WindowGroup(
-        g1.profile_id, g1.tree_key, 0,
-        {k: v.copy() for k, v in g1.x.items()}, g1.weight, g1.subject_mass,
-    )
+    g2 = WindowGroup(g1.profile_id, g1.tree_key, {k: v.copy() for k, v in g1.x.items()}, g1.weight)
     g2.x["x_a"][0, 3] += 1.0  # perturb frame 3 only
 
     local = HDySModel(small_cfg(no_temporal_refinement=True), INV, seed=0)
@@ -194,7 +192,7 @@ def test_accel_block_helpers():
 
 
 def _single_pred_output(pred, target, weight=None, cfg=None):
-    g = WindowGroup("A", "t1", 0, {"tau_tr": target}, weight if weight is not None else np.ones(target.shape[:2]), 70.0)
+    g = WindowGroup("A", "t1", {"tau_tr": target}, weight if weight is not None else np.ones(target.shape[:2]))
     out = GroupOutput(group=g)
     out.kin_order = ["x_a"]
     out.dyn_preds = {"tau_tr": Tensor(pred)}
@@ -202,38 +200,38 @@ def _single_pred_output(pred, target, weight=None, cfg=None):
 
 
 def test_loss_recon_exact_fixtures():
-    cfg = small_cfg()
     t = np.zeros((1, 1, 1))
+    norm = Normalisers(counts={"tau_tr": 1.0})
     out = _single_pred_output(t.copy(), t.copy())
-    loss, _ = loss_recon([out], cfg)
+    loss, _ = loss_recon(out, norm)
     assert float(loss.data) == 0.0
     out = _single_pred_output(np.full((1, 1, 1), 3.0), np.full((1, 1, 1), 1.0))
-    loss, _ = loss_recon([out], cfg)
+    loss, _ = loss_recon(out, norm)
     assert abs(float(loss.data) - 2.0) < 1e-15
 
 
 def test_loss_recon_half_mask_equals_subset():
-    cfg = small_cfg()
     rng = np.random.default_rng(11)
     pred = rng.normal(size=(2, 4, 3))
     tgt = rng.normal(size=(2, 4, 3))
     w = np.ones((2, 4))
     w[:, 2:] = 0.0
-    masked, _ = loss_recon([_single_pred_output(pred, tgt, w)], cfg)
-    subset, _ = loss_recon([_single_pred_output(pred[:, :2], tgt[:, :2])], cfg)
+    norm = Normalisers(counts={"tau_tr": 2 * 2 * 3.0})  # kept frames x components, both ways
+    masked, _ = loss_recon(_single_pred_output(pred, tgt, w), norm)
+    subset, _ = loss_recon(_single_pred_output(pred[:, :2], tgt[:, :2]), norm)
     assert abs(float(masked.data) - float(subset.data)) < 1e-12
 
 
 def test_loss_recon_all_masked_errors():
-    cfg = small_cfg()
-    out = _single_pred_output(np.ones((1, 2, 3)), np.ones((1, 2, 3)), np.zeros((1, 2)))
-    with pytest.raises(DeadConfigError):
-        loss_recon([out], cfg)
+    g = make_group(np.random.default_rng(16), n_win=1)
+    g.weight[:] = 0.0
+    with pytest.raises(DeadConfigError, match="all reconstruction targets were masked out"):
+        Normalisers.of_groups(small_cfg(), [g])
 
 
 def _latent_output(latents_by_source, window=1):
     n_win = latents_by_source[0].shape[0]
-    g = WindowGroup("E", "t2", 0, {}, np.ones((n_win, window)), 40.0)
+    g = WindowGroup("E", "t2", {}, np.ones((n_win, window)))
     out = GroupOutput(group=g)
     out.kin_order = [f"s{i}" for i in range(len(latents_by_source))]
     from hdys.numcore import concat
@@ -247,7 +245,7 @@ def test_loss_align_single_frame_batch_is_zero():
     cfg = small_cfg(temperature=1.0)
     z = np.array([[1.0, 0.0]])
     out = _latent_output([z, z])
-    val = float(loss_align([out], cfg).data)
+    val = float(loss_align(out, cfg, Normalisers(weight_sum=1.0)).data)
     assert val == 0.0
 
 
@@ -255,7 +253,7 @@ def test_loss_align_orthonormal_two_by_two():
     cfg = small_cfg(temperature=1.0)
     z = np.array([[1.0, 0.0], [0.0, 1.0]])
     out = _latent_output([z.copy(), z.copy()])
-    val = float(loss_align([out], cfg).data)
+    val = float(loss_align(out, cfg, Normalisers(weight_sum=2.0)).data)
     assert abs(val - np.log(1.0 + np.exp(-1.0))) < 1e-9
 
 
@@ -265,14 +263,14 @@ def test_loss_align_prefers_aligned_latents():
     base = rng.normal(size=(16, 8))
     aligned = _latent_output([base, base])
     random = _latent_output([base, rng.normal(size=(16, 8))])
-    assert float(loss_align([aligned], cfg).data) < float(loss_align([random], cfg).data)
+    norm = Normalisers(weight_sum=16.0)
+    assert float(loss_align(aligned, cfg, norm).data) < float(loss_align(random, cfg, norm).data)
 
 
 def test_loss_align_needs_two_sources():
-    cfg = small_cfg()
-    out = _latent_output([np.ones((3, 4))])
-    with pytest.raises(DeadConfigError):
-        loss_align([out], cfg)
+    g = make_group(np.random.default_rng(17), mask=("x_a",))
+    with pytest.raises(DeadConfigError, match="alignment needs at least two latent sources"):
+        Normalisers.of_groups(small_cfg(), [g])
 
 
 def _numpy_infonce(groups, temperature):
@@ -297,7 +295,7 @@ def _numpy_infonce(groups, temperature):
 
 def _stacked_output(rng, n_kin, n_fdae, n_win=3, window=4, d=5):
     """A group with `n_kin` encoder and `n_fdae` composed sources, plus its (B, d) sources."""
-    g = WindowGroup("A", "t1", 0, {}, np.ones((n_win, window)), 70.0)
+    g = WindowGroup("A", "t1", {}, np.ones((n_win, window)))
     out = GroupOutput(group=g)
     kin = rng.normal(size=(n_kin * n_win, window, d))
     out.kin_order = [f"k{s}" for s in range(n_kin)]
@@ -317,7 +315,8 @@ def test_loss_align_matches_numpy_ordered_pairs():
     cases = [[(2, 0)], [(3, 0)], [(4, 0)], [(2, 2)], [(2, 1), (3, 0)]]
     for case in cases:
         built = [_stacked_output(rng, n_kin, n_fdae) for n_kin, n_fdae in case]
-        got = float(loss_align([out for out, _ in built], cfg).data)
+        norm = Normalisers(weight_sum=3 * 4.0 * len(case))  # frames of every group
+        got = sum(float(loss_align(out, cfg, norm).data) for out, _ in built)
         want = _numpy_infonce([blocks for _, blocks in built], 0.1)
         assert abs(got - want) <= 1e-12 * abs(want), (case, got, want)
 
@@ -329,7 +328,7 @@ def test_loss_align_gradient_matches_numpy_differences():
     out, _ = _stacked_output(np.random.default_rng(15), 3, 0, n_win=2, window=2, d=3)
     leaf = Tensor(out.kin_stack.data, requires_grad=True)
     out.kin_stack = leaf
-    (grad,) = backward(loss_align([out], cfg), [leaf])
+    (grad,) = backward(loss_align(out, cfg, Normalisers(weight_sum=4.0)), [leaf])
 
     def ref(x):
         return _numpy_infonce([[x[s * 2 : (s + 1) * 2].reshape(-1, 3) for s in range(3)]], 0.1)
@@ -355,11 +354,12 @@ def test_total_loss_weighting_and_flags():
     from hdys.numcore import concat
 
     out.kin_stack = concat([Tensor(z.reshape(2, 2, 6)), Tensor(rng.normal(size=(2, 2, 6)))], axis=0)
-    total, bd = total_loss(cfg, [out])
+    norm = Normalisers(counts={"tau_tr": 2 * 2 * 3.0}, weight_sum=4.0)
+    total, bd = total_loss(cfg, out, norm)
     assert abs(bd.total - (0.01 * bd.recon + 0.05 * bd.align)) < 1e-12
 
     cfg_na = small_cfg(temperature=1.0, alpha1=0.01, alpha2=0.05, no_align=True)
-    total2, bd2 = total_loss(cfg_na, [out])
+    total2, bd2 = total_loss(cfg_na, out, norm)
     assert bd2.align == 0.0 and abs(bd2.total - 0.01 * bd2.recon) < 1e-15
 
 
@@ -375,16 +375,15 @@ def test_total_loss_hand_value():
     from hdys.numcore import concat
 
     out.kin_stack = concat([Tensor(z[:, None, :]), Tensor(z[:, None, :])], axis=0)
-    total, bd = total_loss(cfg, [out])
+    total, bd = total_loss(cfg, out, Normalisers(counts={"tau_tr": 1.0}, weight_sum=1.0))
     assert abs(bd.recon - 2.0) < 1e-15 and bd.align == 0.0
     assert abs(bd.total - 0.02) < 1e-15
 
 
 def test_kin_only_with_no_align_is_dead():
-    cfg = small_cfg(no_align=True)
-    out = _latent_output([np.ones((3, 4)), np.ones((3, 4))])
-    with pytest.raises(DeadConfigError):
-        total_loss(cfg, [out])
+    g = make_group(np.random.default_rng(18), mask=("x_m", "x_k"))
+    with pytest.raises(DeadConfigError, match="neither reconstruction nor alignment"):
+        Normalisers.of_groups(small_cfg(no_align=True), [g])
 
 
 # -- configuration -------------------------------------------------------------------
@@ -441,3 +440,16 @@ def test_invalid_configs_rejected():
         ModelConfig(alpha1=-0.1)
     with pytest.raises(ConfigError):
         ModelConfig(window=0)
+    # values a run would only trip over part-way through, rejected when the config is built
+    for key, value in (
+        ("model.temperature", "0"), ("model.temperature", "-0.1"), ("train.quota", "0"),
+        ("rollout.start_stride", "0"), ("rollout.k_list", ""), ("rollout.k_list", "1,0"),
+        ("rollout.fps_list", ""), ("rollout.fps_list", "90,-1"), ("rollout.max_sequences", "0"),
+        ("rollout.representation", "tau_tr"), ("rollout.representation", "mean"),
+    ):
+        with pytest.raises(ConfigError):
+            apply_override(desk_config(), key, value)
+    for rep in ("avg", "x_m", "x_k", "x_a", "x_s"):
+        assert apply_override(desk_config(), "rollout.representation", rep).rollout.representation == rep
+    paper_config()
+    assert config_hash(desk_config()) == "e9eb706cb1a1452d"

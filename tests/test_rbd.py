@@ -73,7 +73,6 @@ def test_fk_orthonormal_and_matrix_chain_oracle():
         world = {}
         for bi, b in enumerate(tree._bodies):
             t = np.eye(4)
-            t[:3, :3] = b.r_fix
             t[:3, 3] = b.p_fix
             j = np.eye(4)
             if b.kind == "rev":
