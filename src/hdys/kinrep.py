@@ -6,7 +6,7 @@ Channel layouts (all float64):
   x_a   (F, 3*n_dof)        angle-tree coordinates as (q, qd, qdd) per DoF
   x_s   (F, 3*n_dof)        pose-tree coordinates, same triple layout
   tau_tr / tau_ts (F, n_actuated)  oracle joint torques per tree family
-  tau_m (F, n_muscles)      activations in [0, 1]
+  tau_m (F, n_muscles)      activations in [0, 1], one solve per sequence
   tau_e (F, n_channels)     synthetic surface EMG, >= 0
 
 Velocities and accelerations always come from finite differences of the
@@ -23,7 +23,6 @@ import numpy as np
 
 from .rbd import (
     GeneralizedState,
-    InfeasibleActivation,
     KinematicTree,
     MuscleSet,
     rnea,
@@ -202,15 +201,16 @@ def attach_dynamics(
 ) -> SequenceRecord:
     """Oracle dynamics labels for the trajectory behind a record.
 
-    Torques come from inverse dynamics at the oracle states, activations from
-    the minimum-norm solve, and EMG from the activation trajectory. The
-    record's availability mask is extended in place.
+    Torques come from one batched inverse-dynamics call over the oracle
+    states, activations from one minimum-norm solve over the whole sequence
+    (InfeasibleActivation names the first frame outside the torque
+    polytope), and EMG from the activation trajectory. The record's
+    availability mask is extended in place.
     """
     kinds = set(kinds)
     unknown = kinds.difference(DYNAMIC_CHANNELS)
     if unknown:
         raise RepresentationError(f"unknown dynamics channels {sorted(unknown)}")
-    q = np.atleast_2d(traj.q)
     tau_full = rnea(tree, traj)
     tau_act = tau_full[:, tree.root_dof :]
 
@@ -220,12 +220,7 @@ def attach_dynamics(
     if needs_act:
         if muscles is None:
             raise RepresentationError("muscle/EMG channels need a muscle set")
-        acts = np.empty((q.shape[0], muscles.n_muscles))
-        for t in range(q.shape[0]):
-            try:
-                acts[t] = solve_activations(muscles, tau_act[t])
-            except InfeasibleActivation as exc:
-                raise InfeasibleActivation(f"frame {t}: {exc}") from exc
+        acts = solve_activations(muscles, tau_act)
         if "tau_m" in kinds:
             record.channels["tau_m"] = np.clip(acts, 0.0, 1.0)
         if "tau_e" in kinds:

@@ -141,10 +141,11 @@ def _parse_value(raw: str, target_type, name: str):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"{name}: cannot parse boolean from {raw!r}")
-    if target_type is int:
-        return int(raw)
-    if target_type is float:
-        return float(raw)
+    if target_type in (int, float):
+        try:
+            return target_type(raw)
+        except ValueError:
+            raise ConfigError(f"{name}: cannot parse {target_type.__name__} from {raw!r}") from None
     if target_type is str:
         return raw
     raise ConfigError(f"{name}: unsupported field type {target_type}")

@@ -8,6 +8,7 @@ import pytest
 
 from hdys.cli import build_parser, main
 from hdys.datahub import DatasetManifest, default_profiles, load_manifest, restrict_profiles, write_manifest
+from hdys.model import ConfigError, config_from_text
 from hdys.numcore import load_checkpoint
 
 # the flags each subcommand reads; any other flag is a usage error
@@ -299,6 +300,22 @@ def test_unrunnable_config_value_is_usage_error(cli_dataset, tmp_path, capsys):
         assert main(argv + ["--data", cli_dataset, "--out", str(out)]) == 2, argv
         assert "config error" in capsys.readouterr().err, argv
         assert not out.exists(), argv
+
+
+def test_unparsable_config_value_is_usage_error(cli_dataset, tmp_path, capsys):
+    bad_file = tmp_path / "config.txt"
+    bad_file.write_text("schema = hdys-config/1\ntrain.quota = five\n")
+    with pytest.raises(ConfigError, match="train.quota: cannot parse int from 'five'"):
+        config_from_text(bad_file.read_text())
+    for extra, needle in (
+        (["--set", "train.quota=a"], "train.quota: cannot parse int from 'a'"),
+        (["--set", "rollout.k_list=1,x"], "rollout.k_list: cannot parse int from 'x'"),
+        (["--config", str(bad_file)], "train.quota: cannot parse int from 'five'"),
+    ):
+        out = tmp_path / "run"
+        assert main(["train", "--data", cli_dataset, "--out", str(out)] + extra) == 2, extra
+        assert needle in capsys.readouterr().err, extra
+        assert not out.exists(), extra
 
 
 def test_rollout_on_profile_without_torque_labels_is_domain_error(cli_dataset, tmp_path, capsys):

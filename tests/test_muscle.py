@@ -8,10 +8,12 @@ from hdys.rbd import (
     MuscleError,
     MuscleSet,
     muscle_to_torque,
+    rnea,
     solve_activations,
     synth_emg,
 )
-from hdys.rbd.muscle import _newton_solve
+from hdys.datahub import default_profiles, generate_sequence, tree_bundle
+from hdys.rbd.muscle import _newton
 
 
 def antagonist_pair():
@@ -128,9 +130,69 @@ def test_solve_falls_back_when_first_newton_run_misses():
     lam0 = np.linalg.solve(b @ b.T, tau)
     a_free = b.T @ lam0
     assert ((a_free < 0.0) | (a_free > 1.0)).any()
-    _, r = _newton_solve(b, tau, lam0)
+    _, r = _newton(b, tau[None], lam0[None])
     assert np.abs(r).max() > 1e-6 * max(1.0, np.abs(tau).max())
     assert_solved(ms, a_true, tau)
+
+
+@pytest.mark.slow
+def test_solver_contract_over_twenty_thousand_random_targets():
+    # every target is feasible by construction; in-box, Newton, restart and
+    # SLSQP solutions must all meet the same contract
+    for seed in range(20_000):
+        assert_solved(*random_feasible(seed))
+
+
+# -- one solve per sequence ----------------------------------------------------------
+
+
+def profile_torques(profile_id):
+    """A profile's muscle set and the actuated torques of its first seed-0 sequence."""
+    profiles = default_profiles(n_train=1, n_test=0)
+    p_idx = [p.profile_id for p in profiles].index(profile_id)
+    _, traj = generate_sequence(0, profiles[p_idx], p_idx, 0)
+    bundle = tree_bundle(profiles[p_idx].tree_key)
+    return bundle.muscles, rnea(bundle.tree, traj)[:, bundle.tree.root_dof :]
+
+
+@pytest.mark.parametrize("profile_id", ["C", "D"])
+def test_sequence_solve_equals_frame_by_frame(profile_id):
+    ms, tau = profile_torques(profile_id)
+    acts = solve_activations(ms, tau)
+    assert acts.shape == (len(tau), ms.n_muscles)
+    assert np.array_equal(acts, np.stack([solve_activations(ms, row) for row in tau]))
+    if profile_id == "D":  # some frames leave the box, so the batched Newton run is covered
+        assert ((acts == 0.0) | (acts == 1.0)).any()
+
+
+def test_mixed_batch_rows_equal_their_one_row_calls():
+    # seed 523's null-space direction is all positive, so the zero torque is
+    # its only in-box target; the random reachable targets leave the box and
+    # the seed-523 target needs the fallback
+    ms, _, hard = random_feasible(523)
+    reachable = muscle_to_torque(ms, np.random.default_rng(0).uniform(0.0, 1.0, (3, ms.n_muscles)))
+    zero = np.zeros(ms.n_actuated)
+    batch = np.stack([zero, hard, reachable[0], zero, reachable[1], hard, reachable[2]])
+    acts = solve_activations(ms, batch)
+    for row, a in zip(batch, acts):
+        assert np.array_equal(a, solve_activations(ms, row))
+    assert np.array_equal(acts[[0, 3]], np.zeros((2, ms.n_muscles)))
+    assert np.abs(muscle_to_torque(ms, acts) - batch).max() <= 1e-6 * max(1.0, np.abs(batch).max())
+
+
+def test_sequence_solve_names_first_infeasible_frame():
+    ms = redundant_three()  # torques reachable: [0, 62]
+    with pytest.raises(InfeasibleActivation, match=r"^frame 2: torque outside"):
+        solve_activations(ms, np.array([[7.0], [55.0], [80.0], [30.0], [-5.0]]))
+    with pytest.raises(InfeasibleActivation, match=r"^torque outside"):
+        solve_activations(ms, np.array([80.0]))
+
+
+def test_sequence_solve_rejects_bad_shapes():
+    ms = redundant_three()
+    for tau in (np.zeros((4, 2)), np.zeros(2), np.zeros((2, 3, 1)), np.float64(1.0)):
+        with pytest.raises(MuscleError):
+            solve_activations(ms, tau)
 
 
 # -- surface EMG -------------------------------------------------------------------
