@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 domain failure (infeasible solve, dead config,
 missing dataset or run, a training profile without training sequences, a
-rollout profile without joint-torque labels); 2 usage or configuration
+rollout profile without joint-torque labels, a run whose `model.ckpt` is
+unreadable or does not fit its `config.txt`); 2 usage or configuration
 errors, before anything is written: unknown flags (each subcommand takes
 only the flags it reads), config values the program cannot run, and a
 `--seeds` list that is empty or not integers.
@@ -49,6 +50,7 @@ from .engine import (
 )
 from .model import ConfigError, HDySConfig, apply_override, desk_config, load_config
 from .model.losses import DeadConfigError
+from .numcore import CheckpointError
 from .rbd import InfeasibleActivation
 
 EXIT_OK = 0
@@ -262,7 +264,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InfeasibleActivation, DeadConfigError, TrainError, DatasetError, EvalError, SamplerError) as exc:
+    except (
+        InfeasibleActivation, DeadConfigError, TrainError, DatasetError, EvalError, SamplerError, CheckpointError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

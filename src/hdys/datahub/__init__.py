@@ -9,7 +9,6 @@ from .profiles import (
     generate_sequence,
     load_manifest,
     load_records,
-    profile_index,
     read_manifest,
     restrict_profiles,
     tree_bundle,

@@ -142,7 +142,16 @@ class DatasetManifest:
     profiles: list[DomainProfile]
     train_ids: dict[str, list[str]] = field(default_factory=dict)
     test_ids: dict[str, list[str]] = field(default_factory=dict)
+    # profile id -> the profile index its sequences were generated with; a
+    # subset manifest keeps the full manifest's, so it can regenerate them
+    gen_index: dict[str, int] = field(default_factory=dict)
     schema: str = MANIFEST_SCHEMA
+
+    def __post_init__(self):
+        if not self.gen_index:
+            self.gen_index = {p.profile_id: i for i, p in enumerate(self.profiles)}
+        if set(self.gen_index) != {p.profile_id for p in self.profiles}:
+            raise DatasetError(f"manifest: gen_index {sorted(self.gen_index)} does not name its profiles")
 
     def profile(self, pid: str) -> DomainProfile:
         for p in self.profiles:
@@ -167,6 +176,7 @@ class DatasetManifest:
             "profiles": [asdict(p) for p in self.profiles],
             "train_ids": self.train_ids,
             "test_ids": self.test_ids,
+            "gen_index": self.gen_index,
         }
 
     @classmethod
@@ -185,7 +195,8 @@ class DatasetManifest:
             profiles.append(DomainProfile(**p))
         m = cls(seed=doc["seed"], profiles=profiles,
                 train_ids={k: list(v) for k, v in doc["train_ids"].items()},
-                test_ids={k: list(v) for k, v in doc["test_ids"].items()})
+                test_ids={k: list(v) for k, v in doc["test_ids"].items()},
+                gen_index={k: int(v) for k, v in doc.get("gen_index", {}).items()})
         m.validate_splits()
         return m
 
@@ -310,7 +321,8 @@ def _generate_once(
 def generate_dataset(root, manifest: DatasetManifest, verbose: bool = False) -> DatasetManifest:
     """Write every profile's sequences under `root` and the manifest beside them."""
     os.makedirs(root, exist_ok=True)
-    for p_idx, profile in enumerate(manifest.profiles):
+    for profile in manifest.profiles:
+        p_idx = manifest.gen_index[profile.profile_id]
         os.makedirs(os.path.join(root, profile.profile_id), exist_ok=True)
         train, test = [], []
         total = profile.n_train + profile.n_test
@@ -327,7 +339,7 @@ def generate_dataset(root, manifest: DatasetManifest, verbose: bool = False) -> 
     return manifest
 
 
-def load_records(root, manifest: DatasetManifest, profile_id: str, ids) -> list[SequenceRecord]:
+def load_records(root, profile_id: str, ids) -> list[SequenceRecord]:
     out = []
     for sid in ids:
         rec = read_record(record_path(root, profile_id, sid))
@@ -335,13 +347,6 @@ def load_records(root, manifest: DatasetManifest, profile_id: str, ids) -> list[
             raise DatasetError(f"record {sid} belongs to profile {rec.profile_id}")
         out.append(rec)
     return out
-
-
-def profile_index(manifest: DatasetManifest, pid: str) -> int:
-    for i, p in enumerate(manifest.profiles):
-        if p.profile_id == pid:
-            return i
-    raise DatasetError(f"unknown profile '{pid}'")
 
 
 def restrict_profiles(manifest: DatasetManifest, keep: list[str]) -> DatasetManifest:
@@ -354,4 +359,5 @@ def restrict_profiles(manifest: DatasetManifest, keep: list[str]) -> DatasetMani
         profiles=[p for p in manifest.profiles if p.profile_id in keep],
         train_ids={k: list(v) for k, v in manifest.train_ids.items() if k in keep},
         test_ids={k: list(v) for k, v in manifest.test_ids.items() if k in keep},
+        gen_index={k: v for k, v in manifest.gen_index.items() if k in keep},
     )

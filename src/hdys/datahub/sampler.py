@@ -72,6 +72,7 @@ def subset_dataset(manifest: DatasetManifest, fractions: dict[str, float]) -> Da
         profiles=[p for p in manifest.profiles if p.profile_id in fractions],
         train_ids=new_train,
         test_ids={k: list(v) for k, v in manifest.test_ids.items() if k in fractions},
+        gen_index={k: v for k, v in manifest.gen_index.items() if k in fractions},
     )
 
 

@@ -106,19 +106,19 @@ def predict_sequences(
     return out
 
 
-def _labelled_profiles(cache, profiles: list[str] | None, split: str):
-    """Each selected profile with torque labels and sequences in `split`.
+def _labelled_profiles(cache, profiles: list[str] | None):
+    """Each selected profile with torque labels and test sequences.
 
     Yields (profile, dyn channel, sequence ids, records, stacked true
     dynamics, subject mass).
     """
     manifest: DatasetManifest = cache.manifest
-    records = cache.test if split == "test" else cache.train
+    records = cache.test
     for profile in manifest.profiles:
         pid = profile.profile_id
         if profiles is not None and pid not in profiles:
             continue
-        ids = (manifest.test_ids if split == "test" else manifest.train_ids)[pid]
+        ids = manifest.test_ids[pid]
         if not (profile.dyn_mask and ids):
             continue
         dyn = profile.dyn_mask[0]
@@ -138,11 +138,10 @@ def evaluate(
     cfg: HDySConfig,
     cache,
     profiles: list[str] | None = None,
-    split: str = "test",
 ) -> EvalReport:
     """Pure function of (checkpoint, data): no randomness anywhere."""
     report = EvalReport()
-    for profile, dyn, ids, records, true, mass in _labelled_profiles(cache, profiles, split):
+    for profile, dyn, ids, records, true, mass in _labelled_profiles(cache, profiles):
         pid = profile.profile_id
         preds = predict_sequences(model, stdizer, cfg, records, pid, profile.tree_key, ids)
         sources = sorted(preds[ids[0]].keys())
@@ -172,5 +171,5 @@ def zero_baseline(cache, profiles: list[str] | None = None) -> dict[str, float]:
     """
     return {
         profile.profile_id: _scores(true, np.zeros_like(true), dyn, mass)[-1]
-        for profile, dyn, _, _, true, mass in _labelled_profiles(cache, profiles, "test")
+        for profile, dyn, _, _, true, mass in _labelled_profiles(cache, profiles)
     }

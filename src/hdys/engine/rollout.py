@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..datahub import DatasetManifest, generate_sequence, profile_index, tree_bundle
+from ..datahub import DatasetManifest, generate_sequence, tree_bundle
 from ..model import HDySConfig, HDySModel
 from ..rbd import DivergedRollout, GeneralizedState, rnea, step
 from .batching import Standardizer
@@ -79,7 +79,7 @@ def rollout_eval(
     if profile.dyn_mask[:1] not in (("tau_tr",), ("tau_ts",)):
         raise EvalError(f"profile {pid} has no joint-torque labels")
     dyn = profile.dyn_mask[0]
-    p_idx = profile_index(manifest, pid)
+    p_idx = manifest.gen_index[pid]
     ids = manifest.test_ids[pid][:max_sequences]
     k_max = max(k_list)
     report = RolloutReport(profile=pid, representation=representation)

@@ -58,7 +58,7 @@ class RecordCache:
             records = getattr(cache, split)
             for p in manifest.profiles:
                 pid = p.profile_id
-                for rec in load_records(root, manifest, pid, ids[split].get(pid, [])):
+                for rec in load_records(root, pid, ids[split].get(pid, [])):
                     records[(pid, rec.seq_id)] = rec
         return cache
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import Tensor, add, attention, gelu, layer_norm, matmul, mean, slice_axis
+from ..numcore import CheckpointError, Tensor, add, attention, gelu, layer_norm, matmul, mean, slice_axis
 
 
 class ParamSet:
@@ -43,10 +43,10 @@ class ParamSet:
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         missing = set(self.params) - set(arrays)
         if missing:
-            raise KeyError(f"checkpoint missing parameters: {sorted(missing)[:4]}")
+            raise CheckpointError(f"checkpoint missing parameters: {sorted(missing)[:4]}")
         for k, p in self.params.items():
             if arrays[k].shape != p.data.shape:
-                raise ValueError(f"parameter '{k}': shape {arrays[k].shape} != {p.data.shape}")
+                raise CheckpointError(f"parameter '{k}': checkpoint shape {arrays[k].shape} != {p.data.shape}")
             p.data = arrays[k].copy()
 
 

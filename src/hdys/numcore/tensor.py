@@ -580,17 +580,10 @@ class Graph:
         return grads
 
 
-def backward(root: Tensor, leaves: Optional[Sequence[Tensor]] = None):
-    """Gradient of a scalar root w.r.t. leaves.
-
-    With `leaves` given, returns a list of arrays aligned with it; leaves the
-    root does not depend on get exact zeros. Without `leaves`, returns the
-    raw map keyed by id(tensor).
-    """
-    g = Graph(root)
-    grads = g.backward()
-    if leaves is None:
-        return grads
+def backward(root: Tensor, leaves: Sequence[Tensor]) -> list[np.ndarray]:
+    """Gradient of a scalar root w.r.t. leaves, as a list aligned with them;
+    leaves the root does not depend on get exact zeros."""
+    grads = Graph(root).backward()
     out = []
     for leaf in leaves:
         got = grads.get(id(leaf))

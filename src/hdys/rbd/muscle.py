@@ -5,9 +5,11 @@ generation is linear in the activation vector and recovering activations is
 a box-constrained minimum-norm least-squares problem. That problem is solved
 through its dual: a(lam) = clip(B^T lam, 0, 1) turns the stationarity
 condition into the piecewise-linear equation B a(lam) = tau, handled by a
-semismooth Newton iteration with an SLSQP fallback. A whole sequence is
-solved in one call: the closed form for every frame at once, then one
-batched Newton run over the frames whose closed form leaves the box.
+semismooth Newton iteration whose line search descends the convex dual
+objective. A whole sequence is solved in one call: the closed form for every
+frame at once, then one batched Newton run over the frames whose closed form
+leaves the box. There is no other fallback: a frame that run misses is
+infeasible.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+
+SOLVE_TOL = 1e-6  # residual bound per target, relative to max(1, |tau|)
+NEWTON_ITERS = 120
+EMG_TIME_CONSTANT = 0.040  # seconds
+EMG_MULT_SIGMA = 0.10
+EMG_ADD_SIGMA = 0.02
 
 
 class MuscleError(Exception):
@@ -71,27 +78,27 @@ def _rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (m @ x[..., None])[..., 0]
 
 
-def _sq_norms(r: np.ndarray) -> np.ndarray:
-    """r[i] @ r[i] for every row i."""
-    return (r[:, None, :] @ r[..., None])[:, 0, 0]
-
-
-def _newton(b: np.ndarray, tau: np.ndarray, lam0: np.ndarray, iters: int = 120):
+def _newton(b: np.ndarray, tau: np.ndarray, lam0: np.ndarray):
     """Semismooth Newton on B clip(B^T lam, 0, 1) = tau, one (R, n) row per target.
 
-    Each row iterates on its own and stops on its own: converged, no descent
-    along its Newton direction, or a singular Jacobian (which stops every
-    row of that solve). Returns each row's activations and residual at its
-    last multipliers.
+    The residual r is the gradient of the convex dual objective
+    f(lam) = sum h(B^T lam) - lam . tau, with h the integral of clip, and the
+    line search asks f for sufficient decrease, which makes the run globally
+    convergent on feasible targets (Hintermueller, Ito & Kunisch, SIAM J.
+    Optim. 13, 2002). Each row iterates on its own and stops on its own:
+    converged, no acceptable step along its Newton direction, or a singular
+    Jacobian (which stops every row of that solve). Returns each row's
+    activations and residual at its last multipliers.
     """
     lam = lam0.copy()
     n = b.shape[0]
     live = np.arange(len(lam))
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         u = _rows(b.T, lam[live])
-        r = _rows(b, np.clip(u, 0.0, 1.0)) - tau[live]
+        cu = np.clip(u, 0.0, 1.0)
+        r = _rows(b, cu) - tau[live]
         going = ~(np.abs(r).max(axis=1) < 1e-12)
-        live, u, r = live[going], u[going], r[going]
+        live, u, cu, r = live[going], u[going], cu[going], r[going]
         if not live.size:
             break
         # generalized Jacobian: inclusive mask so the kink at exact bounds
@@ -102,55 +109,31 @@ def _newton(b: np.ndarray, tau: np.ndarray, lam0: np.ndarray, iters: int = 120):
             d = np.linalg.solve(jac, r[..., None])[..., 0]
         except np.linalg.LinAlgError:
             break
-        # backtracking on the residual norm, each row with its own step
-        phi0 = _sq_norms(r)
+        # backtracking on the dual objective, each row with its own step. Along
+        # lam - t d it changes by -t slope + sum (c_v - c_u)(v - (c_u + c_v) / 2),
+        # a form that keeps the decrease visible below the rounding of f itself
+        slope = (r * d).sum(axis=1)
         t = np.ones(len(live))
         improved = np.zeros(len(live), dtype=bool)
         search = np.arange(len(live))
         while search.size:
             trial = lam[live[search]] - t[search, None] * d[search]
-            rt = _rows(b, np.clip(_rows(b.T, trial), 0.0, 1.0)) - tau[live[search]]
-            ok = _sq_norms(rt) < phi0[search] * (1.0 - 1e-4 * t[search])
+            v = _rows(b.T, trial)
+            cv = np.clip(v, 0.0, 1.0)
+            c0 = cu[search]
+            gap = ((cv - c0) * (v - 0.5 * (c0 + cv))).sum(axis=1)
+            ok = gap <= (1.0 - 1e-4) * t[search] * slope[search]
             lam[live[search[ok]]] = trial[ok]
             improved[search[ok]] = True
             search = search[~ok]
             t[search] *= 0.5
-            search = search[t[search] > 1e-8]
+            search = search[t[search] > 1e-20]
         live = live[improved]
     a = np.clip(_rows(b.T, lam), 0.0, 1.0)
     return a, _rows(b, a) - tau
 
 
-def _restart_and_polish(b: np.ndarray, tau: np.ndarray, a: np.ndarray, r: np.ndarray, tol: float, where: str):
-    """One target the first Newton run missed: random restarts, then a guarded SLSQP solve."""
-    n, k = b.shape
-    scale = max(1.0, float(np.abs(tau).max()))
-    rng = np.random.default_rng(0)
-    for _ in range(4):
-        a2, r2 = _newton(b, tau[None], rng.normal(scale=1.0 / scale, size=(1, n)))
-        if np.abs(r2).max() < np.abs(r).max():
-            a, r = a2[0], r2[0]
-        if np.abs(r).max() <= tol * scale:
-            return a
-    res = minimize(
-        lambda x: 0.5 * float(x @ x),
-        np.clip(a, 0.0, 1.0),
-        jac=lambda x: x,
-        bounds=[(0.0, 1.0)] * k,
-        constraints=[{"type": "eq", "fun": lambda x: b @ x - tau, "jac": lambda x: b}],
-        method="SLSQP",
-        options={"maxiter": 300, "ftol": 1e-14},
-    )
-    if res.success:
-        a3 = np.clip(res.x, 0.0, 1.0)
-        if np.abs(b @ a3 - tau).max() <= tol * scale:
-            return a3
-    raise InfeasibleActivation(
-        f"{where}torque outside the achievable polytope (residual {np.abs(r).max():.3e})"
-    )
-
-
-def solve_activations(ms: MuscleSet, tau_target: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+def solve_activations(ms: MuscleSet, tau_target: np.ndarray) -> np.ndarray:
     """Minimum-norm activations reproducing each torque target, or a loud failure.
 
     tau_target is one target (n,) or a sequence of them (F, n), and the
@@ -158,9 +141,10 @@ def solve_activations(ms: MuscleSet, tau_target: np.ndarray, tol: float = 1e-6) 
     at least as many muscles as actuated DoFs and a full-row-rank moment-arm
     matrix, checked once per call. Targets whose unconstrained minimum-norm
     solution lies in the box keep it; the rest go through one batched Newton
-    run, and the few it misses through restarts and SLSQP, one frame at a
-    time in frame order. An infeasible target raises InfeasibleActivation
-    (naming the first such frame of a sequence) instead of being clipped.
+    run, with no other fallback. A target that run leaves with a residual
+    above SOLVE_TOL * max(1, |tau|) is infeasible and raises
+    InfeasibleActivation (naming the first such frame of a sequence) instead
+    of being clipped.
     """
     tau = np.asarray(tau_target, dtype=np.float64)
     b = ms.torque_map
@@ -179,22 +163,19 @@ def solve_activations(ms: MuscleSet, tau_target: np.ndarray, tol: float = 1e-6) 
     out = np.flatnonzero(~((acts >= 0.0) & (acts <= 1.0)).all(axis=1))
     if out.size:
         a, r = _newton(b, taus[out], lam0[out])
-        acts[out] = a
-        missed = ~(np.abs(r).max(axis=1) <= tol * np.maximum(1.0, np.abs(taus[out]).max(axis=1)))
-        for i in np.flatnonzero(missed):
+        res = np.abs(r).max(axis=1)
+        missed = np.flatnonzero(~(res <= SOLVE_TOL * np.maximum(1.0, np.abs(taus[out]).max(axis=1))))
+        if missed.size:
+            i = missed[0]
             where = f"frame {out[i]}: " if tau.ndim == 2 else ""
-            acts[out[i]] = _restart_and_polish(b, taus[out[i]], a[i], r[i], tol, where)
+            raise InfeasibleActivation(
+                f"{where}torque outside the achievable polytope (residual {res[i]:.3e})"
+            )
+        acts[out] = a
     return acts.reshape(tau.shape[:-1] + (k,))
 
 
-def synth_emg(
-    a_sequence: np.ndarray,
-    fps: float,
-    noise_seed: int | None = 0,
-    time_constant: float = 0.040,
-    mult_sigma: float = 0.10,
-    add_sigma: float = 0.02,
-) -> np.ndarray:
+def synth_emg(a_sequence: np.ndarray, fps: float, noise_seed: int | None = 0) -> np.ndarray:
     """Surface-EMG-like channels from an activation trajectory.
 
     First-order low-pass (exact zero-order-hold discretization, one frame of
@@ -206,13 +187,13 @@ def synth_emg(
         a = a[:, None]
     if (a < -1e-12).any() or (a > 1 + 1e-12).any():
         raise MuscleError("activations must lie in [0, 1]")
-    alpha = 1.0 - np.exp(-1.0 / (fps * time_constant))
+    alpha = 1.0 - np.exp(-1.0 / (fps * EMG_TIME_CONSTANT))
     y = np.empty_like(a)
     y[0] = a[0]
     for t in range(1, a.shape[0]):
         y[t] = (1.0 - alpha) * y[t - 1] + alpha * a[t - 1]
     if noise_seed is not None:
         rng = np.random.default_rng(noise_seed)
-        y = y * (1.0 + mult_sigma * rng.standard_normal(y.shape))
-        y = y + add_sigma * rng.standard_normal(y.shape)
+        y = y * (1.0 + EMG_MULT_SIGMA * rng.standard_normal(y.shape))
+        y = y + EMG_ADD_SIGMA * rng.standard_normal(y.shape)
     return np.maximum(y, 0.0)

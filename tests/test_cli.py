@@ -334,3 +334,24 @@ def test_train_on_profile_without_training_ids_is_domain_error(cli_dataset, tmp_
     write_manifest(path, manifest)
     assert main(["train", "--data", cli_dataset, "--manifest", path, "--out", str(tmp_path / "run")]) == 1
     assert "profile B has no training sequences" in capsys.readouterr().err
+
+
+def test_broken_or_mismatched_checkpoint_is_domain_error(cli_dataset, tmp_path, capsys):
+    run = str(tmp_path / "run")
+    assert main(["train", "--data", cli_dataset, "--out", run, "--set", "train.epochs=0"]) == 0
+    ckpt, cfg_path = os.path.join(run, "model.ckpt"), os.path.join(run, "config.txt")
+    good_ckpt, good_cfg = open(ckpt, "rb").read(), open(cfg_path).read()
+    assert "model.latent_dim = 64\n" in good_cfg
+    for ckpt_bytes, cfg_text, needle in (
+        (good_ckpt[: len(good_ckpt) // 2], good_cfg, "truncated"),
+        (good_ckpt, good_cfg.replace("model.latent_dim = 64\n", "model.latent_dim = 32\n"), "shape"),
+    ):
+        with open(ckpt, "wb") as fh:
+            fh.write(ckpt_bytes)
+        with open(cfg_path, "w") as fh:
+            fh.write(cfg_text)
+        capsys.readouterr()
+        for argv in (["eval", "--data", cli_dataset, "--run", run], ["rollout", "--run", run]):
+            assert main(argv) == 1, (needle, argv)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and needle in err and "Traceback" not in err, err

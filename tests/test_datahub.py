@@ -206,6 +206,22 @@ def test_restrict_profiles(small_dataset):
         restrict_profiles(manifest, ["Z"])
 
 
+def test_subset_manifests_keep_the_generation_index(small_dataset):
+    _, manifest = small_dataset
+    assert manifest.gen_index == {p: i for i, p in enumerate("ABCDE")}
+    for sub in (restrict_profiles(manifest, ["B", "D"]), subset_dataset(manifest, {"C": 0.5, "E": 1.0}),
+                fifty_fifty(manifest, "D")):
+        assert sub.gen_index == {p.profile_id: "ABCDE".index(p.profile_id) for p in sub.profiles}
+        assert DatasetManifest.from_dict(sub.to_dict()).gen_index == sub.gen_index
+    # a manifest written without the field was generated in list order
+    doc = restrict_profiles(manifest, ["B", "D"]).to_dict()
+    del doc["gen_index"]
+    assert DatasetManifest.from_dict(doc).gen_index == {"B": 0, "D": 1}
+    doc["gen_index"] = {"B": 1}
+    with pytest.raises(DatasetError, match="gen_index"):
+        DatasetManifest.from_dict(doc)
+
+
 def test_split_leakage_validation(small_dataset):
     _, manifest = small_dataset
     manifest.validate_splits()
@@ -217,7 +233,7 @@ def test_split_leakage_validation(small_dataset):
 
 def test_loaded_records_validated(small_dataset):
     root, manifest = small_dataset
-    recs = load_records(root, manifest, "D", manifest.train_ids["D"][:2])
+    recs = load_records(root, "D", manifest.train_ids["D"][:2])
     for rec in recs:
         assert (rec.channels["tau_e"] >= 0).all()
         assert rec.n_actuated == 23

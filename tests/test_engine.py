@@ -302,3 +302,29 @@ def test_grid_composition(small_cache):
     # shared test split everywhere
     full_test = cache.manifest.test_ids["A"]
     assert only_a.manifest.test_ids["A"] == full_test
+
+
+def test_rollout_replays_the_stored_test_split_of_a_restricted_manifest(small_cache, tmp_path, monkeypatch):
+    import hdys.engine.rollout as rollout_mod
+    from hdys.datahub import record_path, record_to_bytes, restrict_profiles
+
+    root, cache = small_cache
+    cfg = tiny_cfg(epochs=0)
+    res = train(cfg, cache, str(tmp_path / "rb"), seed=0)
+    sub = restrict_profiles(cache.manifest, ["B"])  # B was generated as the second profile
+    fps = sub.profile("B").fps
+    cfg = replace(cfg, rollout=replace(cfg.rollout, profile="B", fps_list=(fps,), max_sequences=2,
+                                       k_list=(1,), start_stride=200))
+    replayed = {}
+    regenerate = rollout_mod.generate_sequence
+
+    def spy(*args, **kwargs):
+        rec, traj = regenerate(*args, **kwargs)
+        replayed[rec.seq_id] = record_to_bytes(rec)
+        return rec, traj
+
+    monkeypatch.setattr(rollout_mod, "generate_sequence", spy)
+    rollout_eval(res.model, res.stdizer, cfg, sub)
+    assert sorted(replayed) == sub.test_ids["B"][:2]
+    for sid, raw in replayed.items():
+        assert raw == open(record_path(root, "B", sid), "rb").read(), sid
