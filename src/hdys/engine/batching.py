@@ -8,6 +8,7 @@ import numpy as np
 
 from ..kinrep import SequenceRecord
 from ..model import WindowGroup
+from ..numcore import CheckpointError
 
 
 class BatchingError(Exception):
@@ -64,6 +65,8 @@ class Standardizer:
         for name, arr in arrays.items():
             if name.startswith("norm.") and name.endswith(".mean"):
                 ch = name[len("norm.") : -len(".mean")]
+                if f"norm.{ch}.std" not in arrays:
+                    raise CheckpointError(f"checkpoint has {name} but no norm.{ch}.std")
                 stats[ch] = (arr, arrays[f"norm.{ch}.std"])
         return cls(stats)
 

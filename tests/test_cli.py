@@ -9,7 +9,7 @@ import pytest
 from hdys.cli import build_parser, main
 from hdys.datahub import DatasetManifest, default_profiles, load_manifest, restrict_profiles, write_manifest
 from hdys.model import ConfigError, config_from_text
-from hdys.numcore import load_checkpoint
+from hdys.numcore import load_checkpoint, save_checkpoint
 
 # the flags each subcommand reads; any other flag is a usage error
 DECLARED = {
@@ -342,9 +342,14 @@ def test_broken_or_mismatched_checkpoint_is_domain_error(cli_dataset, tmp_path, 
     ckpt, cfg_path = os.path.join(run, "model.ckpt"), os.path.join(run, "config.txt")
     good_ckpt, good_cfg = open(ckpt, "rb").read(), open(cfg_path).read()
     assert "model.latent_dim = 64\n" in good_cfg
+    arrays, opt = load_checkpoint(ckpt)
+    del arrays["norm.x_m.std"]
+    save_checkpoint(ckpt, arrays, opt)
+    no_std = open(ckpt, "rb").read()
     for ckpt_bytes, cfg_text, needle in (
         (good_ckpt[: len(good_ckpt) // 2], good_cfg, "truncated"),
         (good_ckpt, good_cfg.replace("model.latent_dim = 64\n", "model.latent_dim = 32\n"), "shape"),
+        (no_std, good_cfg, "no norm.x_m.std"),
     ):
         with open(ckpt, "wb") as fh:
             fh.write(ckpt_bytes)
