@@ -7,6 +7,13 @@ column (zero velocity, no gravity), and forward dynamics solves
 M(q) qdd = tau - bias with a Cholesky factorization. Joint torques and
 gravity are the only forces; contact and other external wrenches are not
 modelled.
+
+A single-frame call is bound by the count of small numpy calls per body, not
+by arithmetic, so the recursion keeps that count low and the arithmetic as
+it is: each body's motion is a tuple of (F, 3) arrays, `_cross` writes its
+three components into one output (numpy's `cross` to the bit), and the
+massless bodies that spherical and free joints decompose into add no
+inertial terms.
 """
 
 from __future__ import annotations
@@ -50,7 +57,12 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b over the last axis, broadcasting; the same arithmetic as numpy's cross."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    first = a1 * b2
+    out = np.empty(first.shape + (3,))
+    np.subtract(first, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
 
 
 def rnea(
@@ -75,12 +87,11 @@ def rnea(
     bodies = tree._bodies
     nb = len(bodies)
 
-    w = np.zeros((f, nb, 3))  # angular velocity, body coords
-    v = np.zeros((f, nb, 3))  # linear velocity of body origin
-    al = np.zeros((f, nb, 3))  # angular acceleration (spatial)
-    aa = np.zeros((f, nb, 3))  # linear acceleration (spatial)
-    fn = np.zeros((f, nb, 3))  # net moment at body origin
-    ff = np.zeros((f, nb, 3))  # net force
+    # per body, (F, 3) each: angular velocity and linear velocity of the body
+    # origin (body coords), spatial angular and linear acceleration
+    motion = []
+    fn = np.zeros((nb, f, 3))  # net moment at body origin
+    ff = np.zeros((nb, f, 3))  # net force
     xs = []  # joint transforms (child pose in the parent frame), reused by the backward pass
 
     a_base = np.broadcast_to(-g, (f, 3))
@@ -91,53 +102,47 @@ def rnea(
         xs.append((r_pc, p_pc))
         e = r_pc.transpose(0, 2, 1)  # parent -> child
         if b.parent == -1:
-            wp = vp = np.zeros((f, 3))
-            alp = np.zeros((f, 3))
+            wp = vp = alp = np.zeros((f, 3))
             aap = a_base
         else:
-            wp, vp = w[:, b.parent], v[:, b.parent]
-            alp, aap = al[:, b.parent], aa[:, b.parent]
+            wp, vp, alp, aap = motion[b.parent]
         wi = np.einsum("fij,fj->fi", e, wp)
         vi = np.einsum("fij,fj->fi", e, vp + _cross(wp, p_pc))
         ali = np.einsum("fij,fj->fi", e, alp)
         aai = np.einsum("fij,fj->fi", e, aap + _cross(alp, p_pc))
-        sj = b.axis[None, :] * qdi[:, None]
+        sj = b.axis * qdi[:, None]
         if b.kind == "rev":
             wi = wi + sj
-            ali = ali + b.axis[None, :] * qddi[:, None] + _cross(wi, sj)
+            ali = ali + b.axis * qddi[:, None] + _cross(wi, sj)
             aai = aai + _cross(vi, sj)
         else:
             vi = vi + sj
-            aai = aai + b.axis[None, :] * qddi[:, None] + _cross(wi, sj)
-        w[:, bi], v[:, bi], al[:, bi], aa[:, bi] = wi, vi, ali, aai
+            aai = aai + b.axis * qddi[:, None] + _cross(wi, sj)
+        motion.append((wi, vi, ali, aai))
 
-        if b.mass == 0.0:
-            ni = np.zeros((f, 3))
-            fi = np.zeros((f, 3))
-        else:
+        if b.mass != 0.0:  # a massless body's own force rows stay zero
             m, c, ic = b.mass, b.com, b.inertia
             # spatial inertia applied to velocity: momentum (h_n, h_f)
             h_n = np.einsum("ij,fj->fi", ic, wi) - m * _cross(c, _cross(c, wi)) + m * _cross(c, vi)
             h_f = m * (vi + _cross(wi, c))
             i_al = np.einsum("ij,fj->fi", ic, ali) - m * _cross(c, _cross(c, ali)) + m * _cross(c, aai)
             i_aa = m * (aai + _cross(ali, c))
-            ni = i_al + _cross(wi, h_n) + _cross(vi, h_f)
-            fi = i_aa + _cross(wi, h_f)
-        fn[:, bi], ff[:, bi] = ni, fi
+            fn[bi] = i_al + _cross(wi, h_n) + _cross(vi, h_f)
+            ff[bi] = i_aa + _cross(wi, h_f)
 
     tau = np.zeros((f, tree.n_dof))
     for bi in range(nb - 1, -1, -1):
         b = bodies[bi]
         if b.kind == "rev":
-            tau[:, b.dof] = np.einsum("fi,i->f", fn[:, bi], b.axis)
+            tau[:, b.dof] = np.einsum("fi,i->f", fn[bi], b.axis)
         else:
-            tau[:, b.dof] = np.einsum("fi,i->f", ff[:, bi], b.axis)
+            tau[:, b.dof] = np.einsum("fi,i->f", ff[bi], b.axis)
         if b.parent != -1:
             r_pc, p_pc = xs[bi]
-            f_par = np.einsum("fij,fj->fi", r_pc, ff[:, bi])
-            n_par = np.einsum("fij,fj->fi", r_pc, fn[:, bi]) + _cross(p_pc, f_par)
-            fn[:, b.parent] += n_par
-            ff[:, b.parent] += f_par
+            f_par = np.einsum("fij,fj->fi", r_pc, ff[bi])
+            n_par = np.einsum("fij,fj->fi", r_pc, fn[bi]) + _cross(p_pc, f_par)
+            fn[b.parent] += n_par
+            ff[b.parent] += f_par
     return tau[0] if single else tau
 
 
@@ -193,16 +198,3 @@ def step(
         raise DivergedRollout("integration step produced non-finite state")
     return q_next, qd_next
 
-
-def total_energy(tree: KinematicTree, q: np.ndarray, qd: np.ndarray) -> float:
-    """Kinetic plus gravitational potential energy (world z up the -gravity axis)."""
-    m = mass_matrix(tree, q)
-    kin = 0.5 * float(qd @ m @ qd)
-    r, p = tree.body_poses(q[None, :])
-    pot = 0.0
-    for bi, b in enumerate(tree._bodies):
-        if b.mass == 0.0:
-            continue
-        com_w = p[0, bi] + r[0, bi] @ b.com
-        pot -= b.mass * float(tree.gravity @ com_w)
-    return kin + pot

@@ -20,6 +20,7 @@ import numpy as np
 
 SOLVE_TOL = 1e-6  # residual bound per target, relative to max(1, |tau|)
 NEWTON_ITERS = 120
+JAC_ROWS = 32  # Newton rows whose Jacobians are built together, bounding the (rows, n, k) temporary
 EMG_TIME_CONSTANT = 0.040  # seconds
 EMG_MULT_SIGMA = 0.10
 EMG_ADD_SIGMA = 0.02
@@ -104,7 +105,10 @@ def _newton(b: np.ndarray, tau: np.ndarray, lam0: np.ndarray):
         # generalized Jacobian: inclusive mask so the kink at exact bounds
         # still yields a useful Newton direction
         free = (u >= 0.0) & (u <= 1.0)
-        jac = (b * free[:, None, :]) @ b.T + 1e-10 * np.eye(n)
+        jac = np.empty((len(live), n, n))
+        for i in range(0, len(live), JAC_ROWS):
+            np.matmul(b * free[i : i + JAC_ROWS, None, :], b.T, out=jac[i : i + JAC_ROWS])
+        jac += 1e-10 * np.eye(n)
         try:
             d = np.linalg.solve(jac, r[..., None])[..., 0]
         except np.linalg.LinAlgError:

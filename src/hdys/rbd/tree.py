@@ -58,30 +58,31 @@ class _Body:
     inertia: np.ndarray  # 3x3 about COM
     dof: int
     link: int  # owning public link
+    k: np.ndarray  # 3x3 skew matrix of the axis
+    kk: np.ndarray  # k @ k
 
 
-def _rot_axis(axis: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation, batched over leading axes of q."""
-    q = np.asarray(q, dtype=np.float64)
-    c = np.cos(q)[..., None, None]
-    s = np.sin(q)[..., None, None]
+def _skew(axis: np.ndarray) -> np.ndarray:
     k = np.zeros((3, 3))
     k[0, 1], k[0, 2] = -axis[2], axis[1]
     k[1, 0], k[1, 2] = axis[2], -axis[0]
     k[2, 0], k[2, 1] = -axis[1], axis[0]
-    return _EYE3 + s * k + (1.0 - c) * (k @ k)
+    return k
 
 
 def joint_transform(body: _Body, qi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pose of `body` in its parent's frame at joint coordinates qi of shape (F,).
 
-    Returns (R, p) with shapes (F, 3, 3) and (F, 3): the child's orientation
-    and origin expressed in the parent frame.
+    Returns (R, p): the child's orientation (F, 3, 3) and origin (F, 3),
+    expressed in the parent frame. The one the joint leaves fixed (R of a
+    prismatic joint, p of a revolute) has a leading axis of 1 instead of F.
     """
-    f = qi.shape[0]
     if body.kind == "rev":
-        return _rot_axis(body.axis, qi), np.broadcast_to(body.p_fix, (f, 3))
-    return np.broadcast_to(_EYE3, (f, 3, 3)), body.p_fix + body.axis * qi[:, None]
+        # Rodrigues: I + sin(q) K + (1 - cos(q)) K^2
+        c = np.cos(qi)[:, None, None]
+        s = np.sin(qi)[:, None, None]
+        return _EYE3 + s * body.k + (1.0 - c) * body.kk, body.p_fix[None]
+    return _EYE3[None], body.p_fix + body.axis * qi[:, None]
 
 
 class KinematicTree:
@@ -145,17 +146,21 @@ class KinematicTree:
             for j, (kind, axis) in enumerate(chain):
                 first, last = j == 0, j == len(chain) - 1
                 parent = (-1 if l.parent == -1 else link_body[l.parent]) if first else len(bodies) - 1
+                axis = np.asarray(l.axis, dtype=np.float64) if axis is None else axis
+                k = _skew(axis)
                 bodies.append(
                     _Body(
                         parent,
                         kind,
-                        np.asarray(l.axis, dtype=np.float64) if axis is None else axis,
+                        axis,
                         np.asarray(l.offset, dtype=np.float64) if first else zero3,
                         float(l.mass) if last else 0.0,
                         np.asarray(l.com, dtype=np.float64) if last else zero3,
                         np.asarray(l.inertia, dtype=np.float64) if last else zero33,
                         dof + j,
                         li,
+                        k,
+                        k @ k,
                     )
                 )
             dof += len(chain)

@@ -1,4 +1,4 @@
-"""Finite-difference validation of every kernel's analytic gradient.
+"""Finite-difference validation of every numcore kernel's analytic gradient.
 
 The checker never trusts the autodiff path: expected gradients come from
 central differences on the raw forward computation.
@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as tz
-from .tensor import Tensor, UnknownOpError, backward, op_forward
+import hdys.numcore.tensor as tz
+from hdys.numcore.tensor import Tensor, UnknownOpError, backward, op_forward
 
 
 @dataclass

@@ -6,8 +6,6 @@ from hdys.numcore import (
     AdamWState,
     adamw_step,
     backward,
-    check_catalog,
-    grad_check,
     load_checkpoint,
     save_checkpoint,
     Graph,
@@ -19,6 +17,7 @@ from hdys.numcore import (
     no_grad,
     op_forward,
 )
+from gradcheck import check_catalog, grad_check
 
 
 def test_gradcheck_every_kernel():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from scipy.spatial.transform import Rotation
 
 from hdys.rbd import (
     DivergedRollout,
@@ -15,11 +16,24 @@ from hdys.rbd import (
     mass_matrix,
     rnea,
     step,
-    total_energy,
 )
 from conftest import make_pendulum, random_chain
 
 G = 9.81
+
+
+def total_energy(tree: KinematicTree, q: np.ndarray, qd: np.ndarray) -> float:
+    """Kinetic plus gravitational potential energy (world z up the -gravity axis)."""
+    m = mass_matrix(tree, q)
+    kin = 0.5 * float(qd @ m @ qd)
+    r, p = tree.body_poses(q[None, :])
+    pot = 0.0
+    for bi, b in enumerate(tree._bodies):
+        if b.mass == 0.0:
+            continue
+        com_w = p[0, bi] + r[0, bi] @ b.com
+        pot -= b.mass * float(tree.gravity @ com_w)
+    return kin + pot
 
 
 def test_tree_invariants():
@@ -67,16 +81,14 @@ def test_fk_orthonormal_and_matrix_chain_oracle():
         for r in link_r:
             assert np.abs(r @ r.T - np.eye(3)).max() < 1e-10
         # independent oracle: homogeneous 4x4 chain over the internal bodies
-        mats = []
-        from hdys.rbd.tree import _rot_axis
-
         world = {}
         for bi, b in enumerate(tree._bodies):
+            assert np.array_equal(b.kk, b.k @ b.k)
             t = np.eye(4)
             t[:3, 3] = b.p_fix
             j = np.eye(4)
             if b.kind == "rev":
-                j[:3, :3] = _rot_axis(b.axis, np.asarray(q[b.dof]))
+                j[:3, :3] = Rotation.from_rotvec(b.axis * q[b.dof]).as_matrix()
             else:
                 j[:3, 3] = b.axis * q[b.dof]
             parent = world[b.parent] if b.parent != -1 else np.eye(4)
@@ -210,8 +222,15 @@ def test_cross_is_bitwise_numpy_cross():
 
     rng = np.random.default_rng(8)
     a, b, c = rng.normal(size=(5, 3)), rng.normal(size=(5, 3)), rng.normal(size=3)
-    for x, y in ((a, b), (c, a), (a, c), (c, c)):
-        assert np.array_equal(_cross(x, y), np.cross(x, y))
+    one = rng.normal(size=(1, 3))  # a single frame
+    offset = np.broadcast_to(rng.normal(size=3), (5, 3))  # a revolute joint's fixed offset
+    # signed and exact zeros, whose products and differences keep a sign np.cross keeps
+    z = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -0.0], [2.0, -0.0, 0.0], [-1.0, 0.0, -0.0], [0.0, 0.0, 0.0]])
+    pairs = [(a, b), (c, a), (a, c), (c, c), (one, one), (one, c), (c, one), (a, offset), (offset, a)]
+    pairs += [(z, a), (a, z), (z, -z), (z, z[::-1]), (z[1], z), (z, offset), (-z, c)]
+    for x, y in pairs:
+        got, want = _cross(x, y), np.cross(x, y)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_free_root_free_fall_zero_residual():
