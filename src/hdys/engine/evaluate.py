@@ -163,13 +163,24 @@ def evaluate(
     return report
 
 
-def zero_baseline(cache, profiles: list[str] | None = None) -> dict[str, float]:
-    """Headline metric of the all-zero predictor per profile on the test split.
-
-    The zero prediction goes through the same scoring as a model in
-    `evaluate`: mPJE for joint torques, RMSE for muscle activations and EMG.
-    """
+def _baseline(cache, profiles: list[str] | None, predict) -> dict[str, float]:
+    """Test-split headline metric per profile of `predict(pid, dyn, true)`, scored as `evaluate` scores a model."""
     return {
-        profile.profile_id: _scores(true, np.zeros_like(true), dyn, mass)[-1]
+        profile.profile_id: _scores(true, predict(profile.profile_id, dyn, true), dyn, mass)[-1]
         for profile, dyn, _, _, true, mass in _labelled_profiles(cache, profiles)
     }
+
+
+def zero_baseline(cache, profiles: list[str] | None = None) -> dict[str, float]:
+    """Headline metric of the all-zero predictor per profile on the test split."""
+    return _baseline(cache, profiles, lambda pid, dyn, true: np.zeros_like(true))
+
+
+def mean_baseline(cache, profiles: list[str] | None = None) -> dict[str, float]:
+    """Headline metric per profile of predicting each channel's train-split mean for every test frame."""
+
+    def train_mean(pid, dyn, true):
+        train = [cache.train[(pid, sid)].channels[dyn] for sid in cache.manifest.train_ids[pid]]
+        return np.broadcast_to(np.concatenate(train, axis=0).mean(axis=0), true.shape)
+
+    return _baseline(cache, profiles, train_mean)

@@ -4,9 +4,10 @@ Recursive Newton-Euler (RNEA) is the one dynamics recursion: it runs
 batched over frames, with spatial vectors kept as separate angular/linear
 3-vector arrays. The mass matrix is RNEA at unit accelerations, one frame per
 column (zero velocity, no gravity), and forward dynamics solves
-M(q) qdd = tau - bias with a Cholesky factorization. Joint torques and
-gravity are the only forces; contact and other external wrenches are not
-modelled.
+M(q) qdd = tau - bias with a Cholesky factorization. A batch at rest (qd all
+zero, as in the mass matrix and static torques) skips every velocity
+product, since its bodies' velocities are zero. Joint torques and gravity
+are the only forces; contact and other external wrenches are not modelled.
 
 A single-frame call is bound by the count of small numpy calls per body, not
 by arithmetic, so the recursion keeps that count low and the arithmetic as
@@ -95,6 +96,10 @@ def rnea(
     xs = []  # joint transforms (child pose in the parent frame), reused by the backward pass
 
     a_base = np.broadcast_to(-g, (f, 3))
+    # at rest every velocity and velocity product is zero; one moving frame
+    # sends the whole batch through the full recursion
+    moving = bool(qd.any())
+    rest = np.zeros((f, 3))
 
     for bi, b in enumerate(bodies):
         qdi, qddi = qd[:, b.dof], qdd[:, b.dof]
@@ -102,33 +107,43 @@ def rnea(
         xs.append((r_pc, p_pc))
         e = r_pc.transpose(0, 2, 1)  # parent -> child
         if b.parent == -1:
-            wp = vp = alp = np.zeros((f, 3))
+            wp = vp = alp = rest
             aap = a_base
         else:
             wp, vp, alp, aap = motion[b.parent]
-        wi = np.einsum("fij,fj->fi", e, wp)
-        vi = np.einsum("fij,fj->fi", e, vp + _cross(wp, p_pc))
+        wi = vi = rest
+        if moving:
+            wi = np.einsum("fij,fj->fi", e, wp)
+            vi = np.einsum("fij,fj->fi", e, vp + _cross(wp, p_pc))
         ali = np.einsum("fij,fj->fi", e, alp)
         aai = np.einsum("fij,fj->fi", e, aap + _cross(alp, p_pc))
-        sj = b.axis * qdi[:, None]
         if b.kind == "rev":
-            wi = wi + sj
-            ali = ali + b.axis * qddi[:, None] + _cross(wi, sj)
-            aai = aai + _cross(vi, sj)
+            ali = ali + b.axis * qddi[:, None]
         else:
-            vi = vi + sj
-            aai = aai + b.axis * qddi[:, None] + _cross(wi, sj)
+            aai = aai + b.axis * qddi[:, None]
+        if moving:
+            sj = b.axis * qdi[:, None]
+            if b.kind == "rev":
+                wi = wi + sj
+                ali = ali + _cross(wi, sj)
+                aai = aai + _cross(vi, sj)
+            else:
+                vi = vi + sj
+                aai = aai + _cross(wi, sj)
         motion.append((wi, vi, ali, aai))
 
         if b.mass != 0.0:  # a massless body's own force rows stay zero
             m, c, ic = b.mass, b.com, b.inertia
-            # spatial inertia applied to velocity: momentum (h_n, h_f)
-            h_n = np.einsum("ij,fj->fi", ic, wi) - m * _cross(c, _cross(c, wi)) + m * _cross(c, vi)
-            h_f = m * (vi + _cross(wi, c))
             i_al = np.einsum("ij,fj->fi", ic, ali) - m * _cross(c, _cross(c, ali)) + m * _cross(c, aai)
             i_aa = m * (aai + _cross(ali, c))
-            fn[bi] = i_al + _cross(wi, h_n) + _cross(vi, h_f)
-            ff[bi] = i_aa + _cross(wi, h_f)
+            if moving:
+                # spatial inertia applied to velocity: momentum (h_n, h_f)
+                h_n = np.einsum("ij,fj->fi", ic, wi) - m * _cross(c, _cross(c, wi)) + m * _cross(c, vi)
+                h_f = m * (vi + _cross(wi, c))
+                fn[bi] = i_al + _cross(wi, h_n) + _cross(vi, h_f)
+                ff[bi] = i_aa + _cross(wi, h_f)
+            else:
+                fn[bi], ff[bi] = i_al, i_aa
 
     tau = np.zeros((f, tree.n_dof))
     for bi in range(nb - 1, -1, -1):
@@ -150,7 +165,8 @@ def mass_matrix(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
     """Generalized inertia at configuration q, one column per coordinate.
 
     Column j is the inverse dynamics of a unit acceleration of coordinate j
-    at rest without gravity, so all n columns come from one batched RNEA.
+    at rest without gravity, so all n columns come from one batched RNEA,
+    which at rest skips the velocity products.
     """
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != tree.n_dof:
@@ -172,6 +188,8 @@ def forward_dynamics(
     q = np.asarray(q, dtype=np.float64)
     qd = np.asarray(qd, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)
+    if tau.shape != q.shape:
+        raise DynamicsError(f"tau has shape {tau.shape}, q has shape {q.shape}")
     bias = rnea(tree, GeneralizedState(q, qd, np.zeros_like(q)))
     m = mass_matrix(tree, q)
     try:
@@ -189,8 +207,8 @@ def step(
     dt: float = 1.0 / 90.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One semi-implicit Euler step: velocity first, then position."""
-    if dt <= 0:
-        raise DynamicsError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise DynamicsError(f"dt must be finite and positive, got {dt}")
     qdd = forward_dynamics(tree, q, qd, tau)
     qd_next = qd + dt * qdd
     q_next = q + dt * qd_next

@@ -10,6 +10,7 @@ from hdys.engine import (
     Standardizer,
     evaluate,
     load_model,
+    mean_baseline,
     rollout_eval,
     train,
     zero_baseline,
@@ -251,6 +252,20 @@ def test_zero_baseline_positive(small_cache):
         dyn = next(p for p in man.profiles if p.profile_id == pid).dyn_mask[0]
         true = np.concatenate([cache.test[(pid, s)].channels[dyn] for s in man.test_ids[pid]])
         assert zb[pid] == float(np.sqrt((true**2).mean()))
+
+
+def test_mean_baseline_scores_the_train_mean(small_cache):
+    _, cache = small_cache
+    mb = mean_baseline(cache)
+    assert set(mb) == {"A", "B", "C", "D"}
+    man = cache.manifest
+    for pid in "CD":  # headline RMSE of (truth - per-channel train mean)
+        dyn = next(p for p in man.profiles if p.profile_id == pid).dyn_mask[0]
+        true = np.concatenate([cache.test[(pid, s)].channels[dyn] for s in man.test_ids[pid]])
+        train = np.concatenate([cache.train[(pid, s)].channels[dyn] for s in man.train_ids[pid]])
+        mean = train.sum(axis=0) / train.shape[0]
+        assert mb[pid] == pytest.approx(float(np.sqrt(((true - mean) ** 2).mean())), rel=1e-12)
+        assert mb[pid] < zero_baseline(cache, [pid])[pid]
 
 
 # -- rollout --------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from hdys.rbd import (
     KinematicTree,
     Link,
     TreeError,
+    build_t1,
+    build_t2,
     forward_dynamics,
     mass_matrix,
     rnea,
@@ -217,6 +219,39 @@ def test_rnea_batched_equals_single():
         assert np.array_equal(batch[i], single)
 
 
+def _full_recursion(tree, state, gravity=None):
+    """RNEA of rest states through the full recursion.
+
+    One moving frame appended to the batch sends every frame through the
+    velocity products; its row is dropped.
+    """
+    f = state.q.shape[0]
+    moving = np.ones_like(state.qd[:1])
+    batch = GeneralizedState(
+        np.vstack([state.q, state.q[:1]]), np.vstack([state.qd, moving]), np.vstack([state.qdd, state.qdd[:1]])
+    )
+    return rnea(tree, batch, gravity)[:f]
+
+
+def test_rest_recursion_equals_full_recursion():
+    rng = np.random.default_rng(17)
+    free = random_chain(rng, 4)
+    free_root = KinematicTree([replace(free.links[0], joint="free")] + free.links[1:])
+    trees = [build_t1(), build_t2(), free_root] + [random_chain(rng, int(rng.integers(2, 7))) for _ in range(4)]
+    for tree in trees:
+        n = tree.n_dof
+        q = rng.uniform(-1, 1, (5, n))
+        q[1, ::2] = -0.0  # signed zeros in the configuration
+        for qdd in (np.zeros((5, n)), -np.zeros((5, n)), rng.uniform(-2, 2, (5, n))):
+            for zero in (0.0, -0.0):
+                for gravity in (None, np.zeros(3)):
+                    state = GeneralizedState(q, np.full((5, n), zero), qdd)
+                    assert rnea(tree, state, gravity).tobytes() == _full_recursion(tree, state, gravity).tobytes()
+        # unit columns: the mass matrix against the columns of an (n+1)-frame call
+        columns = GeneralizedState(np.broadcast_to(q[0], (n, n)), np.zeros((n, n)), np.eye(n))
+        assert mass_matrix(tree, q[0]).tobytes() == _full_recursion(tree, columns, np.zeros(3)).T.tobytes()
+
+
 def test_cross_is_bitwise_numpy_cross():
     from hdys.rbd.dynamics import _cross
 
@@ -306,8 +341,21 @@ def test_step_rejects_bad_dt():
     tree = make_pendulum()
     from hdys.rbd import DynamicsError
 
-    with pytest.raises(DynamicsError):
-        step(tree, np.zeros(1), np.zeros(1), np.zeros(1), dt=0.0)
+    for dt in (0.0, -0.01, float("nan"), float("inf")):
+        with pytest.raises(DynamicsError, match="dt must be finite and positive"):
+            step(tree, np.zeros(1), np.zeros(1), np.zeros(1), dt=dt)
+
+
+def test_step_rejects_wrong_tau_shape():
+    from hdys.rbd import DynamicsError
+
+    tree = random_chain(np.random.default_rng(5), 3, spherical_ok=False)
+    q = np.zeros(tree.n_dof)
+    for tau in (np.array([1.0]), 1.0, np.zeros(tree.n_dof + 1), np.zeros((1, tree.n_dof))):
+        with pytest.raises(DynamicsError, match="tau has shape"):
+            step(tree, q, q, tau)
+        with pytest.raises(DynamicsError, match="tau has shape"):
+            forward_dynamics(tree, q, q, tau)
 
 
 def test_pendulum_energy_drift_under_two_percent():
