@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the benchmark, with a summary.
 
-Checks the parent revision out with `git worktree` under a temporary
-directory, then runs
+Exports the parent revision with `git archive` into a temporary directory
+(no worktree is registered in the repository), then runs
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -97,8 +97,9 @@ def main(argv=None) -> int:
     parent = tmp / "parent"
     runs = []
     try:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet", str(parent), args.parent],
-                       check=True)
+        parent.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent], stdout=subprocess.PIPE, check=True)
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
         for pair in range(1, args.pairs + 1):
             order = [("parent", parent), ("change", ROOT)]
             for side, checkout in order if pair % 2 else order[::-1]:
@@ -109,8 +110,6 @@ def main(argv=None) -> int:
                 with open(args.out, "a") as fh:
                     fh.write(json.dumps(run) + "\n")
     finally:
-        if parent.exists():
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(parent)], check=False)
         shutil.rmtree(tmp, ignore_errors=True)
     return 0 if summarize(runs, spec["end_to_end"]) else 1
 

@@ -80,7 +80,8 @@ def predict_sequences(
     """Per-frame dynamics predictions: seq_id -> kin source -> dyn -> (F, w).
 
     Windows tile each sequence (end-aligned tail); predictions are written
-    back per frame, the tail overlap keeping the later window.
+    back per frame, the tail overlap keeping the later window; a non-finite
+    prediction is an `EvalError`.
     """
     window = cfg.model.window
     out: dict[str, dict[str, dict[str, np.ndarray]]] = {}
@@ -98,6 +99,8 @@ def predict_sequences(
                 per_source[kin] = {}
                 for dyn in g.dyn_present:
                     pred_w = res.dyn_pred_by_source(kin, dyn)  # (n_win, W, w)
+                    if not np.isfinite(pred_w).all():
+                        raise EvalError(f"non-finite {dyn} prediction from {kin} for {profile_id}/{sid}")
                     full = np.zeros((rec.n_frames, pred_w.shape[-1]))
                     for wi, t0 in enumerate(starts):
                         full[t0 : t0 + window] = pred_w[wi]

@@ -152,11 +152,16 @@ def train(
                 bd += part
                 if loss is None:
                     continue
+                if not np.isfinite(loss.data).all():
+                    raise TrainError(f"non-finite loss at epoch {epoch}, batch {len(steps)}")
                 for name, g in zip(names, backward(loss, leaves)):
                     if name in grads:
                         grads[name] += g
                     else:
                         grads[name] = g
+            for name, g in grads.items():
+                if not np.isfinite(g).all():
+                    raise TrainError(f"non-finite gradient of '{name}' at epoch {epoch}, batch {len(steps)}")
             adamw_step(opt, params, grads)
             grad_norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
             steps.append(

@@ -47,6 +47,8 @@ class ParamSet:
         for k, p in self.params.items():
             if arrays[k].shape != p.data.shape:
                 raise CheckpointError(f"parameter '{k}': checkpoint shape {arrays[k].shape} != {p.data.shape}")
+            if not np.isfinite(arrays[k]).all():
+                raise CheckpointError(f"parameter '{k}': non-finite values")
             p.data = arrays[k].copy()
 
 

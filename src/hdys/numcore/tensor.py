@@ -1,9 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Minimal kernel catalog: exactly the operations the encoders, decoders and
-losses need. All arrays are float64, all kernels deterministic, and every
-forward output is checked for NaN/Inf (a non-finite value raises instead of
-propagating silently).
+losses need. All arrays are float64 and all kernels deterministic. NaN/Inf is
+caught where results are used, not per op: the loss and gradients in `train`,
+each prediction block in `predict_sequences`, and a zero-norm `l2_normalize`.
 """
 
 from __future__ import annotations
@@ -124,8 +124,6 @@ def _coerce(x) -> Tensor:
 
 
 def _make(out: np.ndarray, op: str, parents: Sequence[Tensor], bwd) -> Tensor:
-    if not np.isfinite(out).all():
-        raise NonFiniteError(f"op '{op}' produced a non-finite value")
     t = Tensor(out)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         t.requires_grad = True
@@ -198,8 +196,9 @@ def matmul(a, b, bias=None) -> Tensor:
 
     A 2-D `b` is a weight shared by every leading index of `a`: those axes
     fold into rows, so the forward pass and each gradient are one 2-D GEMM
-    (`a2 @ w`, `g2 @ w.T`, `a2.T @ g2`) and the bias gradient is one column
-    sum. The bias is added in place, so no second full-size array is kept.
+    (`a2 @ w`, `g2 @ w.T` only if `a` needs a gradient, `a2.T @ g2`) and the
+    bias gradient is one column sum. The bias is added in place, so no second
+    full-size array is kept.
     Other ranks use numpy's batched matmul with broadcasting.
     """
     a, b = _coerce(a), _coerce(b)
@@ -226,8 +225,9 @@ def matmul(a, b, bias=None) -> Tensor:
     def bwd(g):
         g2 = g.reshape(-1, n)
         if b.ndim == 2:
-            ga = np.empty(a.shape)
-            np.matmul(g2, bd.T, out=ga.reshape(a2.shape))
+            ga = np.empty(a.shape) if a.requires_grad else None
+            if a.requires_grad:
+                np.matmul(g2, bd.T, out=ga.reshape(a2.shape))
             grads = (ga, a2.T @ g2)
         else:
             ga = g @ bd.swapaxes(-1, -2)
@@ -346,12 +346,20 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(x) -> Tensor:
     x = _coerce(x)
     xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
+    # in-place forms of the plain expressions: a*b == b*a, a+b == b+a exactly
+    cdf = xd * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = xd * cdf
 
     def bwd(g):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
-        return (g * (cdf + xd * pdf),)
+        # g * (cdf + x * exp(-x²/2) / sqrt(2 pi))
+        d = xd * -0.5
+        np.exp(np.multiply(d, xd, out=d), out=d)
+        d *= _INV_SQRT_2PI
+        np.add(np.multiply(d, xd, out=d), cdf, out=d)
+        return (np.multiply(d, g, out=d),)
 
     return _make(out, "gelu", (x,), bwd)
 
@@ -368,18 +376,23 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     y = x.data - x.data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(np.square(y).mean(axis=-1, keepdims=True) + eps)
     y *= inv
-    out = gamma.data * y + beta.data
+    out = y * gamma.data
+    out += beta.data
     gd = gamma.data
 
     def bwd(g):
         gy = g * gd
         m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * y).mean(axis=-1, keepdims=True)
-        dx = (gy - m1 - y * m2) * inv
+        scratch = gy * y
+        m2 = scratch.mean(axis=-1, keepdims=True)
         batch_axes = tuple(range(g.ndim - 1))
-        dgamma = (g * y).sum(axis=batch_axes)
+        dgamma = np.multiply(g, y, out=scratch).sum(axis=batch_axes)
         dbeta = g.sum(axis=batch_axes)
-        return dx, dgamma, dbeta
+        # dx = (gy - m1 - y * m2) * inv, built inside gy
+        gy -= m1
+        gy -= np.multiply(y, m2, out=scratch)
+        gy *= inv
+        return gy, dgamma, dbeta
 
     return _make(out, "layernorm", (x, gamma, beta), bwd)
 
@@ -456,19 +469,23 @@ def attention(q, k, v, n_heads: int) -> Tensor:
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / math.sqrt(dh)
-    s = (qh @ kh.swapaxes(-1, -2)) * scale
-    s -= s.max(axis=-1, keepdims=True)
-    e = np.exp(s)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = qh @ kh.swapaxes(-1, -2)  # softmax(q k^T * scale), in place
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     out = merge(p @ vh)
 
     def bwd(g):
         gh = split(g)
         dv = p.swapaxes(-1, -2) @ gh
-        dp = gh @ vh.swapaxes(-1, -2)
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-        dq = (ds @ kh) * scale
-        dk = (ds.swapaxes(-1, -2) @ qh) * scale
+        # dp = g v^T, then ds = p * (dp - rowsum(dp * p)) in the same array
+        ds = gh @ vh.swapaxes(-1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        dq, dk = ds @ kh, ds.swapaxes(-1, -2) @ qh
+        dq *= scale
+        dk *= scale
         return merge(dq), merge(dk), merge(dv)
 
     return _make(out, "attention", (q, k, v), bwd)
@@ -545,38 +562,41 @@ class Graph:
                     stack.append((p, False))
 
     def backward(self) -> dict[int, np.ndarray]:
-        """Run the reverse pass; returns gradients keyed by id(tensor)."""
+        """Run the reverse pass; returns leaf gradients keyed by id(tensor).
+
+        No two returned arrays share memory, so the caller may write into any.
+        """
         if self._consumed:
             raise GraphError("graph already consumed by a previous backward pass")
         self._consumed = True
         grads: dict[int, np.ndarray] = {id(self.root): np.ones_like(self.root.data)}
+        # keys whose array no other slot holds, so contributions add in place
+        owned = {id(self.root): True}
         for i in range(len(self.nodes) - 1, -1, -1):
             t = self.nodes[i]
-            g = grads.pop(id(t), None)
+            g, g_owned = grads.pop(id(t), None), owned.pop(id(t), False)
             if t._backward is None:
                 if g is not None and t.requires_grad:
-                    grads[id(t)] = g  # leaf: keep
+                    grads[id(t)] = g if g_owned else g.copy()  # leaf: the caller's own array
                 continue
             rule, parents = t._backward, t._parents
             t._backward, t._parents = None, ()
             self.nodes[i] = t = None
             if g is None:
                 continue
-            parent_grads = rule(g)
+            live = [(p, pg) for p, pg in zip(parents, rule(g)) if p.requires_grad]
             del rule
-            handed_out: set[int] = set()
-            for p, pg in zip(parents, parent_grads):
-                if not p.requires_grad:
-                    continue
-                # Stored gradients must be exclusively owned: backward rules
-                # may return views of g, or the same array for two parents.
-                if pg.base is not None or id(pg) in handed_out:
-                    pg = pg.copy()
-                handed_out.add(id(pg))
-                if id(p) in grads:
-                    grads[id(p)] += pg
+            # rules never write into g; g, its views and shared arrays are not owned
+            handed = [id(pg) for _, pg in live]
+            for p, pg in live:
+                key = id(p)
+                if key not in grads:
+                    grads[key] = pg
+                    owned[key] = pg.base is None and handed.count(id(pg)) == 1 and (pg is not g or g_owned)
+                elif owned[key]:
+                    grads[key] += pg
                 else:
-                    grads[id(p)] = pg
+                    grads[key], owned[key] = grads[key] + pg, True
         return grads
 
 

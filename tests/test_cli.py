@@ -343,6 +343,10 @@ def test_broken_or_mismatched_checkpoint_is_domain_error(cli_dataset, tmp_path, 
     good_ckpt, good_cfg = open(ckpt, "rb").read(), open(cfg_path).read()
     assert "model.latent_dim = 64\n" in good_cfg
     arrays, opt = load_checkpoint(ckpt)
+    qkv = arrays["enc.x_m.blk0.qkv.w"].copy()
+    qkv[1, 2] = np.inf
+    save_checkpoint(ckpt, {**arrays, "enc.x_m.blk0.qkv.w": qkv}, opt)
+    inf_weight = open(ckpt, "rb").read()
     del arrays["norm.x_m.std"]
     save_checkpoint(ckpt, arrays, opt)
     no_std = open(ckpt, "rb").read()
@@ -350,6 +354,7 @@ def test_broken_or_mismatched_checkpoint_is_domain_error(cli_dataset, tmp_path, 
         (good_ckpt[: len(good_ckpt) // 2], good_cfg, "truncated"),
         (good_ckpt, good_cfg.replace("model.latent_dim = 64\n", "model.latent_dim = 32\n"), "shape"),
         (no_std, good_cfg, "no norm.x_m.std"),
+        (inf_weight, good_cfg, "parameter 'enc.x_m.blk0.qkv.w': non-finite values"),
     ):
         with open(ckpt, "wb") as fh:
             fh.write(ckpt_bytes)

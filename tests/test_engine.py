@@ -1,4 +1,5 @@
 import functools
+import importlib
 import os
 
 import numpy as np
@@ -111,6 +112,42 @@ def test_training_deterministic_per_seed(small_cache, tmp_path):
     assert b1 == b2
     r3 = train(cfg, cache, str(tmp_path / "c"), seed=4)
     assert r3.curve != r1.curve
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("poison", ["weight", "gradient"])
+def test_non_finite_loss_or_gradient_stops_training_before_the_optimizer(small_cache, tmp_path, monkeypatch, poison):
+    # the package's `train` function shadows its `train` module
+    train_mod = importlib.import_module("hdys.engine.train")
+    _, cache = small_cache
+    cfg = tiny_cfg(epochs=1, seed=2)
+    models, steps = [], []
+
+    def recorded_model(*args, **kw):
+        model = real_model(*args, **kw)
+        if poison == "weight":  # the x_m token embedding overflows to inf
+            model.ps.params["enc.x_m.embed.w"].data[...] = 1e308
+        models.append((model, {k: p.data.copy() for k, p in model.ps.params.items()}))
+        return model
+
+    def backward_with_inf(loss, leaves):
+        grads = real_backward(loss, leaves)
+        grads[3][0] = np.inf
+        return grads
+
+    real_model, real_backward = train_mod.HDySModel, train_mod.backward
+    monkeypatch.setattr(train_mod, "HDySModel", recorded_model)
+    monkeypatch.setattr(train_mod, "adamw_step", lambda *a: steps.append(a))
+    if poison == "gradient":
+        monkeypatch.setattr(train_mod, "backward", backward_with_inf)
+    with pytest.raises(train_mod.TrainError, match="non-finite") as err:
+        train(cfg, cache, str(tmp_path / poison), seed=2)
+    assert "epoch 0, batch 0" in str(err.value)
+    model, before = models[0]
+    if poison == "gradient":
+        assert f"'{list(before)[3]}'" in str(err.value)
+    assert steps == []
+    assert all(np.array_equal(p.data, before[k]) for k, p in model.ps.params.items())
 
 
 def _batch(cache, cfg, quota=3):
@@ -240,6 +277,22 @@ def test_evaluate_pure_and_best_consistent(small_cache, tmp_path):
     assert rep1.row("A", "avg").mpje != np.mean(
         [r.mpje for r in rep1.rows if r.profile == "A" and r.representation.startswith("x_")]
     )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_prediction_is_an_eval_error(small_cache, tmp_path):
+    from hdys.engine import EvalError, predict_sequences
+
+    _, cache = small_cache
+    cfg = tiny_cfg(epochs=0, seed=1)
+    cfg = replace(cfg, rollout=replace(cfg.rollout, max_sequences=1, fps_list=(90.0,)))
+    res = train(cfg, cache, str(tmp_path / "inf"), seed=1)
+    res.model.ps.params["enc.x_m.embed.w"].data[...] = -np.inf
+    a = cache.manifest.profile("A")
+    with pytest.raises(EvalError, match="non-finite"):
+        predict_sequences(res.model, res.stdizer, cfg, cache.test, "A", a.tree_key, cache.manifest.test_ids["A"])
+    with pytest.raises(EvalError, match="non-finite"):
+        rollout_eval(res.model, res.stdizer, cfg, cache.manifest)
 
 
 def test_zero_baseline_positive(small_cache):

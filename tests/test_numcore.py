@@ -1,5 +1,9 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 import hdys.numcore.tensor as tz
 from hdys.numcore import (
@@ -90,6 +94,74 @@ def test_gradcheck_checks_matmul_bias(monkeypatch):
     assert not report.passed and report.max_rel_err > 1e-4
 
 
+# -- in-place kernels against their out-of-place expressions --------------------
+
+
+def _ref_gelu(x, g):
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    return x * cdf, (g * (cdf + x * pdf),)
+
+
+def _ref_layer_norm(x, gamma, beta, g, eps=1e-5):
+    y = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(y).mean(axis=-1, keepdims=True) + eps)
+    y *= inv
+    gy = g * gamma
+    m1 = gy.mean(axis=-1, keepdims=True)
+    m2 = (gy * y).mean(axis=-1, keepdims=True)
+    batch_axes = tuple(range(g.ndim - 1))
+    return gamma * y + beta, ((gy - m1 - y * m2) * inv, (g * y).sum(axis=batch_axes), g.sum(axis=batch_axes))
+
+
+def _ref_attention(q, k, v, n_heads, g):
+    lead, (t, d) = q.shape[:-2], q.shape[-2:]
+    dh = d // n_heads
+    split = lambda a: a.reshape(lead + (t, n_heads, dh)).swapaxes(-2, -3)
+    merge = lambda a: a.swapaxes(-2, -3).reshape(lead + (t, d))
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    scale = 1.0 / math.sqrt(dh)
+    s = (qh @ kh.swapaxes(-1, -2)) * scale
+    s -= s.max(axis=-1, keepdims=True)
+    e = np.exp(s)
+    p = e / e.sum(axis=-1, keepdims=True)
+    dv = p.swapaxes(-1, -2) @ gh
+    dp = gh @ vh.swapaxes(-1, -2)
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    dq = (ds @ kh) * scale
+    dk = (ds.swapaxes(-1, -2) @ qh) * scale
+    return merge(p @ vh), (merge(dq), merge(dk), merge(dv))
+
+
+def _signed_zeros(rng, shape):
+    a = rng.normal(size=shape)
+    a.flat[::5] = 0.0
+    a.flat[2::7] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("t", [1, 12, 18])
+def test_in_place_kernels_are_bitwise_their_expressions(t):
+    rng = np.random.default_rng(t)
+    cases = [
+        (tz.gelu, _ref_gelu, [(3, t, 16)], {}),
+        (tz.layer_norm, _ref_layer_norm, [(3, t, 16), (16,), (16,)], {}),
+        (tz.attention, _ref_attention, [(2, t, 16)] * 3, {"n_heads": 4}),
+    ]
+    for kernel, ref, shapes, attrs in cases:
+        inputs = [_signed_zeros(rng, shape) for shape in shapes]
+        g = _signed_zeros(rng, shapes[0])
+        g_before = g.copy()
+        out = kernel(*[Tensor(a, requires_grad=True) for a in inputs], **attrs)
+        got = out._backward(g)
+        want_out, want = ref(*inputs, *attrs.values(), g)
+        assert out.data.tobytes() == want_out.tobytes(), kernel.__name__
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), kernel.__name__
+        assert g.tobytes() == g_before.tobytes()  # backward rules never write into g
+
+
 def test_layernorm_constant_vector_is_zero_before_affine():
     x = Tensor(np.full((4, 6), 3.7))
     out = tz.layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)))
@@ -142,6 +214,66 @@ def test_shared_gradient_arrays_do_not_alias():
     gx, gy = backward(root, [x, y])
     assert np.array_equal(gx, np.array([11.0, 11.0]))
     assert np.array_equal(gy, np.array([1.0, 1.0]))
+
+
+def test_returned_gradients_are_correct_and_independent():
+    # Leaves that get a shared array (add), a view of one (reshape, transpose,
+    # concat, slice), or several contributions (three consuming ops).
+    rng = np.random.default_rng(4)
+    leaf = lambda *shape: Tensor(rng.normal(size=shape), requires_grad=True)
+    a, b, x, r, t, c1, s, z, h, y, y2 = (leaf(2, 3) for _ in range(11))
+    c2, h2 = leaf(1, 3), leaf(3, 2)
+    w = {k: rng.normal(size=shape) for k, shape in
+         [("ab", (2, 3)), ("r", (3, 2)), ("t", (3, 2)), ("cat", (3, 3)), ("s", (2, 2)), ("x1", (3, 2)),
+          ("x2", (3, 2)), ("x3", (4, 3)), ("x4", (2, 2)), ("z1", (2, 3)), ("z2", (2, 3)), ("e", (2, 3)),
+          ("y", (2, 3)), ("hy", (2, 3)), ("e2", (3, 2)), ("y2", (2, 3)), ("hy2", (2, 3))]}
+    dot = lambda u, key: tz.sum_(tz.mul(u, Tensor(w[key])))
+    # add(u, v) hands one array to u and v; add(h, 1) passes it on to h
+    # unchanged (reshape as a view), and mul(h, e) adds into h's slot
+    # before v is visited
+    u = tz.add(tz.add(h, Tensor(np.ones((2, 3)))), tz.mul(h, Tensor(w["e"])))
+    u2 = tz.add(tz.reshape(h2, (2, 3)), tz.reshape(tz.mul(h2, Tensor(w["e2"])), (2, 3)))
+    terms = [
+        dot(tz.add(a, b), "ab"),
+        dot(tz.reshape(r, (3, 2)), "r"),
+        dot(tz.transpose(t), "t"),
+        dot(tz.concat([c1, c2], axis=0), "cat"),
+        dot(tz.slice_axis(s, 1, 0, 2), "s"),
+        dot(tz.reshape(x, (3, 2)), "x1"),
+        dot(tz.transpose(x), "x2"),
+        dot(tz.concat([x, x], axis=0), "x3"),
+        dot(tz.slice_axis(x, 1, 0, 2), "x4"),
+        dot(z, "z1"),
+        dot(tz.mul(z, z), "z2"),
+        tz.sum_(tz.add(z, Tensor(np.ones((2, 3))))),
+        dot(tz.add(u, tz.mul(y, Tensor(w["y"]))), "hy"),
+        dot(tz.add(u2, tz.mul(y2, Tensor(w["y2"]))), "hy2"),
+    ]
+    root = terms[0]
+    for term in terms[1:]:
+        root = tz.add(root, term)
+    leaves = [a, b, x, r, t, c1, c2, s, z, h, y, h2, y2]
+    grads = backward(root, leaves)
+
+    pad = lambda m: np.concatenate([m, np.zeros((2, 1))], axis=1)
+    want = [
+        w["ab"], w["ab"],
+        w["x1"].reshape(2, 3) + w["x2"].T + w["x3"][:2] + w["x3"][2:] + pad(w["x4"]),
+        w["r"].reshape(2, 3), w["t"].T, w["cat"][:2], w["cat"][2:], pad(w["s"]),
+        w["z1"] + 2.0 * z.data * w["z2"] + 1.0,
+        w["hy"] * (1.0 + w["e"]),
+        w["hy"] * w["y"],
+        w["hy2"].reshape(3, 2) * (1.0 + w["e2"]),
+        w["hy2"] * w["y2"],
+    ]
+    for got, expected in zip(grads, want):
+        assert np.allclose(got, expected, rtol=1e-13, atol=1e-13)
+    for g1, g2 in itertools.combinations(grads, 2):
+        assert not np.shares_memory(g1, g2)
+    for i in range(len(grads)):
+        others = [g.copy() for g in grads]
+        grads[i] += 1.0
+        assert all(np.array_equal(g, o) for j, (g, o) in enumerate(zip(grads, others)) if j != i)
 
 
 def test_non_scalar_root_rejected():
