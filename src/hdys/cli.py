@@ -6,7 +6,8 @@ rollout profile without joint-torque labels, a run whose `model.ckpt` is
 unreadable or does not fit its `config.txt`); 2 usage or configuration
 errors, before anything is written: unknown flags (each subcommand takes
 only the flags it reads), config values the program cannot run, and a
-`--seeds` list that is empty or not integers.
+`--seeds` list that is empty or not integers, and a `gen-data` `--fps` that
+is not positive or a sequence count below zero.
 
 Every run directory, whether `train` or a `reproduce` study wrote it, holds
 its effective `config.txt` (seed included), the manifest it trained on
@@ -209,6 +210,26 @@ def _seed_list(text: str) -> list[int]:
     return seeds
 
 
+def _count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
+def _positive(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}")
+    if not 0.0 < x < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return x
+
+
 FLAGS = {
     "--data": dict(help="dataset root (default: $HDYS_DATA_DIR or ./hdys_data)"),
     "--manifest": dict(help="manifest JSON over the records under --data (default: the dataset's own)"),
@@ -217,9 +238,9 @@ FLAGS = {
     "--seed": dict(type=int, help="dataset seed (gen-data, default 0) or training seed (train, default: the config's)"),
     "--out": dict(help="output directory"),
     "--run": dict(required=True, help="run directory that train or reproduce finished"),
-    "--train-seqs": dict(type=int, default=120),
-    "--test-seqs": dict(type=int, default=30),
-    "--fps": dict(type=float, default=90.0),
+    "--train-seqs": dict(type=_count, default=120),
+    "--test-seqs": dict(type=_count, default=30),
+    "--fps": dict(type=_positive, default=90.0),
     "--study": dict(required=True, choices=["table1-analogue", "table2-analogue", "rollout-table"]),
     "--seeds": dict(type=_seed_list, default="0,1,2", help="comma-separated seeds (rollout-table trains only the first)"),
     "--target": dict(default="A", help="target profile of table1's data-scale runs"),

@@ -66,6 +66,10 @@ class DomainProfile:
             raise DatasetError(f"profile {self.profile_id}: jitter sigma must be >= 0")
         if self.family not in FAMILIES:
             raise DatasetError(f"profile {self.profile_id}: unknown motion family '{self.family}'")
+        if not 0.0 < self.fps < np.inf:
+            raise DatasetError(f"profile {self.profile_id}: fps must be positive and finite, got {self.fps}")
+        if self.n_train < 0 or self.n_test < 0:
+            raise DatasetError(f"profile {self.profile_id}: n_train {self.n_train} and n_test {self.n_test} must be >= 0")
 
 
 # -- tree registry -----------------------------------------------------------
@@ -347,17 +351,3 @@ def load_records(root, profile_id: str, ids) -> list[SequenceRecord]:
             raise DatasetError(f"record {sid} belongs to profile {rec.profile_id}")
         out.append(rec)
     return out
-
-
-def restrict_profiles(manifest: DatasetManifest, keep: list[str]) -> DatasetManifest:
-    """Manifest view over a subset of profiles (sequence files unchanged)."""
-    missing = [k for k in keep if k not in {p.profile_id for p in manifest.profiles}]
-    if missing:
-        raise DatasetError(f"unknown profiles {missing}")
-    return DatasetManifest(
-        seed=manifest.seed,
-        profiles=[p for p in manifest.profiles if p.profile_id in keep],
-        train_ids={k: list(v) for k, v in manifest.train_ids.items() if k in keep},
-        test_ids={k: list(v) for k, v in manifest.test_ids.items() if k in keep},
-        gen_index={k: v for k, v in manifest.gen_index.items() if k in keep},
-    )

@@ -81,8 +81,12 @@ def write_record(path, rec: SequenceRecord) -> None:
 
 
 def read_record(path) -> SequenceRecord:
-    with open(path, "rb") as fh:
-        return record_from_bytes(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DatasetError(f"cannot read record {path}: {exc.strerror or exc}") from exc
+    return record_from_bytes(data)
 
 
 def record_path(root, profile_id: str, seq_id: str) -> str:

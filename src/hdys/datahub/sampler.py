@@ -60,7 +60,7 @@ def subset_dataset(manifest: DatasetManifest, fractions: dict[str, float]) -> Da
         f = fractions[pid]
         if not (0.0 < f <= 1.0):
             raise DatasetError(f"profile {pid}: fraction {f} outside (0, 1]")
-        ids = manifest.train_ids[pid]
+        ids = manifest.train_ids.get(pid, [])
         n_keep = int(round(f * len(ids)))
         if n_keep == 0:
             raise DatasetError(f"profile {pid}: fraction {f} keeps zero sequences")
@@ -76,9 +76,9 @@ def subset_dataset(manifest: DatasetManifest, fractions: dict[str, float]) -> Da
     )
 
 
-def single_profile_50(manifest: DatasetManifest, target: str) -> DatasetManifest:
-    """Half of the target profile's training data, nothing else."""
-    return subset_dataset(manifest, {target: 0.5})
+def restrict_profiles(manifest: DatasetManifest, keep: list[str]) -> DatasetManifest:
+    """Manifest over a subset of profiles with all their training sequences."""
+    return subset_dataset(manifest, dict.fromkeys(keep, 1.0))
 
 
 def fifty_fifty(manifest: DatasetManifest, target: str) -> DatasetManifest:

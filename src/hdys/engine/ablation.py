@@ -8,7 +8,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-from ..datahub import DatasetManifest, fifty_fifty, restrict_profiles, single_profile_50
+from ..datahub import DatasetManifest, fifty_fifty, restrict_profiles, subset_dataset
 from ..model import HDySConfig
 from .evaluate import evaluate
 from .report import write_csv
@@ -62,7 +62,7 @@ def scale_variants(base_cfg: HDySConfig, manifest: DatasetManifest, target: str)
     n = len(manifest.profiles)
     ff = fifty_fifty(manifest, target)
     return [
-        RunSpec(f"single50-{target}", single_profile_50(manifest, target), _with_quota(base_cfg, n, 1), [target]),
+        RunSpec(f"single50-{target}", subset_dataset(manifest, {target: 0.5}), _with_quota(base_cfg, n, 1), [target]),
         RunSpec(f"5050-{target}", ff, _with_quota(base_cfg, n, len(ff.profiles)), [target]),
         RunSpec(f"single-{target}", restrict_profiles(manifest, [target]), _with_quota(base_cfg, n, 1), [target]),
     ]

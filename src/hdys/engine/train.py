@@ -155,10 +155,15 @@ def train(
                 if not np.isfinite(loss.data).all():
                     raise TrainError(f"non-finite loss at epoch {epoch}, batch {len(steps)}")
                 for name, g in zip(names, backward(loss, leaves)):
+                    if g is None:
+                        continue
                     if name in grads:
                         grads[name] += g
                     else:
                         grads[name] = g
+            # parameter order, so grad_norm sums its terms in a fixed order;
+            # zeros only for what no group of the batch reached
+            grads = {name: grads[name] if name in grads else np.zeros_like(p.data) for name, p in params.items()}
             for name, g in grads.items():
                 if not np.isfinite(g).all():
                     raise TrainError(f"non-finite gradient of '{name}' at epoch {epoch}, batch {len(steps)}")

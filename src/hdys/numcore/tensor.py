@@ -17,7 +17,6 @@ from scipy.special import erf
 
 __all__ = [
     "Tensor",
-    "Graph",
     "NumcoreError",
     "ShapeError",
     "NonFiniteError",
@@ -528,84 +527,62 @@ def op_forward(kind: str, inputs: Sequence[Tensor], attrs: Optional[dict] = None
 # ---------------------------------------------------------------------------
 
 
-class Graph:
-    """Topologically ordered view of the op DAG that reaches a root tensor.
-
-    Parents always precede children in `nodes`; the reverse pass visits each
-    node exactly once and a graph can be consumed only once. The pass frees
-    each op node as it goes: its backward rule (with the arrays it saved),
-    its parent links and its slot in `nodes`. A consumed op node keeps its
-    `_op` but loses `_backward`, so a later graph that reaches it raises.
-    """
-
-    def __init__(self, root: Tensor):
-        if root.size != 1:
-            raise GraphError(f"backward root must be scalar, got shape {root.shape}")
-        self.root = root
-        self.nodes: list[Optional[Tensor]] = []
-        self._consumed = False
-        seen = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            t, expanded = stack.pop()
-            if expanded:
-                self.nodes.append(t)
-                continue
-            if id(t) in seen:
-                continue
-            if t._op is not None and t._backward is None:
-                raise GraphError(f"'{t._op}' node already consumed by a previous backward pass")
-            seen.add(id(t))
-            stack.append((t, True))
-            for p in t._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-
-    def backward(self) -> dict[int, np.ndarray]:
-        """Run the reverse pass; returns leaf gradients keyed by id(tensor).
-
-        No two returned arrays share memory, so the caller may write into any.
-        """
-        if self._consumed:
-            raise GraphError("graph already consumed by a previous backward pass")
-        self._consumed = True
-        grads: dict[int, np.ndarray] = {id(self.root): np.ones_like(self.root.data)}
-        # keys whose array no other slot holds, so contributions add in place
-        owned = {id(self.root): True}
-        for i in range(len(self.nodes) - 1, -1, -1):
-            t = self.nodes[i]
-            g, g_owned = grads.pop(id(t), None), owned.pop(id(t), False)
-            if t._backward is None:
-                if g is not None and t.requires_grad:
-                    grads[id(t)] = g if g_owned else g.copy()  # leaf: the caller's own array
-                continue
-            rule, parents = t._backward, t._parents
-            t._backward, t._parents = None, ()
-            self.nodes[i] = t = None
-            if g is None:
-                continue
-            live = [(p, pg) for p, pg in zip(parents, rule(g)) if p.requires_grad]
-            del rule
-            # rules never write into g; g, its views and shared arrays are not owned
-            handed = [id(pg) for _, pg in live]
-            for p, pg in live:
-                key = id(p)
-                if key not in grads:
-                    grads[key] = pg
-                    owned[key] = pg.base is None and handed.count(id(pg)) == 1 and (pg is not g or g_owned)
-                elif owned[key]:
-                    grads[key] += pg
-                else:
-                    grads[key], owned[key] = grads[key] + pg, True
-        return grads
-
-
-def backward(root: Tensor, leaves: Sequence[Tensor]) -> list[np.ndarray]:
+def backward(root: Tensor, leaves: Sequence[Tensor]) -> list[Optional[np.ndarray]]:
     """Gradient of a scalar root w.r.t. leaves, as a list aligned with them;
-    leaves the root does not depend on get exact zeros."""
-    grads = Graph(root).backward()
-    out = []
-    for leaf in leaves:
-        got = grads.get(id(leaf))
-        out.append(got if got is not None else np.zeros_like(leaf.data))
-    return out
+    a leaf the root does not reach gets None.
+
+    A walk from the root orders the op DAG so that parents precede children;
+    the reverse pass then visits each node once and frees each op node as it
+    goes: its backward rule (with the arrays it saved) and its parent links.
+    A consumed op node keeps its `_op` but loses `_backward`, so a later pass
+    that reaches it raises. No two returned arrays share memory, so the
+    caller may write into any.
+    """
+    if root.size != 1:
+        raise GraphError(f"backward root must be scalar, got shape {root.shape}")
+    nodes: list[Optional[Tensor]] = []
+    seen = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if expanded:
+            nodes.append(t)
+            continue
+        if id(t) in seen:
+            continue
+        if t._op is not None and t._backward is None:
+            raise GraphError(f"'{t._op}' node already consumed by a previous backward pass")
+        seen.add(id(t))
+        stack.append((t, True))
+        for p in t._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
+    # keys whose array no other slot holds, so contributions add in place
+    owned = {id(root): True}
+    for i in range(len(nodes) - 1, -1, -1):
+        t = nodes[i]
+        g, g_owned = grads.pop(id(t), None), owned.pop(id(t), False)
+        if t._backward is None:
+            if g is not None and t.requires_grad:
+                grads[id(t)] = g if g_owned else g.copy()  # leaf: the caller's own array
+            continue
+        rule, parents = t._backward, t._parents
+        t._backward, t._parents = None, ()
+        nodes[i] = t = None
+        if g is None:
+            continue
+        live = [(p, pg) for p, pg in zip(parents, rule(g)) if p.requires_grad]
+        del rule
+        # rules never write into g; g, its views and shared arrays are not owned
+        handed = [id(pg) for _, pg in live]
+        for p, pg in live:
+            key = id(p)
+            if key not in grads:
+                grads[key] = pg
+                owned[key] = pg.base is None and handed.count(id(pg)) == 1 and (pg is not g or g_owned)
+            elif owned[key]:
+                grads[key] += pg
+            else:
+                grads[key], owned[key] = grads[key] + pg, True
+    return [grads.get(id(leaf)) for leaf in leaves]

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -44,6 +45,40 @@ def test_validate_missing_dataset(tmp_path, capsys):
     assert "gen-data" in capsys.readouterr().err  # remediation hint
 
 
+def test_missing_record_is_domain_error(cli_dataset, tmp_path, capsys):
+    broken = str(tmp_path / "broken")
+    shutil.copytree(cli_dataset, broken)
+    gone = os.path.join(broken, "A", "A0004.rec")
+    os.remove(gone)
+    run = str(tmp_path / "run")
+    assert main(["train", "--data", cli_dataset, "--out", run, "--set", "train.epochs=0"]) == 0
+    capsys.readouterr()
+    nowhere = str(tmp_path / "nonexistent")
+    for argv, path in (
+        (["validate", "--data", broken], gone),
+        (["train", "--data", broken, "--out", str(tmp_path / "t")], gone),
+        (["reproduce", "--study", "rollout-table", "--data", broken, "--out", str(tmp_path / "s")], gone),
+        (["eval", "--run", run, "--data", nowhere], nowhere),
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and path in err and "Traceback" not in err, err
+
+
+def test_gen_data_rejects_impossible_sizes_before_writing(tmp_path, capsys):
+    root = tmp_path / "data"
+    for flags, needle in (
+        (["--fps", "0"], "--fps"),
+        (["--fps", "-5"], "--fps"),
+        (["--fps", "nan"], "--fps"),
+        (["--train-seqs", "-1", "--test-seqs", "1"], "--train-seqs"),
+        (["--train-seqs", "1", "--test-seqs", "-1"], "--test-seqs"),
+    ):
+        assert main(["gen-data", "--data", str(root)] + flags) == 2, flags
+        assert needle in capsys.readouterr().err, flags
+        assert not root.exists(), flags
+
+
 def test_unknown_override_is_usage_error(cli_dataset, tmp_path, capsys):
     # all but the first key existed once; a config that still sets them is rejected
     for kv in (
@@ -64,12 +99,20 @@ def test_malformed_manifest_profile_is_domain_error(tmp_path, capsys):
     del missing["profiles"][0]["fps"]
     family = json.loads(json.dumps(good))
     family["profiles"][0]["family"] = "reach-like"
-    for name, doc in (("unknown", unknown), ("missing", missing), ("family", family)):
+    docs = {"unknown": unknown, "missing": missing, "family": family}
+    # the sizes gen-data's flags reject, arriving through a manifest file
+    for key, value in (("fps", 0.0), ("fps", -5.0), ("fps", float("nan")), ("n_train", -1), ("n_test", -1)):
+        docs[f"{key}={value}"] = json.loads(json.dumps(good))
+        docs[f"{key}={value}"]["profiles"][0][key] = value
+    for name, doc in docs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         code = main(["train", "--data", str(tmp_path), "--manifest", str(path), "--out", str(tmp_path / "run")])
         assert code == 1, name
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err, name
+        if "=" in name:
+            assert "profile A" in err and name.split("=")[0] in err, (name, err)
 
 
 def test_unreadable_manifest_is_domain_error(tmp_path, capsys):

@@ -21,7 +21,6 @@ from hdys.datahub import (
     record_path,
     record_to_bytes,
     restrict_profiles,
-    single_profile_50,
     subset_dataset,
     tree_bundle,
     write_record,
@@ -181,7 +180,7 @@ def test_subset_zero_fraction_rejected(small_dataset):
 
 def test_single_50_construction(small_dataset):
     _, manifest = small_dataset
-    sub = single_profile_50(manifest, "A")
+    sub = subset_dataset(manifest, {"A": 0.5})
     assert [p.profile_id for p in sub.profiles] == ["A"]
     assert len(sub.train_ids["A"]) == round(0.5 * len(manifest.train_ids["A"]))
     assert sub.test_ids["A"] == manifest.test_ids["A"]
@@ -200,10 +199,19 @@ def test_fifty_fifty_proportional_volume(small_dataset):
 
 def test_restrict_profiles(small_dataset):
     _, manifest = small_dataset
-    sub = restrict_profiles(manifest, ["B", "D"])
-    assert [p.profile_id for p in sub.profiles] == ["B", "D"]
+    for keep in (["A"], ["B", "D"], list("ABCDE"), ["E", "A"], ["A", "A"]):
+        sub = restrict_profiles(manifest, keep)
+        kept = [pid for pid in "ABCDE" if pid in keep]
+        assert [p.profile_id for p in sub.profiles] == kept
+        for field in ("train_ids", "test_ids", "gen_index"):
+            full = getattr(manifest, field)
+            assert getattr(sub, field) == {pid: full[pid] for pid in kept}, (keep, field)
     with pytest.raises(DatasetError):
         restrict_profiles(manifest, ["Z"])
+    no_b = DatasetManifest.from_dict(manifest.to_dict())
+    no_b.train_ids["B"] = []
+    with pytest.raises(DatasetError, match="profile B"):
+        restrict_profiles(no_b, ["A", "B"])
 
 
 def test_subset_manifests_keep_the_generation_index(small_dataset):

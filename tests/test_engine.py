@@ -121,7 +121,7 @@ def test_non_finite_loss_or_gradient_stops_training_before_the_optimizer(small_c
     train_mod = importlib.import_module("hdys.engine.train")
     _, cache = small_cache
     cfg = tiny_cfg(epochs=1, seed=2)
-    models, steps = [], []
+    models, steps, poisoned = [], [], []
 
     def recorded_model(*args, **kw):
         model = real_model(*args, **kw)
@@ -132,7 +132,10 @@ def test_non_finite_loss_or_gradient_stops_training_before_the_optimizer(small_c
 
     def backward_with_inf(loss, leaves):
         grads = real_backward(loss, leaves)
-        grads[3][0] = np.inf
+        # parameter 3, or the next one this group reaches (unreached ones are None)
+        i = next(i for i, g in enumerate(grads) if i >= 3 and g is not None)
+        grads[i][0] = np.inf
+        poisoned.append(i)
         return grads
 
     real_model, real_backward = train_mod.HDySModel, train_mod.backward
@@ -145,7 +148,7 @@ def test_non_finite_loss_or_gradient_stops_training_before_the_optimizer(small_c
     assert "epoch 0, batch 0" in str(err.value)
     model, before = models[0]
     if poison == "gradient":
-        assert f"'{list(before)[3]}'" in str(err.value)
+        assert f"'{list(before)[min(poisoned)]}'" in str(err.value)
     assert steps == []
     assert all(np.array_equal(p.data, before[k]) for k, p in model.ps.params.items())
 
@@ -210,11 +213,47 @@ def test_per_group_gradients_add_up_to_the_batch_gradient(small_cache):
             assert part.recon == 0.0 and part.per_target == {} and part.align > 0.0
         bd += part
         for acc, grad in zip(got, backward(loss, leaves)):
-            acc += grad
+            if grad is not None:
+                acc += grad
     for w, g in zip(want, got):
+        w = np.zeros_like(g) if w is None else w
         assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
     assert abs(bd.total - float(whole.data)) <= 1e-12 * abs(float(whole.data))
     assert bd.per_target.keys() == norm.counts.keys()
+
+
+def test_parameters_no_group_reaches_get_zero_gradients_and_weight_decay(small_cache, tmp_path, monkeypatch):
+    # one window per batch, so each batch holds one profile and misses the
+    # other profiles' encoders and heads
+    train_mod = importlib.import_module("hdys.engine.train")
+    _, cache = small_cache
+    cfg = tiny_cfg(epochs=1, quota=1)
+    cfg = replace(cfg, train=replace(cfg.train, frames_per_batch=cfg.model.window))
+    reached, checked = set(), []
+
+    def recorded_backward(loss, leaves):
+        grads = real_backward(loss, leaves)
+        reached.update(id(p) for p, g in zip(leaves, grads) if g is not None)
+        return grads
+
+    def checked_step(opt, params, grads):
+        missed = {name for name, p in params.items() if id(p) not in reached}
+        fresh = {name: p.data.copy() for name, p in params.items() if name in missed and name not in opt.m}
+        real_step(opt, params, grads)
+        for name in missed:
+            assert grads[name].shape == params[name].shape and not grads[name].any(), name
+        for name, before in fresh.items():
+            assert np.array_equal(params[name].data, before - opt.lr * (opt.weight_decay * before)), name
+        checked.append((len(missed), len(fresh)))
+        reached.clear()
+
+    real_backward, real_step = train_mod.backward, train_mod.adamw_step
+    monkeypatch.setattr(train_mod, "backward", recorded_backward)
+    monkeypatch.setattr(train_mod, "adamw_step", checked_step)
+    train(cfg, cache, str(tmp_path / "r"), seed=1)
+    assert cfg.train.weight_decay > 0.0
+    assert len(checked) == len(cache.manifest.profiles)
+    assert all(missed > 0 for missed, _ in checked) and checked[0][1] == checked[0][0]
 
 
 @pytest.mark.parametrize("no_fdae", [False, True])
