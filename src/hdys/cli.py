@@ -2,12 +2,13 @@
 
 Exit codes: 0 success; 1 domain failure (infeasible solve, dead config,
 missing dataset or run, a training profile without training sequences, a
-rollout profile without joint-torque labels, a run whose `model.ckpt` is
-unreadable or does not fit its `config.txt`); 2 usage or configuration
-errors, before anything is written: unknown flags (each subcommand takes
-only the flags it reads), config values the program cannot run, and a
-`--seeds` list that is empty or not integers, and a `gen-data` `--fps` that
-is not positive or a sequence count below zero.
+rollout profile without joint-torque labels, a run whose `config.txt` does
+not parse or whose `model.ckpt` is unreadable or does not fit it, an `eval`
+with no labelled test sequence); 2 usage or configuration errors, before
+anything is written: unknown flags (each subcommand takes only the flags it
+reads), config values the program cannot run, and a `--seeds` list that is
+empty or not integers, and a `gen-data` `--fps` that is not positive or a
+sequence count below zero.
 
 Every run directory, whether `train` or a `reproduce` study wrote it, holds
 its effective `config.txt` (seed included), the manifest it trained on
@@ -147,6 +148,8 @@ def cmd_eval(args) -> int:
     root = _data_dir(args)
     cfg, manifest, model, stdizer = load_run(args.run)
     report = evaluate(model, stdizer, cfg, RecordCache.load(root, manifest, splits=("test",)))
+    if not report.rows:
+        raise CliError(f"{args.run}: its manifest lists no labelled test sequence", code=EXIT_DOMAIN)
     out = args.out or os.path.join(args.run, "eval")
     os.makedirs(out, exist_ok=True)
     rows = [r.__dict__ for r in report.rows]

@@ -41,6 +41,7 @@ from .records import DatasetError, read_record, record_path, write_record
 
 MANIFEST_SCHEMA = "hdys-dataset/1"
 MANIFEST_NAME = "manifest.json"
+MAX_ATTEMPTS = 20  # motion draws per sequence before its generation fails
 
 
 @dataclass(frozen=True)
@@ -197,6 +198,9 @@ class DatasetManifest:
             for key in ("kin_mask", "dyn_mask", "marker_counts", "amp_scale", "freq_range", "duration"):
                 p[key] = tuple(p[key])
             profiles.append(DomainProfile(**p))
+        pids = sorted(p.profile_id for p in profiles)
+        if sorted(doc["train_ids"]) != pids or sorted(doc["test_ids"]) != pids:
+            raise DatasetError(f"manifest: train_ids and test_ids must name exactly its profiles {pids}")
         m = cls(seed=doc["seed"], profiles=profiles,
                 train_ids={k: list(v) for k, v in doc["train_ids"].items()},
                 test_ids={k: list(v) for k, v in doc["test_ids"].items()},
@@ -246,7 +250,6 @@ def generate_sequence(
     p_idx: int,
     s_idx: int,
     fps: float | None = None,
-    max_attempts: int = 20,
 ) -> tuple[SequenceRecord, GeneralizedState]:
     """One fully labelled sequence; pure function of its identifiers.
 
@@ -258,14 +261,14 @@ def generate_sequence(
     from ..rbd import InfeasibleActivation
 
     last_exc: Exception | None = None
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         try:
             return _generate_once(manifest_seed, profile, p_idx, s_idx, fps, attempt)
         except InfeasibleActivation as exc:
             last_exc = exc
     raise DatasetError(
         f"profile {profile.profile_id} seq {s_idx}: no feasible motion draw "
-        f"after {max_attempts} attempts ({last_exc})"
+        f"after {MAX_ATTEMPTS} attempts ({last_exc})"
     )
 
 

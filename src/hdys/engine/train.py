@@ -12,6 +12,7 @@ import numpy as np
 from ..datahub import DatasetManifest, balanced_epoch_sampler, load_records, read_manifest
 from ..model import (
     ChannelInventory,
+    ConfigError,
     HDySConfig,
     HDySModel,
     LossBreakdown,
@@ -23,6 +24,8 @@ from ..model import (
 from ..numcore import AdamWState, NonFiniteError, adamw_step, backward, load_checkpoint, save_checkpoint
 from .batching import Standardizer, WindowRef, build_groups
 from .report import RUN_MANIFEST, freeze_run, write_csv, write_json
+
+WEIGHT_DECAY = 0.01  # AdamW's decoupled weight decay
 
 
 class TrainError(Exception):
@@ -110,13 +113,7 @@ def train(
     stdizer = Standardizer.fit(list(train_records.values()))
     inventory = ChannelInventory.from_manifest(manifest)
     model = HDySModel(cfg.model, inventory, seed=seed)
-    opt = AdamWState(
-        lr=cfg.train.lr,
-        weight_decay=cfg.train.weight_decay,
-        beta1=cfg.train.beta1,
-        beta2=cfg.train.beta2,
-        eps=cfg.train.eps,
-    )
+    opt = AdamWState(lr=cfg.train.lr, weight_decay=WEIGHT_DECAY)
     params = model.ps.params
     windows_per_batch = max(1, cfg.train.frames_per_batch // window)
 
@@ -220,7 +217,10 @@ def load_run(run_dir: str) -> tuple[HDySConfig, DatasetManifest, HDySModel, Stan
     if missing:
         raise TrainError(f"{run_dir} is not a finished run directory (missing {', '.join(missing)})")
     cfg_path, manifest_path, ckpt_path = (os.path.join(run_dir, n) for n in names)
-    cfg = load_config(cfg_path)
+    try:
+        cfg = load_config(cfg_path)
+    except ConfigError as exc:  # e.g. a key that an older version wrote
+        raise TrainError(f"{cfg_path}: {exc}; retrain this run") from None
     manifest = read_manifest(manifest_path)
     model, stdizer, _ = load_model(cfg, manifest, ckpt_path)
     return cfg, manifest, model, stdizer

@@ -1,5 +1,8 @@
-"""Every architecture/loss/training knob, plus the key-value config format.
+"""The settable keys of a run, plus the key-value config format.
 
+A config holds only what presets, studies and ablations vary; the fixed
+architecture sizes live in `model/network.py`, the loss weights and the
+temperature in `model/losses.py`, the weight decay in `engine/train.py`.
 Two presets ship: `desk` (default) trains in minutes on one core, `paper`
 holds the full-scale constants (latent 128, batch 9600 frames, 1000 epochs,
 lr 1e-3). Config files use the "hdys-config/1" schema: one dotted key per
@@ -13,6 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from ..codec import atomic_write
 from ..kinrep import KINEMATIC_CHANNELS
+from .network import ID_HEADS, SET_HEADS
 
 
 class ConfigError(Exception):
@@ -25,32 +29,16 @@ SCHEMA = "hdys-config/1"
 @dataclass
 class ModelConfig:
     latent_dim: int = 64
-    set_layers: int = 3
-    set_heads: int = 2
     set_ffn_mult: int = 2
-    mlp_hidden: tuple[int, int] = (256, 128)
-    id_layers: int = 4
-    id_heads: int = 4
-    head_hidden_small: int = 32
-    head_hidden_big: int = 64
-    dyn_encoder_hidden: int = 64
-    composer_hidden: int = 128
     window: int = 16
-    alpha1: float = 0.01
-    alpha2: float = 0.05
-    temperature: float = 0.1
     no_fdae: bool = False
     no_align: bool = False
     no_temporal_refinement: bool = False
 
     def __post_init__(self):
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ConfigError("loss weights must be non-negative")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
         if self.window < 1:
             raise ConfigError("window length must be >= 1")
-        if self.latent_dim % self.set_heads or self.latent_dim % self.id_heads:
+        if self.latent_dim % SET_HEADS or self.latent_dim % ID_HEADS:
             raise ConfigError("latent dim must be divisible by the head counts")
 
 
@@ -60,10 +48,6 @@ class TrainConfig:
     frames_per_batch: int = 480
     quota: int = 6  # sequences per profile per epoch
     lr: float = 2e-3
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -113,7 +97,7 @@ def paper_config() -> HDySConfig:
 
 # -- text round trip ----------------------------------------------------------
 
-_TUPLE_FIELDS = {"mlp_hidden": int, "k_list": int, "fps_list": float}
+_TUPLE_FIELDS = {"k_list": int, "fps_list": float}
 
 
 def _format_value(v) -> str:

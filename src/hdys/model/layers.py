@@ -137,7 +137,7 @@ class SetEncoder:
 class TemporalTransformer:
     """Window refinement with a learned positional embedding."""
 
-    def __init__(self, ps: ParamSet, name: str, dim: int, layers: int, heads: int, window: int, ffn_mult: int = 2):
+    def __init__(self, ps: ParamSet, name: str, dim: int, layers: int, heads: int, ffn_mult: int, window: int):
         self.pos = ps.new(f"{name}.pos", (window, dim), init="small")
         self.blocks = [
             TransformerLayer(ps, f"{name}.blk{i}", dim, heads, ffn_mult) for i in range(layers)

@@ -39,6 +39,9 @@ from ..numcore import (
 from .config import ModelConfig
 from .network import GroupOutput, WindowGroup, accel_targets, fdae_order
 
+ALPHA1, ALPHA2 = 0.01, 0.05  # weights of reconstruction and alignment
+TEMPERATURE = 0.1  # of the InfoNCE scores
+
 
 class DeadConfigError(Exception):
     """Every loss term was masked out; the configuration cannot train."""
@@ -158,7 +161,7 @@ def _group_sources(out: GroupOutput) -> list[Tensor]:
     return sources
 
 
-def loss_align(out: GroupOutput, cfg: ModelConfig, norm: Normalisers) -> Tensor | None:
+def loss_align(out: GroupOutput, norm: Normalisers) -> Tensor | None:
     """One group's share of cross-source InfoNCE, averaged over ordered
     pairs and frames.
 
@@ -173,7 +176,7 @@ def loss_align(out: GroupOutput, cfg: ModelConfig, norm: Normalisers) -> Tensor 
     n = len(sources)
     if n < 2:
         return None
-    scale = 1.0 / cfg.temperature
+    scale = 1.0 / TEMPERATURE
     b = out.group.n_windows * out.group.window
     group_loss = None
     for i in range(n):
@@ -184,19 +187,19 @@ def loss_align(out: GroupOutput, cfg: ModelConfig, norm: Normalisers) -> Tensor 
 
 
 def total_loss(cfg: ModelConfig, out: GroupOutput, norm: Normalisers) -> tuple[Tensor | None, LossBreakdown]:
-    """alpha1 * reconstruction + alpha2 * alignment, honoring ablation flags.
+    """ALPHA1 * reconstruction + ALPHA2 * alignment, honoring ablation flags.
 
     One group's term over the batch's `norm` (`Normalisers.of_groups`, which
     also judges dead configurations); a batch's loss is the sum over its
     groups. None for a group that adds nothing.
     """
     recon_t, per_target = loss_recon(out, norm)
-    align_t = None if cfg.no_align else loss_align(out, cfg, norm)
+    align_t = None if cfg.no_align else loss_align(out, norm)
     total = None
     if recon_t is not None:
-        total = mul(recon_t, Tensor(cfg.alpha1))
+        total = mul(recon_t, Tensor(ALPHA1))
     if align_t is not None:
-        scaled = mul(align_t, Tensor(cfg.alpha2))
+        scaled = mul(align_t, Tensor(ALPHA2))
         total = scaled if total is None else add(total, scaled)
     return total, LossBreakdown(
         recon=float(recon_t.data) if recon_t is not None else 0.0,

@@ -11,16 +11,26 @@ tree-agnostic; coordinate encoders and regression heads are per tree family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..datahub import DatasetManifest, tree_bundle
 from ..numcore import Tensor, concat
-from .config import ModelConfig
 from .layers import MLP, ParamSet, SetEncoder, TemporalTransformer
+
+if TYPE_CHECKING:
+    from .config import ModelConfig
 
 SET_CHANNELS = ("x_m", "x_k")
 COORD_CHANNELS = ("x_a", "x_s")
+
+# The fixed architecture; `ModelConfig` holds what presets and ablations vary.
+SET_LAYERS, SET_HEADS = 3, 2  # marker / keypoint set encoders
+MLP_HIDDEN = (256, 128)  # coordinate encoders
+ID_LAYERS, ID_HEADS, ID_FFN_MULT = 4, 4, 2  # temporal transformer of the inverse-dynamics decoder
+HEAD_HIDDEN_SMALL, HEAD_HIDDEN_BIG = 32, 64  # regression heads
+DYN_ENCODER_HIDDEN, COMPOSER_HIDDEN = 64, 128  # forward-dynamics branch
 
 # acceleration targets: (target key, source kinematics channel requirement)
 ACCEL_OF_COORD = {"x_a": "acc_a", "x_s": "acc_s"}
@@ -155,15 +165,14 @@ class HDySModel:
         d = cfg.latent_dim
 
         self.enc_set = {
-            ch: SetEncoder(ps, f"enc.{ch}", 9, d, cfg.set_layers, cfg.set_heads, cfg.set_ffn_mult)
+            ch: SetEncoder(ps, f"enc.{ch}", 9, d, SET_LAYERS, SET_HEADS, cfg.set_ffn_mult)
             for ch in SET_CHANNELS
         }
         self.enc_coord = {
-            ch: MLP(ps, f"enc.{ch}", [w, cfg.mlp_hidden[0], cfg.mlp_hidden[1], d])
-            for ch, w in inventory.coord_widths.items()
+            ch: MLP(ps, f"enc.{ch}", [w, *MLP_HIDDEN, d]) for ch, w in inventory.coord_widths.items()
         }
-        self.temporal = TemporalTransformer(ps, "idec.temporal", d, cfg.id_layers, cfg.id_heads, cfg.window)
-        small, big = cfg.head_hidden_small, cfg.head_hidden_big
+        self.temporal = TemporalTransformer(ps, "idec.temporal", d, ID_LAYERS, ID_HEADS, ID_FFN_MULT, cfg.window)
+        small, big = HEAD_HIDDEN_SMALL, HEAD_HIDDEN_BIG
         head_hidden = {"tau_tr": small, "tau_e": small, "tau_ts": big, "tau_m": big}
         self.id_heads = {
             ch: MLP(ps, f"idec.head.{ch}", [d, head_hidden[ch], w])
@@ -172,18 +181,16 @@ class HDySModel:
 
         if not cfg.no_fdae:
             self.fenc_set = {
-                ch: SetEncoder(ps, f"fenc.{ch}", 6, d, cfg.set_layers, cfg.set_heads, cfg.set_ffn_mult)
+                ch: SetEncoder(ps, f"fenc.{ch}", 6, d, SET_LAYERS, SET_HEADS, cfg.set_ffn_mult)
                 for ch in SET_CHANNELS
             }
             self.fenc_coord = {
-                ch: MLP(ps, f"fenc.{ch}", [2 * w // 3, cfg.mlp_hidden[0], cfg.mlp_hidden[1], d])
-                for ch, w in inventory.coord_widths.items()
+                ch: MLP(ps, f"fenc.{ch}", [2 * w // 3, *MLP_HIDDEN, d]) for ch, w in inventory.coord_widths.items()
             }
             self.dyn_enc = {
-                ch: MLP(ps, f"fenc.dyn.{ch}", [w, cfg.dyn_encoder_hidden, d])
-                for ch, w in inventory.dyn_widths.items()
+                ch: MLP(ps, f"fenc.dyn.{ch}", [w, DYN_ENCODER_HIDDEN, d]) for ch, w in inventory.dyn_widths.items()
             }
-            self.composer = MLP(ps, "fdec.composer", [2 * d, cfg.composer_hidden, d])
+            self.composer = MLP(ps, "fdec.composer", [2 * d, COMPOSER_HIDDEN, d])
             self.acc_heads = {}
             for tree_key, n_kp in inventory.keypoint_counts.items():
                 self.acc_heads[f"acc_k.{tree_key}"] = MLP(

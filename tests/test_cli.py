@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,7 +9,14 @@ import numpy as np
 import pytest
 
 from hdys.cli import build_parser, main
-from hdys.datahub import DatasetManifest, default_profiles, load_manifest, restrict_profiles, write_manifest
+from hdys.datahub import (
+    DatasetError,
+    DatasetManifest,
+    default_profiles,
+    load_manifest,
+    restrict_profiles,
+    write_manifest,
+)
 from hdys.model import ConfigError, config_from_text
 from hdys.numcore import load_checkpoint, save_checkpoint
 
@@ -335,7 +343,7 @@ def test_reproduce_rejects_bad_seeds_before_writing(cli_dataset, tmp_path, capsy
 
 def test_unrunnable_config_value_is_usage_error(cli_dataset, tmp_path, capsys):
     for argv in (
-        ["train", "--set", "model.temperature=0"],
+        ["train", "--set", "model.window=0"],
         ["train", "--set", "rollout.k_list="],
         ["reproduce", "--study", "rollout-table", "--set", "rollout.start_stride=0"],
     ):
@@ -408,3 +416,59 @@ def test_broken_or_mismatched_checkpoint_is_domain_error(cli_dataset, tmp_path, 
             assert main(argv) == 1, (needle, argv)
             err = capsys.readouterr().err
             assert err.startswith("error:") and needle in err and "Traceback" not in err, err
+
+
+def test_run_with_a_removed_config_key_must_be_retrained(cli_dataset, tmp_path, capsys):
+    run = str(tmp_path / "run")
+    assert main(["train", "--data", cli_dataset, "--out", run, "--set", "train.epochs=0"]) == 0
+    cfg_path = os.path.join(run, "config.txt")
+    with open(cfg_path, "a") as fh:
+        fh.write("model.set_layers = 3\n")  # a key that runs wrote before it became a constant
+    capsys.readouterr()
+    for argv in (["eval", "--data", cli_dataset, "--run", run], ["rollout", "--run", run]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and cfg_path in err and "'model.set_layers'" in err, err
+        assert "retrain" in err and "Traceback" not in err, err
+    # passed in by the caller, the same key is a usage error
+    for extra in (["--set", "model.set_layers=3"], ["--config", cfg_path]):
+        out = tmp_path / "again"
+        assert main(["train", "--data", cli_dataset, "--out", str(out)] + extra) == 2, extra
+        assert "config error: unknown config key 'model.set_layers'" in capsys.readouterr().err, extra
+        assert not out.exists(), extra
+
+
+def test_eval_with_no_labelled_test_sequence_is_domain_error(cli_dataset, tmp_path, capsys):
+    manifest = load_manifest(cli_dataset)
+    no_test = str(tmp_path / "no-test.json")
+    write_manifest(no_test, dataclasses.replace(manifest, test_ids={pid: [] for pid in manifest.test_ids}))
+    only_e = str(tmp_path / "only-e.json")
+    write_manifest(only_e, restrict_profiles(manifest, ["E"]))  # profile E has no dynamics labels
+    for path in (no_test, only_e):
+        run = str(tmp_path / os.path.basename(path).replace(".json", ""))
+        argv = ["train", "--data", cli_dataset, "--manifest", path, "--out", run, "--set", "train.epochs=0"]
+        assert main(argv) == 0, path
+        capsys.readouterr()
+        assert main(["eval", "--data", cli_dataset, "--run", run]) == 1, path
+        assert "lists no labelled test sequence" in capsys.readouterr().err, path
+        assert not os.path.exists(os.path.join(run, "eval")), path
+
+
+def test_manifest_ids_must_name_exactly_its_profiles(cli_dataset, tmp_path, capsys):
+    doc = load_manifest(cli_dataset).to_dict()
+    for key in ("train_ids", "test_ids"):
+        for change in ("without-A", "with-Z"):
+            bad = json.loads(json.dumps(doc))
+            if change == "without-A":
+                del bad[key]["A"]
+            else:
+                bad[key]["Z"] = []
+            with pytest.raises(DatasetError, match="train_ids and test_ids must name exactly"):
+                DatasetManifest.from_dict(bad)
+            root = tmp_path / f"{key}-{change}"
+            root.mkdir()
+            (root / "manifest.json").write_text(json.dumps(bad))
+            for argv in (["validate"], ["train", "--out", str(tmp_path / "run")]):
+                assert main(argv + ["--data", str(root)]) == 1, (key, change, argv)
+                err = capsys.readouterr().err
+                assert "must name exactly its profiles" in err and "Traceback" not in err, err

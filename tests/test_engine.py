@@ -243,7 +243,7 @@ def test_parameters_no_group_reaches_get_zero_gradients_and_weight_decay(small_c
         for name in missed:
             assert grads[name].shape == params[name].shape and not grads[name].any(), name
         for name, before in fresh.items():
-            assert np.array_equal(params[name].data, before - opt.lr * (opt.weight_decay * before)), name
+            assert np.array_equal(params[name].data, before - opt.lr * (train_mod.WEIGHT_DECAY * before)), name
         checked.append((len(missed), len(fresh)))
         reached.clear()
 
@@ -251,7 +251,7 @@ def test_parameters_no_group_reaches_get_zero_gradients_and_weight_decay(small_c
     monkeypatch.setattr(train_mod, "backward", recorded_backward)
     monkeypatch.setattr(train_mod, "adamw_step", checked_step)
     train(cfg, cache, str(tmp_path / "r"), seed=1)
-    assert cfg.train.weight_decay > 0.0
+    assert train_mod.WEIGHT_DECAY > 0.0
     assert len(checked) == len(cache.manifest.profiles)
     assert all(missed > 0 for missed, _ in checked) and checked[0][1] == checked[0][0]
 

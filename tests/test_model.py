@@ -20,6 +20,7 @@ from hdys.model import (
     total_loss,
 )
 from hdys.model.config import ModelConfig
+from hdys.model.losses import ALPHA1, ALPHA2, TEMPERATURE
 from hdys.model.network import GroupOutput, accel_block, strip_accel_block
 from hdys.numcore import Tensor
 
@@ -32,7 +33,7 @@ INV = ChannelInventory(
 
 
 def small_cfg(**kw) -> ModelConfig:
-    base = dict(latent_dim=32, mlp_hidden=(64, 48), composer_hidden=48, window=8)
+    base = dict(latent_dim=32, window=8)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -242,29 +243,27 @@ def _latent_output(latents_by_source, window=1):
 
 
 def test_loss_align_single_frame_batch_is_zero():
-    cfg = small_cfg(temperature=1.0)
     z = np.array([[1.0, 0.0]])
     out = _latent_output([z, z])
-    val = float(loss_align(out, cfg, Normalisers(weight_sum=1.0)).data)
+    val = float(loss_align(out, Normalisers(weight_sum=1.0)).data)
     assert val == 0.0
 
 
 def test_loss_align_orthonormal_two_by_two():
-    cfg = small_cfg(temperature=1.0)
     z = np.array([[1.0, 0.0], [0.0, 1.0]])
     out = _latent_output([z.copy(), z.copy()])
-    val = float(loss_align(out, cfg, Normalisers(weight_sum=2.0)).data)
-    assert abs(val - np.log(1.0 + np.exp(-1.0))) < 1e-9
+    val = float(loss_align(out, Normalisers(weight_sum=2.0)).data)
+    # scores 1/0.1 on the diagonal and 0 off it: log(e^10 + 1) - 10 per frame
+    assert abs(val - np.log(1.0 + np.exp(-10.0))) < 1e-12
 
 
 def test_loss_align_prefers_aligned_latents():
-    cfg = small_cfg()
     rng = np.random.default_rng(12)
     base = rng.normal(size=(16, 8))
     aligned = _latent_output([base, base])
     random = _latent_output([base, rng.normal(size=(16, 8))])
     norm = Normalisers(weight_sum=16.0)
-    assert float(loss_align(aligned, cfg, norm).data) < float(loss_align(random, cfg, norm).data)
+    assert float(loss_align(aligned, norm).data) < float(loss_align(random, norm).data)
 
 
 def test_loss_align_needs_two_sources():
@@ -310,13 +309,12 @@ def _stacked_output(rng, n_kin, n_fdae, n_win=3, window=4, d=5):
 
 
 def test_loss_align_matches_numpy_ordered_pairs():
-    cfg = small_cfg(temperature=0.1)
     rng = np.random.default_rng(14)
     cases = [[(2, 0)], [(3, 0)], [(4, 0)], [(2, 2)], [(2, 1), (3, 0)]]
     for case in cases:
         built = [_stacked_output(rng, n_kin, n_fdae) for n_kin, n_fdae in case]
         norm = Normalisers(weight_sum=3 * 4.0 * len(case))  # frames of every group
-        got = sum(float(loss_align(out, cfg, norm).data) for out, _ in built)
+        got = sum(float(loss_align(out, norm).data) for out, _ in built)
         want = _numpy_infonce([blocks for _, blocks in built], 0.1)
         assert abs(got - want) <= 1e-12 * abs(want), (case, got, want)
 
@@ -324,11 +322,10 @@ def test_loss_align_matches_numpy_ordered_pairs():
 def test_loss_align_gradient_matches_numpy_differences():
     from hdys.numcore import backward
 
-    cfg = small_cfg(temperature=0.1)
     out, _ = _stacked_output(np.random.default_rng(15), 3, 0, n_win=2, window=2, d=3)
     leaf = Tensor(out.kin_stack.data, requires_grad=True)
     out.kin_stack = leaf
-    (grad,) = backward(loss_align(out, cfg, Normalisers(weight_sum=4.0)), [leaf])
+    (grad,) = backward(loss_align(out, Normalisers(weight_sum=4.0)), [leaf])
 
     def ref(x):
         return _numpy_infonce([[x[s * 2 : (s + 1) * 2].reshape(-1, 3) for s in range(3)]], 0.1)
@@ -344,7 +341,7 @@ def test_loss_align_gradient_matches_numpy_differences():
 
 
 def test_total_loss_weighting_and_flags():
-    cfg = small_cfg(temperature=1.0, alpha1=0.01, alpha2=0.05)
+    cfg = small_cfg()
     rng = np.random.default_rng(13)
     pred = rng.normal(size=(2, 2, 3))
     tgt = rng.normal(size=(2, 2, 3))
@@ -358,7 +355,7 @@ def test_total_loss_weighting_and_flags():
     total, bd = total_loss(cfg, out, norm)
     assert abs(bd.total - (0.01 * bd.recon + 0.05 * bd.align)) < 1e-12
 
-    cfg_na = small_cfg(temperature=1.0, alpha1=0.01, alpha2=0.05, no_align=True)
+    cfg_na = small_cfg(no_align=True)
     total2, bd2 = total_loss(cfg_na, out, norm)
     assert bd2.align == 0.0 and abs(bd2.total - 0.01 * bd2.recon) < 1e-15
 
@@ -368,7 +365,7 @@ def test_total_loss_hand_value():
     # total = 0.01 * 2 + 0.05 * 0 = 0.02; with recon 2, align 1 the formula
     # gives 0.07, checked arithmetically
     assert abs(0.01 * 2 + 0.05 * 1 - 0.07) < 1e-15
-    cfg = small_cfg(temperature=1.0, alpha1=0.01, alpha2=0.05)
+    cfg = small_cfg()
     out = _single_pred_output(np.full((1, 1, 1), 3.0), np.full((1, 1, 1), 1.0))
     z = np.array([[1.0, 0.0]])
     out.kin_order = ["x_a", "x_k"]
@@ -430,19 +427,46 @@ def test_paper_preset_constants():
     assert cfg.train.frames_per_batch == 9600
     assert cfg.train.epochs == 1000
     assert cfg.train.quota == 3000
-    assert cfg.model.alpha1 == 0.01 and cfg.model.alpha2 == 0.05
+    assert (ALPHA1, ALPHA2, TEMPERATURE) == (0.01, 0.05, 0.1)
+    # the fixed architecture constants hold the parameter counts of both presets
+    assert HDySModel(cfg.model, INV).param_count() == 3_298_393
+    assert HDySModel(desk_config().model, INV).param_count() == 824_089
+
+
+# every key a config can set; the fixed architecture, loss weights and
+# optimizer constants live in the modules that read them
+CONFIG_KEYS = [
+    "model.latent_dim", "model.set_ffn_mult", "model.window",
+    "model.no_fdae", "model.no_align", "model.no_temporal_refinement",
+    "train.epochs", "train.frames_per_batch", "train.quota", "train.lr", "train.seed",
+    "rollout.k_list", "rollout.fps_list", "rollout.profile", "rollout.representation",
+    "rollout.max_sequences", "rollout.start_stride",
+]
+REMOVED_KEYS = [
+    "model.set_layers", "model.set_heads", "model.mlp_hidden", "model.id_layers", "model.id_heads",
+    "model.head_hidden_small", "model.head_hidden_big", "model.dyn_encoder_hidden", "model.composer_hidden",
+    "model.alpha1", "model.alpha2", "model.temperature",
+    "train.weight_decay", "train.beta1", "train.beta2", "train.eps",
+]
+
+
+def test_config_has_only_the_keys_that_vary():
+    lines = config_to_text(desk_config()).splitlines()
+    assert lines[0] == "schema = hdys-config/1"
+    assert [line.split(" = ")[0] for line in lines[1:]] == CONFIG_KEYS
+    for key in REMOVED_KEYS:
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            apply_override(desk_config(), key, "1")
 
 
 def test_invalid_configs_rejected():
-    with pytest.raises(ConfigError):
-        ModelConfig(latent_dim=30, set_heads=4)
-    with pytest.raises(ConfigError):
-        ModelConfig(alpha1=-0.1)
+    with pytest.raises(ConfigError, match="divisible by the head counts"):
+        ModelConfig(latent_dim=30)  # 30 % 4: the temporal transformer's heads
     with pytest.raises(ConfigError):
         ModelConfig(window=0)
     # values a run would only trip over part-way through, rejected when the config is built
     for key, value in (
-        ("model.temperature", "0"), ("model.temperature", "-0.1"), ("train.quota", "0"),
+        ("model.latent_dim", "30"), ("model.latent_dim", "33"), ("train.quota", "0"),
         ("rollout.start_stride", "0"), ("rollout.k_list", ""), ("rollout.k_list", "1,0"),
         ("rollout.fps_list", ""), ("rollout.fps_list", "90,-1"), ("rollout.max_sequences", "0"),
         ("rollout.representation", "tau_tr"), ("rollout.representation", "mean"),
@@ -452,4 +476,4 @@ def test_invalid_configs_rejected():
     for rep in ("avg", "x_m", "x_k", "x_a", "x_s"):
         assert apply_override(desk_config(), "rollout.representation", rep).rollout.representation == rep
     paper_config()
-    assert config_hash(desk_config()) == "e9eb706cb1a1452d"
+    assert config_hash(desk_config()) == "a7e4b0f385318357"
