@@ -10,10 +10,12 @@ alternately in that checkout ("parent") and in this working tree ("change"),
 with T the `run_seconds` of BENCHMARK.json. Odd pairs run the parent first,
 even pairs the change first. Each run is
 appended to --out as one JSON line, tagged with side, pair, workload and
-seed, holding the run's `output` and `metric` lines and its result object.
-At the end it prints, for each end-to-end metric of BENCHMARK.json, the
-median [q1, q3] on each side and the number of pairs the change won (ties
-count for neither side), and whether every run printed the same outputs.
+seed, holding the run's `env` object (core count, BLAS threads, numpy and
+scipy versions, as bench/run.py prints it first), its `output` and `metric`
+lines and its result object. At the end it prints each distinct `env` line,
+then, for each end-to-end metric of BENCHMARK.json, the median [q1, q3] on
+each side and the number of pairs the change won (ties count for neither
+side), and whether every run printed the same outputs.
 
     python3 scripts/bench_pairs.py --parent HEAD --workload assess --seed 2 --pairs 10 --out pairs.jsonl
 
@@ -45,6 +47,7 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         result = None
     return {
         "returncode": proc.returncode,
+        "env": next((json.loads(ln[len("env "):]) for ln in lines if ln.startswith("env ")), None),
         "output_lines": [ln for ln in lines if ln.startswith("output ")],
         "metric_lines": [ln for ln in lines if ln.startswith("metric ")],
         "result": result,
@@ -60,6 +63,8 @@ def _spread(values: list[float]) -> str:
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> bool:
     """Print the per-metric summary; True if every run succeeded with the same outputs."""
+    for env in sorted({json.dumps(r["env"], sort_keys=True) for r in runs}):
+        print(f"env {env}")
     ok = [r for r in runs if r["returncode"] == 0 and r["result"] and r["result"]["correct"]]
     for r in runs:
         if r not in ok:

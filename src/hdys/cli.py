@@ -173,6 +173,7 @@ def cmd_rollout(args) -> int:
     os.makedirs(out, exist_ok=True)
     rows = [r.__dict__ for r in report.rows]
     write_csv(os.path.join(out, "rollout.csv"), ROLLOUT_COLUMNS, rows)
+    write_json(os.path.join(out, "timings.json"), report.timings)  # wall time stays out of the CSV
     for r in report.rows:
         print(f"k={r.k} fps={r.fps:5.0f} {r.source:9s} mse {r.mse:.3e} ({r.n_starts} starts)")
     return EXIT_OK

@@ -11,6 +11,7 @@ every deviation under predicted torques is attributable to the predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from time import perf_counter
 
 import numpy as np
 
@@ -39,6 +40,8 @@ class RolloutReport:
     profile: str
     representation: str
     rows: list[RolloutRow] = field(default_factory=list)
+    # wall seconds of sequence generation (oracle torques too), prediction and stepping
+    timings: dict[str, float] = field(default_factory=lambda: dict.fromkeys(("generate_s", "predict_s", "step_s"), 0.0))
 
     def mse(self, k: int, fps: float, source: str) -> float:
         for r in self.rows:
@@ -90,12 +93,15 @@ def rollout_eval(
         counts = {(k, s): 0 for k in k_list for s in ("oracle", "predicted")}
         diverged = {(k, s): 0 for k in k_list for s in ("oracle", "predicted")}
         for sid in ids:
+            t_generate = perf_counter()
             s_idx = int(sid[len(pid):])
             rec, traj = generate_sequence(manifest.seed, profile, p_idx, s_idx, fps=fps)
             q_ref = np.atleast_2d(traj.q)
             qd_ref, qdd_imp = _reference(q_ref, fps)
             n = q_ref.shape[0]
             tau_oracle = rnea(bundle.tree, GeneralizedState(q_ref, qd_ref, qdd_imp))
+            t_predict = perf_counter()
+            report.timings["generate_s"] += t_predict - t_generate
 
             preds = predict_sequences(
                 model, stdizer, cfg, {(pid, sid): rec}, pid, profile.tree_key, [sid]
@@ -106,6 +112,8 @@ def rollout_eval(
                 if representation not in preds:
                     raise EvalError(f"representation '{representation}' not available")
                 tau_pred = preds[representation][dyn]
+            t_step = perf_counter()
+            report.timings["predict_s"] += t_step - t_predict
 
             for t0 in range(1, n - k_max - 1, rc.start_stride):
                 for source, tau_seq in (("oracle", tau_oracle), ("predicted", tau_pred)):
@@ -126,6 +134,7 @@ def rollout_eval(
                             continue
                         sq_sums[(k, source)] += float(np.mean(errs[:k]))
                         counts[(k, source)] += 1
+            report.timings["step_s"] += perf_counter() - t_step
         for k in k_list:
             for source in ("oracle", "predicted"):
                 c = counts[(k, source)]

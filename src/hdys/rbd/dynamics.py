@@ -10,11 +10,14 @@ product, since its bodies' velocities are zero. Joint torques and gravity
 are the only forces; contact and other external wrenches are not modelled.
 
 A single-frame call is bound by the count of small numpy calls per body, not
-by arithmetic, so the recursion keeps that count low and the arithmetic as
-it is: each body's motion is a tuple of (F, 3) arrays, `_cross` writes its
-three components into one output (numpy's `cross` to the bit), and the
-massless bodies that spherical and free joints decompose into add no
-inertial terms.
+by arithmetic, so the recursion keeps that count low and every byte as it
+is: each body's motion is a tuple of (F, 3) arrays; `_cross` forms numpy's
+six products with one gather per operand and one multiply; the massless
+bodies that spherical and free joints decompose into add no inertial terms;
+and a revolute body with an exactly zero joint offset (`at_origin`, as the
+inner bodies of a spherical joint) skips the offset products, which would
+add only zeros. `test_rnea_is_bitwise_the_plain_recursion` checks these
+rules against the plain recursion (`np.cross`, every product) bit for bit.
 """
 
 from __future__ import annotations
@@ -54,16 +57,13 @@ class GeneralizedState:
                 raise DynamicsError("non-finite generalized state")
 
 
+_CROSS_A, _CROSS_B = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b over the last axis, broadcasting; the same arithmetic as numpy's cross."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    first = a1 * b2
-    out = np.empty(first.shape + (3,))
-    np.subtract(first, a2 * b1, out=out[..., 0])
-    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
-    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
-    return out
+    pq = a[..., _CROSS_A] * b[..., _CROSS_B]  # a1b2 a2b0 a0b1 | a2b1 a0b2 a1b0
+    return pq[..., :3] - pq[..., 3:]
 
 
 def rnea(
@@ -114,9 +114,9 @@ def rnea(
         wi = vi = rest
         if moving:
             wi = np.einsum("fij,fj->fi", e, wp)
-            vi = np.einsum("fij,fj->fi", e, vp + _cross(wp, p_pc))
+            vi = np.einsum("fij,fj->fi", e, vp if b.at_origin else vp + _cross(wp, p_pc))
         ali = np.einsum("fij,fj->fi", e, alp)
-        aai = np.einsum("fij,fj->fi", e, aap + _cross(alp, p_pc))
+        aai = np.einsum("fij,fj->fi", e, aap if b.at_origin else aap + _cross(alp, p_pc))
         if b.kind == "rev":
             ali = ali + b.axis * qddi[:, None]
         else:
@@ -155,8 +155,8 @@ def rnea(
         if b.parent != -1:
             r_pc, p_pc = xs[bi]
             f_par = np.einsum("fij,fj->fi", r_pc, ff[bi])
-            n_par = np.einsum("fij,fj->fi", r_pc, fn[bi]) + _cross(p_pc, f_par)
-            fn[b.parent] += n_par
+            n_par = np.einsum("fij,fj->fi", r_pc, fn[bi])
+            fn[b.parent] += n_par if b.at_origin else n_par + _cross(p_pc, f_par)
             ff[b.parent] += f_par
     return tau[0] if single else tau
 
@@ -190,6 +190,8 @@ def forward_dynamics(
     tau = np.asarray(tau, dtype=np.float64)
     if tau.shape != q.shape:
         raise DynamicsError(f"tau has shape {tau.shape}, q has shape {q.shape}")
+    if not np.isfinite(tau).all():
+        raise DynamicsError(f"non-finite torque: {tau}")
     bias = rnea(tree, GeneralizedState(q, qd, np.zeros_like(q)))
     m = mass_matrix(tree, q)
     try:

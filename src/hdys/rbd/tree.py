@@ -60,6 +60,7 @@ class _Body:
     link: int  # owning public link
     k: np.ndarray  # 3x3 skew matrix of the axis
     kk: np.ndarray  # k @ k
+    at_origin: bool  # a revolute whose p_fix is exactly zero: its origin is its parent's
 
 
 def _skew(axis: np.ndarray) -> np.ndarray:
@@ -161,6 +162,7 @@ class KinematicTree:
                         li,
                         k,
                         k @ k,
+                        kind == "rev" and not (first and np.any(l.offset)),
                     )
                 )
             dof += len(chain)

@@ -1,0 +1,39 @@
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(side, round_s, outputs, env):
+    metrics = {"round_s": {"value": round_s, "unit": "s"}}
+    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+    return {"pair": 1, "side": side, "returncode": 0, "env": env, "output_lines": outputs, "result": result}
+
+
+def test_summarize_prints_env_medians_and_wins(capsys):
+    bench_pairs = _bench_pairs()
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"][:1]
+    assert end_to_end[0]["name"] == "round_s"
+    env = {"nproc": 2, "blas_threads": "1", "numpy": "2.0", "scipy": "1.0"}
+    runs = [_run("parent", 2.0, ["output a"], env), _run("change", 1.5, ["output a"], env)]
+    assert bench_pairs.summarize(runs, end_to_end)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "env " + json.dumps(env, sort_keys=True)  # one line for both runs
+    assert lines[1] == "round_s (s, lower is better): parent 2, change 1.5; change won 1 of 1 pairs"
+    assert lines[2] == "outputs: identical in every run"
+
+    # different outputs fail the comparison; each machine's env line is printed once
+    other = dict(env, nproc=4)
+    runs = [_run("parent", 2.0, ["output a"], env), _run("change", 2.5, ["output b"], other)]
+    assert not bench_pairs.summarize(runs, end_to_end)
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("env ")] == ["env " + json.dumps(e, sort_keys=True) for e in (env, other)]
+    assert "change won 0 of 1 pairs" in lines[2] and lines[3] == "outputs: 2 distinct sets"

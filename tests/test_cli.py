@@ -173,6 +173,9 @@ def test_train_eval_rollout_roundtrip(cli_dataset, tmp_path, capsys):
 
     assert main(["rollout", "--run", run]) == 0
     assert os.path.exists(os.path.join(run, "rollout", "rollout.csv"))
+    with open(os.path.join(run, "rollout", "timings.json")) as fh:
+        timings = json.load(fh)  # wall seconds per phase, beside the CSV
+    assert sorted(timings) == ["generate_s", "predict_s", "step_s"] and min(timings.values()) >= 0
 
     # the frozen manifest round-trips the dataset's to the byte, and provenance hashes it
     frozen = open(os.path.join(run, "run_manifest.json"), "rb").read()

@@ -19,6 +19,7 @@ from hdys.rbd import (
     rnea,
     step,
 )
+from hdys.rbd.tree import joint_transform
 from conftest import make_pendulum, random_chain
 
 G = 9.81
@@ -219,37 +220,92 @@ def test_rnea_batched_equals_single():
         assert np.array_equal(batch[i], single)
 
 
-def _full_recursion(tree, state, gravity=None):
-    """RNEA of rest states through the full recursion.
+def _ref_rnea(tree, q, qd, qdd, gravity=None):
+    """RNEA as the plain recursion over (F, n) states: `np.cross`, every offset
+    product, and every velocity and inertial term of every body, none skipped."""
+    f = q.shape[0]
+    g = tree.gravity if gravity is None else gravity
+    zero = np.zeros((f, 3))
+    motion, fn, ff, xs = [], [], [], []
+    for b in tree._bodies:
+        r_pc, p_pc = joint_transform(b, q[:, b.dof])
+        xs.append((r_pc, p_pc))
+        e = r_pc.transpose(0, 2, 1)
+        wp, vp, alp, aap = (zero, zero, zero, np.broadcast_to(-g, (f, 3))) if b.parent == -1 else motion[b.parent]
+        wi = np.einsum("fij,fj->fi", e, wp)
+        vi = np.einsum("fij,fj->fi", e, vp + np.cross(wp, p_pc))
+        ali = np.einsum("fij,fj->fi", e, alp)
+        aai = np.einsum("fij,fj->fi", e, aap + np.cross(alp, p_pc))
+        sj, sdd = b.axis * qd[:, b.dof, None], b.axis * qdd[:, b.dof, None]
+        if b.kind == "rev":
+            ali = ali + sdd
+            wi = wi + sj
+            ali = ali + np.cross(wi, sj)
+            aai = aai + np.cross(vi, sj)
+        else:
+            aai = aai + sdd
+            vi = vi + sj
+            aai = aai + np.cross(wi, sj)
+        motion.append((wi, vi, ali, aai))
+        m, c, ic = b.mass, b.com, b.inertia
+        i_al = np.einsum("ij,fj->fi", ic, ali) - m * np.cross(c, np.cross(c, ali)) + m * np.cross(c, aai)
+        i_aa = m * (aai + np.cross(ali, c))
+        h_n = np.einsum("ij,fj->fi", ic, wi) - m * np.cross(c, np.cross(c, wi)) + m * np.cross(c, vi)
+        h_f = m * (vi + np.cross(wi, c))
+        fn.append(i_al + np.cross(wi, h_n) + np.cross(vi, h_f))
+        ff.append(i_aa + np.cross(wi, h_f))
+    tau = np.zeros((f, tree.n_dof))
+    for bi in range(len(tree._bodies) - 1, -1, -1):
+        b = tree._bodies[bi]
+        tau[:, b.dof] = np.einsum("fi,i->f", fn[bi] if b.kind == "rev" else ff[bi], b.axis)
+        if b.parent != -1:
+            r_pc, p_pc = xs[bi]
+            f_par = np.einsum("fij,fj->fi", r_pc, ff[bi])
+            fn[b.parent] = fn[b.parent] + (np.einsum("fij,fj->fi", r_pc, fn[bi]) + np.cross(p_pc, f_par))
+            ff[b.parent] = ff[b.parent] + f_par
+    return tau
 
-    One moving frame appended to the batch sends every frame through the
-    velocity products; its row is dropped.
-    """
-    f = state.q.shape[0]
-    moving = np.ones_like(state.qd[:1])
-    batch = GeneralizedState(
-        np.vstack([state.q, state.q[:1]]), np.vstack([state.qd, moving]), np.vstack([state.qdd, state.qdd[:1]])
-    )
-    return rnea(tree, batch, gravity)[:f]
+
+def _with_signed_zeros(rng, a):
+    """A copy of `a` with a random third of its entries set to +0.0 or -0.0."""
+    a = a.copy()
+    hit = rng.random(a.shape) < 1 / 3
+    a[hit] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[hit]
+    return a
 
 
-def test_rest_recursion_equals_full_recursion():
-    rng = np.random.default_rng(17)
-    free = random_chain(rng, 4)
-    free_root = KinematicTree([replace(free.links[0], joint="free")] + free.links[1:])
-    trees = [build_t1(), build_t2(), free_root] + [random_chain(rng, int(rng.integers(2, 7))) for _ in range(4)]
+def test_rnea_is_bitwise_the_plain_recursion():
+    """Skipped products (velocity terms at rest, massless bodies' inertial terms,
+    offset terms of a body at its parent's origin) and `_cross` change no byte."""
+    rng = np.random.default_rng(16)
+    chain = random_chain(rng, 4)
+    spherical = KinematicTree([replace(l, joint="spherical", axis=None) for l in chain.links])
+    free_root = KinematicTree([replace(chain.links[0], joint="free")] + chain.links[1:])
+    at_origin = KinematicTree([replace(l, offset=(0.0, -0.0, 0.0)) for l in chain.links])
+    trees = [build_t1(), build_t2(), free_root, spherical, at_origin, make_pendulum(), random_chain(rng, 5)]
+    assert sum(b.at_origin for b in trees[0]._bodies) == 14  # 14 of T1's 23 bodies sit at their parent's origin
+    cases = 0
     for tree in trees:
+        assert [b.at_origin for b in tree._bodies] == [b.kind == "rev" and not b.p_fix.any() for b in tree._bodies]
         n = tree.n_dof
-        q = rng.uniform(-1, 1, (5, n))
-        q[1, ::2] = -0.0  # signed zeros in the configuration
-        for qdd in (np.zeros((5, n)), -np.zeros((5, n)), rng.uniform(-2, 2, (5, n))):
-            for zero in (0.0, -0.0):
-                for gravity in (None, np.zeros(3)):
-                    state = GeneralizedState(q, np.full((5, n), zero), qdd)
-                    assert rnea(tree, state, gravity).tobytes() == _full_recursion(tree, state, gravity).tobytes()
-        # unit columns: the mass matrix against the columns of an (n+1)-frame call
-        columns = GeneralizedState(np.broadcast_to(q[0], (n, n)), np.zeros((n, n)), np.eye(n))
-        assert mass_matrix(tree, q[0]).tobytes() == _full_recursion(tree, columns, np.zeros(3)).T.tobytes()
+        for f in (1, 5, 271):
+            q = _with_signed_zeros(rng, rng.uniform(-1, 1, (f, n)))
+            q[0] = 0.0
+            moving = _with_signed_zeros(rng, rng.uniform(-2, 2, (f, n)))
+            moving[1:2] = -0.0  # a frame at rest in a moving batch
+            accel = _with_signed_zeros(rng, rng.uniform(-3, 3, (f, n)))
+            for qd in (np.zeros((f, n)), -np.zeros((f, n)), moving):
+                for qdd in (np.zeros((f, n)), -np.zeros((f, n)), accel):
+                    for gravity in (None, np.zeros(3), -np.zeros(3)):
+                        want = _ref_rnea(tree, q, qd, qdd, gravity)
+                        got = rnea(tree, GeneralizedState(q, qd, qdd), gravity)
+                        assert got.tobytes() == want.tobytes(), (tree.name, f)
+                        assert rnea(tree, GeneralizedState(q[0], qd[0], qdd[0]), gravity).tobytes() == want[0].tobytes()
+                        cases += 2
+            # the mass matrix is the reference's unit-acceleration columns at rest, without gravity
+            columns = _ref_rnea(tree, np.broadcast_to(q[-1], (n, n)), np.zeros((n, n)), np.eye(n), np.zeros(3))
+            assert mass_matrix(tree, q[-1]).tobytes() == columns.T.tobytes(), (tree.name, f)
+    assert cases == len(trees) * 3 * 27 * 2
 
 
 def test_cross_is_bitwise_numpy_cross():
@@ -356,6 +412,16 @@ def test_step_rejects_wrong_tau_shape():
             step(tree, q, q, tau)
         with pytest.raises(DynamicsError, match="tau has shape"):
             forward_dynamics(tree, q, q, tau)
+
+
+def test_step_rejects_non_finite_torque():
+    from hdys.rbd import DynamicsError
+
+    tree = make_pendulum()
+    for bad in (np.nan, np.inf, -np.inf):
+        for entry in (step, forward_dynamics):
+            with pytest.raises(DynamicsError, match="non-finite torque"):
+                entry(tree, np.zeros(1), np.zeros(1), np.array([bad]))
 
 
 def test_pendulum_energy_drift_under_two_percent():
