@@ -6,9 +6,9 @@ rollout profile without joint-torque labels, a run whose `config.txt` does
 not parse or whose `model.ckpt` is unreadable or does not fit it, an `eval`
 with no labelled test sequence); 2 usage or configuration errors, before
 anything is written: unknown flags (each subcommand takes only the flags it
-reads), config values the program cannot run, and a `--seeds` list that is
-empty or not integers, and a `gen-data` `--fps` that is not positive or a
-sequence count below zero.
+reads), config values the program cannot run, a `--seeds` list that is empty,
+not integers or holds a negative seed, a negative `--seed`, and a
+`gen-data` `--fps` that is not positive or a sequence count below zero.
 
 Every run directory, whether `train` or a `reproduce` study wrote it, holds
 its effective `config.txt` (seed included), the manifest it trained on
@@ -16,8 +16,8 @@ its effective `config.txt` (seed included), the manifest it trained on
 `meta.json`. `eval --run` reads the model from it and scores the test records
 under `--data`; `rollout --run` needs nothing else, because it regenerates
 its sequences from the run's manifest. A study directory holds the same
-config, manifest and provenance files plus its CSV. Every artifact is
-written atomically.
+config, manifest and provenance files plus its CSV (the rollout table
+also its phase `timings.json`). Every artifact is written atomically.
 """
 
 from __future__ import annotations
@@ -197,6 +197,7 @@ def cmd_reproduce(args) -> int:
         report = rollout_eval(result.model, result.stdizer, cfg, manifest)
         csv_path = os.path.join(out, "rollout_table.csv")
         write_csv(csv_path, ROLLOUT_COLUMNS, [r.__dict__ for r in report.rows])
+        write_json(os.path.join(out, "timings.json"), report.timings)
     print(f"study CSV: {csv_path}")
     return EXIT_OK
 
@@ -211,6 +212,8 @@ def _seed_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expects comma-separated integers, got {text!r}")
     if not seeds:
         raise argparse.ArgumentTypeError("lists no seed")
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {text!r}")
     return seeds
 
 
@@ -239,7 +242,7 @@ FLAGS = {
     "--manifest": dict(help="manifest JSON over the records under --data (default: the dataset's own)"),
     "--config": dict(help="config file (hdys-config/1; default: the desk preset)"),
     "--set": dict(action="append", metavar="KEY=VALUE", help="config override, repeatable"),
-    "--seed": dict(type=int, help="dataset seed (gen-data, default 0) or training seed (train, default: the config's)"),
+    "--seed": dict(type=_count, help="dataset seed (gen-data, default 0) or training seed (train, default: the config's)"),
     "--out": dict(help="output directory"),
     "--run": dict(required=True, help="run directory that train or reproduce finished"),
     "--train-seqs": dict(type=_count, default=120),

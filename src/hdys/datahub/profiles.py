@@ -188,6 +188,8 @@ class DatasetManifest:
     def from_dict(cls, doc: dict) -> "DatasetManifest":
         if doc.get("schema") != MANIFEST_SCHEMA:
             raise DatasetError(f"unsupported manifest schema {doc.get('schema')!r}")
+        if doc["seed"] < 0:
+            raise DatasetError(f"manifest: seed must be >= 0, got {doc['seed']}")
         names = {f.name for f in fields(DomainProfile)}
         profiles = []
         for p in doc["profiles"]:

@@ -12,6 +12,7 @@ line, `key = value`, '#' comments. Unknown keys are errors, not warnings.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from ..codec import atomic_write
@@ -38,6 +39,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ConfigError("window length must be >= 1")
+        if self.latent_dim < 1 or self.set_ffn_mult < 1:
+            raise ConfigError("latent_dim and set_ffn_mult must be >= 1")
         if self.latent_dim % SET_HEADS or self.latent_dim % ID_HEADS:
             raise ConfigError("latent dim must be divisible by the head counts")
 
@@ -51,10 +54,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.quota < 1:
-            raise ConfigError("quota must be >= 1")
+        if self.epochs < 0 or self.seed < 0:
+            raise ConfigError("epochs and seed must be >= 0")
+        if self.quota < 1 or self.frames_per_batch < 1:
+            raise ConfigError("quota and frames_per_batch must be >= 1")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
 
 
 @dataclass
@@ -69,8 +74,8 @@ class RolloutConfig:
     def __post_init__(self):
         if not self.k_list or min(self.k_list) < 1:
             raise ConfigError("k_list must list step counts >= 1")
-        if not self.fps_list or min(self.fps_list) <= 0:
-            raise ConfigError("fps_list must list positive frame rates")
+        if not self.fps_list or not all(0.0 < f < math.inf for f in self.fps_list):
+            raise ConfigError("fps_list must list positive, finite frame rates")
         if self.max_sequences < 1 or self.start_stride < 1:
             raise ConfigError("max_sequences and start_stride must be >= 1")
         if self.representation not in ("avg",) + KINEMATIC_CHANNELS:

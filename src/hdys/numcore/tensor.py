@@ -1,9 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Minimal kernel catalog: exactly the operations the encoders, decoders and
-losses need. All arrays are float64 and all kernels deterministic. NaN/Inf is
-caught where results are used, not per op: the loss and gradients in `train`,
-each prediction block in `predict_sequences`, and a zero-norm `l2_normalize`.
+losses need, each called one way: directly, with `Tensor` inputs and only the
+options some caller sets. All arrays are float64 and all kernels
+deterministic. NaN/Inf is caught where results are used, not per op: the loss
+and gradients in `train`, each prediction block in `predict_sequences`, and a
+zero-norm `l2_normalize`. `OP_NAMES` lists the 16 kernels by the `_op` name
+their output nodes carry; the gradient checker under `tests/` calls each one.
 """
 
 from __future__ import annotations
@@ -21,10 +24,8 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "GraphError",
-    "UnknownOpError",
     "no_grad",
     "backward",
-    "op_forward",
     "OP_NAMES",
     "matmul",
     "add",
@@ -61,10 +62,6 @@ class GraphError(NumcoreError):
     pass
 
 
-class UnknownOpError(NumcoreError):
-    pass
-
-
 _GRAD_ENABLED = True
 
 
@@ -80,11 +77,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def _as_f64(values) -> np.ndarray:
-    a = np.asarray(values, dtype=np.float64)
-    return a
-
-
 class Tensor:
     """A float64 array plus its position in the op graph.
 
@@ -95,7 +87,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_parents", "_op", "_backward")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.data = _as_f64(values)
+        self.data = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._op: Optional[str] = None
@@ -116,10 +108,6 @@ class Tensor:
     def __repr__(self) -> str:
         op = f" op={self._op}" if self._op else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{op})"
-
-
-def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(out: np.ndarray, op: str, parents: Sequence[Tensor], bwd) -> Tensor:
@@ -149,9 +137,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # kernel catalog
 # ---------------------------------------------------------------------------
 
+OP_NAMES = (
+    "add", "attention", "concat", "gelu", "l1dist", "l2norm", "layernorm", "logsumexp",
+    "matmul", "mean", "mul", "reshape", "slice", "sub", "sum", "transpose",
+)
 
-def add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+
+def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         out = a.data + b.data
     except ValueError:
@@ -163,8 +155,7 @@ def add(a, b) -> Tensor:
     return _make(out, "add", (a, b), bwd)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     try:
         out = a.data - b.data
     except ValueError:
@@ -176,8 +167,7 @@ def sub(a, b) -> Tensor:
     return _make(out, "sub", (a, b), bwd)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         out = a.data * b.data
     except ValueError:
@@ -190,7 +180,7 @@ def mul(a, b) -> Tensor:
     return _make(out, "mul", (a, b), bwd)
 
 
-def matmul(a, b, bias=None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """`a @ b`, plus `bias` of shape (n,) over the last axis when given.
 
     A 2-D `b` is a weight shared by every leading index of `a`: those axes
@@ -200,7 +190,6 @@ def matmul(a, b, bias=None) -> Tensor:
     full-size array is kept.
     Other ranks use numpy's batched matmul with broadcasting.
     """
-    a, b = _coerce(a), _coerce(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: inputs must be at least 2-D, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -208,7 +197,6 @@ def matmul(a, b, bias=None) -> Tensor:
     n = b.shape[-1]
     parents = (a, b)
     if bias is not None:
-        bias = _coerce(bias)
         if bias.shape != (n,):
             raise ShapeError(f"matmul: bias shape {bias.shape} does not match output width {n}")
         parents += (bias,)
@@ -237,25 +225,23 @@ def matmul(a, b, bias=None) -> Tensor:
     return _make(out, "matmul", parents, bwd)
 
 
-def concat(parts: Sequence, axis: int = -1) -> Tensor:
-    ts = [_coerce(p) for p in parts]
-    if not ts:
+def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
+    if not parts:
         raise ShapeError("concat: empty input list")
     try:
-        out = np.concatenate([t.data for t in ts], axis=axis)
+        out = np.concatenate([t.data for t in parts], axis=axis)
     except ValueError:
-        raise ShapeError(f"concat: incompatible shapes {[t.shape for t in ts]}")
-    sizes = [t.shape[axis] for t in ts]
+        raise ShapeError(f"concat: incompatible shapes {[t.shape for t in parts]}")
+    sizes = [t.shape[axis] for t in parts]
     splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _make(out, "concat", ts, bwd)
+    return _make(out, "concat", parts, bwd)
 
 
-def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
-    x = _coerce(x)
+def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     n = x.shape[axis]
     if not (0 <= start <= stop <= n):
         raise ShapeError(f"slice: [{start}:{stop}] out of range for extent {n}")
@@ -273,41 +259,31 @@ def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
     return _make(out, "slice", (x,), bwd)
 
 
-def mean(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = _coerce(x)
-    out = x.data.mean(axis=axis, keepdims=keepdims)
+def mean(x: Tensor, axis: Optional[int] = None) -> Tensor:
+    """Mean over one axis, or over every element when `axis` is None."""
+    out = x.data.mean(axis=axis)
     shape = x.shape
-    if axis is None:
-        count = x.size
-    else:
-        ax = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([shape[a] for a in ax]))
+    count = x.size if axis is None else shape[axis]
 
     def bwd(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape) / count,)
 
     return _make(out, "mean", (x,), bwd)
 
 
-def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = _coerce(x)
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+def sum_(x: Tensor) -> Tensor:
+    """Sum of every element."""
     shape = x.shape
 
     def bwd(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape).copy(),)
 
-    return _make(out, "sum", (x,), bwd)
+    return _make(x.data.sum(), "sum", (x,), bwd)
 
 
-def reshape(x, shape: tuple[int, ...]) -> Tensor:
-    x = _coerce(x)
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     try:
         out = x.data.reshape(shape)
     except ValueError:
@@ -320,30 +296,22 @@ def reshape(x, shape: tuple[int, ...]) -> Tensor:
     return _make(out, "reshape", (x,), bwd)
 
 
-def transpose(x, axes: Optional[tuple[int, ...]] = None) -> Tensor:
-    """Permute axes; default swaps the last two."""
-    x = _coerce(x)
-    if axes is None:
-        if x.ndim < 2:
-            raise ShapeError("transpose: input must be at least 2-D")
-        perm = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
-    else:
-        perm = tuple(axes)
-    out = x.data.transpose(perm)
-    inv = np.argsort(perm)
+def transpose(x: Tensor) -> Tensor:
+    """Swap the last two axes."""
+    if x.ndim < 2:
+        raise ShapeError("transpose: input must be at least 2-D")
 
     def bwd(g):
-        return (g.transpose(inv),)
+        return (g.swapaxes(-1, -2),)
 
-    return _make(out, "transpose", (x,), bwd)
+    return _make(x.data.swapaxes(-1, -2), "transpose", (x,), bwd)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def gelu(x) -> Tensor:
-    x = _coerce(x)
+def gelu(x: Tensor) -> Tensor:
     xd = x.data
     # in-place forms of the plain expressions: a*b == b*a, a+b == b+a exactly
     cdf = xd * _INV_SQRT2
@@ -363,9 +331,8 @@ def gelu(x) -> Tensor:
     return _make(out, "gelu", (x,), bwd)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then rescale."""
-    x, gamma, beta = _coerce(x), _coerce(gamma), _coerce(beta)
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
@@ -396,8 +363,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _make(out, "layernorm", (x, gamma, beta), bwd)
 
 
-def logsumexp(x, axis: int = -1) -> Tensor:
-    x = _coerce(x)
+def logsumexp(x: Tensor, axis: int = -1) -> Tensor:
     m = x.data.max(axis=axis, keepdims=True)
     e = np.exp(x.data - m)
     s = e.sum(axis=axis, keepdims=True)
@@ -410,8 +376,7 @@ def logsumexp(x, axis: int = -1) -> Tensor:
     return _make(out, "logsumexp", (x,), bwd)
 
 
-def l2_normalize(x, axis: int = -1) -> Tensor:
-    x = _coerce(x)
+def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
     n = np.linalg.norm(x.data, axis=axis, keepdims=True)
     if (n == 0.0).any():
         raise NonFiniteError("l2_normalize: zero-norm slice")
@@ -424,9 +389,8 @@ def l2_normalize(x, axis: int = -1) -> Tensor:
     return _make(y, "l2norm", (x,), bwd)
 
 
-def l1_distance(a, b) -> Tensor:
+def l1_distance(a: Tensor, b: Tensor) -> Tensor:
     """Mean absolute difference, reduced to a scalar."""
-    a, b = _coerce(a), _coerce(b)
     if a.shape != b.shape:
         raise ShapeError(f"l1_distance: shapes differ, {a.shape} vs {b.shape}")
     diff = a.data - b.data
@@ -441,13 +405,12 @@ def l1_distance(a, b) -> Tensor:
     return _make(out, "l1dist", (a, b), bwd)
 
 
-def attention(q, k, v, n_heads: int) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Scaled dot-product multi-head attention over already-projected q/k/v.
 
     Inputs are (..., T, D) with D divisible by n_heads; output has the same
     shape. No masking: every token attends to every token.
     """
-    q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if not (q.shape == k.shape == v.shape):
         raise ShapeError(f"attention: q/k/v shapes differ: {q.shape}/{k.shape}/{v.shape}")
     if q.ndim < 2:
@@ -488,38 +451,6 @@ def attention(q, k, v, n_heads: int) -> Tensor:
         return merge(dq), merge(dk), merge(dv)
 
     return _make(out, "attention", (q, k, v), bwd)
-
-
-# ---------------------------------------------------------------------------
-# generic dispatch (used by the gradient checker and by tests)
-# ---------------------------------------------------------------------------
-
-_DISPATCH = {
-    "matmul": lambda ins, at: matmul(*ins),
-    "add": lambda ins, at: add(*ins),
-    "sub": lambda ins, at: sub(*ins),
-    "mul": lambda ins, at: mul(*ins),
-    "concat": lambda ins, at: concat(ins, axis=at.get("axis", -1)),
-    "slice": lambda ins, at: slice_axis(ins[0], at["axis"], at["start"], at["stop"]),
-    "mean": lambda ins, at: mean(ins[0], axis=at.get("axis"), keepdims=at.get("keepdims", False)),
-    "sum": lambda ins, at: sum_(ins[0], axis=at.get("axis"), keepdims=at.get("keepdims", False)),
-    "transpose": lambda ins, at: transpose(ins[0], axes=at.get("axes")),
-    "reshape": lambda ins, at: reshape(ins[0], at["shape"]),
-    "gelu": lambda ins, at: gelu(ins[0]),
-    "layernorm": lambda ins, at: layer_norm(ins[0], ins[1], ins[2], eps=at.get("eps", 1e-5)),
-    "logsumexp": lambda ins, at: logsumexp(ins[0], axis=at.get("axis", -1)),
-    "l2norm": lambda ins, at: l2_normalize(ins[0], axis=at.get("axis", -1)),
-    "l1dist": lambda ins, at: l1_distance(*ins),
-    "attention": lambda ins, at: attention(ins[0], ins[1], ins[2], at["n_heads"]),
-}
-
-OP_NAMES = tuple(sorted(_DISPATCH))
-
-
-def op_forward(kind: str, inputs: Sequence[Tensor], attrs: Optional[dict] = None) -> Tensor:
-    if kind not in _DISPATCH:
-        raise UnknownOpError(f"unknown op kind '{kind}'")
-    return _DISPATCH[kind](list(inputs), attrs or {})
 
 
 # ---------------------------------------------------------------------------

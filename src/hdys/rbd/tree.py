@@ -57,7 +57,6 @@ class _Body:
     com: np.ndarray
     inertia: np.ndarray  # 3x3 about COM
     dof: int
-    link: int  # owning public link
     k: np.ndarray  # 3x3 skew matrix of the axis
     kk: np.ndarray  # k @ k
     at_origin: bool  # a revolute whose p_fix is exactly zero: its origin is its parent's
@@ -141,7 +140,7 @@ class KinematicTree:
         dof = 0
         zero3 = np.zeros(3)
         zero33 = np.zeros((3, 3))
-        for li, l in enumerate(self.links):
+        for l in self.links:
             # the joint offset goes on the chain's first body, the link's inertia on its last
             chain = _CHAINS[l.joint]
             for j, (kind, axis) in enumerate(chain):
@@ -159,7 +158,6 @@ class KinematicTree:
                         np.asarray(l.com, dtype=np.float64) if last else zero3,
                         np.asarray(l.inertia, dtype=np.float64) if last else zero33,
                         dof + j,
-                        li,
                         k,
                         k @ k,
                         kind == "rev" and not (first and np.any(l.offset)),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import hdys.numcore.tensor as tz
-from hdys.numcore.tensor import Tensor, UnknownOpError, backward, op_forward
+from hdys.numcore.tensor import Tensor, backward
 
 
 @dataclass
@@ -26,75 +26,64 @@ class KernelReport:
         return self.max_rel_err <= self.tol
 
 
-def _cases(kind: str, rng: np.random.Generator):
-    """Every (inputs, attributes) form one trial checks for `kind`."""
-    if kind == "matmul":
-        u = lambda *shape: rng.uniform(-2.0, 2.0, size=shape)
-        return [
-            ([u(3, 4), u(4, 2)], {}),
-            ([u(2, 3, 2, 4), u(4, 3), u(3)], {}),  # activation @ shared weight + bias
-            ([u(2, 3, 4), u(2, 4, 2)], {}),  # batched
-        ]
-    return [_sample(kind, rng)]
+def _l2norm_input(u):
+    x = u(3, 5)
+    # keep slices away from the zero-norm singularity
+    return x + np.sign(x.sum(axis=-1, keepdims=True)) * 0.5
 
 
-def _sample(kind: str, rng: np.random.Generator):
-    """Random float64 inputs in [-2, 2] plus op attributes."""
-    u = lambda *shape: rng.uniform(-2.0, 2.0, size=shape)
-    if kind in ("add", "sub", "mul"):
-        return [u(3, 4), u(3, 4)], {}
-    if kind == "concat":
-        return [u(2, 3), u(2, 4)], {"axis": -1}
-    if kind == "slice":
-        return [u(3, 6)], {"axis": 1, "start": 1, "stop": 4}
-    if kind == "mean":
-        return [u(3, 4)], {"axis": -1}
-    if kind == "sum":
-        return [u(3, 4)], {}
-    if kind == "transpose":
-        return [u(3, 4)], {}
-    if kind == "reshape":
-        return [u(3, 4)], {"shape": (2, 6)}
-    if kind == "gelu":
-        return [u(3, 4)], {}
-    if kind == "layernorm":
-        return [u(2, 5), u(5), u(5)], {}
-    if kind == "logsumexp":
-        return [u(3, 5)], {"axis": -1}
-    if kind == "l2norm":
-        x = u(3, 5)
-        # keep slices away from the zero-norm singularity
-        x += np.sign(x.sum(axis=-1, keepdims=True)) * 0.5
-        return [x], {"axis": -1}
-    if kind == "l1dist":
-        a, b = u(3, 4), u(3, 4)
-        # keep away from the |a-b| kink so the FD stencil stays one-sided-free
-        d = a - b
-        b = a - d - np.sign(d) * 2e-3
-        return [a, b], {}
-    if kind == "attention":
-        return [u(2, 3, 8), u(2, 3, 8), u(2, 3, 8)], {"n_heads": 2}
-    raise UnknownOpError(f"no sampler for op kind '{kind}'")
+def _l1dist_inputs(u):
+    a, b = u(3, 4), u(3, 4)
+    # keep away from the |a-b| kink so the FD stencil stays one-sided-free
+    d = a - b
+    return [a, a - d - np.sign(d) * 2e-3]
+
+
+# kind -> every (inputs, call) form one trial checks, with inputs drawn by `u`
+# from [-2, 2]. Each call looks its kernel up on `tz` when it runs, so the
+# checker exercises a monkeypatched kernel.
+CASES = {
+    "add": lambda u: [([u(3, 4), u(3, 4)], lambda a, b: tz.add(a, b))],
+    "attention": lambda u: [([u(2, 3, 8), u(2, 3, 8), u(2, 3, 8)], lambda q, k, v: tz.attention(q, k, v, 2))],
+    "concat": lambda u: [([u(2, 3), u(2, 4)], lambda a, b: tz.concat([a, b], axis=-1))],
+    "gelu": lambda u: [([u(3, 4)], lambda x: tz.gelu(x))],
+    "l1dist": lambda u: [(_l1dist_inputs(u), lambda a, b: tz.l1_distance(a, b))],
+    "l2norm": lambda u: [([_l2norm_input(u)], lambda x: tz.l2_normalize(x, axis=-1))],
+    "layernorm": lambda u: [([u(2, 5), u(5), u(5)], lambda x, g, b: tz.layer_norm(x, g, b))],
+    "logsumexp": lambda u: [([u(3, 5)], lambda x: tz.logsumexp(x, axis=-1))],
+    "matmul": lambda u: [
+        ([u(3, 4), u(4, 2)], lambda a, b: tz.matmul(a, b)),
+        ([u(2, 3, 2, 4), u(4, 3), u(3)], lambda a, w, b: tz.matmul(a, w, b)),  # activation @ shared weight + bias
+        ([u(2, 3, 4), u(2, 4, 2)], lambda a, b: tz.matmul(a, b)),  # batched
+    ],
+    "mean": lambda u: [([u(3, 4)], lambda x: tz.mean(x, axis=-1))],
+    "mul": lambda u: [([u(3, 4), u(3, 4)], lambda a, b: tz.mul(a, b))],
+    "reshape": lambda u: [([u(3, 4)], lambda x: tz.reshape(x, (2, 6)))],
+    "slice": lambda u: [([u(3, 6)], lambda x: tz.slice_axis(x, 1, 1, 4))],
+    "sub": lambda u: [([u(3, 4), u(3, 4)], lambda a, b: tz.sub(a, b))],
+    "sum": lambda u: [([u(3, 4)], lambda x: tz.sum_(x))],
+    "transpose": lambda u: [([u(3, 4)], lambda x: tz.transpose(x))],
+}
 
 
 def grad_check(kind: str, trials: int = 10, tol: float = 1e-4, seed: int = 0) -> KernelReport:
     """Compare analytic gradients of one kernel against central differences."""
-    if kind not in tz.OP_NAMES:
-        raise UnknownOpError(f"unknown op kind '{kind}'")
+    sample = CASES[kind]  # KeyError for a kind with no kernel
     rng = np.random.default_rng(seed)
+    u = lambda *shape: rng.uniform(-2.0, 2.0, size=shape)
     h = 1e-5
     worst = 0.0
-    for arrays, attrs in (case for _ in range(trials) for case in _cases(kind, rng)):
-        out0 = op_forward(kind, [Tensor(a) for a in arrays], attrs)
+    for arrays, call in (case for _ in range(trials) for case in sample(u)):
+        out0 = call(*[Tensor(a) for a in arrays])
         weights = rng.uniform(-1.0, 1.0, size=out0.shape)
 
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
-        root = tz.sum_(tz.mul(op_forward(kind, leaves, attrs), Tensor(weights)))
-        analytic = backward(root, leaves)
+        out = call(*leaves)
+        assert out._op == kind, f"the {kind} case built a '{out._op}' node"
+        analytic = backward(tz.sum_(tz.mul(out, Tensor(weights))), leaves)
 
         def f(arrs) -> float:
-            out = op_forward(kind, [Tensor(a) for a in arrs], attrs)
-            return float((out.data * weights).sum())
+            return float((call(*[Tensor(a) for a in arrs]).data * weights).sum())
 
         for i, a in enumerate(arrays):
             fd = np.zeros_like(a)

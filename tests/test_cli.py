@@ -14,6 +14,7 @@ from hdys.datahub import (
     DatasetManifest,
     default_profiles,
     load_manifest,
+    read_manifest,
     restrict_profiles,
     write_manifest,
 )
@@ -131,6 +132,7 @@ def test_unreadable_manifest_is_domain_error(tmp_path, capsys):
         "truncated": good[: good.index('"profiles": [') + len('"profiles": [')],
         "not-object": "[1, 2]",
         "no-seed": json.dumps(no_seed),
+        "negative-seed": json.dumps({**json.loads(good), "seed": -1}),
         "not-utf8": b"\xff\xfe{}",
     }
     for name, text in docs.items():
@@ -139,6 +141,9 @@ def test_unreadable_manifest_is_domain_error(tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path), "--manifest", str(path), "--out", str(tmp_path / "run")])
         assert code == 1, name
         assert "manifest" in capsys.readouterr().err, name
+        assert not (tmp_path / "run").exists(), name
+    with pytest.raises(DatasetError, match="seed must be >= 0, got -1"):
+        read_manifest(tmp_path / "negative-seed.json")
     root = tmp_path / "root"
     root.mkdir()
     (root / "manifest.json").write_text(docs["truncated"])
@@ -236,6 +241,9 @@ def test_reproduce_rollout_table_provenance_lists_the_seed_it_trains(cli_dataset
     with open(os.path.join(out, "provenance.json")) as fh:
         assert json.load(fh)["seeds"] == [0]
     assert [d for d in os.listdir(out) if d.startswith("train-")] == ["train-s0"]
+    with open(os.path.join(out, "timings.json")) as fh:
+        timings = json.load(fh)  # the rollout phases' wall seconds, beside the CSV
+    assert sorted(timings) == ["generate_s", "predict_s", "step_s"] and min(timings.values()) >= 0
 
 
 def test_eval_reads_only_the_test_split(cli_dataset, tmp_path, monkeypatch):
@@ -336,12 +344,17 @@ def test_runs_freeze_the_manifest_they_train_on(cli_dataset, tmp_path):
 
 
 def test_reproduce_rejects_bad_seeds_before_writing(cli_dataset, tmp_path, capsys):
-    for seeds in (",", "a"):
-        out = tmp_path / "study"
-        argv = ["reproduce", "--study", "rollout-table", "--data", cli_dataset, "--seeds", seeds, "--out", str(out)]
-        assert main(argv) == 2, seeds
-        assert "--seeds" in capsys.readouterr().err, seeds
-        assert not out.exists(), seeds
+    out = tmp_path / "out"
+    for argv, flag in [
+        (["reproduce", "--study", "rollout-table", "--data", cli_dataset, "--seeds", seeds, "--out", str(out)], "--seeds")
+        for seeds in (",", "a", "-1", "0,-2")
+    ] + [
+        (["train", "--data", cli_dataset, "--seed", "-1", "--out", str(out)], "--seed"),
+        (["gen-data", "--data", str(out), "--seed", "-1"], "--seed"),
+    ]:
+        assert main(argv) == 2, argv
+        assert flag in capsys.readouterr().err, argv
+        assert not out.exists(), argv
 
 
 def test_unrunnable_config_value_is_usage_error(cli_dataset, tmp_path, capsys):
@@ -349,6 +362,14 @@ def test_unrunnable_config_value_is_usage_error(cli_dataset, tmp_path, capsys):
         ["train", "--set", "model.window=0"],
         ["train", "--set", "rollout.k_list="],
         ["reproduce", "--study", "rollout-table", "--set", "rollout.start_stride=0"],
+        ["train", "--set", "train.lr=nan", "--set", "train.epochs=1"],
+        ["train", "--set", "model.latent_dim=0"],
+        ["train", "--set", "model.latent_dim=-4"],
+        ["train", "--set", "model.set_ffn_mult=0"],
+        ["train", "--set", "train.frames_per_batch=0"],
+        ["train", "--set", "rollout.fps_list=nan"],
+        ["train", "--set", "train.seed=-1"],
+        ["reproduce", "--study", "rollout-table", "--set", "train.seed=-1"],
     ):
         out = tmp_path / "run"
         assert main(argv + ["--data", cli_dataset, "--out", str(out)]) == 2, argv

@@ -470,6 +470,9 @@ def test_invalid_configs_rejected():
         ("rollout.start_stride", "0"), ("rollout.k_list", ""), ("rollout.k_list", "1,0"),
         ("rollout.fps_list", ""), ("rollout.fps_list", "90,-1"), ("rollout.max_sequences", "0"),
         ("rollout.representation", "tau_tr"), ("rollout.representation", "mean"),
+        ("model.latent_dim", "0"), ("model.latent_dim", "-4"), ("model.set_ffn_mult", "0"),
+        ("train.frames_per_batch", "0"), ("train.lr", "nan"), ("train.lr", "inf"), ("train.lr", "0"),
+        ("train.lr", "-1e-3"), ("train.seed", "-1"), ("rollout.fps_list", "nan"), ("rollout.fps_list", "90,inf"),
     ):
         with pytest.raises(ConfigError):
             apply_override(desk_config(), key, value)
