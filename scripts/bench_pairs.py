@@ -13,9 +13,9 @@ appended to --out as one JSON line, tagged with side, pair, workload and
 seed, holding the run's `env` object (core count, BLAS threads, numpy and
 scipy versions, as bench/run.py prints it first), its `output` and `metric`
 lines and its result object. At the end it prints each distinct `env` line,
-then, for each end-to-end metric of BENCHMARK.json, the median [q1, q3] on
-each side and the number of pairs the change won (ties count for neither
-side), and whether every run printed the same outputs.
+then, for each end-to-end metric of BENCHMARK.json, the median [q1, q3] and
+the min-max range on each side and the number of pairs the change won (ties
+count for neither side), and whether every run printed the same outputs.
 
     python3 scripts/bench_pairs.py --parent HEAD --workload assess --seed 2 --pairs 10 --out pairs.jsonl
 
@@ -55,10 +55,15 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _spread(values: list[float]) -> str:
+    """Median [q1, q3] and the full [min, max], so a bimodal metric can show
+    whether every run of one side beats every run of the other."""
+    if not values:
+        return "no runs"
+    span = f"min-max [{min(values):.6g}, {max(values):.6g}]"
     if len(values) < 2:
-        return f"{values[0]:.6g}" if values else "no runs"
+        return f"{values[0]:.6g} {span}"
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"{q2:.6g} [{q1:.6g}, {q3:.6g}]"
+    return f"{q2:.6g} [{q1:.6g}, {q3:.6g}] {span}"
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> bool:

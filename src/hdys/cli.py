@@ -17,7 +17,8 @@ its effective `config.txt` (seed included), the manifest it trained on
 under `--data`; `rollout --run` needs nothing else, because it regenerates
 its sequences from the run's manifest. A study directory holds the same
 config, manifest and provenance files plus its CSV (the rollout table
-also its phase `timings.json`). Every artifact is written atomically.
+also its phase `timings.json`). `eval` and `rollout` write their wall times
+to a `timings.json` beside their outputs. Every artifact is written atomically.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from time import perf_counter
+
 from .datahub import (
     DatasetError,
     DatasetManifest,
@@ -50,7 +53,7 @@ from .engine import (
     write_csv,
     write_json,
 )
-from .model import ConfigError, HDySConfig, apply_override, desk_config, load_config
+from .model import ConfigError, HDySConfig, apply_overrides, desk_config, load_config
 from .model.losses import DeadConfigError
 from .numcore import CheckpointError
 from .rbd import InfeasibleActivation
@@ -82,12 +85,13 @@ def _require_dataset(root: str) -> DatasetManifest:
 
 def _load_cfg(args) -> HDySConfig:
     cfg = load_config(args.config) if args.config else desk_config()
+    pairs = []
     for kv in args.set or []:
         if "=" not in kv:
             raise CliError(f"--set expects key=value, got {kv!r}")
         key, value = kv.split("=", 1)
-        cfg = apply_override(cfg, key.strip(), value.strip())
-    return cfg
+        pairs.append((key.strip(), value.strip()))
+    return apply_overrides(cfg, pairs)
 
 
 def _log(msg: str) -> None:
@@ -147,7 +151,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     root = _data_dir(args)
     cfg, manifest, model, stdizer = load_run(args.run)
-    report = evaluate(model, stdizer, cfg, RecordCache.load(root, manifest, splits=("test",)))
+    cache = RecordCache.load(root, manifest, splits=("test",))
+    t_eval = perf_counter()
+    report = evaluate(model, stdizer, cfg, cache)
+    t_eval = perf_counter() - t_eval
     if not report.rows:
         raise CliError(f"{args.run}: its manifest lists no labelled test sequence", code=EXIT_DOMAIN)
     out = args.out or os.path.join(args.run, "eval")
@@ -159,6 +166,7 @@ def cmd_eval(args) -> int:
         rows,
     )
     write_json(os.path.join(out, "eval.json"), {"best": report.best_choice})
+    write_json(os.path.join(out, "timings.json"), {"evaluate_s": t_eval})  # wall time stays out of eval.csv/json
     for r in report.rows:
         print(
             f"{r.profile} {r.representation:5s} mPJE {r.mpje:.4f}  RMSE {r.rmse:.4f}  PCC {r.pcc:.4f}"

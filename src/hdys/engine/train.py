@@ -115,7 +115,7 @@ def train(
     model = HDySModel(cfg.model, inventory, seed=seed)
     opt = AdamWState(lr=cfg.train.lr, weight_decay=WEIGHT_DECAY)
     params = model.ps.params
-    windows_per_batch = max(1, cfg.train.frames_per_batch // window)
+    windows_per_batch = cfg.train.frames_per_batch // window
 
     names = list(params)
     leaves = list(params.values())

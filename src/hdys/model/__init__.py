@@ -5,7 +5,7 @@ from .config import (
     ModelConfig,
     RolloutConfig,
     TrainConfig,
-    apply_override,
+    apply_overrides,
     config_from_text,
     config_hash,
     config_to_text,

@@ -88,6 +88,14 @@ class HDySConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     rollout: RolloutConfig = field(default_factory=RolloutConfig)
 
+    def __post_init__(self):
+        # `train` cuts a batch into whole windows, so any other size would be rounded
+        if self.train.frames_per_batch % self.model.window:
+            raise ConfigError(
+                f"train.frames_per_batch must be a positive multiple of model.window "
+                f"({self.model.window}), got {self.train.frames_per_batch}"
+            )
+
 
 def desk_config() -> HDySConfig:
     return HDySConfig()
@@ -140,27 +148,31 @@ def _parse_value(raw: str, target_type, name: str):
     raise ConfigError(f"{name}: unsupported field type {target_type}")
 
 
-def apply_override(cfg: HDySConfig, key: str, raw_value: str) -> HDySConfig:
-    """Set one dotted key; unknown keys raise ConfigError."""
-    parts = key.split(".")
-    if len(parts) != 2 or parts[0] not in ("model", "train", "rollout"):
-        raise ConfigError(f"unknown config key '{key}'")
-    section, name = parts
-    sub = getattr(cfg, section)
-    match = [f for f in fields(sub) if f.name == name]
-    if not match:
-        raise ConfigError(f"unknown config key '{key}'")
-    current = getattr(sub, name)
-    if isinstance(current, tuple):
-        elem = _TUPLE_FIELDS.get(name, float)
-        value = tuple(_parse_value(x, elem, key) for x in raw_value.split(",") if x.strip())
-    else:
-        value = _parse_value(raw_value, type(current), key)
-    return replace(cfg, **{section: replace(sub, **{name: value})})
+def apply_overrides(cfg: HDySConfig, pairs) -> HDySConfig:
+    """Set (dotted key, raw value) pairs; unknown keys raise ConfigError. The
+    pairs apply at once, so a check that spans keys (frames_per_batch against
+    window) sees only the final values, whatever their order."""
+    changes: dict[str, dict] = {"model": {}, "train": {}, "rollout": {}}
+    for key, raw_value in pairs:
+        parts = key.split(".")
+        if len(parts) != 2 or parts[0] not in changes:
+            raise ConfigError(f"unknown config key '{key}'")
+        section, name = parts
+        sub = getattr(cfg, section)
+        if name not in {f.name for f in fields(sub)}:
+            raise ConfigError(f"unknown config key '{key}'")
+        current = getattr(sub, name)
+        if isinstance(current, tuple):
+            elem = _TUPLE_FIELDS.get(name, float)
+            value = tuple(_parse_value(x, elem, key) for x in raw_value.split(",") if x.strip())
+        else:
+            value = _parse_value(raw_value, type(current), key)
+        changes[section][name] = value
+    return replace(cfg, **{section: replace(getattr(cfg, section), **kw) for section, kw in changes.items()})
 
 
 def config_from_text(text: str) -> HDySConfig:
-    cfg = desk_config()
+    pairs = []
     saw_schema = False
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -174,10 +186,10 @@ def config_from_text(text: str) -> HDySConfig:
                 raise ConfigError(f"unsupported config schema {value!r}")
             saw_schema = True
             continue
-        cfg = apply_override(cfg, key, value)
+        pairs.append((key, value))
     if not saw_schema:
         raise ConfigError("config file is missing the schema line")
-    return cfg
+    return apply_overrides(desk_config(), pairs)
 
 
 def load_config(path) -> HDySConfig:

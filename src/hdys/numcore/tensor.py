@@ -5,7 +5,7 @@ losses need, each called one way: directly, with `Tensor` inputs and only the
 options some caller sets. All arrays are float64 and all kernels
 deterministic. NaN/Inf is caught where results are used, not per op: the loss
 and gradients in `train`, each prediction block in `predict_sequences`, and a
-zero-norm `l2_normalize`. `OP_NAMES` lists the 16 kernels by the `_op` name
+zero-norm `l2_normalize`. `OP_NAMES` lists the 16 kernels by the `op` name
 their output nodes carry; the gradient checker under `tests/` calls each one.
 """
 
@@ -78,20 +78,18 @@ def no_grad():
 
 
 class Tensor:
-    """A float64 array plus its position in the op graph.
+    """A float64 array plus, for an op output that needs a gradient, its graph node.
 
     Tensors are immutable once created, except for optimizer updates on leaf
     parameters between backward passes (`data` is swapped wholesale).
     """
 
-    __slots__ = ("data", "requires_grad", "_parents", "_op", "_backward")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._op: Optional[str] = None
-        self._backward: Optional[Callable[[np.ndarray], tuple]] = None
+        self._node: Optional[_Node] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -106,17 +104,31 @@ class Tensor:
         return self.data.size
 
     def __repr__(self) -> str:
-        op = f" op={self._op}" if self._op else ""
+        op = f" op={self._node.op}" if self._node else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{op})"
+
+
+class _Node:
+    """The graph side of one op output: its op name, its backward `rule` and
+    one entry per input, aligned with the rule's gradients: the input's node,
+    the input itself if it is a leaf that requires a gradient, or None.
+
+    A node refers to no op output, its own or an input's, so an intermediate
+    that the caller drops and no rule saved is freed during the forward pass:
+    a rule keeps alive only the arrays it reads.
+    """
+
+    __slots__ = ("op", "rule", "parents")
+
+    def __init__(self, op: str, rule: Callable[[np.ndarray], tuple], parents: tuple):
+        self.op, self.rule, self.parents = op, rule, parents
 
 
 def _make(out: np.ndarray, op: str, parents: Sequence[Tensor], bwd) -> Tensor:
     t = Tensor(out)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         t.requires_grad = True
-        t._parents = tuple(parents)
-        t._op = op
-        t._backward = bwd
+        t._node = _Node(op, bwd, tuple((p._node or p) if p.requires_grad else None for p in parents))
     return t
 
 
@@ -148,9 +160,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _make(out, "add", (a, b), bwd)
 
@@ -160,9 +173,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         out = a.data - b.data
     except ValueError:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return _make(out, "sub", (a, b), bwd)
 
@@ -173,9 +187,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
     ad, bd = a.data, b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return _unbroadcast(g * bd, a_shape), _unbroadcast(g * ad, b_shape)
 
     return _make(out, "mul", (a, b), bwd)
 
@@ -201,25 +216,27 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             raise ShapeError(f"matmul: bias shape {bias.shape} does not match output width {n}")
         parents += (bias,)
     ad, bd = a.data, b.data
-    if b.ndim == 2:
-        a2 = ad.reshape(-1, a.shape[-1])
-        out = (a2 @ bd).reshape(a.shape[:-1] + (n,))
+    a_shape, b_shape, a_grad, shared = a.shape, b.shape, a.requires_grad, b.ndim == 2
+    if shared:
+        a2 = ad.reshape(-1, a_shape[-1])
+        out = (a2 @ bd).reshape(a_shape[:-1] + (n,))
     else:
+        a2 = ad
         out = ad @ bd
     if bias is not None:
         out += bias.data
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        if b.ndim == 2:
-            ga = np.empty(a.shape) if a.requires_grad else None
-            if a.requires_grad:
+        if shared:
+            ga = np.empty(a_shape) if a_grad else None
+            if a_grad:
                 np.matmul(g2, bd.T, out=ga.reshape(a2.shape))
             grads = (ga, a2.T @ g2)
         else:
             ga = g @ bd.swapaxes(-1, -2)
-            gb = ad.swapaxes(-1, -2) @ g
-            grads = (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+            gb = a2.swapaxes(-1, -2) @ g
+            grads = (_unbroadcast(ga, a_shape), _unbroadcast(gb, b_shape))
         return grads if bias is None else grads + (g2.sum(axis=0),)
 
     return _make(out, "matmul", parents, bwd)
@@ -462,48 +479,50 @@ def backward(root: Tensor, leaves: Sequence[Tensor]) -> list[Optional[np.ndarray
     """Gradient of a scalar root w.r.t. leaves, as a list aligned with them;
     a leaf the root does not reach gets None.
 
-    A walk from the root orders the op DAG so that parents precede children;
-    the reverse pass then visits each node once and frees each op node as it
+    A walk from the root's node orders the node DAG so that parents precede
+    children; the reverse pass then visits each node once and frees it as it
     goes: its backward rule (with the arrays it saved) and its parent links.
-    A consumed op node keeps its `_op` but loses `_backward`, so a later pass
-    that reaches it raises. No two returned arrays share memory, so the
-    caller may write into any.
+    A consumed node keeps its `op` but loses its `rule`, so a later pass that
+    reaches it raises. No two returned arrays share memory, so the caller may
+    write into any.
     """
     if root.size != 1:
         raise GraphError(f"backward root must be scalar, got shape {root.shape}")
-    nodes: list[Optional[Tensor]] = []
+    start = root._node or root
+    nodes: list = []
     seen = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[object, bool]] = [(start, False)]
     while stack:
-        t, expanded = stack.pop()
+        n, expanded = stack.pop()
         if expanded:
-            nodes.append(t)
+            nodes.append(n)
             continue
-        if id(t) in seen:
+        if id(n) in seen:
             continue
-        if t._op is not None and t._backward is None:
-            raise GraphError(f"'{t._op}' node already consumed by a previous backward pass")
-        seen.add(id(t))
-        stack.append((t, True))
-        for p in t._parents:
-            if id(p) not in seen:
+        parents = ()
+        if isinstance(n, _Node):
+            if n.rule is None:
+                raise GraphError(f"'{n.op}' node already consumed by a previous backward pass")
+            parents = n.parents
+        seen.add(id(n))
+        stack.append((n, True))
+        for p in parents:
+            if p is not None and id(p) not in seen:
                 stack.append((p, False))
-    grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
+    grads: dict[int, np.ndarray] = {id(start): np.ones_like(root.data)}
     # keys whose array no other slot holds, so contributions add in place
-    owned = {id(root): True}
-    for i in range(len(nodes) - 1, -1, -1):
-        t = nodes[i]
-        g, g_owned = grads.pop(id(t), None), owned.pop(id(t), False)
-        if t._backward is None:
-            if g is not None and t.requires_grad:
-                grads[id(t)] = g if g_owned else g.copy()  # leaf: the caller's own array
+    owned = {id(start): True}
+    for n in reversed(nodes):
+        g, g_owned = grads.pop(id(n), None), owned.pop(id(n), False)
+        if not isinstance(n, _Node):
+            if g is not None and n.requires_grad:
+                grads[id(n)] = g if g_owned else g.copy()  # leaf: the caller's own array
             continue
-        rule, parents = t._backward, t._parents
-        t._backward, t._parents = None, ()
-        nodes[i] = t = None
+        rule, parents = n.rule, n.parents
+        n.rule, n.parents = None, ()
         if g is None:
             continue
-        live = [(p, pg) for p, pg in zip(parents, rule(g)) if p.requires_grad]
+        live = [(p, pg) for p, pg in zip(parents, rule(g)) if p is not None]
         del rule
         # rules never write into g; g, its views and shared arrays are not owned
         handed = [id(pg) for _, pg in live]

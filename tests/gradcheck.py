@@ -79,7 +79,7 @@ def grad_check(kind: str, trials: int = 10, tol: float = 1e-4, seed: int = 0) ->
 
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         out = call(*leaves)
-        assert out._op == kind, f"the {kind} case built a '{out._op}' node"
+        assert out._node.op == kind, f"the {kind} case built a '{out._node.op}' node"
         analytic = backward(tz.sum_(tz.mul(out, Tensor(weights))), leaves)
 
         def f(arrs) -> float:

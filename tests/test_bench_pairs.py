@@ -27,7 +27,10 @@ def test_summarize_prints_env_medians_and_wins(capsys):
     assert bench_pairs.summarize(runs, end_to_end)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "env " + json.dumps(env, sort_keys=True)  # one line for both runs
-    assert lines[1] == "round_s (s, lower is better): parent 2, change 1.5; change won 1 of 1 pairs"
+    assert lines[1] == (
+        "round_s (s, lower is better): parent 2 min-max [2, 2], change 1.5 min-max [1.5, 1.5]; "
+        "change won 1 of 1 pairs"
+    )
     assert lines[2] == "outputs: identical in every run"
 
     # different outputs fail the comparison; each machine's env line is printed once
@@ -37,3 +40,20 @@ def test_summarize_prints_env_medians_and_wins(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [ln for ln in lines if ln.startswith("env ")] == ["env " + json.dumps(e, sort_keys=True) for e in (env, other)]
     assert "change won 0 of 1 pairs" in lines[2] and lines[3] == "outputs: 2 distinct sets"
+
+
+def test_summarize_prints_quartiles_and_range(capsys):
+    # a bimodal parent: the range shows that every change run beats every parent run
+    bench_pairs = _bench_pairs()
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"][:1]
+    env = {"nproc": 2}
+    runs = []
+    for pair, (parent, change) in enumerate([(306.0, 288.0), (319.0, 289.0), (306.0, 288.5), (319.0, 288.2)], 1):
+        runs += [dict(_run("parent", parent, ["output a"], env), pair=pair),
+                 dict(_run("change", change, ["output a"], env), pair=pair)]
+    assert bench_pairs.summarize(runs, end_to_end)
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line == (
+        "round_s (s, lower is better): parent 312.5 [306, 319] min-max [306, 319], "
+        "change 288.35 [288.15, 288.625] min-max [288, 289]; change won 4 of 4 pairs"
+    )

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -262,6 +263,24 @@ def test_eval_reads_only_the_test_split(cli_dataset, tmp_path, monkeypatch):
     assert sorted(read) == sorted(test_paths)
 
 
+def test_eval_writes_its_wall_time_beside_the_scores(cli_dataset, tmp_path):
+    run = str(tmp_path / "run")
+    assert main(["train", "--data", cli_dataset, "--out", run, "--set", "train.epochs=0"]) == 0
+    outs = [str(tmp_path / f"eval{i}") for i in range(2)]
+    for out in outs:
+        t0 = time.perf_counter()
+        assert main(["eval", "--data", cli_dataset, "--run", run, "--out", out]) == 0
+        wall = time.perf_counter() - t0
+        with open(os.path.join(out, "timings.json")) as fh:
+            timings = json.load(fh)
+        assert list(timings) == ["evaluate_s"] and 0.0 < timings["evaluate_s"] < wall
+        assert sorted(os.listdir(out)) == ["eval.csv", "eval.json", "timings.json"]
+    # the clock goes only into timings.json: the score files are byte-identical
+    for name in ("eval.csv", "eval.json"):
+        b1, b2 = (open(os.path.join(out, name), "rb").read() for out in outs)
+        assert b1 == b2 and b"evaluate_s" not in b1, name
+
+
 def test_reproduce_table2_byte_identical(cli_dataset, tmp_path):
     args = [
         "reproduce", "--study", "table2-analogue", "--data", cli_dataset, "--seeds", "0",
@@ -367,6 +386,8 @@ def test_unrunnable_config_value_is_usage_error(cli_dataset, tmp_path, capsys):
         ["train", "--set", "model.latent_dim=-4"],
         ["train", "--set", "model.set_ffn_mult=0"],
         ["train", "--set", "train.frames_per_batch=0"],
+        ["train", "--set", "train.frames_per_batch=8"],  # half a 16-frame window
+        ["train", "--set", "train.frames_per_batch=20"],  # one window and 4 frames
         ["train", "--set", "rollout.fps_list=nan"],
         ["train", "--set", "train.seed=-1"],
         ["reproduce", "--study", "rollout-table", "--set", "train.seed=-1"],
@@ -375,6 +396,9 @@ def test_unrunnable_config_value_is_usage_error(cli_dataset, tmp_path, capsys):
         assert main(argv + ["--data", cli_dataset, "--out", str(out)]) == 2, argv
         assert "config error" in capsys.readouterr().err, argv
         assert not out.exists(), argv
+    # --set flags are checked together: 480 frames are not whole 7-frame windows, 490 are
+    argv = ["train", "--data", cli_dataset, "--out", str(out), "--set", "train.epochs=0"]
+    assert main(argv + ["--set", "model.window=7", "--set", "train.frames_per_batch=490"]) == 0
 
 
 def test_unparsable_config_value_is_usage_error(cli_dataset, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from hdys.model import (
     ModelError,
     Normalisers,
     WindowGroup,
-    apply_override,
+    apply_overrides,
     config_from_text,
     config_hash,
     config_to_text,
@@ -20,9 +22,10 @@ from hdys.model import (
     total_loss,
 )
 from hdys.model.config import ModelConfig
+from hdys.model.layers import ParamSet, TransformerLayer
 from hdys.model.losses import ALPHA1, ALPHA2, TEMPERATURE
 from hdys.model.network import GroupOutput, accel_block, strip_accel_block
-from hdys.numcore import Tensor
+from hdys.numcore import Tensor, backward, sum_
 
 INV = ChannelInventory(
     dyn_widths={"tau_tr": 23, "tau_ts": 12, "tau_m": 12, "tau_e": 8},
@@ -99,6 +102,41 @@ def test_mlp_encoder_exact_width():
     assert z.shape == (4, 32)
     with pytest.raises(ModelError):
         model.encode_kinematics("x_a", rng.normal(size=(4, 68)))
+
+
+def test_transformer_layer_graph_frees_what_no_rule_reads(monkeypatch):
+    # The graph keeps backward rules, not tensors: the first residual sum feeds
+    # only ln2 (which saves its own normalised copy) and the second residual
+    # add (which saves shapes), so it is gone once the layer returns, before
+    # any backward pass. gelu's input is read by gelu's rule and stays alive
+    # until the reverse pass consumes that rule.
+    import hdys.model.layers as layers
+
+    sums, gelu_inputs = [], []
+    real_add, real_gelu = layers.add, layers.gelu
+
+    def add(a, b):
+        out = real_add(a, b)
+        sums.append(weakref.ref(out.data))
+        return out
+
+    def gelu(x):
+        gelu_inputs.append(weakref.ref(x.data))
+        return real_gelu(x)
+
+    monkeypatch.setattr(layers, "add", add)
+    monkeypatch.setattr(layers, "gelu", gelu)
+    ps = ParamSet(seed=0)
+    block = TransformerLayer(ps, "blk", dim=8, heads=2, ffn_mult=2)
+    y = block(Tensor(np.random.default_rng(5).normal(size=(3, 6, 8))))
+    assert len(sums) == 2 and len(gelu_inputs) == 1
+    assert sums[0]() is None  # the residual sum, dropped by the layer
+    assert sums[1]() is y.data  # the returned sum, held by the caller
+    assert gelu_inputs[0]() is not None
+    leaves = list(ps.params.values())
+    grads = backward(sum_(y), leaves)
+    assert all(g is not None for g in grads)
+    assert gelu_inputs[0]() is None  # freed with gelu's rule
 
 
 # -- decoder paths ------------------------------------------------------------------
@@ -406,16 +444,15 @@ def test_config_text_roundtrip_and_hash():
 def test_config_unknown_key_rejected():
     cfg = desk_config()
     with pytest.raises(ConfigError, match="momentum"):
-        apply_override(cfg, "train.momentum", "0.9")
+        apply_overrides(cfg, [("train.momentum", "0.9")])
     with pytest.raises(ConfigError):
-        apply_override(cfg, "optimizer.lr", "0.1")
+        apply_overrides(cfg, [("optimizer.lr", "0.1")])
 
 
 def test_config_override_types():
     cfg = desk_config()
-    cfg = apply_override(cfg, "model.latent_dim", "128")
-    cfg = apply_override(cfg, "model.no_align", "true")
-    cfg = apply_override(cfg, "rollout.k_list", "1,2,3")
+    cfg = apply_overrides(cfg, [("model.latent_dim", "128")])
+    cfg = apply_overrides(cfg, [("model.no_align", "true"), ("rollout.k_list", "1,2,3")])
     assert cfg.model.latent_dim == 128 and cfg.model.no_align
     assert cfg.rollout.k_list == (1, 2, 3)
 
@@ -456,7 +493,7 @@ def test_config_has_only_the_keys_that_vary():
     assert [line.split(" = ")[0] for line in lines[1:]] == CONFIG_KEYS
     for key in REMOVED_KEYS:
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
-            apply_override(desk_config(), key, "1")
+            apply_overrides(desk_config(), [(key, "1")])
 
 
 def test_invalid_configs_rejected():
@@ -466,6 +503,8 @@ def test_invalid_configs_rejected():
         ModelConfig(window=0)
     # values a run would only trip over part-way through, rejected when the config is built
     for key, value in (
+        ("train.frames_per_batch", "8"), ("train.frames_per_batch", "20"),  # not whole 16-frame windows
+        ("model.window", "7"),  # 480 frames are not whole 7-frame windows
         ("model.latent_dim", "30"), ("model.latent_dim", "33"), ("train.quota", "0"),
         ("rollout.start_stride", "0"), ("rollout.k_list", ""), ("rollout.k_list", "1,0"),
         ("rollout.fps_list", ""), ("rollout.fps_list", "90,-1"), ("rollout.max_sequences", "0"),
@@ -475,8 +514,24 @@ def test_invalid_configs_rejected():
         ("train.lr", "-1e-3"), ("train.seed", "-1"), ("rollout.fps_list", "nan"), ("rollout.fps_list", "90,inf"),
     ):
         with pytest.raises(ConfigError):
-            apply_override(desk_config(), key, value)
+            apply_overrides(desk_config(), [(key, value)])
     for rep in ("avg", "x_m", "x_k", "x_a", "x_s"):
-        assert apply_override(desk_config(), "rollout.representation", rep).rollout.representation == rep
+        assert apply_overrides(desk_config(), [("rollout.representation", rep)]).rollout.representation == rep
     paper_config()
     assert config_hash(desk_config()) == "a7e4b0f385318357"
+
+
+def test_frames_per_batch_is_checked_against_the_final_window():
+    # keys set together are checked once, so the order of the keys is free
+    for pairs in ([("model.window", "7"), ("train.frames_per_batch", "490")],
+                  [("train.frames_per_batch", "490"), ("model.window", "7")]):
+        cfg = apply_overrides(desk_config(), pairs)
+        assert (cfg.model.window, cfg.train.frames_per_batch) == (7, 490)
+        text = config_to_text(cfg)
+        assert config_from_text(text) == cfg
+    with pytest.raises(ConfigError, match="positive multiple of model.window"):
+        apply_overrides(desk_config(), [("model.window", "7"), ("train.frames_per_batch", "491")])
+    # both presets hold whole windows per batch and load back from their text
+    for cfg in (desk_config(), paper_config()):
+        assert cfg.train.frames_per_batch % cfg.model.window == 0
+        assert config_from_text(config_to_text(cfg)) == cfg

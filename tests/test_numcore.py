@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -31,8 +32,9 @@ def test_gradcheck_catches_corrupt_kernel(monkeypatch):
 
     def corrupt(x):
         out = real(x)
-        orig = out._backward
-        out._backward = lambda g: ((orig(g)[0] * 1.5),)
+        if out._node:  # the checker's no-grad forward builds no node
+            orig = out._node.rule
+            out._node.rule = lambda g: ((orig(g)[0] * 1.5),)
         return out
 
     monkeypatch.setattr(tz, "gelu", corrupt)
@@ -78,7 +80,7 @@ def test_matmul_bias_fused_equals_separate_add():
         for got, want in zip(fused_grads, ref):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    rule = tz.matmul(Tensor(xa, requires_grad=True), Tensor(wa))._backward
+    rule = tz.matmul(Tensor(xa, requires_grad=True), Tensor(wa))._node.rule
     assert rule(np.ones((2, 3, 5, 6)))[0].base is None  # owned, so the reverse pass need not copy it
 
 
@@ -87,8 +89,9 @@ def test_gradcheck_checks_matmul_bias(monkeypatch):
 
     def corrupt(a, b, bias=None):
         out = real(a, b, bias)
-        orig = out._backward
-        out._backward = lambda g: orig(g)[:2] + tuple(gb * 1.5 for gb in orig(g)[2:])
+        if out._node:
+            orig = out._node.rule
+            out._node.rule = lambda g: orig(g)[:2] + tuple(gb * 1.5 for gb in orig(g)[2:])
         return out
 
     monkeypatch.setattr(tz, "matmul", corrupt)
@@ -155,7 +158,7 @@ def test_in_place_kernels_are_bitwise_their_expressions(t):
         g = _signed_zeros(rng, shapes[0])
         g_before = g.copy()
         out = kernel(*[Tensor(a, requires_grad=True) for a in inputs], **attrs)
-        got = out._backward(g)
+        got = out._node.rule(g)
         want_out, want = ref(*inputs, *attrs.values(), g)
         assert out.data.tobytes() == want_out.tobytes(), kernel.__name__
         assert len(got) == len(want)
@@ -291,13 +294,35 @@ def test_backward_frees_the_graph_and_runs_once_per_root():
     (g,) = backward(root, [x])
     assert np.array_equal(g, np.full(3, 2.0))
     for node in (root, y):
-        assert node._backward is None and node._parents == ()
+        assert node._node.rule is None and node._node.parents == ()
     # a second pass from the root, or through a consumed node, raises
     # instead of handing back zeros
     with pytest.raises(GraphError, match="consumed"):
         backward(root, [x])
     with pytest.raises(GraphError, match="consumed"):
         backward(tz.sum_(tz.add(y, x)), [x])
+
+
+def test_graph_holds_only_what_rules_read():
+    # add and sub save their inputs' shapes, so an intermediate that only
+    # they consume is freed when the caller drops it; mul and gelu read
+    # their inputs' arrays in the backward pass and keep them alive
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    c = Tensor(rng.normal(size=(4, 3)))
+    for kernel, kept in ((tz.add, False), (tz.sub, False), (tz.mul, True), (lambda u, v: tz.gelu(u), True)):
+        u = tz.mul(x, c)
+        ref = weakref.ref(u.data)
+        out = kernel(u, x)
+        del u
+        assert (ref() is not None) == kept, kernel
+        (g,) = backward(tz.sum_(out), [x])
+        assert g is not None and ref() is None  # consumed rules free what they saved
+    # a node refers to its inputs' nodes and to leaves, never to an op output
+    y = tz.add(tz.mul(x, c), x)
+    mul_node, leaf = y._node.parents
+    assert y._node.op == "add" and mul_node.op == "mul" and leaf is x
+    assert mul_node.parents == (x, None)  # c needs no gradient, so the node drops it
 
 
 def test_non_finite_forward_raises():
@@ -318,7 +343,7 @@ def test_no_grad_blocks_recording():
     x = Tensor(np.ones(3), requires_grad=True)
     with no_grad():
         y = tz.mul(x, x)
-    assert not y.requires_grad and y._backward is None
+    assert not y.requires_grad and y._node is None
 
 
 def test_determinism_bitwise():
