@@ -8,3 +8,9 @@ metrics, rollouts, ablations), codec (binary fields, atomic writes), cli
 """
 
 __version__ = "0.1.0"
+
+
+class HdysError(Exception):
+    """A failure that the run's inputs cause: a dataset, run directory, motion
+    or configuration that the program cannot use. hdysctl prints it as
+    `error: <message>` and exits 1."""

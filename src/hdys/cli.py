@@ -1,14 +1,16 @@
 """hdysctl: generation, training, evaluation, rollouts and study reproduction.
 
-Exit codes: 0 success; 1 domain failure (infeasible solve, dead config,
-missing dataset or run, a training profile without training sequences, a
-rollout profile without joint-torque labels, a run whose `config.txt` does
-not parse or whose `model.ckpt` is unreadable or does not fit it, an `eval`
-with no labelled test sequence); 2 usage or configuration errors, before
-anything is written: unknown flags (each subcommand takes only the flags it
-reads), config values the program cannot run, a `--seeds` list that is empty,
-not integers or holds a negative seed, a negative `--seed`, and a
-`gen-data` `--fps` that is not positive or a sequence count below zero.
+Exit codes: 0 success; 1 any `hdys.HdysError`, a failure that the inputs
+cause once the command runs, printed as `error: <message>` (a missing or
+unreadable dataset, manifest, record or run; records that disagree with
+their manifest; a sequence too short to difference or to fill one window; an
+infeasible solve; a dead config; a profile without the sequences or labels a
+command needs; a run whose files do not parse or fit); 2 usage or
+configuration errors, before anything is written: unknown flags (each
+subcommand takes only the flags it reads), config values the program cannot
+run, a `--seeds` list that is empty, not integers or holds a negative seed, a
+negative `--seed`, and a `gen-data` `--fps` that is not positive or a sequence
+count below zero.
 
 Every run directory, whether `train` or a `reproduce` study wrote it, holds
 its effective `config.txt` (seed included), the manifest it trained on
@@ -28,10 +30,10 @@ import os
 import sys
 from time import perf_counter
 
+from . import HdysError
 from .datahub import (
     DatasetError,
     DatasetManifest,
-    SamplerError,
     default_profiles,
     generate_dataset,
     load_manifest,
@@ -39,9 +41,7 @@ from .datahub import (
 )
 from .engine import (
     ROLLOUT_COLUMNS,
-    EvalError,
     RecordCache,
-    TrainError,
     evaluate,
     freeze_run,
     grid,
@@ -54,9 +54,6 @@ from .engine import (
     write_json,
 )
 from .model import ConfigError, HDySConfig, apply_overrides, desk_config, load_config
-from .model.losses import DeadConfigError
-from .numcore import CheckpointError
-from .rbd import InfeasibleActivation
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -300,9 +297,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        InfeasibleActivation, DeadConfigError, TrainError, DatasetError, EvalError, SamplerError, CheckpointError
-    ) as exc:
+    except HdysError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -1,4 +1,4 @@
-from .motion import FAMILIES, MotionError, MotionSpec, sample_trajectory
+from .motion import FAMILIES, MotionSpec, sample_trajectory
 from .profiles import (
     MANIFEST_NAME,
     MANIFEST_SCHEMA,
@@ -14,4 +14,4 @@ from .profiles import (
     write_manifest,
 )
 from .records import DatasetError, read_record, record_from_bytes, record_path, record_to_bytes, write_record
-from .sampler import SamplerError, balanced_epoch_sampler, fifty_fifty, restrict_profiles, subset_dataset
+from .sampler import balanced_epoch_sampler, fifty_fifty, restrict_profiles, subset_dataset

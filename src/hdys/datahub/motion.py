@@ -13,12 +13,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ..rbd import GeneralizedState
+from .records import DatasetError
 
 FAMILIES = ("periodic-gait-like", "random-smooth-spline")
-
-
-class MotionError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -31,9 +28,9 @@ class MotionSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise MotionError(f"unknown motion family '{self.family}'")
+            raise DatasetError(f"unknown motion family '{self.family}'")
         if len(self.bias) != len(self.amp_base):
-            raise MotionError("bias and amp_base lengths differ")
+            raise DatasetError("bias and amp_base lengths differ")
 
 
 def sample_trajectory(

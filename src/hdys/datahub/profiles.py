@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ..codec import atomic_write
-from ..kinrep import SequenceRecord, attach_dynamics, build_representations
+from ..kinrep import COORD_CHANNELS, TORQUE_CHANNELS, SequenceRecord, attach_dynamics, build_representations
 from ..rbd import (
     T1_EMG_MUSCLES,
     T2_BIAS_POSTURE,
@@ -42,6 +42,7 @@ from .records import DatasetError, read_record, record_path, write_record
 MANIFEST_SCHEMA = "hdys-dataset/1"
 MANIFEST_NAME = "manifest.json"
 MAX_ATTEMPTS = 20  # motion draws per sequence before its generation fails
+TREE_CHANNELS = {"t1": ("x_a", "tau_tr"), "t2": ("x_s", "tau_ts")}  # a tree's coordinate and torque channel
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,12 @@ class DomainProfile:
     def __post_init__(self):
         if not self.kin_mask:
             raise DatasetError(f"profile {self.profile_id}: needs at least one kinematics channel")
+        own = TREE_CHANNELS.get(self.tree_key)
+        if own is None:
+            raise DatasetError(f"profile {self.profile_id}: unknown tree key '{self.tree_key}'")
+        foreign = [c for c in COORD_CHANNELS + TORQUE_CHANNELS if c in self.kin_mask + self.dyn_mask and c not in own]
+        if foreign:
+            raise DatasetError(f"profile {self.profile_id}: tree {self.tree_key} has no {', '.join(foreign)} channel")
         if self.jitter_sigma < 0:
             raise DatasetError(f"profile {self.profile_id}: jitter sigma must be >= 0")
         if self.family not in FAMILIES:
@@ -298,7 +305,6 @@ def _generate_once(
     traj = sample_trajectory(spec, duration, fps, rng_motion)
     count = int(rng_markers.choice(np.asarray(profile.marker_counts)))
     subset = rng_markers.choice(bundle.tree.n_markers, size=count, replace=False)
-    angle_channel = "x_a" if profile.tree_key == "t1" else "x_s"
     seq_id = f"{profile.profile_id}{s_idx:04d}"
     rec = build_representations(
         bundle.tree,
@@ -308,12 +314,10 @@ def _generate_once(
         fps,
         seq_id=seq_id,
         profile_id=profile.profile_id,
-        angle_channel=angle_channel,
         jitter_sigma=profile.jitter_sigma,
         jitter_rng=rng_jitter,
     )
     if profile.dyn_mask:
-        torque_channel = "tau_tr" if profile.tree_key == "t1" else "tau_ts"
         attach_dynamics(
             rec,
             bundle.tree,
@@ -321,7 +325,6 @@ def _generate_once(
             bundle.muscles,
             profile.dyn_mask,
             seed=int(rng_emg.integers(2**31)),
-            torque_channel=torque_channel,
             emg_muscles=bundle.emg,
         )
     return rec, traj
@@ -348,11 +351,17 @@ def generate_dataset(root, manifest: DatasetManifest, verbose: bool = False) -> 
     return manifest
 
 
-def load_records(root, profile_id: str, ids) -> list[SequenceRecord]:
+def load_records(root, profile: DomainProfile, ids) -> list[SequenceRecord]:
+    """The records `ids` of `profile`; each must carry exactly the profile's channels."""
+    pid = profile.profile_id
+    channels = sorted(profile.kin_mask + profile.dyn_mask)
     out = []
     for sid in ids:
-        rec = read_record(record_path(root, profile_id, sid))
-        if rec.profile_id != profile_id:
+        rec = read_record(record_path(root, pid, sid))
+        if rec.profile_id != pid:
             raise DatasetError(f"record {sid} belongs to profile {rec.profile_id}")
+        if sorted(rec.mask) != channels:
+            msg = f"record {pid}/{sid} has channels {sorted(rec.mask)}"
+            raise DatasetError(f"{msg}, but profile {pid}'s kin_mask + dyn_mask is {channels}")
         out.append(rec)
     return out

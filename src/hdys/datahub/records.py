@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 
+from .. import HdysError
 from ..codec import Reader, Writer, atomic_write
 from ..kinrep import CHANNELS, SequenceRecord
 
@@ -23,7 +24,7 @@ MAGIC = b"HDYSREC1"
 VERSION = 1
 
 
-class DatasetError(Exception):
+class DatasetError(HdysError):
     pass
 
 

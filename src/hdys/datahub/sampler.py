@@ -9,10 +9,6 @@ import numpy as np
 from .profiles import DatasetManifest, DatasetError
 
 
-class SamplerError(Exception):
-    pass
-
-
 def balanced_epoch_sampler(
     manifest: DatasetManifest, per_profile_quota: int, seed: int, epoch: int
 ) -> list[tuple[str, str]]:
@@ -24,12 +20,12 @@ def balanced_epoch_sampler(
     (seed, epoch).
     """
     if per_profile_quota <= 0:
-        raise SamplerError("quota must be positive")
+        raise DatasetError("quota must be positive")
     out: list[tuple[str, str]] = []
     for p_idx, profile in enumerate(manifest.profiles):
         ids = manifest.train_ids.get(profile.profile_id, [])
         if not ids:
-            raise SamplerError(f"profile {profile.profile_id} has no training sequences")
+            raise DatasetError(f"profile {profile.profile_id} has no training sequences")
         rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, p_idx]))
         n = len(ids)
         if n >= per_profile_quota:

@@ -6,13 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import HdysError
 from ..kinrep import SequenceRecord
 from ..model import WindowGroup
-from ..numcore import CheckpointError
-
-
-class BatchingError(Exception):
-    pass
 
 
 @dataclass
@@ -44,7 +40,7 @@ class Standardizer:
 
     def apply(self, channel: str, arr: np.ndarray) -> np.ndarray:
         if channel not in self.stats:
-            raise BatchingError(f"no statistics for channel '{channel}'")
+            raise HdysError(f"no statistics for channel '{channel}'")
         mean, std = self.stats[channel]
         return (arr - mean) / std
 
@@ -66,7 +62,7 @@ class Standardizer:
             if name.startswith("norm.") and name.endswith(".mean"):
                 ch = name[len("norm.") : -len(".mean")]
                 if f"norm.{ch}.std" not in arrays:
-                    raise CheckpointError(f"checkpoint has {name} but no norm.{ch}.std")
+                    raise HdysError(f"checkpoint has {name} but no norm.{ch}.std")
                 stats[ch] = (arr, arrays[f"norm.{ch}.std"])
         return cls(stats)
 
@@ -114,7 +110,7 @@ def build_groups(
             rec = records[(pid, ref.seq_id)]
             t0 = ref.start
             if t0 < 0 or t0 + window > rec.n_frames:
-                raise BatchingError(f"window [{t0}, {t0 + window}) out of range for {ref.seq_id}")
+                raise HdysError(f"window [{t0}, {t0 + window}) out of range for {ref.seq_id}")
             for ch in mask:
                 block = rec.channels[ch][t0 : t0 + window]
                 if ch == "x_m":

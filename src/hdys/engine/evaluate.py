@@ -15,16 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import HdysError
 from ..datahub import DatasetManifest
+from ..kinrep import TORQUE_CHANNELS
 from ..model import HDySConfig, HDySModel
 from ..numcore import no_grad
 from .batching import Standardizer, WindowRef, build_groups, tiling_starts
 
-MASS_NORMALIZED = ("tau_tr", "tau_ts")
-HEADLINE = {"tau_tr": "mpje", "tau_ts": "mpje", "tau_m": "rmse", "tau_e": "rmse"}
 
-
-class EvalError(Exception):
+class EvalError(HdysError):
     pass
 
 
@@ -80,14 +79,16 @@ def predict_sequences(
     """Per-frame dynamics predictions: seq_id -> kin source -> dyn -> (F, w).
 
     Windows tile each sequence (end-aligned tail); predictions are written
-    back per frame, the tail overlap keeping the later window; a non-finite
-    prediction is an `EvalError`.
+    back per frame, the tail overlap keeping the later window. A sequence
+    shorter than one window or a non-finite prediction is an `EvalError`.
     """
     window = cfg.model.window
     out: dict[str, dict[str, dict[str, np.ndarray]]] = {}
     with no_grad():
         for sid in seq_ids:
             rec = records[(profile_id, sid)]
+            if rec.n_frames < window:
+                raise EvalError(f"{profile_id}/{sid}: {rec.n_frames} frames, shorter than one {window}-frame window")
             starts = tiling_starts(rec.n_frames, window)
             refs = [WindowRef(profile_id, sid, t0) for t0 in starts]
             groups = build_groups(records, refs, window, stdizer, {profile_id: tree_key})
@@ -131,8 +132,9 @@ def _labelled_profiles(cache, profiles: list[str] | None):
 
 def _scores(true: np.ndarray, pred: np.ndarray, dyn: str, mass: float):
     """(mPJE, RMSE, PCC, guarded channels, headline) of `pred` against `true`."""
-    mpje, rmse, pcc, guarded = _metrics(pred - true, true, pred, mass if dyn in MASS_NORMALIZED else 1.0)
-    return mpje, rmse, pcc, guarded, mpje if HEADLINE[dyn] == "mpje" else rmse
+    torque = dyn in TORQUE_CHANNELS  # joint torques: mass-normalized, mPJE headline; others RMSE
+    mpje, rmse, pcc, guarded = _metrics(pred - true, true, pred, mass if torque else 1.0)
+    return mpje, rmse, pcc, guarded, mpje if torque else rmse
 
 
 def evaluate(

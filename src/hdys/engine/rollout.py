@@ -16,6 +16,7 @@ from time import perf_counter
 import numpy as np
 
 from ..datahub import DatasetManifest, generate_sequence, tree_bundle
+from ..kinrep import TORQUE_CHANNELS
 from ..model import HDySConfig, HDySModel
 from ..rbd import DivergedRollout, GeneralizedState, rnea, step
 from .batching import Standardizer
@@ -79,7 +80,7 @@ def rollout_eval(
     bundle = tree_bundle(profile.tree_key)
     if bundle.tree.root_dof != 0:
         raise EvalError("rollouts need a fixed-base tree")
-    if profile.dyn_mask[:1] not in (("tau_tr",), ("tau_ts",)):
+    if not profile.dyn_mask or profile.dyn_mask[0] not in TORQUE_CHANNELS:
         raise EvalError(f"profile {pid} has no joint-torque labels")
     dyn = profile.dyn_mask[0]
     p_idx = manifest.gen_index[pid]

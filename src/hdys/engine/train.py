@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .. import HdysError
 from ..datahub import DatasetManifest, balanced_epoch_sampler, load_records, read_manifest
 from ..model import (
     ChannelInventory,
@@ -28,7 +29,7 @@ from .report import RUN_MANIFEST, freeze_run, write_csv, write_json
 WEIGHT_DECAY = 0.01  # AdamW's decoupled weight decay
 
 
-class TrainError(Exception):
+class TrainError(HdysError):
     pass
 
 
@@ -60,9 +61,8 @@ class RecordCache:
         for split in splits:
             records = getattr(cache, split)
             for p in manifest.profiles:
-                pid = p.profile_id
-                for rec in load_records(root, pid, ids[split].get(pid, [])):
-                    records[(pid, rec.seq_id)] = rec
+                for rec in load_records(root, p, ids[split].get(p.profile_id, [])):
+                    records[(p.profile_id, rec.seq_id)] = rec
         return cache
 
 
@@ -165,7 +165,8 @@ def train(
                 if not np.isfinite(g).all():
                     raise TrainError(f"non-finite gradient of '{name}' at epoch {epoch}, batch {len(steps)}")
             adamw_step(opt, params, grads)
-            grad_norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+            # numpy's own pairwise sum, not a BLAS dot, so the thread count cannot round it
+            grad_norm = math.sqrt(sum(float(np.square(g).sum()) for g in grads.values()))
             steps.append(
                 {"recon": bd.recon, "align": bd.align, "total": bd.total, "grad_norm": grad_norm}
                 | {f"recon_{t}": v for t, v in sorted(bd.per_target.items())}

@@ -21,6 +21,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from . import HdysError
 from .rbd import (
     GeneralizedState,
     KinematicTree,
@@ -30,13 +31,12 @@ from .rbd import (
     synth_emg,
 )
 
-KINEMATIC_CHANNELS = ("x_m", "x_k", "x_a", "x_s")
-DYNAMIC_CHANNELS = ("tau_tr", "tau_ts", "tau_m", "tau_e")
+SET_CHANNELS = ("x_m", "x_k")
+COORD_CHANNELS = ("x_a", "x_s")
+TORQUE_CHANNELS = ("tau_tr", "tau_ts")
+KINEMATIC_CHANNELS = SET_CHANNELS + COORD_CHANNELS
+DYNAMIC_CHANNELS = TORQUE_CHANNELS + ("tau_m", "tau_e")
 CHANNELS = KINEMATIC_CHANNELS + DYNAMIC_CHANNELS
-
-
-class RepresentationError(Exception):
-    pass
 
 
 def finite_difference(x: np.ndarray, fps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -47,7 +47,7 @@ def finite_difference(x: np.ndarray, fps: float) -> tuple[np.ndarray, np.ndarray
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] < 3:
-        raise RepresentationError("finite differencing needs at least 3 frames")
+        raise HdysError("finite differencing needs at least 3 frames")
     v = np.empty_like(x)
     a = np.empty_like(x)
     v[1:-1] = (x[2:] - x[:-2]) * (fps / 2.0)
@@ -102,27 +102,27 @@ class SequenceRecord:
         """Check the channel layouts and value ranges over every frame."""
         lengths = {v.shape[0] for v in self.channels.values()}
         if len(lengths) > 1:
-            raise RepresentationError("channel frame counts differ")
+            raise HdysError("channel frame counts differ")
         if self.n_frames < 3:
-            raise RepresentationError("sequences need at least 3 frames")
-        for name, n in (("tau_tr", self.n_actuated), ("tau_ts", self.n_actuated)):
-            if name in self.channels and self.n_actuated and self.channels[name].shape[1] != n:
-                raise RepresentationError(f"{name} must have one column per actuated DoF")
+            raise HdysError("sequences need at least 3 frames")
+        for name in TORQUE_CHANNELS:
+            if name in self.channels and self.n_actuated and self.channels[name].shape[1] != self.n_actuated:
+                raise HdysError(f"{name} must have one column per actuated DoF")
         for name in self.channels:
             if name not in CHANNELS:
-                raise RepresentationError(f"unknown channel '{name}'")
-        for name in ("x_m", "x_k"):
+                raise HdysError(f"unknown channel '{name}'")
+        for name in SET_CHANNELS:
             if name in self.channels and self.channels[name].shape[-1] != 9:
-                raise RepresentationError(f"{name} rows must be 9-dim")
-        for name in ("x_a", "x_s"):
+                raise HdysError(f"{name} rows must be 9-dim")
+        for name in COORD_CHANNELS:
             if name in self.channels and self.channels[name].shape[-1] % 3 != 0:
-                raise RepresentationError(f"{name} must hold (value, velocity, acceleration) triples")
+                raise HdysError(f"{name} must hold (value, velocity, acceleration) triples")
         if "tau_m" in self.channels:
             tm = self.channels["tau_m"]
             if (tm < -1e-9).any() or (tm > 1 + 1e-9).any():
-                raise RepresentationError("muscle actions must lie in [0, 1]")
+                raise HdysError("muscle actions must lie in [0, 1]")
         if "tau_e" in self.channels and (self.channels["tau_e"] < -1e-12).any():
-            raise RepresentationError("sEMG must be non-negative")
+            raise HdysError("sEMG must be non-negative")
 
 
 def build_representations(
@@ -133,35 +133,34 @@ def build_representations(
     fps: float,
     seq_id: str = "seq",
     profile_id: str = "profile",
-    angle_channel: str = "x_a",
     jitter_sigma: float = 0.0,
     jitter_rng: Optional[np.random.Generator] = None,
 ) -> SequenceRecord:
     """Kinematic channels for one trajectory.
 
-    `mask` selects which channels to emit; `angle_channel` names the block
-    the generalized coordinates go to (x_a for the angle tree, x_s for the
+    `mask` selects which channels to emit; the generalized coordinates go to
+    each coordinate channel it names (x_a for the angle tree, x_s for the
     pose tree). Cartesian jitter, when requested, lands on the positions
     before differentiation so velocity/acceleration inherit it.
     """
     mask = set(mask)
     unknown = mask.difference(KINEMATIC_CHANNELS)
     if unknown:
-        raise RepresentationError(f"unknown kinematics channels {sorted(unknown)}")
+        raise HdysError(f"unknown kinematics channels {sorted(unknown)}")
     q = np.atleast_2d(traj.q)
     if q.shape[0] < 3:
-        raise RepresentationError("trajectory must have at least 3 frames")
+        raise HdysError("trajectory must have at least 3 frames")
     channels: dict[str, np.ndarray] = {}
     marker_ids = np.asarray(sorted(marker_subset), dtype=np.int64)
 
-    need_fk = bool(mask & {"x_m", "x_k"})
+    need_fk = bool(mask.intersection(SET_CHANNELS))
     if need_fk:
         _, _, markers, joints = tree.forward_kinematics(q)
     if "x_m" in mask:
         if marker_ids.size == 0:
-            raise RepresentationError("marker channel requested with an empty subset")
+            raise HdysError("marker channel requested with an empty subset")
         if marker_ids.min() < 0 or marker_ids.max() >= tree.n_markers:
-            raise RepresentationError("marker subset index out of range")
+            raise HdysError("marker subset index out of range")
         pos = markers[:, marker_ids]
         if jitter_sigma > 0.0:
             pos = pos + jitter_rng.normal(0.0, jitter_sigma, size=pos.shape)
@@ -173,9 +172,10 @@ def build_representations(
             pos = pos + jitter_rng.normal(0.0, jitter_sigma, size=pos.shape)
         v, a = finite_difference(pos, fps)
         channels["x_k"] = _triple_rows(pos, v, a)
-    if angle_channel in mask:
-        v, a = finite_difference(q, fps)
-        channels[angle_channel] = _triple_flat(q, v, a)
+    for coord in COORD_CHANNELS:
+        if coord in mask:
+            v, a = finite_difference(q, fps)
+            channels[coord] = _triple_flat(q, v, a)
 
     return SequenceRecord(
         seq_id=seq_id,
@@ -196,7 +196,6 @@ def attach_dynamics(
     muscles: Optional[MuscleSet],
     kinds: Iterable[str],
     seed: int = 0,
-    torque_channel: str = "tau_tr",
     emg_muscles: Optional[tuple[int, ...]] = None,
 ) -> SequenceRecord:
     """Oracle dynamics labels for the trajectory behind a record.
@@ -210,16 +209,17 @@ def attach_dynamics(
     kinds = set(kinds)
     unknown = kinds.difference(DYNAMIC_CHANNELS)
     if unknown:
-        raise RepresentationError(f"unknown dynamics channels {sorted(unknown)}")
+        raise HdysError(f"unknown dynamics channels {sorted(unknown)}")
     tau_full = rnea(tree, traj)
     tau_act = tau_full[:, tree.root_dof :]
 
-    if torque_channel in kinds:
-        record.channels[torque_channel] = tau_act
+    for torque in TORQUE_CHANNELS:
+        if torque in kinds:
+            record.channels[torque] = tau_act
     needs_act = kinds & {"tau_m", "tau_e"}
     if needs_act:
         if muscles is None:
-            raise RepresentationError("muscle/EMG channels need a muscle set")
+            raise HdysError("muscle/EMG channels need a muscle set")
         acts = solve_activations(muscles, tau_act)
         if "tau_m" in kinds:
             record.channels["tau_m"] = np.clip(acts, 0.0, 1.0)

@@ -20,7 +20,6 @@ from .network import (
     ChannelInventory,
     GroupOutput,
     HDySModel,
-    ModelError,
     WindowGroup,
     accel_block,
     strip_accel_block,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import CheckpointError, Tensor, add, attention, gelu, layer_norm, matmul, mean, slice_axis
+from .. import HdysError
+from ..numcore import Tensor, add, attention, gelu, layer_norm, matmul, mean, slice_axis
 
 
 class ParamSet:
@@ -43,12 +44,12 @@ class ParamSet:
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         missing = set(self.params) - set(arrays)
         if missing:
-            raise CheckpointError(f"checkpoint missing parameters: {sorted(missing)[:4]}")
+            raise HdysError(f"checkpoint missing parameters: {sorted(missing)[:4]}")
         for k, p in self.params.items():
             if arrays[k].shape != p.data.shape:
-                raise CheckpointError(f"parameter '{k}': checkpoint shape {arrays[k].shape} != {p.data.shape}")
+                raise HdysError(f"parameter '{k}': checkpoint shape {arrays[k].shape} != {p.data.shape}")
             if not np.isfinite(arrays[k]).all():
-                raise CheckpointError(f"parameter '{k}': non-finite values")
+                raise HdysError(f"parameter '{k}': non-finite values")
             p.data = arrays[k].copy()
 
 

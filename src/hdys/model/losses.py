@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import HdysError
 from ..numcore import (
     Tensor,
     add,
@@ -43,7 +44,7 @@ ALPHA1, ALPHA2 = 0.01, 0.05  # weights of reconstruction and alignment
 TEMPERATURE = 0.1  # of the InfoNCE scores
 
 
-class DeadConfigError(Exception):
+class DeadConfigError(HdysError):
     """Every loss term was masked out; the configuration cannot train."""
 
 

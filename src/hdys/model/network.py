@@ -15,15 +15,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .. import HdysError
 from ..datahub import DatasetManifest, tree_bundle
+from ..kinrep import COORD_CHANNELS, DYNAMIC_CHANNELS, KINEMATIC_CHANNELS, SET_CHANNELS, TORQUE_CHANNELS
 from ..numcore import Tensor, concat
 from .layers import MLP, ParamSet, SetEncoder, TemporalTransformer
 
 if TYPE_CHECKING:
     from .config import ModelConfig
-
-SET_CHANNELS = ("x_m", "x_k")
-COORD_CHANNELS = ("x_a", "x_s")
 
 # The fixed architecture; `ModelConfig` holds what presets and ablations vary.
 SET_LAYERS, SET_HEADS = 3, 2  # marker / keypoint set encoders
@@ -34,10 +33,6 @@ DYN_ENCODER_HIDDEN, COMPOSER_HIDDEN = 64, 128  # forward-dynamics branch
 
 # acceleration targets: (target key, source kinematics channel requirement)
 ACCEL_OF_COORD = {"x_a": "acc_a", "x_s": "acc_s"}
-
-
-class ModelError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,7 @@ class ChannelInventory:
                 if ch in COORD_CHANNELS:
                     coords[ch] = 3 * bundle.tree.n_dof
             for ch in p.dyn_mask:
-                if ch in ("tau_tr", "tau_ts"):
+                if ch in TORQUE_CHANNELS:
                     dyn[ch] = bundle.tree.n_actuated
                 elif ch == "tau_m":
                     dyn[ch] = bundle.muscles.n_muscles
@@ -88,11 +83,11 @@ class WindowGroup:
 
     @property
     def kin_present(self) -> list[str]:
-        return [c for c in ("x_m", "x_k", "x_a", "x_s") if c in self.x]
+        return [c for c in KINEMATIC_CHANNELS if c in self.x]
 
     @property
     def dyn_present(self) -> list[str]:
-        return [c for c in ("tau_tr", "tau_ts", "tau_m", "tau_e") if c in self.x]
+        return [c for c in DYNAMIC_CHANNELS if c in self.x]
 
 
 @dataclass
@@ -210,21 +205,21 @@ class HDySModel:
         """One kinematics block to latents; (.., T, 9) for sets, (.., 3n) for coords."""
         if channel in SET_CHANNELS:
             if block.shape[-2] < 1:
-                raise ModelError(f"{channel}: empty token set")
+                raise HdysError(f"{channel}: empty token set")
             if block.shape[-1] != 9:
-                raise ModelError(f"{channel}: rows must be 9-dim, got {block.shape[-1]}")
+                raise HdysError(f"{channel}: rows must be 9-dim, got {block.shape[-1]}")
             return self.enc_set[channel](Tensor(block))
         if channel not in self.enc_coord:
-            raise ModelError(f"no encoder for channel '{channel}'")
+            raise HdysError(f"no encoder for channel '{channel}'")
         expect = self.inv.coord_widths[channel]
         if block.shape[-1] != expect:
-            raise ModelError(f"{channel}: expected width {expect}, got {block.shape[-1]}")
+            raise HdysError(f"{channel}: expected width {expect}, got {block.shape[-1]}")
         return self.enc_coord[channel](Tensor(block))
 
     def encode_kinematics_stripped(self, channel: str, stripped: np.ndarray) -> Tensor:
         """Acceleration-free block to FDAE-side latents."""
         if self.cfg.no_fdae:
-            raise ModelError("model was built without the forward-dynamics branch")
+            raise HdysError("model was built without the forward-dynamics branch")
         if channel in SET_CHANNELS:
             return self.fenc_set[channel](Tensor(stripped))
         return self.fenc_coord[channel](Tensor(stripped))

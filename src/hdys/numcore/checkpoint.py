@@ -21,18 +21,15 @@ from typing import Optional
 
 import numpy as np
 
+from .. import HdysError
 from ..codec import Reader, Writer, atomic_write
 from .adamw import AdamWState
 
 MAGIC = b"HDYS1"
 
 
-class CheckpointError(Exception):
-    pass
-
-
 def save_checkpoint(path, arrays: dict[str, np.ndarray], opt: Optional[AdamWState] = None) -> None:
-    w = Writer(MAGIC, CheckpointError)
+    w = Writer(MAGIC, HdysError)
     w.pack("<I", len(arrays))
     for name, a in arrays.items():
         w.str(name)
@@ -45,7 +42,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], opt: Optional[AdamWStat
         w.pack("<I", len(opt.m))
         for name in opt.m:
             if name not in arrays:
-                raise CheckpointError(f"optimizer slot '{name}' has no matching array")
+                raise HdysError(f"optimizer slot '{name}' has no matching array")
             w.str(name)
             w.payload(opt.m[name])
             w.payload(opt.v[name])
@@ -54,7 +51,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], opt: Optional[AdamWStat
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], Optional[AdamWState]]:
     with open(path, "rb") as fh:
-        r = Reader(fh.read(), MAGIC, "checkpoint", CheckpointError)
+        r = Reader(fh.read(), MAGIC, "checkpoint", HdysError)
     arrays: dict[str, np.ndarray] = {}
     for _ in range(r.unpack("<I")):
         name = r.str()
@@ -66,7 +63,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], Optional[AdamWState]]:
         for _ in range(r.unpack("<I")):
             name = r.str()
             if name not in arrays:
-                raise CheckpointError(f"optimizer slot '{name}' has no matching array")
+                raise HdysError(f"optimizer slot '{name}' has no matching array")
             shape = arrays[name].shape
             opt.m[name] = r.payload(shape)
             opt.v[name] = r.payload(shape)

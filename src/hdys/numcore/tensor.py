@@ -20,7 +20,6 @@ from scipy.special import erf
 
 __all__ = [
     "Tensor",
-    "NumcoreError",
     "ShapeError",
     "NonFiniteError",
     "GraphError",
@@ -46,19 +45,15 @@ __all__ = [
 ]
 
 
-class NumcoreError(Exception):
+class ShapeError(Exception):
     pass
 
 
-class ShapeError(NumcoreError):
+class NonFiniteError(Exception):
     pass
 
 
-class NonFiniteError(NumcoreError):
-    pass
-
-
-class GraphError(NumcoreError):
+class GraphError(Exception):
     pass
 
 

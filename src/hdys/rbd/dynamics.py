@@ -27,14 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .tree import KinematicTree, TreeError, joint_transform
+from .. import HdysError
+from .tree import KinematicTree, joint_transform
 
 
-class DynamicsError(Exception):
-    pass
-
-
-class DivergedRollout(DynamicsError):
+class DivergedRollout(HdysError):
     pass
 
 
@@ -51,10 +48,10 @@ class GeneralizedState:
         self.qd = np.asarray(self.qd, dtype=np.float64)
         self.qdd = np.asarray(self.qdd, dtype=np.float64)
         if not (self.q.shape == self.qd.shape == self.qdd.shape):
-            raise DynamicsError("q/qd/qdd shapes differ")
+            raise HdysError("q/qd/qdd shapes differ")
         for a in (self.q, self.qd, self.qdd):
             if not np.isfinite(a).all():
-                raise DynamicsError("non-finite generalized state")
+                raise HdysError("non-finite generalized state")
 
 
 _CROSS_A, _CROSS_B = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
@@ -82,7 +79,7 @@ def rnea(
     if single:
         q, qd, qdd = q[None], qd[None], qdd[None]
     if q.shape[1] != tree.n_dof:
-        raise TreeError(f"state has {q.shape[1]} coordinates, tree has {tree.n_dof} DoF")
+        raise HdysError(f"state has {q.shape[1]} coordinates, tree has {tree.n_dof} DoF")
     f = q.shape[0]
     g = tree.gravity if gravity is None else np.asarray(gravity, dtype=np.float64)
     bodies = tree._bodies
@@ -170,9 +167,9 @@ def mass_matrix(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
     """
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != tree.n_dof:
-        raise TreeError(f"q must be ({tree.n_dof},)")
+        raise HdysError(f"q must be ({tree.n_dof},)")
     if not np.isfinite(q).all():
-        raise DynamicsError("non-finite configuration")
+        raise HdysError("non-finite configuration")
     n = tree.n_dof
     state = GeneralizedState(np.broadcast_to(q, (n, n)), np.zeros((n, n)), np.eye(n))
     return rnea(tree, state, gravity=np.zeros(3)).T
@@ -189,15 +186,15 @@ def forward_dynamics(
     qd = np.asarray(qd, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)
     if tau.shape != q.shape:
-        raise DynamicsError(f"tau has shape {tau.shape}, q has shape {q.shape}")
+        raise HdysError(f"tau has shape {tau.shape}, q has shape {q.shape}")
     if not np.isfinite(tau).all():
-        raise DynamicsError(f"non-finite torque: {tau}")
+        raise HdysError(f"non-finite torque: {tau}")
     bias = rnea(tree, GeneralizedState(q, qd, np.zeros_like(q)))
     m = mass_matrix(tree, q)
     try:
         factor = cho_factor(m, lower=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-        raise DynamicsError(f"mass matrix not positive definite: {exc}")
+        raise HdysError(f"mass matrix not positive definite: {exc}")
     return cho_solve(factor, tau - bias)
 
 
@@ -210,7 +207,7 @@ def step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One semi-implicit Euler step: velocity first, then position."""
     if not (np.isfinite(dt) and dt > 0):
-        raise DynamicsError(f"dt must be finite and positive, got {dt}")
+        raise HdysError(f"dt must be finite and positive, got {dt}")
     qdd = forward_dynamics(tree, q, qd, tau)
     qd_next = qd + dt * qdd
     q_next = q + dt * qd_next

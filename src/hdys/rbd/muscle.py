@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import HdysError
+
 SOLVE_TOL = 1e-6  # residual bound per target, relative to max(1, |tau|)
 NEWTON_ITERS = 120
 JAC_ROWS = 32  # Newton rows whose Jacobians are built together, bounding the (rows, n, k) temporary
@@ -26,11 +28,7 @@ EMG_MULT_SIGMA = 0.10
 EMG_ADD_SIGMA = 0.02
 
 
-class MuscleError(Exception):
-    pass
-
-
-class InfeasibleActivation(MuscleError):
+class InfeasibleActivation(HdysError):
     """Requested torque lies outside the torque polytope."""
 
 
@@ -46,9 +44,9 @@ class MuscleSet:
         object.__setattr__(self, "moment_arms", arms)
         object.__setattr__(self, "f_max", fmax)
         if arms.ndim != 2 or arms.shape[0] != len(self.names):
-            raise MuscleError("moment_arms must be (n_muscles, n_actuated)")
+            raise HdysError("moment_arms must be (n_muscles, n_actuated)")
         if fmax.shape != (len(self.names),) or (fmax <= 0).any():
-            raise MuscleError("f_max must be positive per muscle")
+            raise HdysError("f_max must be positive per muscle")
 
     @property
     def n_muscles(self) -> int:
@@ -68,9 +66,9 @@ def muscle_to_torque(ms: MuscleSet, a: np.ndarray) -> np.ndarray:
     """Torques over actuated DoFs produced by activations in [0, 1]."""
     a = np.asarray(a, dtype=np.float64)
     if a.shape[-1] != ms.n_muscles:
-        raise MuscleError(f"expected {ms.n_muscles} activations, got {a.shape[-1]}")
+        raise HdysError(f"expected {ms.n_muscles} activations, got {a.shape[-1]}")
     if (a < -1e-12).any() or (a > 1.0 + 1e-12).any():
-        raise MuscleError("activations must lie in [0, 1]")
+        raise HdysError("activations must lie in [0, 1]")
     return a @ ms.torque_map.T
 
 
@@ -154,11 +152,11 @@ def solve_activations(ms: MuscleSet, tau_target: np.ndarray) -> np.ndarray:
     b = ms.torque_map
     n, k = b.shape
     if tau.ndim not in (1, 2) or tau.shape[-1] != n:
-        raise MuscleError(f"tau_target must be ({n},) or (F, {n})")
+        raise HdysError(f"tau_target must be ({n},) or (F, {n})")
     if k < n:
-        raise MuscleError("need at least as many muscles as actuated DoFs")
+        raise HdysError("need at least as many muscles as actuated DoFs")
     if np.linalg.matrix_rank(b) < n:
-        raise MuscleError("moment-arm matrix is not full row rank")
+        raise HdysError("moment-arm matrix is not full row rank")
 
     taus = tau.reshape(-1, n)
     gram = b @ b.T
@@ -190,7 +188,7 @@ def synth_emg(a_sequence: np.ndarray, fps: float, noise_seed: int | None = 0) ->
     if a.ndim == 1:
         a = a[:, None]
     if (a < -1e-12).any() or (a > 1 + 1e-12).any():
-        raise MuscleError("activations must lie in [0, 1]")
+        raise HdysError("activations must lie in [0, 1]")
     alpha = 1.0 - np.exp(-1.0 / (fps * EMG_TIME_CONSTANT))
     y = np.empty_like(a)
     y[0] = a[0]

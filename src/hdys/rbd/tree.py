@@ -14,6 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .. import HdysError
+
 _EYE3 = np.eye(3)
 _AX = np.array([1.0, 0.0, 0.0])
 _AY = np.array([0.0, 1.0, 0.0])
@@ -27,10 +29,6 @@ _CHAINS = {
     "free": (("prism", _AX), ("prism", _AY), ("prism", _AZ), ("rev", _AX), ("rev", _AY), ("rev", _AZ)),
 }
 JOINT_DOF = {joint: len(chain) for joint, chain in _CHAINS.items()}
-
-
-class TreeError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -106,31 +104,31 @@ class KinematicTree:
 
     def _validate(self) -> None:
         if not self.links:
-            raise TreeError("tree has no links")
+            raise HdysError("tree has no links")
         roots = [i for i, l in enumerate(self.links) if l.parent == -1]
         if len(roots) != 1 or roots[0] != 0:
-            raise TreeError("tree must have exactly one root at index 0")
+            raise HdysError("tree must have exactly one root at index 0")
         for i, l in enumerate(self.links):
             if l.joint not in JOINT_DOF:
-                raise TreeError(f"link {i}: unknown joint type '{l.joint}'")
+                raise HdysError(f"link {i}: unknown joint type '{l.joint}'")
             if l.joint == "free" and i != 0:
-                raise TreeError(f"link {i}: free joint only allowed at the root")
+                raise HdysError(f"link {i}: free joint only allowed at the root")
             if not (-1 <= l.parent < i):
-                raise TreeError(f"link {i}: parent {l.parent} is not topologically sorted")
+                raise HdysError(f"link {i}: parent {l.parent} is not topologically sorted")
             if l.mass <= 0:
-                raise TreeError(f"link {i}: mass must be positive")
+                raise HdysError(f"link {i}: mass must be positive")
             inertia = np.asarray(l.inertia, dtype=np.float64)
             if inertia.shape != (3, 3) or np.abs(inertia - inertia.T).max() > 1e-12:
-                raise TreeError(f"link {i}: inertia must be symmetric 3x3")
+                raise HdysError(f"link {i}: inertia must be symmetric 3x3")
             if np.linalg.eigvalsh(inertia).min() <= 0:
-                raise TreeError(f"link {i}: inertia must be positive definite")
+                raise HdysError(f"link {i}: inertia must be positive definite")
             if l.joint == "revolute":
                 a = np.asarray(l.axis, dtype=np.float64)
                 if abs(np.linalg.norm(a) - 1.0) > 1e-9:
-                    raise TreeError(f"link {i}: revolute axis must be a unit vector")
+                    raise HdysError(f"link {i}: revolute axis must be a unit vector")
         for li, off in self.marker_sites:
             if not (0 <= li < len(self.links)):
-                raise TreeError(f"marker site on unknown link {li}")
+                raise HdysError(f"marker site on unknown link {li}")
 
     # -- internal 1-DoF decomposition ---------------------------------------
 
@@ -192,7 +190,7 @@ class KinematicTree:
         if single:
             q = q[None, :]
         if q.shape[-1] != self.n_dof:
-            raise TreeError(f"q has {q.shape[-1]} coordinates, tree has {self.n_dof} DoF")
+            raise HdysError(f"q has {q.shape[-1]} coordinates, tree has {self.n_dof} DoF")
         f = q.shape[0]
         nb = len(self._bodies)
         r = np.empty((f, nb, 3, 3))

@@ -1,14 +1,20 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import shutil
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import hdys
 from hdys.cli import build_parser, main
 from hdys.datahub import (
     DatasetError,
@@ -520,3 +526,66 @@ def test_manifest_ids_must_name_exactly_its_profiles(cli_dataset, tmp_path, caps
                 assert main(argv + ["--data", str(root)]) == 1, (key, change, argv)
                 err = capsys.readouterr().err
                 assert "must name exactly its profiles" in err and "Traceback" not in err, err
+
+
+def test_gen_data_at_a_rate_below_three_frames_is_domain_error(tmp_path, capsys):
+    # 3 s at 0.3 fps is 2 frames; finite differences need 3
+    assert main(["gen-data", "--data", str(tmp_path / "data"), "--fps", "0.3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trajectory must have at least 3 frames") and "Traceback" not in err, err
+
+
+def test_records_that_disagree_with_their_manifest_masks_are_domain_error(cli_dataset, tmp_path, capsys):
+    with open(os.path.join(cli_dataset, "manifest.json")) as fh:
+        doc = json.load(fh)
+    next(p for p in doc["profiles"] if p["profile_id"] == "A")["kin_mask"].remove("x_a")
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    run = tmp_path / "run"
+    argv = ["train", "--data", cli_dataset, "--manifest", str(path), "--out", str(run), "--set", "train.epochs=1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: record A/A0000 has channels ['tau_tr', 'x_a', 'x_k', 'x_m'], ") and "Traceback" not in err, err
+    assert "but profile A's kin_mask + dyn_mask is ['tau_tr', 'x_k', 'x_m']" in err, err
+    assert not run.exists()
+
+
+def test_rollout_on_sequences_shorter_than_one_window_is_domain_error(cli_dataset, tmp_path, capsys):
+    run = str(tmp_path / "run")
+    argv = ["train", "--data", cli_dataset, "--out", run, "--set", "train.epochs=0",
+            "--set", "rollout.fps_list=4", "--set", "rollout.max_sequences=1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["rollout", "--run", run]) == 1  # 3 s at 4 fps is 13 frames
+    err = capsys.readouterr().err
+    assert err.startswith("error: A/A0006: 13 frames, shorter than one 16-frame window") and "Traceback" not in err, err
+    assert not os.path.exists(os.path.join(run, "rollout"))
+
+
+def test_loss_curve_does_not_depend_on_the_blas_thread_count(cli_dataset, tmp_path):
+    src = os.path.dirname(os.path.dirname(hdys.__file__))
+    curves = []
+    for threads in ("1", "2"):
+        run = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        argv = ["train", "--data", cli_dataset, "--out", str(run), "--seed", "2", "--set", "train.epochs=1"]
+        subprocess.run([sys.executable, "-m", "hdys.cli", *argv], env=env, check=True, capture_output=True)
+        curves.append((run / "loss_curve.csv").read_bytes())
+    assert curves[0] == curves[1]
+
+
+def test_exception_classes_are_the_ones_a_caller_tells_apart():
+    modules = [hdys] + [importlib.import_module(m.name) for m in pkgutil.walk_packages(hdys.__path__, "hdys.")]
+    defined = {
+        name: obj
+        for module in modules
+        for name, obj in vars(module).items()
+        if inspect.isclass(obj) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+    }
+    domain = {"DatasetError", "InfeasibleActivation", "DivergedRollout", "DeadConfigError", "TrainError", "EvalError"}
+    outside = {"ConfigError", "CliError", "ShapeError", "GraphError", "NonFiniteError"}
+    assert sorted(defined) == sorted(domain | outside | {"HdysError"})
+    for name in domain:
+        assert issubclass(defined[name], hdys.HdysError), name
+    for name in outside:
+        assert not issubclass(defined[name], hdys.HdysError), name

@@ -1,6 +1,7 @@
 import os
 import struct
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy.stats import chisquare
 from hdys.datahub import (
     DatasetError,
     DatasetManifest,
-    SamplerError,
     balanced_epoch_sampler,
     default_profiles,
     fifty_fifty,
@@ -155,11 +155,11 @@ def test_sampler_balance_chi_square(small_dataset):
 
 def test_sampler_errors(small_dataset):
     _, manifest = small_dataset
-    with pytest.raises(SamplerError):
+    with pytest.raises(DatasetError, match="^quota must be positive$"):
         balanced_epoch_sampler(manifest, 0, 0, 0)
     empty = restrict_profiles(manifest, ["A"])
     empty.train_ids["A"] = []
-    with pytest.raises(SamplerError):
+    with pytest.raises(DatasetError, match="^profile A has no training sequences$"):
         balanced_epoch_sampler(empty, 4, 0, 0)
 
 
@@ -241,7 +241,26 @@ def test_split_leakage_validation(small_dataset):
 
 def test_loaded_records_validated(small_dataset):
     root, manifest = small_dataset
-    recs = load_records(root, "D", manifest.train_ids["D"][:2])
+    recs = load_records(root, manifest.profile("D"), manifest.train_ids["D"][:2])
     for rec in recs:
         assert (rec.channels["tau_e"] >= 0).all()
         assert rec.n_actuated == 23
+
+
+def test_profile_masks_follow_the_tree_family():
+    a, b = default_profiles(n_train=1, n_test=1)[:2]  # t1 carries x_a and tau_tr, t2 x_s and tau_ts
+    for profile, kin, dyn, foreign in (
+        (a, ("x_m", "x_s"), ("tau_tr",), "x_s"),
+        (a, ("x_m", "x_a"), ("tau_ts",), "tau_ts"),
+        (b, ("x_k", "x_a"), ("tau_ts",), "x_a"),
+        (b, ("x_k", "x_s"), ("tau_tr",), "tau_tr"),
+    ):
+        tree = profile.tree_key
+        with pytest.raises(DatasetError, match=f"^profile {profile.profile_id}: tree {tree} has no {foreign} channel$"):
+            replace(profile, kin_mask=kin, dyn_mask=dyn)
+    with pytest.raises(DatasetError, match="^profile A: unknown tree key 't3'$"):
+        replace(a, tree_key="t3")
+    # a record carries exactly the coordinate and torque channel its mask names
+    for profile in (a, b):
+        rec, _ = generate_sequence(0, profile, 0, 0)
+        assert rec.mask == frozenset(profile.kin_mask + profile.dyn_mask)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from hdys import HdysError
 from hdys.datahub import MotionSpec, sample_trajectory
 from hdys.kinrep import (
-    RepresentationError,
     SequenceRecord,
     attach_dynamics,
     build_representations,
@@ -39,7 +39,7 @@ def test_fd_quadratic_exact_interior():
 
 
 def test_fd_needs_three_frames():
-    with pytest.raises(RepresentationError):
+    with pytest.raises(HdysError, match="^finite differencing needs at least 3 frames$"):
         finite_difference(np.zeros((2, 1)), fps=90)
 
 
@@ -92,9 +92,9 @@ def test_marker_subset_row_counts():
 
 def test_marker_subset_out_of_range():
     tree = make_pendulum()
-    with pytest.raises(RepresentationError):
+    with pytest.raises(HdysError, match="^marker subset index out of range$"):
         build_representations(tree, _static_traj(tree), [99], ("x_m",), 90.0)
-    with pytest.raises(RepresentationError):
+    with pytest.raises(HdysError, match="^marker channel requested with an empty subset$"):
         build_representations(tree, _static_traj(tree), [], ("x_m",), 90.0)
 
 
@@ -129,7 +129,7 @@ def test_attach_dynamics_static_gravity_free():
     tree0 = KinematicTree(tree.links, gravity=(0, 0, 0), marker_sites=tree.marker_sites)
     traj = _static_traj(tree0)
     rec = build_representations(tree0, traj, [0], ("x_m", "x_k"), 90.0)
-    attach_dynamics(rec, tree0, traj, None, ("tau_tr",), torque_channel="tau_tr")
+    attach_dynamics(rec, tree0, traj, None, ("tau_tr",))
     assert np.abs(rec.channels["tau_tr"]).max() < 1e-12
 
 
@@ -157,7 +157,7 @@ def test_attach_muscle_actions_roundtrip():
     q = np.tile(T2_BIAS_POSTURE, (frames, 1))
     traj = GeneralizedState(q, np.zeros_like(q), np.zeros_like(q))
     rec = build_representations(tree, traj, [0, 1], ("x_k",), 90.0)
-    attach_dynamics(rec, tree, traj, ms, ("tau_m",), torque_channel="tau_ts")
+    attach_dynamics(rec, tree, traj, ms, ("tau_m",))
     tau = rnea(tree, traj)
     recovered = muscle_to_torque(ms, rec.channels["tau_m"][0])
     assert np.abs(recovered - tau[0]).max() < 1e-6 * max(1.0, np.abs(tau).max())
@@ -168,18 +168,18 @@ def test_frame_sample_invariants():
     rec = SequenceRecord("s", "p", "t", 90.0, 70.0, rec_channels)
     assert rec.mask == frozenset({"x_m", "tau_m"})
     bad = {"x_m": np.zeros((5, 3, 8))}
-    with pytest.raises(RepresentationError):
+    with pytest.raises(HdysError, match="^x_m rows must be 9-dim$"):
         SequenceRecord("s", "p", "t", 90.0, 70.0, bad)
-    with pytest.raises(RepresentationError):
+    with pytest.raises(HdysError, match=r"^muscle actions must lie in \[0, 1\]$"):
         SequenceRecord("s", "p", "t", 90.0, 70.0, {"tau_m": np.full((5, 2), 1.5)})
 
 
 def test_record_validation_checks_every_frame():
     tau_m = np.full((5, 2), 0.5)
     tau_m[3, 1] = 1.5
-    with pytest.raises(RepresentationError, match="muscle actions"):
+    with pytest.raises(HdysError, match="muscle actions"):
         SequenceRecord("s", "p", "t", 90.0, 70.0, {"tau_m": tau_m})
     tau_e = np.full((5, 2), 0.5)
     tau_e[4, 0] = -1.0
-    with pytest.raises(RepresentationError, match="sEMG"):
+    with pytest.raises(HdysError, match="sEMG"):
         SequenceRecord("s", "p", "t", 90.0, 70.0, {"tau_e": tau_e})

@@ -3,12 +3,12 @@ import weakref
 import numpy as np
 import pytest
 
+from hdys import HdysError
 from hdys.model import (
     ChannelInventory,
     ConfigError,
     DeadConfigError,
     HDySModel,
-    ModelError,
     Normalisers,
     WindowGroup,
     apply_overrides,
@@ -89,9 +89,9 @@ def test_set_encoder_variable_sizes():
 
 def test_set_encoder_rejects_empty_and_bad_rows():
     model = HDySModel(small_cfg(), INV, seed=0)
-    with pytest.raises(ModelError):
+    with pytest.raises(HdysError, match="^x_m: empty token set$"):
         model.encode_kinematics("x_m", np.zeros((2, 0, 9)))
-    with pytest.raises(ModelError):
+    with pytest.raises(HdysError, match="^x_m: rows must be 9-dim, got 7$"):
         model.encode_kinematics("x_m", np.zeros((2, 4, 7)))
 
 
@@ -100,7 +100,7 @@ def test_mlp_encoder_exact_width():
     rng = np.random.default_rng(3)
     z = model.encode_kinematics("x_a", rng.normal(size=(4, 69)))
     assert z.shape == (4, 32)
-    with pytest.raises(ModelError):
+    with pytest.raises(HdysError, match="^x_a: expected width 69, got 68$"):
         model.encode_kinematics("x_a", rng.normal(size=(4, 68)))
 
 

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from hdys import HdysError
 from hdys.rbd import (
     InfeasibleActivation,
-    MuscleError,
     MuscleSet,
     muscle_to_torque,
     rnea,
@@ -47,9 +47,9 @@ def test_antagonists_cancel():
 
 def test_activation_bounds_enforced():
     ms = antagonist_pair()
-    with pytest.raises(MuscleError):
+    with pytest.raises(HdysError, match=r"^activations must lie in \[0, 1\]$"):
         muscle_to_torque(ms, np.array([1.2, 0.0]))
-    with pytest.raises(MuscleError):
+    with pytest.raises(HdysError, match=r"^activations must lie in \[0, 1\]$"):
         muscle_to_torque(ms, np.array([-0.1, 0.0]))
 
 
@@ -91,7 +91,7 @@ def test_solve_infeasible_not_clipped():
 
 def test_solve_requires_enough_muscles():
     ms = MuscleSet(("m",), np.array([[0.05, 0.0]]), np.array([100.0]))
-    with pytest.raises(MuscleError):
+    with pytest.raises(HdysError, match="^need at least as many muscles as actuated DoFs$"):
         solve_activations(ms, np.zeros(2))
 
 
@@ -192,7 +192,7 @@ def test_sequence_solve_names_first_infeasible_frame():
 def test_sequence_solve_rejects_bad_shapes():
     ms = redundant_three()
     for tau in (np.zeros((4, 2)), np.zeros(2), np.zeros((2, 3, 1)), np.float64(1.0)):
-        with pytest.raises(MuscleError):
+        with pytest.raises(HdysError, match=r"^tau_target must be \(1,\) or \(F, 1\)$"):
             solve_activations(ms, tau)
 
 
@@ -225,5 +225,5 @@ def test_emg_deterministic_and_nonnegative():
 
 
 def test_emg_rejects_bad_activations():
-    with pytest.raises(MuscleError):
+    with pytest.raises(HdysError, match=r"^activations must lie in \[0, 1\]$"):
         synth_emg(np.full((5, 2), 1.4), fps=90)

@@ -424,15 +424,15 @@ def test_checkpoint_byte_identical_roundtrip(tmp_path):
 def test_checkpoint_bad_magic(tmp_path):
     p = tmp_path / "x.ckpt"
     p.write_bytes(b"NOTHDYS" + b"\x00" * 16)
-    from hdys.numcore import CheckpointError
+    from hdys import HdysError
 
-    with pytest.raises(CheckpointError, match="magic"):
+    with pytest.raises(HdysError, match="magic"):
         load_checkpoint(p)
     save_checkpoint(p, {"w": np.ones((2, 3))}, AdamWState(lr=1e-3))
     good = p.read_bytes()
     p.write_bytes(good[:-3])
-    with pytest.raises(CheckpointError, match="truncated"):
+    with pytest.raises(HdysError, match="truncated"):
         load_checkpoint(p)
     p.write_bytes(good + b"\x00")
-    with pytest.raises(CheckpointError, match="trailing"):
+    with pytest.raises(HdysError, match="trailing"):
         load_checkpoint(p)

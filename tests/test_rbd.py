@@ -6,12 +6,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from scipy.spatial.transform import Rotation
 
+from hdys import HdysError
 from hdys.rbd import (
     DivergedRollout,
     GeneralizedState,
     KinematicTree,
     Link,
-    TreeError,
     build_t1,
     build_t2,
     forward_dynamics,
@@ -40,11 +40,11 @@ def total_energy(tree: KinematicTree, q: np.ndarray, qd: np.ndarray) -> float:
 
 
 def test_tree_invariants():
-    with pytest.raises(TreeError):
+    with pytest.raises(HdysError, match="^link 0: mass must be positive$"):
         KinematicTree([Link("a", -1, "revolute", (0, 0, 1), (0, 0, 0), -1.0, (0, 0, 0), np.eye(3))])
-    with pytest.raises(TreeError):
+    with pytest.raises(HdysError, match="^tree must have exactly one root at index 0$"):
         KinematicTree([Link("a", 0, "revolute", (0, 0, 1), (0, 0, 0), 1.0, (0, 0, 0), np.eye(3))])
-    with pytest.raises(TreeError):  # non-SPD inertia
+    with pytest.raises(HdysError, match="^link 0: inertia must be positive definite$"):
         KinematicTree([Link("a", -1, "revolute", (0, 0, 1), (0, 0, 0), 1.0, (0, 0, 0), -np.eye(3))])
     tree = make_pendulum()
     assert tree.subject_mass == 2.0
@@ -104,7 +104,7 @@ def test_fk_orthonormal_and_matrix_chain_oracle():
 
 def test_fk_wrong_length():
     tree = make_pendulum()
-    with pytest.raises(TreeError):
+    with pytest.raises(HdysError, match="^q has 3 coordinates, tree has 1 DoF$"):
         tree.forward_kinematics(np.zeros(3))
 
 
@@ -395,32 +395,26 @@ def test_step_richardson_order():
 
 def test_step_rejects_bad_dt():
     tree = make_pendulum()
-    from hdys.rbd import DynamicsError
-
     for dt in (0.0, -0.01, float("nan"), float("inf")):
-        with pytest.raises(DynamicsError, match="dt must be finite and positive"):
+        with pytest.raises(HdysError, match="dt must be finite and positive"):
             step(tree, np.zeros(1), np.zeros(1), np.zeros(1), dt=dt)
 
 
 def test_step_rejects_wrong_tau_shape():
-    from hdys.rbd import DynamicsError
-
     tree = random_chain(np.random.default_rng(5), 3, spherical_ok=False)
     q = np.zeros(tree.n_dof)
     for tau in (np.array([1.0]), 1.0, np.zeros(tree.n_dof + 1), np.zeros((1, tree.n_dof))):
-        with pytest.raises(DynamicsError, match="tau has shape"):
+        with pytest.raises(HdysError, match="tau has shape"):
             step(tree, q, q, tau)
-        with pytest.raises(DynamicsError, match="tau has shape"):
+        with pytest.raises(HdysError, match="tau has shape"):
             forward_dynamics(tree, q, q, tau)
 
 
 def test_step_rejects_non_finite_torque():
-    from hdys.rbd import DynamicsError
-
     tree = make_pendulum()
     for bad in (np.nan, np.inf, -np.inf):
         for entry in (step, forward_dynamics):
-            with pytest.raises(DynamicsError, match="non-finite torque"):
+            with pytest.raises(HdysError, match="non-finite torque"):
                 entry(tree, np.zeros(1), np.zeros(1), np.array([bad]))
 
 
