@@ -40,6 +40,7 @@ from .datahub import (
     read_manifest,
 )
 from .engine import (
+    EVAL_COLUMNS,
     ROLLOUT_COLUMNS,
     RecordCache,
     evaluate,
@@ -156,12 +157,7 @@ def cmd_eval(args) -> int:
         raise CliError(f"{args.run}: its manifest lists no labelled test sequence", code=EXIT_DOMAIN)
     out = args.out or os.path.join(args.run, "eval")
     os.makedirs(out, exist_ok=True)
-    rows = [r.__dict__ for r in report.rows]
-    write_csv(
-        os.path.join(out, "eval.csv"),
-        ["profile", "dyn_channel", "representation", "mpje", "rmse", "pcc", "pcc_guarded", "headline"],
-        rows,
-    )
+    write_csv(os.path.join(out, "eval.csv"), EVAL_COLUMNS, [r.__dict__ for r in report.rows])
     write_json(os.path.join(out, "eval.json"), {"best": report.best_choice})
     write_json(os.path.join(out, "timings.json"), {"evaluate_s": t_eval})  # wall time stays out of eval.csv/json
     for r in report.rows:

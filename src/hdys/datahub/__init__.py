@@ -1,4 +1,4 @@
-from .motion import FAMILIES, MotionSpec, sample_trajectory
+from .motion import FAMILIES, sample_trajectory
 from .profiles import (
     MANIFEST_NAME,
     MANIFEST_SCHEMA,

@@ -7,43 +7,36 @@ sampled on the frame grid, so inverse-dynamics labels need no approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ..rbd import GeneralizedState
-from .records import DatasetError
+
+if TYPE_CHECKING:
+    from .profiles import DomainProfile
 
 FAMILIES = ("periodic-gait-like", "random-smooth-spline")
 
 
-@dataclass(frozen=True)
-class MotionSpec:
-    family: str
-    bias: tuple[float, ...]  # rest posture, one per DoF
-    amp_base: tuple[float, ...]  # per-DoF amplitude ceiling, rad
-    amp_scale: tuple[float, float]  # per-sequence multiplier range
-    freq_range: tuple[float, float]  # Hz
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DatasetError(f"unknown motion family '{self.family}'")
-        if len(self.bias) != len(self.amp_base):
-            raise DatasetError("bias and amp_base lengths differ")
-
-
 def sample_trajectory(
-    spec: MotionSpec, duration: float, fps: float, rng: np.random.Generator
+    profile: DomainProfile,
+    bias: np.ndarray,
+    amp_base: np.ndarray,
+    duration: float,
+    fps: float,
+    rng: np.random.Generator,
 ) -> GeneralizedState:
-    n = len(spec.bias)
+    """One motion of `profile`'s family around the rest posture `bias`, with
+    per-DoF amplitude ceilings `amp_base` scaled by a draw from `amp_scale`."""
+    n = len(bias)
     frames = int(round(duration * fps)) + 1
     t = np.arange(frames) / fps
-    bias = np.asarray(spec.bias)
-    amps = np.asarray(spec.amp_base) * rng.uniform(*spec.amp_scale, size=n)
+    amps = amp_base * rng.uniform(*profile.amp_scale, size=n)
 
-    if spec.family == "periodic-gait-like":
-        base_f = rng.uniform(*spec.freq_range)
+    if profile.family == "periodic-gait-like":
+        base_f = rng.uniform(*profile.freq_range)
         harmonics = (1.0, 2.0, 3.0)
         weights = np.array([1.0, 0.35, 0.15])
         q = np.broadcast_to(bias, (frames, n)).copy()

@@ -36,7 +36,7 @@ from ..rbd import (
     t1_muscles,
     t2_muscles,
 )
-from .motion import FAMILIES, MotionSpec, sample_trajectory
+from .motion import FAMILIES, sample_trajectory
 from .records import DatasetError, read_record, record_path, write_record
 
 MANIFEST_SCHEMA = "hdys-dataset/1"
@@ -76,6 +76,11 @@ class DomainProfile:
             raise DatasetError(f"profile {self.profile_id}: unknown motion family '{self.family}'")
         if not 0.0 < self.fps < np.inf:
             raise DatasetError(f"profile {self.profile_id}: fps must be positive and finite, got {self.fps}")
+        shortest = min(self.duration)
+        frames = int(round(shortest * self.fps)) + 1  # as sample_trajectory counts them
+        if frames < 3:
+            raise DatasetError(f"profile {self.profile_id}: at {self.fps} fps its shortest sequence ({shortest} s) has "
+                               f"{frames} frames, fewer than 3; the lowest rate that works is {1.5 / shortest:g} fps")
         if self.n_train < 0 or self.n_test < 0:
             raise DatasetError(f"profile {self.profile_id}: n_train {self.n_train} and n_test {self.n_test} must be >= 0")
 
@@ -157,7 +162,6 @@ class DatasetManifest:
     # profile id -> the profile index its sequences were generated with; a
     # subset manifest keeps the full manifest's, so it can regenerate them
     gen_index: dict[str, int] = field(default_factory=dict)
-    schema: str = MANIFEST_SCHEMA
 
     def __post_init__(self):
         if not self.gen_index:
@@ -183,7 +187,7 @@ class DatasetManifest:
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": MANIFEST_SCHEMA,
             "seed": self.seed,
             "profiles": [asdict(p) for p in self.profiles],
             "train_ids": self.train_ids,
@@ -295,14 +299,7 @@ def _generate_once(
         manifest_seed, p_idx, s_idx, attempt
     )
     duration = rng_motion.uniform(*profile.duration)
-    spec = MotionSpec(
-        family=profile.family,
-        bias=tuple(bundle.bias),
-        amp_base=tuple(_amp_for(profile)),
-        amp_scale=profile.amp_scale,
-        freq_range=profile.freq_range,
-    )
-    traj = sample_trajectory(spec, duration, fps, rng_motion)
+    traj = sample_trajectory(profile, bundle.bias, _amp_for(profile), duration, fps, rng_motion)
     count = int(rng_markers.choice(np.asarray(profile.marker_counts)))
     subset = rng_markers.choice(bundle.tree.n_markers, size=count, replace=False)
     seq_id = f"{profile.profile_id}{s_idx:04d}"

@@ -73,23 +73,7 @@ def run_one(spec: RunSpec, root: str, out_dir: str, seed: int) -> list[dict]:
     cache = RecordCache.load(root, spec.manifest)
     result = train(spec.cfg, cache, out_dir, seed=seed)
     report = evaluate(result.model, result.stdizer, spec.cfg, cache, profiles=spec.eval_profiles)
-    rows = []
-    for r in report.rows:
-        rows.append(
-            {
-                "run": spec.name,
-                "seed": seed,
-                "profile": r.profile,
-                "dyn_channel": r.dyn_channel,
-                "representation": r.representation,
-                "mpje": r.mpje,
-                "rmse": r.rmse,
-                "pcc": r.pcc,
-                "headline": r.headline,
-                "param_count": result.param_count,
-            }
-        )
-    return rows
+    return [{"run": spec.name, "seed": seed, **r.__dict__, "param_count": result.param_count} for r in report.rows]
 
 
 def run_study(specs: list[RunSpec], root: str, out_dir: str, seeds, csv_name: str, log=None) -> str:

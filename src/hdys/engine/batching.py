@@ -82,25 +82,21 @@ def build_groups(
     profile_tree: dict[str, str],
     marker_rng: np.random.Generator | None = None,
 ) -> list[WindowGroup]:
-    """Stack windows into groups keyed by (profile, availability, marker count).
+    """Stack windows into groups keyed by (profile, availability).
 
     With `marker_rng` given (training), every window's marker set is first
     subsampled to the smallest count in its profile bucket, which collapses
     the per-sequence size variation into one group per profile and batch.
-    Without it (evaluation), sizes are kept and group per count. Window
-    weights are 0 on a sequence's first and last frame; only the loss reads
-    them.
+    Without it (evaluation), `refs` come from one sequence, so its marker
+    count is the group's. Window weights are 0 on a sequence's first and
+    last frame; only the loss reads them.
     """
     buckets: dict[tuple, list[WindowRef]] = {}
     for ref in refs:
         rec = records[(ref.profile_id, ref.seq_id)]
-        key = (ref.profile_id, tuple(sorted(rec.mask)))
-        if marker_rng is None:
-            key = key + (rec.marker_ids.size,)
-        buckets.setdefault(key, []).append(ref)
+        buckets.setdefault((ref.profile_id, tuple(sorted(rec.mask))), []).append(ref)
     groups = []
-    for key, bucket in sorted(buckets.items()):
-        pid, mask = key[0], key[1]
+    for (pid, mask), bucket in sorted(buckets.items()):
         cap = None
         if marker_rng is not None and "x_m" in mask:
             cap = min(records[(pid, r.seq_id)].marker_ids.size for r in bucket)

@@ -11,7 +11,7 @@ profile's headline metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,6 +37,9 @@ class MetricRow:
     pcc: float
     pcc_guarded: int
     headline: float
+
+
+EVAL_COLUMNS = [f.name for f in fields(MetricRow)]  # eval CSV header
 
 
 @dataclass

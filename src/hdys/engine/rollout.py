@@ -97,7 +97,7 @@ def rollout_eval(
             t_generate = perf_counter()
             s_idx = int(sid[len(pid):])
             rec, traj = generate_sequence(manifest.seed, profile, p_idx, s_idx, fps=fps)
-            q_ref = np.atleast_2d(traj.q)
+            q_ref = traj.q
             qd_ref, qdd_imp = _reference(q_ref, fps)
             n = q_ref.shape[0]
             tau_oracle = rnea(bundle.tree, GeneralizedState(q_ref, qd_ref, qdd_imp))

@@ -46,7 +46,6 @@ class TrainResult:
 class RecordCache:
     """Train/test records for one dataset root, loaded once."""
 
-    root: str
     manifest: DatasetManifest
     train: dict[tuple[str, str], object] = field(default_factory=dict)
     test: dict[tuple[str, str], object] = field(default_factory=dict)
@@ -56,7 +55,7 @@ class RecordCache:
         cls, root: str, manifest: DatasetManifest, splits: tuple[str, ...] = ("train", "test")
     ) -> "RecordCache":
         """Read the records of `splits` ("train", "test") of every profile."""
-        cache = cls(root=root, manifest=manifest)
+        cache = cls(manifest=manifest)
         ids = {"train": manifest.train_ids, "test": manifest.test_ids}
         for split in splits:
             records = getattr(cache, split)

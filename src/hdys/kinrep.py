@@ -147,15 +147,14 @@ def build_representations(
     unknown = mask.difference(KINEMATIC_CHANNELS)
     if unknown:
         raise HdysError(f"unknown kinematics channels {sorted(unknown)}")
-    q = np.atleast_2d(traj.q)
+    q = traj.q
     if q.shape[0] < 3:
         raise HdysError("trajectory must have at least 3 frames")
     channels: dict[str, np.ndarray] = {}
     marker_ids = np.asarray(sorted(marker_subset), dtype=np.int64)
 
-    need_fk = bool(mask.intersection(SET_CHANNELS))
-    if need_fk:
-        _, _, markers, joints = tree.forward_kinematics(q)
+    if mask.intersection(SET_CHANNELS):
+        _, joints, markers = tree.forward_kinematics(q)
     if "x_m" in mask:
         if marker_ids.size == 0:
             raise HdysError("marker channel requested with an empty subset")

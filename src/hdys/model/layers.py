@@ -29,7 +29,7 @@ class ParamSet:
         elif init == "small":
             data = self.rng.uniform(-0.02, 0.02, size=shape)
         else:
-            bound = 1.0 / np.sqrt(fan_in if fan_in else shape[0])
+            bound = 1.0 / np.sqrt(fan_in)
             data = self.rng.uniform(-bound, bound, size=shape)
         t = Tensor(data, requires_grad=True)
         self.params[name] = t
@@ -144,14 +144,10 @@ class TemporalTransformer:
             TransformerLayer(ps, f"{name}.blk{i}", dim, heads, ffn_mult) for i in range(layers)
         ]
         self.ln = LayerNorm(ps, f"{name}.ln", dim)
-        self.window = window
 
     def __call__(self, z: Tensor) -> Tensor:
-        """(n_win, W, dim) -> (n_win, W, dim)."""
-        if z.shape[-2] > self.window:
-            raise ValueError(f"window of {z.shape[-2]} frames exceeds the configured {self.window}")
-        pos = self.pos if z.shape[-2] == self.window else slice_axis(self.pos, 0, 0, z.shape[-2])
-        x = add(z, pos)
+        """(n_win, window, dim) -> (n_win, window, dim)."""
+        x = add(z, self.pos)
         for blk in self.blocks:
             x = blk(x)
         return self.ln(x)

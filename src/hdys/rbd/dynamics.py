@@ -9,15 +9,18 @@ zero, as in the mass matrix and static torques) skips every velocity
 product, since its bodies' velocities are zero. Joint torques and gravity
 are the only forces; contact and other external wrenches are not modelled.
 
-A single-frame call is bound by the count of small numpy calls per body, not
-by arithmetic, so the recursion keeps that count low and every byte as it
-is: each body's motion is a tuple of (F, 3) arrays; `_cross` forms numpy's
-six products with one gather per operand and one multiply; the massless
-bodies that spherical and free joints decompose into add no inertial terms;
-and a revolute body with an exactly zero joint offset (`at_origin`, as the
-inner bodies of a spherical joint) skips the offset products, which would
-add only zeros. `test_rnea_is_bitwise_the_plain_recursion` checks these
-rules against the plain recursion (`np.cross`, every product) bit for bit.
+RNEA takes states with frames on axis 0, (F, n_dof); `forward_dynamics`,
+`mass_matrix` and `step` take one state (n_dof,). A one-row RNEA call (the
+bias term of `forward_dynamics`) is bound by the count of small numpy calls
+per body, not by arithmetic, so the recursion keeps that count low and every
+byte as it is: each body's motion is a tuple of (F, 3) arrays; `_cross`
+forms numpy's six products with one gather per operand and one multiply;
+the massless bodies that spherical and free joints decompose into add no
+inertial terms; and a revolute body with an exactly zero joint offset
+(`at_origin`, as the inner bodies of a spherical joint) skips the offset
+products, which would add only zeros.
+`test_rnea_is_bitwise_the_plain_recursion` checks these rules against the
+plain recursion (`np.cross`, every product) bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class DivergedRollout(HdysError):
 
 @dataclass
 class GeneralizedState:
-    """One (q, qd, qdd) sample, or a whole trajectory when arrays are 2-D."""
+    """Generalized coordinates, velocities and accelerations of F frames, (F, n_dof) each."""
 
     q: np.ndarray
     qd: np.ndarray
@@ -68,18 +71,14 @@ def rnea(
     state: GeneralizedState,
     gravity: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Generalized forces required to realize (q, qd, qdd).
+    """Generalized forces (F, n_dof) required to realize the (F, n_dof) states.
 
-    Accepts a single state or a trajectory of shape (F, n_dof); output
-    matches. For a free-root tree the first six entries are the residual
-    root wrench, which is not an actuation label.
+    For a free-root tree the first six columns are the residual root wrench,
+    which is not an actuation label.
     """
     q, qd, qdd = state.q, state.qd, state.qdd
-    single = q.ndim == 1
-    if single:
-        q, qd, qdd = q[None], qd[None], qdd[None]
-    if q.shape[1] != tree.n_dof:
-        raise HdysError(f"state has {q.shape[1]} coordinates, tree has {tree.n_dof} DoF")
+    if q.ndim != 2 or q.shape[1] != tree.n_dof:
+        raise HdysError(f"state must be (F, {tree.n_dof}), got q of shape {q.shape}")
     f = q.shape[0]
     g = tree.gravity if gravity is None else np.asarray(gravity, dtype=np.float64)
     bodies = tree._bodies
@@ -155,7 +154,7 @@ def rnea(
             n_par = np.einsum("fij,fj->fi", r_pc, fn[bi])
             fn[b.parent] += n_par if b.at_origin else n_par + _cross(p_pc, f_par)
             ff[b.parent] += f_par
-    return tau[0] if single else tau
+    return tau
 
 
 def mass_matrix(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
@@ -189,7 +188,7 @@ def forward_dynamics(
         raise HdysError(f"tau has shape {tau.shape}, q has shape {q.shape}")
     if not np.isfinite(tau).all():
         raise HdysError(f"non-finite torque: {tau}")
-    bias = rnea(tree, GeneralizedState(q, qd, np.zeros_like(q)))
+    bias = rnea(tree, GeneralizedState(q[None], qd[None], np.zeros_like(q)[None]))[0]
     m = mass_matrix(tree, q)
     try:
         factor = cho_factor(m, lower=True)

@@ -136,29 +136,26 @@ def _newton(b: np.ndarray, tau: np.ndarray, lam0: np.ndarray):
 
 
 def solve_activations(ms: MuscleSet, tau_target: np.ndarray) -> np.ndarray:
-    """Minimum-norm activations reproducing each torque target, or a loud failure.
+    """Minimum-norm activations (F, n_muscles) reproducing each of the (F, n) torque targets.
 
-    tau_target is one target (n,) or a sequence of them (F, n), and the
-    result has the same leading shape with one column per muscle. Requires
-    at least as many muscles as actuated DoFs and a full-row-rank moment-arm
-    matrix, checked once per call. Targets whose unconstrained minimum-norm
-    solution lies in the box keep it; the rest go through one batched Newton
-    run, with no other fallback. A target that run leaves with a residual
-    above SOLVE_TOL * max(1, |tau|) is infeasible and raises
-    InfeasibleActivation (naming the first such frame of a sequence) instead
-    of being clipped.
+    Requires at least as many muscles as actuated DoFs and a full-row-rank
+    moment-arm matrix, checked once per call. Targets whose unconstrained
+    minimum-norm solution lies in the box keep it; the rest go through one
+    batched Newton run, with no other fallback. A target that run leaves
+    with a residual above SOLVE_TOL * max(1, |tau|) is infeasible and raises
+    InfeasibleActivation, naming the first such frame, instead of being
+    clipped.
     """
-    tau = np.asarray(tau_target, dtype=np.float64)
+    taus = np.asarray(tau_target, dtype=np.float64)
     b = ms.torque_map
     n, k = b.shape
-    if tau.ndim not in (1, 2) or tau.shape[-1] != n:
-        raise HdysError(f"tau_target must be ({n},) or (F, {n})")
+    if taus.ndim != 2 or taus.shape[1] != n:
+        raise HdysError(f"tau_target must be (F, {n}), got shape {taus.shape}")
     if k < n:
         raise HdysError("need at least as many muscles as actuated DoFs")
     if np.linalg.matrix_rank(b) < n:
         raise HdysError("moment-arm matrix is not full row rank")
 
-    taus = tau.reshape(-1, n)
     gram = b @ b.T
     lam0 = np.linalg.solve(np.broadcast_to(gram, (len(taus), n, n)), taus[..., None])[..., 0]
     acts = _rows(b.T, lam0)  # unconstrained minimum-norm solutions
@@ -169,24 +166,23 @@ def solve_activations(ms: MuscleSet, tau_target: np.ndarray) -> np.ndarray:
         missed = np.flatnonzero(~(res <= SOLVE_TOL * np.maximum(1.0, np.abs(taus[out]).max(axis=1))))
         if missed.size:
             i = missed[0]
-            where = f"frame {out[i]}: " if tau.ndim == 2 else ""
             raise InfeasibleActivation(
-                f"{where}torque outside the achievable polytope (residual {res[i]:.3e})"
+                f"frame {out[i]}: torque outside the achievable polytope (residual {res[i]:.3e})"
             )
         acts[out] = a
-    return acts.reshape(tau.shape[:-1] + (k,))
+    return acts
 
 
 def synth_emg(a_sequence: np.ndarray, fps: float, noise_seed: int | None = 0) -> np.ndarray:
-    """Surface-EMG-like channels from an activation trajectory.
+    """Surface-EMG-like channels from an (F, channels) activation trajectory.
 
     First-order low-pass (exact zero-order-hold discretization, one frame of
     transport delay) plus multiplicative and additive Gaussian noise, clamped
     at zero. Pass noise_seed=None to disable noise.
     """
     a = np.asarray(a_sequence, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
+    if a.ndim != 2:
+        raise HdysError(f"a_sequence must be (F, channels), got shape {a.shape}")
     if (a < -1e-12).any() or (a > 1 + 1e-12).any():
         raise HdysError("activations must lie in [0, 1]")
     alpha = 1.0 - np.exp(-1.0 / (fps * EMG_TIME_CONSTANT))

@@ -123,9 +123,8 @@ T1_EMG_MUSCLES = (6, 7, 12, 13, 20, 21, 28, 29)
 def t2_muscles(tree: KinematicTree | None = None) -> MuscleSet:
     """One muscle per DoF, arm sign matched to the bias-posture loading."""
     tree = tree or build_t2()
-    static = rnea(
-        tree, GeneralizedState(T2_BIAS_POSTURE, np.zeros(tree.n_dof), np.zeros(tree.n_dof))
-    )
+    rest = np.zeros((1, tree.n_dof))
+    static = rnea(tree, GeneralizedState(T2_BIAS_POSTURE[None], rest, rest))[0]
     arm = 0.05
     n = tree.n_actuated
     signs = np.where(static >= 0, 1.0, -1.0)

@@ -181,16 +181,13 @@ class KinematicTree:
     # -- kinematics ---------------------------------------------------------
 
     def body_poses(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """World poses of every internal body; q is (n_dof,) or (F, n_dof).
+        """World poses of every internal body at the (F, n_dof) coordinates q.
 
         Returns (R, p) with shapes (F, n_bodies, 3, 3) and (F, n_bodies, 3).
         """
         q = np.asarray(q, dtype=np.float64)
-        single = q.ndim == 1
-        if single:
-            q = q[None, :]
-        if q.shape[-1] != self.n_dof:
-            raise HdysError(f"q has {q.shape[-1]} coordinates, tree has {self.n_dof} DoF")
+        if q.ndim != 2 or q.shape[1] != self.n_dof:
+            raise HdysError(f"q must be (F, {self.n_dof}), got shape {q.shape}")
         f = q.shape[0]
         nb = len(self._bodies)
         r = np.empty((f, nb, 3, 3))
@@ -207,24 +204,17 @@ class KinematicTree:
         return r, p
 
     def forward_kinematics(self, q: np.ndarray):
-        """Per-link world transforms, marker positions and joint positions.
+        """Per-link world transforms and marker positions at the (F, n_dof) coordinates q.
 
-        Returns (link_R, link_p, markers, joints); leading frame axis is kept
-        only when q is 2-D.
+        Returns (link_R, link_p, markers) with shapes (F, n_links, 3, 3),
+        (F, n_links, 3) and (F, n_markers, 3); link_p are the joint centres.
         """
-        q = np.asarray(q, dtype=np.float64)
-        single = q.ndim == 1
-        r, p = self.body_poses(q[None, :] if single else q)
+        r, p = self.body_poses(q)
         idx = np.asarray(self._link_body)
-        link_r = r[:, idx]
-        link_p = p[:, idx]
-        joints = link_p.copy()
         if self.marker_sites:
             site_link = np.asarray([self._link_body[li] for li, _ in self.marker_sites])
             offs = np.stack([off for _, off in self.marker_sites])
             markers = p[:, site_link] + np.einsum("fsij,sj->fsi", r[:, site_link], offs)
         else:
-            markers = np.zeros((link_p.shape[0], 0, 3))
-        if single:
-            return link_r[0], link_p[0], markers[0], joints[0]
-        return link_r, link_p, markers, joints
+            markers = np.zeros((p.shape[0], 0, 3))
+        return r[:, idx], p[:, idx], markers

@@ -530,9 +530,12 @@ def test_manifest_ids_must_name_exactly_its_profiles(cli_dataset, tmp_path, caps
 
 def test_gen_data_at_a_rate_below_three_frames_is_domain_error(tmp_path, capsys):
     # 3 s at 0.3 fps is 2 frames; finite differences need 3
-    assert main(["gen-data", "--data", str(tmp_path / "data"), "--fps", "0.3"]) == 1
+    data = tmp_path / "data"
+    assert main(["gen-data", "--data", str(data), "--fps", "0.3"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: trajectory must have at least 3 frames") and "Traceback" not in err, err
+    assert err.startswith("error: profile A: at 0.3 fps its shortest sequence (3.0 s) has 2 frames, fewer than 3; "), err
+    assert "the lowest rate that works is 0.5 fps" in err and "Traceback" not in err, err
+    assert not data.exists()  # rejected before any directory is made
 
 
 def test_records_that_disagree_with_their_manifest_masks_are_domain_error(cli_dataset, tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from hdys import HdysError
-from hdys.datahub import MotionSpec, sample_trajectory
+from hdys.datahub import DomainProfile, sample_trajectory
 from hdys.kinrep import (
     SequenceRecord,
     attach_dynamics,
@@ -101,20 +101,15 @@ def test_marker_subset_out_of_range():
 def test_angle_acceleration_matches_oracle_on_smooth_motion():
     rng = np.random.default_rng(3)
     tree = random_chain(rng, 3)
-    spec = MotionSpec(
-        family="periodic-gait-like",
-        bias=tuple(np.zeros(tree.n_dof)),
-        amp_base=tuple(np.full(tree.n_dof, 0.3)),
-        amp_scale=(0.8, 1.0),
-        freq_range=(0.5, 0.8),
-    )
     fps = 300.0  # dense sampling keeps the truncation error tiny
-    traj = sample_trajectory(spec, 1.0, fps, np.random.default_rng(42))
+    profile = DomainProfile("P", "t1", ("x_a",), (), "periodic-gait-like", (0.8, 1.0), (0.5, 0.8), (1,), 0.0, 1, 0, fps, (1.0, 1.0))
+    bias, amp_base = np.zeros(tree.n_dof), np.full(tree.n_dof, 0.3)
+    traj = sample_trajectory(profile, bias, amp_base, 1.0, fps, np.random.default_rng(42))
     rec = build_representations(tree, traj, [0], ("x_a",), fps)
     acc = rec.channels["x_a"][:, 2::3]
     assert np.abs(acc[1:-1] - traj.qdd[1:-1]).max() < 1e-2
     # same motion sampled twice as densely: second-order stencil error drops ~4x
-    traj2 = sample_trajectory(spec, 1.0, 2 * fps, np.random.default_rng(42))
+    traj2 = sample_trajectory(profile, bias, amp_base, 1.0, 2 * fps, np.random.default_rng(42))
     rec2 = build_representations(tree, traj2, [0], ("x_a",), 2 * fps)
     e1 = np.abs(acc[1:-1] - traj.qdd[1:-1]).max()
     e2 = np.abs(rec2.channels["x_a"][1:-1, 2::3] - traj2.qdd[1:-1]).max()

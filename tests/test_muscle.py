@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,13 +57,13 @@ def test_activation_bounds_enforced():
 
 def test_solve_zero_target_is_zero():
     ms = redundant_three()
-    assert np.array_equal(solve_activations(ms, np.zeros(1)), np.zeros(3))
+    assert np.array_equal(solve_activations(ms, np.zeros((1, 1))), np.zeros((1, 3)))
 
 
 def test_solve_scalar_single_muscle_per_dof():
     ms = MuscleSet(("m",), np.array([[0.07]]), np.array([300.0]))
-    a = solve_activations(ms, np.array([10.5]))
-    assert abs(a[0] - 10.5 / (0.07 * 300.0)) < 1e-12
+    a = solve_activations(ms, np.array([[10.5]]))
+    assert abs(a[0, 0] - 10.5 / (0.07 * 300.0)) < 1e-12
 
 
 def test_solve_matches_grid_oracle():
@@ -70,7 +72,7 @@ def test_solve_matches_grid_oracle():
     grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
     a1, a2 = np.meshgrid(grid, grid, indexing="ij")
     for tau in (7.0, 30.0, 55.0):
-        a = solve_activations(ms, np.array([tau]))
+        a = solve_activations(ms, np.array([[tau]]))[0]
         assert np.abs(muscle_to_torque(ms, a) - tau).max() < 1e-6 * max(1.0, tau)
         a0 = (tau - b[0, 1] * a1 - b[0, 2] * a2) / b[0, 0]
         valid = (a0 >= 0) & (a0 <= 1)
@@ -84,15 +86,15 @@ def test_solve_infeasible_not_clipped():
     ms = redundant_three()
     # max torque = 20 + 12 + 30 = 62
     with pytest.raises(InfeasibleActivation):
-        solve_activations(ms, np.array([80.0]))
+        solve_activations(ms, np.array([[80.0]]))
     with pytest.raises(InfeasibleActivation):
-        solve_activations(ms, np.array([-5.0]))  # all arms positive
+        solve_activations(ms, np.array([[-5.0]]))  # all arms positive
 
 
 def test_solve_requires_enough_muscles():
     ms = MuscleSet(("m",), np.array([[0.05, 0.0]]), np.array([100.0]))
     with pytest.raises(HdysError, match="^need at least as many muscles as actuated DoFs$"):
-        solve_activations(ms, np.zeros(2))
+        solve_activations(ms, np.zeros((1, 2)))
 
 
 def random_feasible(seed):
@@ -109,7 +111,7 @@ def random_feasible(seed):
 
 
 def assert_solved(ms, a_true, tau):
-    a = solve_activations(ms, tau)
+    a = solve_activations(ms, tau[None])[0]
     assert (a >= -1e-12).all() and (a <= 1 + 1e-12).all()
     assert np.abs(muscle_to_torque(ms, a) - tau).max() <= 1e-6 * max(1.0, np.abs(tau).max())
     assert float(a @ a) <= float(a_true @ a_true) + 1e-9  # never worse than a witness
@@ -161,7 +163,7 @@ def test_sequence_solve_equals_frame_by_frame(profile_id):
     ms, tau = profile_torques(profile_id)
     acts = solve_activations(ms, tau)
     assert acts.shape == (len(tau), ms.n_muscles)
-    assert np.array_equal(acts, np.stack([solve_activations(ms, row) for row in tau]))
+    assert np.array_equal(acts, np.concatenate([solve_activations(ms, tau[i : i + 1]) for i in range(len(tau))]))
     if profile_id == "D":  # some frames leave the box, so the batched Newton run is covered
         assert ((acts == 0.0) | (acts == 1.0)).any()
 
@@ -176,7 +178,7 @@ def test_mixed_batch_rows_equal_their_one_row_calls():
     batch = np.stack([zero, hard, reachable[0], zero, reachable[1], hard, reachable[2]])
     acts = solve_activations(ms, batch)
     for row, a in zip(batch, acts):
-        assert np.array_equal(a, solve_activations(ms, row))
+        assert np.array_equal(a, solve_activations(ms, row[None])[0])
     assert np.array_equal(acts[[0, 3]], np.zeros((2, ms.n_muscles)))
     assert np.abs(muscle_to_torque(ms, acts) - batch).max() <= 1e-6 * max(1.0, np.abs(batch).max())
 
@@ -185,14 +187,14 @@ def test_sequence_solve_names_first_infeasible_frame():
     ms = redundant_three()  # torques reachable: [0, 62]
     with pytest.raises(InfeasibleActivation, match=r"^frame 2: torque outside"):
         solve_activations(ms, np.array([[7.0], [55.0], [80.0], [30.0], [-5.0]]))
-    with pytest.raises(InfeasibleActivation, match=r"^torque outside"):
-        solve_activations(ms, np.array([80.0]))
+    with pytest.raises(InfeasibleActivation, match=r"^frame 0: torque outside"):
+        solve_activations(ms, np.array([[80.0]]))
 
 
 def test_sequence_solve_rejects_bad_shapes():
     ms = redundant_three()
     for tau in (np.zeros((4, 2)), np.zeros(2), np.zeros((2, 3, 1)), np.float64(1.0)):
-        with pytest.raises(HdysError, match=r"^tau_target must be \(1,\) or \(F, 1\)$"):
+        with pytest.raises(HdysError, match=rf"^tau_target must be \(F, 1\), got shape {re.escape(str(tau.shape))}$"):
             solve_activations(ms, tau)
 
 

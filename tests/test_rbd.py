@@ -12,12 +12,15 @@ from hdys.rbd import (
     GeneralizedState,
     KinematicTree,
     Link,
+    MuscleSet,
     build_t1,
     build_t2,
     forward_dynamics,
     mass_matrix,
     rnea,
+    solve_activations,
     step,
+    synth_emg,
 )
 from hdys.rbd.tree import joint_transform
 from conftest import make_pendulum, random_chain
@@ -56,14 +59,13 @@ def test_tree_invariants():
 def test_fk_zero_q_composes_fixed_transforms():
     rng = np.random.default_rng(0)
     tree = random_chain(rng, 4, spherical_ok=False)
-    _, link_p, _, joints = tree.forward_kinematics(np.zeros(tree.n_dof))
+    _, link_p, _ = tree.forward_kinematics(np.zeros((1, tree.n_dof)))
     expect = np.zeros(3)
     acc = []
     for l in tree.links:
         expect = expect + np.asarray(l.offset)  # identity orientations at q=0
         acc.append(expect.copy())
-    assert np.allclose(link_p, np.stack(acc), atol=1e-14)
-    assert np.array_equal(joints, link_p)
+    assert np.allclose(link_p[0], np.stack(acc), atol=1e-14)
 
 
 def test_fk_single_revolute_tip():
@@ -71,8 +73,8 @@ def test_fk_single_revolute_tip():
         [Link("l", -1, "revolute", (0, 0, 1), (0, 0, 0), 1.0, (0.5, 0, 0), np.eye(3) * 0.01)],
         marker_sites=[(0, (1.0, 0.0, 0.0))],
     )
-    _, _, markers, _ = tree.forward_kinematics(np.array([np.pi / 2]))
-    assert np.allclose(markers[0], [0.0, 1.0, 0.0], atol=1e-12)
+    _, _, markers = tree.forward_kinematics(np.array([[np.pi / 2]]))
+    assert np.allclose(markers[0, 0], [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_fk_orthonormal_and_matrix_chain_oracle():
@@ -80,8 +82,8 @@ def test_fk_orthonormal_and_matrix_chain_oracle():
     for _ in range(20):
         tree = random_chain(rng, int(rng.integers(2, 6)))
         q = rng.uniform(-2, 2, tree.n_dof)
-        link_r, link_p, markers, _ = tree.forward_kinematics(q)
-        for r in link_r:
+        link_r, _, markers = tree.forward_kinematics(q[None])
+        for r in link_r[0]:
             assert np.abs(r @ r.T - np.eye(3)).max() < 1e-10
         # independent oracle: homogeneous 4x4 chain over the internal bodies
         world = {}
@@ -96,7 +98,7 @@ def test_fk_orthonormal_and_matrix_chain_oracle():
                 j[:3, 3] = b.axis * q[b.dof]
             parent = world[b.parent] if b.parent != -1 else np.eye(4)
             world[bi] = parent @ t @ j
-        for (li, off), got in zip(tree.marker_sites, markers):
+        for (li, off), got in zip(tree.marker_sites, markers[0]):
             t = world[tree._link_body[li]]
             expect = t[:3, :3] @ np.asarray(off) + t[:3, 3]
             assert np.abs(expect - got).max() < 1e-12
@@ -104,8 +106,8 @@ def test_fk_orthonormal_and_matrix_chain_oracle():
 
 def test_fk_wrong_length():
     tree = make_pendulum()
-    with pytest.raises(HdysError, match="^q has 3 coordinates, tree has 1 DoF$"):
-        tree.forward_kinematics(np.zeros(3))
+    with pytest.raises(HdysError, match=r"^q must be \(F, 1\), got shape \(1, 3\)$"):
+        tree.forward_kinematics(np.zeros((1, 3)))
 
 
 # -- inverse dynamics ------------------------------------------------------------
@@ -114,15 +116,15 @@ def test_fk_wrong_length():
 def test_pendulum_static_torque_analytic():
     m, lc = 2.0, 1.0
     tree = make_pendulum(m=m, lc=lc)
-    for q in (-2.0, -0.4, 0.3, 1.0, 2.5):
-        tau = rnea(tree, GeneralizedState(np.array([q]), np.zeros(1), np.zeros(1)))
-        assert abs(tau[0] - m * G * lc * np.sin(q)) < 1e-10
+    q = np.array([[-2.0], [-0.4], [0.3], [1.0], [2.5]])
+    tau = rnea(tree, GeneralizedState(q, np.zeros_like(q), np.zeros_like(q)))
+    assert np.abs(tau - m * G * lc * np.sin(q)).max() < 1e-10
 
 
 def test_zero_gravity_zero_motion_zero_torque():
     rng = np.random.default_rng(2)
     tree = random_chain(rng, 4)
-    q = rng.uniform(-1, 1, tree.n_dof)
+    q = rng.uniform(-1, 1, (1, tree.n_dof))
     tau = rnea(tree, GeneralizedState(q, np.zeros_like(q), np.zeros_like(q)), gravity=np.zeros(3))
     assert np.abs(tau).max() < 1e-12
 
@@ -136,7 +138,7 @@ def test_roundtrip_100_random_chains():
         qd = rng.uniform(-1, 1, tree.n_dof)
         tau = rng.uniform(-5, 5, tree.n_dof)
         qdd = forward_dynamics(tree, q, qd, tau)
-        back = rnea(tree, GeneralizedState(q, qd, qdd))
+        back = rnea(tree, GeneralizedState(q[None], qd[None], qdd[None]))[0]
         worst = max(worst, float(np.abs(back - tau).max()))
     assert worst <= 1e-8
 
@@ -199,12 +201,10 @@ def test_rnea_affine_in_qdd():
     qd = rng.uniform(-1, 1, tree.n_dof)
     a1 = rng.uniform(-2, 2, tree.n_dof)
     a2 = rng.uniform(-2, 2, tree.n_dof)
-
-    def t(qdd):
-        return rnea(tree, GeneralizedState(q, qd, qdd))
-
-    lhs = t(a1 + a2) - t(np.zeros_like(q))
-    rhs = (t(a1) - t(np.zeros_like(q))) + (t(a2) - t(np.zeros_like(q)))
+    qdd = np.stack([a1 + a2, np.zeros_like(q), a1, a2])  # one frame per acceleration, at the same (q, qd)
+    t = rnea(tree, GeneralizedState(np.tile(q, (4, 1)), np.tile(qd, (4, 1)), qdd))
+    lhs = t[0] - t[1]
+    rhs = (t[2] - t[1]) + (t[3] - t[1])
     assert np.abs(lhs - rhs).max() <= 1e-9
 
 
@@ -216,8 +216,31 @@ def test_rnea_batched_equals_single():
     qdd = rng.uniform(-1, 1, (6, tree.n_dof))
     batch = rnea(tree, GeneralizedState(qs, qd, qdd))
     for i in range(6):
-        single = rnea(tree, GeneralizedState(qs[i], qd[i], qdd[i]))
-        assert np.array_equal(batch[i], single)
+        one_row = rnea(tree, GeneralizedState(qs[i : i + 1], qd[i : i + 1], qdd[i : i + 1]))
+        assert np.array_equal(batch[i : i + 1], one_row)
+
+
+def test_frame_batched_functions_reject_one_dimensional_input():
+    """rnea, body_poses, forward_kinematics, solve_activations and synth_emg take
+    frames on axis 0 only; a bare (n,) input fails by name instead of as one frame or an IndexError."""
+    tree = random_chain(np.random.default_rng(11), 3)
+    n = tree.n_dof
+    one = np.zeros(n)
+    shape = rf"^q must be \(F, {n}\), got shape \({n},\)$"
+    with pytest.raises(HdysError, match=rf"^state must be \(F, {n}\), got q of shape \({n},\)$"):
+        rnea(tree, GeneralizedState(one, one, one))
+    with pytest.raises(HdysError, match=shape):
+        tree.body_poses(one)
+    with pytest.raises(HdysError, match=shape):
+        tree.forward_kinematics(one)
+    ms = MuscleSet(("a", "b"), np.array([[0.05], [-0.05]]), np.array([400.0, 400.0]))
+    with pytest.raises(HdysError, match=r"^tau_target must be \(F, 1\), got shape \(1,\)$"):
+        solve_activations(ms, np.zeros(1))
+    with pytest.raises(HdysError, match=r"^a_sequence must be \(F, channels\), got shape \(5,\)$"):
+        synth_emg(np.zeros(5), fps=90.0)
+    assert rnea(tree, GeneralizedState(one[None], one[None], one[None])).shape == (1, n)
+    assert [a.shape[0] for a in tree.forward_kinematics(one[None])] == [1, 1, 1]
+    assert solve_activations(ms, np.zeros((1, 1))).shape == (1, 2)
 
 
 def _ref_rnea(tree, q, qd, qdd, gravity=None):
@@ -300,7 +323,7 @@ def test_rnea_is_bitwise_the_plain_recursion():
                         want = _ref_rnea(tree, q, qd, qdd, gravity)
                         got = rnea(tree, GeneralizedState(q, qd, qdd), gravity)
                         assert got.tobytes() == want.tobytes(), (tree.name, f)
-                        assert rnea(tree, GeneralizedState(q[0], qd[0], qdd[0]), gravity).tobytes() == want[0].tobytes()
+                        assert rnea(tree, GeneralizedState(q[:1], qd[:1], qdd[:1]), gravity).tobytes() == want[:1].tobytes()
                         cases += 2
             # the mass matrix is the reference's unit-acceleration columns at rest, without gravity
             columns = _ref_rnea(tree, np.broadcast_to(q[-1], (n, n)), np.zeros((n, n)), np.eye(n), np.zeros(3))
@@ -326,9 +349,9 @@ def test_cross_is_bitwise_numpy_cross():
 
 def test_free_root_free_fall_zero_residual():
     tree = KinematicTree([Link("r", -1, "free", None, (0, 0, 0), 3.0, (0, 0, 0), np.eye(3) * 0.1)])
-    q = np.zeros(6)
-    qd = np.array([1.0, 0.5, 0.0, 0.0, 0.0, 0.0])
-    qdd = np.array([0.0, 0.0, -G, 0.0, 0.0, 0.0])
+    q = np.zeros((1, 6))
+    qd = np.array([[1.0, 0.5, 0.0, 0.0, 0.0, 0.0]])
+    qdd = np.array([[0.0, 0.0, -G, 0.0, 0.0, 0.0]])
     tau = rnea(tree, GeneralizedState(q, qd, qdd))
     assert np.abs(tau).max() < 1e-10
     assert tree.root_dof == 6 and tree.n_actuated == 0
@@ -343,7 +366,7 @@ def test_fd_inverts_rnea():
     q = rng.uniform(-1, 1, tree.n_dof)
     qd = rng.uniform(-1, 1, tree.n_dof)
     target = rng.uniform(-3, 3, tree.n_dof)
-    tau = rnea(tree, GeneralizedState(q, qd, target))
+    tau = rnea(tree, GeneralizedState(q[None], qd[None], target[None]))[0]
     assert np.abs(forward_dynamics(tree, q, qd, tau) - target).max() <= 1e-8
 
 
@@ -457,4 +480,4 @@ def test_roundtrip_property(seed):
     qd = rng.uniform(-1, 1, tree.n_dof)
     tau = rng.uniform(-3, 3, tree.n_dof)
     qdd = forward_dynamics(tree, q, qd, tau)
-    assert np.abs(rnea(tree, GeneralizedState(q, qd, qdd)) - tau).max() <= 1e-8
+    assert np.abs(rnea(tree, GeneralizedState(q[None], qd[None], qdd[None]))[0] - tau).max() <= 1e-8
