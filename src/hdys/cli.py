@@ -3,8 +3,9 @@
 Exit codes: 0 success; 1 any `hdys.HdysError`, a failure that the inputs
 cause once the command runs, printed as `error: <message>` (a missing or
 unreadable dataset, manifest, record or run; records that disagree with
-their manifest; a sequence too short to difference or to fill one window; an
-infeasible solve; a dead config; a profile without the sequences or labels a
+their manifest; a sequence too short to difference or to fill one window,
+or a rollout grid too long for the sequences of its profile; an infeasible
+solve; a dead config; a profile without the sequences or labels a
 command needs; a run whose files do not parse or fit); 2 usage or
 configuration errors, before anything is written: unknown flags (each
 subcommand takes only the flags it reads), config values the program cannot
@@ -43,6 +44,7 @@ from .engine import (
     EVAL_COLUMNS,
     ROLLOUT_COLUMNS,
     RecordCache,
+    check_grid,
     evaluate,
     freeze_run,
     grid,
@@ -169,6 +171,7 @@ def cmd_eval(args) -> int:
 
 def cmd_rollout(args) -> int:
     cfg, manifest, model, stdizer = load_run(args.run)
+    check_grid(cfg, manifest)  # a run written before `train` checked it, or edited since
     report = rollout_eval(model, stdizer, cfg, manifest)
     out = args.out or os.path.join(args.run, "rollout")
     os.makedirs(out, exist_ok=True)
@@ -186,6 +189,7 @@ def cmd_reproduce(args) -> int:
     manifest = _manifest_for(args, root)
     out = args.out or f"runs/{args.study}"
     seeds = args.seeds[:1] if args.study == "rollout-table" else args.seeds  # rollout-table trains one model
+    check_grid(cfg, manifest)  # as each run's `train` does, before the study writes anything
     freeze_run(out, cfg, manifest, seeds)
     if args.study == "table1-analogue":
         csv_path = run_study(grid(cfg, manifest, args.target), root, out, seeds, "ablation.csv", _log)

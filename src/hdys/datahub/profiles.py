@@ -18,6 +18,7 @@ injected; everything is deterministic per (seed, profile, sequence).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -76,13 +77,26 @@ class DomainProfile:
             raise DatasetError(f"profile {self.profile_id}: unknown motion family '{self.family}'")
         if not 0.0 < self.fps < np.inf:
             raise DatasetError(f"profile {self.profile_id}: fps must be positive and finite, got {self.fps}")
-        shortest = min(self.duration)
-        frames = int(round(shortest * self.fps)) + 1  # as sample_trajectory counts them
-        if frames < 3:
-            raise DatasetError(f"profile {self.profile_id}: at {self.fps} fps its shortest sequence ({shortest} s) has "
-                               f"{frames} frames, fewer than 3; the lowest rate that works is {1.5 / shortest:g} fps")
+        self.require_frames(self.fps, 3)  # finite differences need three frames
         if self.n_train < 0 or self.n_test < 0:
             raise DatasetError(f"profile {self.profile_id}: n_train {self.n_train} and n_test {self.n_test} must be >= 0")
+
+    def require_frames(self, fps: float, need: int, why: str = "") -> None:
+        """Raise DatasetError unless the shortest sequence has at least `need`
+        frames at `fps`, counted as sample_trajectory counts them; the message
+        names the lowest rate that has them, rounded up to 0.001 fps."""
+        shortest = min(self.duration)
+
+        def frames(rate: float) -> int:
+            return int(round(shortest * rate)) + 1
+
+        if frames(fps) >= need:
+            return
+        lowest = math.ceil((need - 1.5) / shortest * 1000) / 1000
+        while frames(lowest) < need:  # round() takes a tie to the even count
+            lowest += 0.001
+        raise DatasetError(f"profile {self.profile_id}: at {fps:g} fps its shortest sequence ({shortest} s) has "
+                           f"{frames(fps)} frames, fewer than {need}{why}; the lowest rate that works is {lowest:g} fps")
 
 
 # -- tree registry -----------------------------------------------------------

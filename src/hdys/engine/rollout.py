@@ -51,6 +51,20 @@ class RolloutReport:
         raise EvalError(f"no rollout row ({k}, {fps}, {source})")
 
 
+def check_grid(cfg: HDySConfig, manifest: DatasetManifest) -> None:
+    """Raise DatasetError unless every rate of `cfg.rollout` gives the rollout
+    profile's shortest sequence one model window and the `k_max + 3` frames
+    that `rollout_eval`'s start loop needs; a manifest without the profile (a
+    restricted study run) has nothing to check."""
+    rc = cfg.rollout
+    if rc.profile not in manifest.gen_index:
+        return
+    window, k_max = cfg.model.window, max(rc.k_list)
+    profile = manifest.profile(rc.profile)
+    for fps in rc.fps_list:
+        profile.require_frames(fps, max(window, k_max + 3), f" (a {window}-frame window and {k_max} rollout steps)")
+
+
 def _reference(traj_q: np.ndarray, fps: float):
     """Backward-difference states and the torque-consistent accelerations."""
     qd = np.zeros_like(traj_q)

@@ -25,6 +25,7 @@ from ..model import (
 from ..numcore import AdamWState, NonFiniteError, adamw_step, backward, load_checkpoint, save_checkpoint
 from .batching import Standardizer, WindowRef, build_groups
 from .report import RUN_MANIFEST, freeze_run, write_csv, write_json
+from .rollout import check_grid
 
 WEIGHT_DECAY = 0.01  # AdamW's decoupled weight decay
 
@@ -87,8 +88,10 @@ def train(
     shuffled into fixed-size frame batches, one optimizer step per batch.
     Zero epochs saves the untouched initialization.
 
-    `out_dir` becomes a run directory that `load_run` reads back: before the
-    first step `freeze_run` writes the effective config (seed included), the
+    `out_dir` becomes a run directory that `load_run` reads back. Nothing is
+    written for records shorter than a window or a `cfg.rollout` grid that
+    the manifest's sequences cannot run (`check_grid`). Before the first
+    step `freeze_run` writes the effective config (seed included), the
     manifest trained on and `provenance.json`; after the last come
     `model.ckpt`, `loss_curve.csv` and `meta.json`. `meta.json` records the
     config hash, the seed, the parameter count and the wall time, so no
@@ -99,7 +102,6 @@ def train(
     seed = cfg.train.seed if seed is None else seed
     cfg = replace(cfg, train=replace(cfg.train, seed=seed))
     window = cfg.model.window
-    os.makedirs(out_dir, exist_ok=True)
 
     train_records = cache.train
     if not train_records:
@@ -107,6 +109,7 @@ def train(
     for (pid, sid), rec in train_records.items():
         if rec.n_frames < window:
             raise TrainError(f"sequence {sid} shorter than one window")
+    check_grid(cfg, manifest)  # a run that trains can roll out
     freeze_run(out_dir, cfg, manifest, [seed])
 
     stdizer = Standardizer.fit(list(train_records.values()))

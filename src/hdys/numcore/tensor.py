@@ -110,13 +110,17 @@ class _Node:
 
     A node refers to no op output, its own or an input's, so an intermediate
     that the caller drops and no rule saved is freed during the forward pass:
-    a rule keeps alive only the arrays it reads.
+    a rule keeps alive only the arrays it reads. A gelu or layer-norm node
+    also has `rebuild`, the closure that computed the output from arrays its
+    rule already saved, so a call returns the output again bit for bit; a
+    shared-weight matmul that reads the output holds `rebuild` instead.
     """
 
-    __slots__ = ("op", "rule", "parents")
+    __slots__ = ("op", "rule", "parents", "rebuild")
 
     def __init__(self, op: str, rule: Callable[[np.ndarray], tuple], parents: tuple):
         self.op, self.rule, self.parents = op, rule, parents
+        self.rebuild: Optional[Callable[[], np.ndarray]] = None
 
 
 def _make(out: np.ndarray, op: str, parents: Sequence[Tensor], bwd) -> Tensor:
@@ -124,6 +128,14 @@ def _make(out: np.ndarray, op: str, parents: Sequence[Tensor], bwd) -> Tensor:
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         t.requires_grad = True
         t._node = _Node(op, bwd, tuple((p._node or p) if p.requires_grad else None for p in parents))
+    return t
+
+
+def _with_rebuild(t: Tensor, rebuild: Callable[[], np.ndarray]) -> Tensor:
+    """Give t's node, if it has one, the closure that rebuilds t's array; set
+    after `_make` returns, so `_make` keeps its four arguments."""
+    if t._node is not None:
+        t._node.rebuild = rebuild
     return t
 
 
@@ -197,7 +209,9 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     fold into rows, so the forward pass and each gradient are one 2-D GEMM
     (`a2 @ w`, `g2 @ w.T` only if `a` needs a gradient, `a2.T @ g2`) and the
     bias gradient is one column sum. The bias is added in place, so no second
-    full-size array is kept.
+    full-size array is kept. The weight gradient reads `a` again: if `a`'s
+    node can rebuild it (a gelu or layer-norm output), the rule holds that
+    closure and rebuilds `a2` then, so the graph does not keep `a` alive.
     Other ranks use numpy's batched matmul with broadcasting.
     """
     if a.ndim < 2 or b.ndim < 2:
@@ -220,17 +234,21 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         out = ad @ bd
     if bias is not None:
         out += bias.data
+    # `rows` is the rule's only way to `a`: a rule captures every name it
+    # reads, so it must not read `a2` when `a` is rebuilt
+    rebuild = a._node.rebuild if shared and a._node is not None else None
+    rows = (lambda: a2) if rebuild is None else (lambda: rebuild().reshape(-1, a_shape[-1]))
 
     def bwd(g):
         g2 = g.reshape(-1, n)
         if shared:
             ga = np.empty(a_shape) if a_grad else None
             if a_grad:
-                np.matmul(g2, bd.T, out=ga.reshape(a2.shape))
-            grads = (ga, a2.T @ g2)
+                np.matmul(g2, bd.T, out=ga.reshape(-1, a_shape[-1]))
+            grads = (ga, rows().T @ g2)
         else:
             ga = g @ bd.swapaxes(-1, -2)
-            gb = a2.swapaxes(-1, -2) @ g
+            gb = rows().swapaxes(-1, -2) @ g
             grads = (_unbroadcast(ga, a_shape), _unbroadcast(gb, b_shape))
         return grads if bias is None else grads + (g2.sum(axis=0),)
 
@@ -330,7 +348,11 @@ def gelu(x: Tensor) -> Tensor:
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    out = xd * cdf
+
+    def rebuild():
+        return xd * cdf
+
+    out = rebuild()
 
     def bwd(g):
         # g * (cdf + x * exp(-x²/2) / sqrt(2 pi))
@@ -340,7 +362,7 @@ def gelu(x: Tensor) -> Tensor:
         np.add(np.multiply(d, xd, out=d), cdf, out=d)
         return (np.multiply(d, g, out=d),)
 
-    return _make(out, "gelu", (x,), bwd)
+    return _with_rebuild(_make(out, "gelu", (x,), bwd), rebuild)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -354,9 +376,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     y = x.data - x.data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(np.square(y).mean(axis=-1, keepdims=True) + eps)
     y *= inv
-    out = y * gamma.data
-    out += beta.data
-    gd = gamma.data
+    gd, bd = gamma.data, beta.data
+
+    def rebuild():
+        r = y * gd
+        r += bd
+        return r
+
+    out = rebuild()
 
     def bwd(g):
         gy = g * gd
@@ -372,7 +399,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         gy *= inv
         return gy, dgamma, dbeta
 
-    return _make(out, "layernorm", (x, gamma, beta), bwd)
+    return _with_rebuild(_make(out, "layernorm", (x, gamma, beta), bwd), rebuild)
 
 
 def logsumexp(x: Tensor, axis: int = -1) -> Tensor:
@@ -476,7 +503,8 @@ def backward(root: Tensor, leaves: Sequence[Tensor]) -> list[Optional[np.ndarray
 
     A walk from the root's node orders the node DAG so that parents precede
     children; the reverse pass then visits each node once and frees it as it
-    goes: its backward rule (with the arrays it saved) and its parent links.
+    goes: its backward rule and rebuild closure (with the arrays they saved)
+    and its parent links.
     A consumed node keeps its `op` but loses its `rule`, so a later pass that
     reaches it raises. No two returned arrays share memory, so the caller may
     write into any.
@@ -514,7 +542,7 @@ def backward(root: Tensor, leaves: Sequence[Tensor]) -> list[Optional[np.ndarray
                 grads[id(n)] = g if g_owned else g.copy()  # leaf: the caller's own array
             continue
         rule, parents = n.rule, n.parents
-        n.rule, n.parents = None, ()
+        n.rule, n.parents, n.rebuild = None, (), None
         if g is None:
             continue
         live = [(p, pg) for p, pg in zip(parents, rule(g)) if p is not None]

@@ -55,6 +55,10 @@ CASES = {
         ([u(3, 4), u(4, 2)], lambda a, b: tz.matmul(a, b)),
         ([u(2, 3, 2, 4), u(4, 3), u(3)], lambda a, w, b: tz.matmul(a, w, b)),  # activation @ shared weight + bias
         ([u(2, 3, 4), u(2, 4, 2)], lambda a, b: tz.matmul(a, b)),  # batched
+        # inputs the weight gradient rebuilds instead of keeping
+        ([u(2, 3, 4), u(4, 3), u(3)], lambda x, w, b: tz.matmul(tz.gelu(x), w, b)),
+        ([u(2, 3, 5), u(5), u(5), u(5, 3), u(3)],
+         lambda x, g, b, w, b2: tz.matmul(tz.layer_norm(x, g, b), w, b2)),
     ],
     "mean": lambda u: [([u(3, 4)], lambda x: tz.mean(x, axis=-1))],
     "mul": lambda u: [([u(3, 4), u(3, 4)], lambda a, b: tz.mul(a, b))],

@@ -2,9 +2,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import hdys.cli  # noqa: F401  (imports every layer the tracer wraps)
 import hdys.kinrep
 import hdys.rbd.dynamics
+from hdys.model.layers import ParamSet, TransformerLayer
+from hdys.numcore import Tensor, backward, sum_
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,3 +51,24 @@ def test_benchmark_tracer_finds_every_boundary_and_restores_it():
         now = vars(ns)
         changed = [key for key, value in before.get(name, {}).items() if now.get(key) is not value]
         assert not changed, (name, changed)
+
+
+def test_traced_layer_gives_the_untraced_gradients():
+    """The traced run hands each kernel's backward rule to `_make` wrapped in a
+    span, through `_make`'s four arguments; a kernel that calls `_make` any
+    other way fails here, and the traced gradients stay bit for bit."""
+
+    def gradients():
+        ps = ParamSet(seed=0)
+        block = TransformerLayer(ps, "blk", dim=8, heads=2, ffn_mult=2)
+        y = block(Tensor(np.random.default_rng(5).normal(size=(3, 6, 8))))
+        return backward(sum_(y), list(ps.params.values()))
+
+    want = gradients()
+    tracer = _tracing().Tracer()
+    with tracer.recording("round"):
+        got = gradients()
+    assert {"numcore.matmul.bwd", "numcore.gelu.bwd", "numcore.layernorm.bwd"} <= {span[0] for span in tracer.spans}
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()

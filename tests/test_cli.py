@@ -554,15 +554,48 @@ def test_records_that_disagree_with_their_manifest_masks_are_domain_error(cli_da
 
 
 def test_rollout_on_sequences_shorter_than_one_window_is_domain_error(cli_dataset, tmp_path, capsys):
-    run = str(tmp_path / "run")
-    argv = ["train", "--data", cli_dataset, "--out", run, "--set", "train.epochs=0",
-            "--set", "rollout.fps_list=4", "--set", "rollout.max_sequences=1"]
+    # `train` checks the rollout grid against profile A (3 s sequences) before
+    # it writes anything: a rollout needs one 16-frame window and k_max + 3 frames
+    cases = [
+        ("rollout.fps_list=4", "at 4 fps its shortest sequence (3.0 s) has 13 frames, fewer than 16 ", "4.834"),
+        ("rollout.fps_list=0.3", "at 0.3 fps its shortest sequence (3.0 s) has 2 frames, fewer than 16 ", "4.834"),
+        ("rollout.k_list=400", "at 90 fps its shortest sequence (3.0 s) has 271 frames, fewer than 403 ", "133.834"),
+    ]
+    run = tmp_path / "run"
+    for setting, message, lowest in cases:
+        argv = ["train", "--data", cli_dataset, "--out", str(run), "--set", "train.epochs=0", "--set", setting]
+        assert main(argv) == 1, setting
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: profile A: {message}") and "Traceback" not in err, err
+        assert f"the lowest rate that works is {lowest} fps" in err, err
+        assert not run.exists()  # nothing written
+    # nor by a study, whose every run is a run directory that `rollout` accepts
+    argv = ["reproduce", "--study", "rollout-table", "--data", cli_dataset, "--out", str(run), "--seeds", "0",
+            "--set", "train.epochs=0", "--set", "rollout.fps_list=4"]
+    assert main(argv) == 1
+    assert "at 4 fps its shortest sequence (3.0 s) has 13 frames" in capsys.readouterr().err
+    assert not run.exists()
+    # the lowest rate named trains and rolls out from every start it has
+    argv = ["train", "--data", cli_dataset, "--out", str(run), "--set", "train.epochs=0",
+            "--set", "rollout.fps_list=4.834", "--set", "rollout.max_sequences=1"]
     assert main(argv) == 0
+    assert main(["rollout", "--run", str(run)]) == 0
+    rows = (run / "rollout" / "rollout.csv").read_text().splitlines()[1:]
+    assert len(rows) == 10 and all(row.split(",")[4] == "1" for row in rows), rows  # one start each
+    # `rollout` checks the grid again, for a run whose config.txt no longer passes
+    shutil.rmtree(run / "rollout")
+    config = run / "config.txt"
+    config.write_text(config.read_text().replace("rollout.k_list = 1,2,3,4,5", "rollout.k_list = 400"))
     capsys.readouterr()
-    assert main(["rollout", "--run", run]) == 1  # 3 s at 4 fps is 13 frames
-    err = capsys.readouterr().err
-    assert err.startswith("error: A/A0006: 13 frames, shorter than one 16-frame window") and "Traceback" not in err, err
-    assert not os.path.exists(os.path.join(run, "rollout"))
+    assert main(["rollout", "--run", str(run)]) == 1
+    assert "has 16 frames, fewer than 403" in capsys.readouterr().err
+    assert not (run / "rollout").exists()
+    # a manifest without the rollout profile, as a restricted study run has, is not checked
+    sub = str(tmp_path / "sub.json")
+    write_manifest(sub, restrict_profiles(load_manifest(cli_dataset), ["B"]))
+    argv = ["train", "--data", cli_dataset, "--manifest", sub, "--out", str(tmp_path / "b"),
+            "--set", "train.epochs=0", "--set", "rollout.fps_list=4"]
+    assert main(argv) == 0
 
 
 def test_loss_curve_does_not_depend_on_the_blas_thread_count(cli_dataset, tmp_path):

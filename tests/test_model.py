@@ -108,12 +108,14 @@ def test_transformer_layer_graph_frees_what_no_rule_reads(monkeypatch):
     # The graph keeps backward rules, not tensors: the first residual sum feeds
     # only ln2 (which saves its own normalised copy) and the second residual
     # add (which saves shapes), so it is gone once the layer returns, before
-    # any backward pass. gelu's input is read by gelu's rule and stays alive
-    # until the reverse pass consumes that rule.
+    # any backward pass. So are ln1, ln2 and the gelu output, which only a
+    # matmul reads: its rule rebuilds them for the weight gradient. gelu's
+    # input is read by gelu's rule and stays alive until the reverse pass
+    # consumes that rule.
     import hdys.model.layers as layers
 
-    sums, gelu_inputs = [], []
-    real_add, real_gelu = layers.add, layers.gelu
+    sums, gelu_inputs, gelu_outputs, norms = [], [], [], []
+    real_add, real_gelu, real_layer_norm = layers.add, layers.gelu, layers.layer_norm
 
     def add(a, b):
         out = real_add(a, b)
@@ -122,16 +124,25 @@ def test_transformer_layer_graph_frees_what_no_rule_reads(monkeypatch):
 
     def gelu(x):
         gelu_inputs.append(weakref.ref(x.data))
-        return real_gelu(x)
+        out = real_gelu(x)
+        gelu_outputs.append(weakref.ref(out.data))
+        return out
+
+    def layer_norm(x, gamma, beta):
+        out = real_layer_norm(x, gamma, beta)
+        norms.append(weakref.ref(out.data))
+        return out
 
     monkeypatch.setattr(layers, "add", add)
     monkeypatch.setattr(layers, "gelu", gelu)
+    monkeypatch.setattr(layers, "layer_norm", layer_norm)
     ps = ParamSet(seed=0)
     block = TransformerLayer(ps, "blk", dim=8, heads=2, ffn_mult=2)
     y = block(Tensor(np.random.default_rng(5).normal(size=(3, 6, 8))))
-    assert len(sums) == 2 and len(gelu_inputs) == 1
+    assert len(sums) == 2 and len(gelu_inputs) == 1 and len(norms) == 2
     assert sums[0]() is None  # the residual sum, dropped by the layer
     assert sums[1]() is y.data  # the returned sum, held by the caller
+    assert norms[0]() is None and norms[1]() is None and gelu_outputs[0]() is None  # rebuilt, not kept
     assert gelu_inputs[0]() is not None
     leaves = list(ps.params.values())
     grads = backward(sum_(y), leaves)

@@ -167,6 +167,39 @@ def test_in_place_kernels_are_bitwise_their_expressions(t):
         assert g.tobytes() == g_before.tobytes()  # backward rules never write into g
 
 
+def test_gelu_rebuild_is_its_output_bit_for_bit():
+    rng = np.random.default_rng(9)
+    x = np.concatenate([rng.normal(scale=s, size=(4, 500)) for s in (0.2, 1.0, 5.0)])
+    x[0, :4] = 0.0, -0.0, np.inf, -np.inf
+    with np.errstate(invalid="ignore"):  # -inf * 0 and inf * 0 are NaN on both sides
+        out = tz.gelu(Tensor(x, requires_grad=True))
+        rebuilt = out._node.rebuild()
+    assert rebuilt.tobytes() == out.data.tobytes() and rebuilt is not out.data
+
+
+@pytest.mark.parametrize("kind", ["gelu", "layernorm"])
+def test_matmul_rebuilds_its_input_bit_for_bit(kind):
+    # A gelu or layer-norm output that feeds a shared-weight matmul is freed
+    # when the caller drops it: the matmul rule rebuilds it for the weight
+    # gradient, which equals the one taken from a kept leaf copy bit for bit.
+    rng = np.random.default_rng(12)
+    leaf = lambda *shape: Tensor(rng.normal(size=shape), requires_grad=True)
+    x, gamma, beta, w, bias = leaf(3, 7, 16), leaf(16), leaf(16), leaf(16, 5), leaf(5)
+    weights = Tensor(rng.normal(size=(3, 7, 5)))
+    h = tz.gelu(x) if kind == "gelu" else tz.layer_norm(x, gamma, beta)
+    node, ref = h._node, weakref.ref(h.data)
+    assert node.rebuild().tobytes() == h.data.tobytes()
+    copy = Tensor(h.data.copy(), requires_grad=True)
+    out = tz.matmul(h, w, bias)
+    del h
+    assert ref() is None  # no rule holds the output
+    got = backward(tz.sum_(tz.mul(out, weights)), [w, bias])
+    assert node.rule is None and node.rebuild is None  # consumed with its node
+    want = backward(tz.sum_(tz.mul(tz.matmul(copy, w, bias), weights)), [w, bias])
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_layernorm_constant_vector_is_zero_before_affine():
     x = Tensor(np.full((4, 6), 3.7))
     out = tz.layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)))
