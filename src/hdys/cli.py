@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 1 any `hdys.HdysError`, a failure that the inputs
 cause once the command runs, printed as `error: <message>` (a missing or
-unreadable dataset, manifest, record or run; records that disagree with
-their manifest; a sequence too short to difference or to fill one window,
+unreadable dataset, manifest, record or run; a `gen-data --data` that is
+neither missing nor empty; records that disagree with their manifest; a
+sequence too short to difference or to fill one window,
 or a rollout grid too long for the sequences of its profile; an infeasible
 solve; a dead config; a profile without the sequences or labels a
 command needs; a run whose files do not parse or fit); 2 usage or

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -342,23 +343,34 @@ def _generate_once(
 
 
 def generate_dataset(root, manifest: DatasetManifest, verbose: bool = False) -> DatasetManifest:
-    """Write every profile's sequences under `root` and the manifest beside them."""
-    os.makedirs(root, exist_ok=True)
-    for profile in manifest.profiles:
-        p_idx = manifest.gen_index[profile.profile_id]
-        os.makedirs(os.path.join(root, profile.profile_id), exist_ok=True)
-        train, test = [], []
-        total = profile.n_train + profile.n_test
-        for s_idx in range(total):
-            rec, _ = generate_sequence(manifest.seed, profile, p_idx, s_idx)
-            write_record(record_path(root, profile.profile_id, rec.seq_id), rec)
-            (train if s_idx < profile.n_train else test).append(rec.seq_id)
-        manifest.train_ids[profile.profile_id] = train
-        manifest.test_ids[profile.profile_id] = test
-        if verbose:
-            print(f"profile {profile.profile_id}: {len(train)} train / {len(test)} test sequences")
-    manifest.validate_splits()
-    write_manifest(os.path.join(root, MANIFEST_NAME), manifest)
+    """Write every profile's sequences and the manifest into a sibling
+    directory, then rename it onto `root`: a dataset appears whole or not at
+    all. `root` must be missing or an empty directory."""
+    root = os.path.normpath(root)
+    if os.path.exists(root) and not (os.path.isdir(root) and not os.listdir(root)):
+        raise DatasetError(f"{root} exists and is not an empty directory; generate into a new one")
+    tmp = f"{root}.{os.getpid()}.partial"
+    os.makedirs(tmp)
+    try:
+        for profile in manifest.profiles:
+            p_idx = manifest.gen_index[profile.profile_id]
+            os.mkdir(os.path.join(tmp, profile.profile_id))
+            train, test = [], []
+            total = profile.n_train + profile.n_test
+            for s_idx in range(total):
+                rec, _ = generate_sequence(manifest.seed, profile, p_idx, s_idx)
+                write_record(record_path(tmp, profile.profile_id, rec.seq_id), rec)
+                (train if s_idx < profile.n_train else test).append(rec.seq_id)
+            manifest.train_ids[profile.profile_id] = train
+            manifest.test_ids[profile.profile_id] = test
+            if verbose:
+                print(f"profile {profile.profile_id}: {len(train)} train / {len(test)} test sequences")
+        manifest.validate_splits()
+        write_manifest(os.path.join(tmp, MANIFEST_NAME), manifest)
+        os.replace(tmp, root)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
     return manifest
 
 

@@ -16,7 +16,6 @@ from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -342,6 +341,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
+    # imported here, so that a process that never runs gelu never loads scipy
+    from scipy.special import erf
+
     xd = x.data
     # in-place forms of the plain expressions: a*b == b*a, a+b == b+a exactly
     cdf = xd * _INV_SQRT2

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .. import HdysError
 from .tree import KinematicTree, joint_transform
@@ -181,6 +180,9 @@ def forward_dynamics(
     tau: np.ndarray,
 ) -> np.ndarray:
     """Accelerations produced by tau at (q, qd): solves the inverse relation."""
+    # imported here, so that only a process that rolls out loads scipy.linalg
+    from scipy.linalg import cho_factor, cho_solve
+
     q = np.asarray(q, dtype=np.float64)
     qd = np.asarray(qd, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)

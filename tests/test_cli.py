@@ -538,6 +538,41 @@ def test_gen_data_at_a_rate_below_three_frames_is_domain_error(tmp_path, capsys)
     assert not data.exists()  # rejected before any directory is made
 
 
+def test_gen_data_refuses_a_populated_data_directory(cli_dataset, tmp_path, capsys):
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "notes.txt").write_text("keep")
+    with open(os.path.join(cli_dataset, "manifest.json"), "rb") as fh:
+        manifest = fh.read()
+    for root in (cli_dataset, str(other)):
+        assert main(["gen-data", "--data", root, "--seed", "5", "--train-seqs", "1", "--test-seqs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {root} exists and is not an empty directory") and "Traceback" not in err, err
+    assert os.listdir(other) == ["notes.txt"] and (other / "notes.txt").read_text() == "keep"
+    with open(os.path.join(cli_dataset, "manifest.json"), "rb") as fh:
+        assert fh.read() == manifest
+
+
+def test_failed_gen_data_leaves_data_as_it_was(tmp_path, monkeypatch, capsys):
+    from hdys.datahub import profiles
+
+    real = profiles.generate_sequence
+
+    def last_profile_fails(seed, profile, p_idx, s_idx):
+        if profile.profile_id == "E":
+            raise DatasetError(f"profile E seq {s_idx}: no feasible motion draw")
+        return real(seed, profile, p_idx, s_idx)
+
+    monkeypatch.setattr(profiles, "generate_sequence", last_profile_fails)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for root in (tmp_path / "missing", empty):
+        assert main(["gen-data", "--data", str(root), "--train-seqs", "1", "--test-seqs", "0"]) == 1
+        assert "profile E seq 0: no feasible motion draw" in capsys.readouterr().err
+    assert os.listdir(empty) == []
+    assert os.listdir(tmp_path) == ["empty"]  # no partial directory is left behind either
+
+
 def test_records_that_disagree_with_their_manifest_masks_are_domain_error(cli_dataset, tmp_path, capsys):
     with open(os.path.join(cli_dataset, "manifest.json")) as fh:
         doc = json.load(fh)

@@ -264,3 +264,32 @@ def test_profile_masks_follow_the_tree_family():
     for profile in (a, b):
         rec, _ = generate_sequence(0, profile, 0, 0)
         assert rec.mask == frozenset(profile.kin_mask + profile.dyn_mask)
+
+
+def test_clamped_spline_equals_scipy_bit_for_bit():
+    # Spline records were written with scipy 1.17's CubicSpline; the numpy port keeps their bytes.
+    # After a scipy upgrade that changes CubicSpline's arithmetic, this fails while records do not.
+    from scipy.interpolate import CubicSpline  # the reference; src/ does not import it
+
+    from hdys.datahub.motion import clamped_spline
+
+    rng = np.random.default_rng(22)
+    # the lowest rate gen-data accepts (0.5 fps) to 240 fps; 3 s at 0.5 fps ends 1 s past the last knot
+    cases = [(3.0, 0.5), (0.5, 0.5), (6.0, 240.0)]
+    cases += [(rng.uniform(0.5, 6.0), rng.uniform(0.5, 240.0)) for _ in range(250)]
+    knot_counts, past_end = set(), 0
+    for duration, fps in cases:
+        n_knots = max(4, int(round(duration / 0.45)) + 1)  # sample_trajectory's knot rule
+        n = int(rng.integers(20, 41))
+        knot_t = np.linspace(0.0, duration, n_knots)
+        knot_q = rng.normal(size=n) + rng.uniform(-1.0, 1.0, size=(n_knots, n)) * rng.uniform(0.0, 1.5, size=n)
+        knot_q[:, 0] = 0.0  # a resting joint: every output is a zero, whose sign counts too
+        t = np.arange(int(round(duration * fps)) + 1) / fps
+        spline = CubicSpline(knot_t, knot_q, axis=0, bc_type="clamped")
+        for nu, got in enumerate(clamped_spline(knot_t, knot_q, t)):
+            want = spline(t, nu)
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (duration, fps, nu)
+        knot_counts.add(n_knots)
+        past_end += t[-1] > duration
+    assert min(knot_counts) == 4 and max(knot_counts) == 14 and past_end > 0
