@@ -15,7 +15,10 @@ scipy versions, as bench/run.py prints it first), its `output` and `metric`
 lines and its result object. At the end it prints each distinct `env` line,
 then, for each end-to-end metric of BENCHMARK.json, the median [q1, q3] and
 the min-max range on each side and the number of pairs the change won (ties
-count for neither side), and whether every run printed the same outputs.
+count for neither side), and whether every run printed the same outputs. If
+not, it says whether the runs within each side agree and prints each output
+line of the first parent run that differs from the first change run, the
+two lines one above the other.
 
     python3 scripts/bench_pairs.py --parent HEAD --workload assess --seed 2 --pairs 10 --out pairs.jsonl
 
@@ -25,6 +28,7 @@ Exits 1 if a run failed or the two sides printed different outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import shutil
 import statistics
@@ -86,7 +90,19 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> bool:
         print(f"{name} ({spec['unit']}, {spec['better']} is better): parent {_spread(sides['parent'])}, "
               f"change {_spread(sides['change'])}; change won {won} of {len(pairs)} pairs")
     outputs = {tuple(r["output_lines"]) for r in ok}
-    print("outputs: identical in every run" if len(outputs) <= 1 else f"outputs: {len(outputs)} distinct sets")
+    if len(outputs) <= 1:
+        print("outputs: identical in every run")
+    else:
+        print(f"outputs: {len(outputs)} distinct sets")
+        first = {}
+        for side in ("parent", "change"):
+            sets = [tuple(r["output_lines"]) for r in ok if r["side"] == side]
+            n = len(set(sets))
+            print(f"outputs within {side}: {'identical' if n <= 1 else f'{n} distinct sets'} over {len(sets)} runs")
+            first[side] = sets[0] if sets else ()
+        for a, b in itertools.zip_longest(first["parent"], first["change"], fillvalue="(no line)"):
+            if a != b:
+                print(f"differs: parent {a}\n         change {b}")
     return len(ok) == len(runs) and len(outputs) <= 1
 
 

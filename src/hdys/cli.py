@@ -4,9 +4,9 @@ Exit codes: 0 success; 1 any `hdys.HdysError`, a failure that the inputs
 cause once the command runs, printed as `error: <message>` (a missing or
 unreadable dataset, manifest, record or run; a `gen-data --data` that is
 neither missing nor empty; records that disagree with their manifest; a
-sequence too short to difference or to fill one window,
-or a rollout grid too long for the sequences of its profile; an infeasible
-solve; a dead config; a profile without the sequences or labels a
+sequence too short to difference or to fill one window; a rollout grid that
+its profile cannot run, on sequences too short, without joint-torque labels
+or without the representation; an infeasible solve; a dead config; a profile without the sequences or labels a
 command needs; a run whose files do not parse or fit); 2 usage or
 configuration errors, before anything is written: unknown flags (each
 subcommand takes only the flags it reads), config values the program cannot
@@ -172,8 +172,7 @@ def cmd_eval(args) -> int:
 
 def cmd_rollout(args) -> int:
     cfg, manifest, model, stdizer = load_run(args.run)
-    check_grid(cfg, manifest)  # a run written before `train` checked it, or edited since
-    report = rollout_eval(model, stdizer, cfg, manifest)
+    report = rollout_eval(model, stdizer, cfg, manifest)  # checks the grid of a run edited since `train`
     out = args.out or os.path.join(args.run, "rollout")
     os.makedirs(out, exist_ok=True)
     rows = [r.__dict__ for r in report.rows]

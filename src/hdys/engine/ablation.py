@@ -35,12 +35,13 @@ def _with_quota(cfg: HDySConfig, base_profiles: int, run_profiles: int) -> HDySC
 
 
 def grid(base_cfg: HDySConfig, manifest: DatasetManifest, target: str = "A") -> list[RunSpec]:
-    """The 20-run comparison: full, per-profile-only, drop-one, loss/branch
-    flags, three latent sizes and the three data-scale variants."""
+    """The 19-run comparison: full, per-profile-only for each labelled profile
+    (an unlabelled one would score no row), drop-one, loss/branch flags, three
+    latent sizes and the three data-scale variants."""
     pids = [p.profile_id for p in manifest.profiles]
     n = len(pids)
     runs: list[RunSpec] = [RunSpec("full", manifest, base_cfg, pids)]
-    for pid in pids:
+    for pid in (p.profile_id for p in manifest.profiles if p.dyn_mask):
         sub = restrict_profiles(manifest, [pid])
         runs.append(RunSpec(f"only-{pid}", sub, _with_quota(base_cfg, n, 1), [pid]))
     for pid in pids:

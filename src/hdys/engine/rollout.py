@@ -52,15 +52,21 @@ class RolloutReport:
 
 
 def check_grid(cfg: HDySConfig, manifest: DatasetManifest) -> None:
-    """Raise DatasetError unless every rate of `cfg.rollout` gives the rollout
-    profile's shortest sequence one model window and the `k_max + 3` frames
-    that `rollout_eval`'s start loop needs; a manifest without the profile (a
-    restricted study run) has nothing to check."""
+    """Raise unless `rollout_eval` can run the `cfg.rollout` grid: the rollout
+    profile carries joint torques (EvalError) and the representation
+    (EvalError), and every rate gives its shortest sequence one model window
+    and the `k_max + 3` frames that the start loop needs (DatasetError). A
+    manifest without the profile (a restricted study run) has nothing to check."""
     rc = cfg.rollout
     if rc.profile not in manifest.gen_index:
         return
     window, k_max = cfg.model.window, max(rc.k_list)
     profile = manifest.profile(rc.profile)
+    carries = f"it carries {', '.join(profile.kin_mask + profile.dyn_mask)}"
+    if not profile.dyn_mask or profile.dyn_mask[0] not in TORQUE_CHANNELS:
+        raise EvalError(f"profile {rc.profile} has no joint-torque labels to roll out ({carries})")
+    if rc.representation != "avg" and rc.representation not in profile.kin_mask:
+        raise EvalError(f"representation '{rc.representation}' not available on profile {rc.profile} ({carries})")
     for fps in rc.fps_list:
         profile.require_frames(fps, max(window, k_max + 3), f" (a {window}-frame window and {k_max} rollout steps)")
 
@@ -90,12 +96,11 @@ def rollout_eval(
     representation = rc.representation
     max_sequences = max_sequences or rc.max_sequences
 
+    check_grid(cfg, manifest)
     profile = manifest.profile(pid)
     bundle = tree_bundle(profile.tree_key)
     if bundle.tree.root_dof != 0:
         raise EvalError("rollouts need a fixed-base tree")
-    if not profile.dyn_mask or profile.dyn_mask[0] not in TORQUE_CHANNELS:
-        raise EvalError(f"profile {pid} has no joint-torque labels")
     dyn = profile.dyn_mask[0]
     p_idx = manifest.gen_index[pid]
     ids = manifest.test_ids[pid][:max_sequences]
@@ -124,25 +129,22 @@ def rollout_eval(
             if representation == "avg":
                 tau_pred = np.mean([preds[k][dyn] for k in sorted(preds)], axis=0)
             else:
-                if representation not in preds:
-                    raise EvalError(f"representation '{representation}' not available")
                 tau_pred = preds[representation][dyn]
             t_step = perf_counter()
             report.timings["predict_s"] += t_step - t_predict
 
             for t0 in range(1, n - k_max - 1, rc.start_stride):
                 for source, tau_seq in (("oracle", tau_oracle), ("predicted", tau_pred)):
-                    q = q_ref[t0].copy()
-                    qd = qd_ref[t0].copy()
+                    q, qd = q_ref[t0 : t0 + 1], qd_ref[t0 : t0 + 1]
                     errs = []
                     died_at = None
                     for i in range(k_max):
                         try:
-                            q, qd = step(bundle.tree, q, qd, tau_seq[t0 + i], dt=dt)
+                            q, qd = step(bundle.tree, q, qd, tau_seq[t0 + i : t0 + i + 1], dt=dt)
                         except DivergedRollout:
                             died_at = i
                             break
-                        errs.append(float(((q - q_ref[t0 + i + 1]) ** 2).mean()))
+                        errs.append(float(((q - q_ref[t0 + i + 1 : t0 + i + 2]) ** 2).mean()))
                     for k in k_list:
                         if died_at is not None and died_at < k:
                             diverged[(k, source)] += 1

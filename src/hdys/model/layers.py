@@ -42,9 +42,11 @@ class ParamSet:
         return {k: v.data for k, v in self.params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = set(self.params) - set(arrays)
+        missing, unexpected = set(self.params) - set(arrays), set(arrays) - set(self.params)
         if missing:
             raise HdysError(f"checkpoint missing parameters: {sorted(missing)[:4]}")
+        if unexpected:
+            raise HdysError(f"checkpoint has parameters the model lacks: {sorted(unexpected)[:4]}")
         for k, p in self.params.items():
             if arrays[k].shape != p.data.shape:
                 raise HdysError(f"parameter '{k}': checkpoint shape {arrays[k].shape} != {p.data.shape}")

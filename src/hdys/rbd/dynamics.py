@@ -4,14 +4,15 @@ Recursive Newton-Euler (RNEA) is the one dynamics recursion: it runs
 batched over frames, with spatial vectors kept as separate angular/linear
 3-vector arrays. The mass matrix is RNEA at unit accelerations, one frame per
 column (zero velocity, no gravity), and forward dynamics solves
-M(q) qdd = tau - bias with a Cholesky factorization. A batch at rest (qd all
-zero, as in the mass matrix and static torques) skips every velocity
-product, since its bodies' velocities are zero. Joint torques and gravity
-are the only forces; contact and other external wrenches are not modelled.
+M(q) qdd = tau - bias with one batched LU solve over the frames. A batch at
+rest (qd all zero, as in the mass matrix and static torques) skips every
+velocity product, since its bodies' velocities are zero. Joint torques and
+gravity are the only forces; contact and other external wrenches are not
+modelled.
 
-RNEA takes states with frames on axis 0, (F, n_dof); `forward_dynamics`,
-`mass_matrix` and `step` take one state (n_dof,). A one-row RNEA call (the
-bias term of `forward_dynamics`) is bound by the count of small numpy calls
+Every entry point takes states with frames on axis 0, (F, n_dof), and
+rejects a bare (n_dof,) state. A one-row RNEA call (the bias term of a
+one-row `forward_dynamics`) is bound by the count of small numpy calls
 per body, not by arithmetic, so the recursion keeps that count low and every
 byte as it is: each body's motion is a tuple of (F, 3) arrays; `_cross`
 forms numpy's six products with one gather per operand and one multiply;
@@ -65,6 +66,11 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return pq[..., :3] - pq[..., 3:]
 
 
+def _require_frames(tree: KinematicTree, q) -> None:
+    if np.ndim(q) != 2 or np.shape(q)[1] != tree.n_dof:
+        raise HdysError(f"state must be (F, {tree.n_dof}), got q of shape {np.shape(q)}")
+
+
 def rnea(
     tree: KinematicTree,
     state: GeneralizedState,
@@ -76,8 +82,7 @@ def rnea(
     which is not an actuation label.
     """
     q, qd, qdd = state.q, state.qd, state.qdd
-    if q.ndim != 2 or q.shape[1] != tree.n_dof:
-        raise HdysError(f"state must be (F, {tree.n_dof}), got q of shape {q.shape}")
+    _require_frames(tree, q)
     f = q.shape[0]
     g = tree.gravity if gravity is None else np.asarray(gravity, dtype=np.float64)
     bodies = tree._bodies
@@ -157,20 +162,17 @@ def rnea(
 
 
 def mass_matrix(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
-    """Generalized inertia at configuration q, one column per coordinate.
+    """Generalized inertia (F, n_dof, n_dof) at the (F, n_dof) configurations.
 
-    Column j is the inverse dynamics of a unit acceleration of coordinate j
-    at rest without gravity, so all n columns come from one batched RNEA,
-    which at rest skips the velocity products.
+    Column j of frame k is the inverse dynamics of a unit acceleration of
+    coordinate j at q[k], at rest and without gravity, so every column of
+    every frame comes from one RNEA over F * n_dof rows, which at rest skips
+    the velocity products.
     """
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != tree.n_dof:
-        raise HdysError(f"q must be ({tree.n_dof},)")
-    if not np.isfinite(q).all():
-        raise HdysError("non-finite configuration")
-    n = tree.n_dof
-    state = GeneralizedState(np.broadcast_to(q, (n, n)), np.zeros((n, n)), np.eye(n))
-    return rnea(tree, state, gravity=np.zeros(3)).T
+    _require_frames(tree, q)
+    f, n = np.shape(q)
+    state = GeneralizedState(np.repeat(q, n, axis=0), np.zeros((f * n, n)), np.tile(np.eye(n), (f, 1)))
+    return rnea(tree, state, gravity=np.zeros(3)).reshape(f, n, n).transpose(0, 2, 1)
 
 
 def forward_dynamics(
@@ -179,24 +181,16 @@ def forward_dynamics(
     qd: np.ndarray,
     tau: np.ndarray,
 ) -> np.ndarray:
-    """Accelerations produced by tau at (q, qd): solves the inverse relation."""
-    # imported here, so that only a process that rolls out loads scipy.linalg
-    from scipy.linalg import cho_factor, cho_solve
-
-    q = np.asarray(q, dtype=np.float64)
-    qd = np.asarray(qd, dtype=np.float64)
-    tau = np.asarray(tau, dtype=np.float64)
-    if tau.shape != q.shape:
-        raise HdysError(f"tau has shape {tau.shape}, q has shape {q.shape}")
+    """Accelerations (F, n_dof) produced by tau at (q, qd): solves the inverse relation."""
+    if np.shape(tau) != np.shape(q):
+        raise HdysError(f"tau has shape {np.shape(tau)}, q has shape {np.shape(q)}")
     if not np.isfinite(tau).all():
         raise HdysError(f"non-finite torque: {tau}")
-    bias = rnea(tree, GeneralizedState(q[None], qd[None], np.zeros_like(q)[None]))[0]
-    m = mass_matrix(tree, q)
-    try:
-        factor = cho_factor(m, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-        raise HdysError(f"mass matrix not positive definite: {exc}")
-    return cho_solve(factor, tau - bias)
+    bias = rnea(tree, GeneralizedState(q, qd, np.zeros_like(q)))
+    try:  # each row's right side as an (n, 1) column: a 2-D b would be one matrix for every frame
+        return np.linalg.solve(mass_matrix(tree, q), (tau - bias)[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise HdysError(f"singular mass matrix: {exc}") from None
 
 
 def step(
@@ -206,7 +200,7 @@ def step(
     tau: np.ndarray,
     dt: float = 1.0 / 90.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One semi-implicit Euler step: velocity first, then position."""
+    """One semi-implicit Euler step of every (F, n_dof) row: velocity first, then position."""
     if not (np.isfinite(dt) and dt > 0):
         raise HdysError(f"dt must be finite and positive, got {dt}")
     qdd = forward_dynamics(tree, q, qd, tau)
@@ -215,4 +209,3 @@ def step(
     if not (np.isfinite(q_next).all() and np.isfinite(qd_next).all()):
         raise DivergedRollout("integration step produced non-finite state")
     return q_next, qd_next
-

@@ -42,6 +42,26 @@ def test_summarize_prints_env_medians_and_wins(capsys):
     assert "change won 0 of 1 pairs" in lines[2] and lines[3] == "outputs: 2 distinct sets"
 
 
+def test_summarize_prints_the_output_lines_that_differ(capsys):
+    bench_pairs = _bench_pairs()
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"][:1]
+    env = {"nproc": 2}
+    parent = ["output loss 1.0", "output mse 0.25", "output starts 3"]
+    change = ["output loss 1.0", "output mse 0.2500001", "output starts 3", "output extra"]
+    runs = [dict(_run("parent", 2.0, parent, env), pair=1), dict(_run("change", 2.0, change, env), pair=1),
+            dict(_run("parent", 2.0, parent, env), pair=2), dict(_run("change", 2.0, change[:3], env), pair=2)]
+    assert not bench_pairs.summarize(runs, end_to_end)
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "outputs: 3 distinct sets",
+        "outputs within parent: identical over 2 runs",
+        "outputs within change: 2 distinct sets over 2 runs",
+        "differs: parent output mse 0.25",
+        "         change output mse 0.2500001",
+        "differs: parent (no line)",
+        "         change output extra",
+    ]
+
+
 def test_summarize_prints_quartiles_and_range(capsys):
     # a bimodal parent: the range shows that every change run beats every parent run
     bench_pairs = _bench_pairs()

@@ -424,12 +424,17 @@ def test_unparsable_config_value_is_usage_error(cli_dataset, tmp_path, capsys):
 
 
 def test_rollout_on_profile_without_torque_labels_is_domain_error(cli_dataset, tmp_path, capsys):
-    run = str(tmp_path / "run")
-    argv = ["train", "--data", cli_dataset, "--out", run, "--set", "train.epochs=0", "--set", "rollout.profile=C"]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert main(["rollout", "--run", run]) == 1
-    assert "profile C has no joint-torque labels" in capsys.readouterr().err
+    """A rollout grid the run could not roll out fails `train` before it writes anything."""
+    for setting, needle in (
+        ("rollout.profile=C", "profile C has no joint-torque labels to roll out (it carries x_m, x_k, x_s, tau_m)"),
+        ("rollout.representation=x_s", "representation 'x_s' not available on profile A (it carries x_m, x_k, x_a, tau_tr)"),
+    ):
+        run = tmp_path / setting
+        argv = ["train", "--data", cli_dataset, "--out", str(run), "--set", "train.epochs=0", "--set", setting]
+        assert main(argv) == 1, setting
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err, err
+        assert not run.exists()
 
 
 def test_train_on_profile_without_training_ids_is_domain_error(cli_dataset, tmp_path, capsys):
@@ -446,7 +451,7 @@ def test_broken_or_mismatched_checkpoint_is_domain_error(cli_dataset, tmp_path, 
     assert main(["train", "--data", cli_dataset, "--out", run, "--set", "train.epochs=0"]) == 0
     ckpt, cfg_path = os.path.join(run, "model.ckpt"), os.path.join(run, "config.txt")
     good_ckpt, good_cfg = open(ckpt, "rb").read(), open(cfg_path).read()
-    assert "model.latent_dim = 64\n" in good_cfg
+    assert "model.latent_dim = 64\n" in good_cfg and "model.no_fdae = false\n" in good_cfg
     arrays, opt = load_checkpoint(ckpt)
     qkv = arrays["enc.x_m.blk0.qkv.w"].copy()
     qkv[1, 2] = np.inf
@@ -460,6 +465,7 @@ def test_broken_or_mismatched_checkpoint_is_domain_error(cli_dataset, tmp_path, 
         (good_ckpt, good_cfg.replace("model.latent_dim = 64\n", "model.latent_dim = 32\n"), "shape"),
         (no_std, good_cfg, "no norm.x_m.std"),
         (inf_weight, good_cfg, "parameter 'enc.x_m.blk0.qkv.w': non-finite values"),
+        (good_ckpt, good_cfg.replace("model.no_fdae = false\n", "model.no_fdae = true\n"), "parameters the model lacks: ['fdec."),
     ):
         with open(ckpt, "wb") as fh:
             fh.write(ckpt_bytes)

@@ -1,6 +1,7 @@
 """hdys loads each scipy module only where a run calls it: importing hdys and
-generating data load none, and training loads `scipy.special` (gelu's erf)
-but not `scipy.interpolate`. Each stage runs in one fresh interpreter."""
+generating data load none, training loads `scipy.special` (gelu's erf) but
+not `scipy.interpolate`, and an oracle step loads no `scipy.linalg`. The
+stages run in one fresh interpreter."""
 
 import json
 import os
@@ -33,6 +34,13 @@ SCRIPT = textwrap.dedent(
     cfg = desk_config()
     train(replace(cfg, train=replace(cfg.train, epochs=1)), RecordCache.load(root, manifest), out)
     seen["train"] = scipy_modules()
+
+    import numpy as np
+    from hdys.rbd import build_t1, step
+    tree = build_t1()
+    zero = np.zeros((1, tree.n_dof))
+    step(tree, zero, zero, zero)
+    seen["step"] = scipy_modules()
     print(json.dumps(seen))
     """
 )
@@ -47,3 +55,4 @@ def test_scipy_modules_load_only_where_a_run_calls_them(tmp_path):
     assert seen["gen-data"] == []
     assert "scipy.special" in seen["train"]
     assert "scipy.interpolate" not in seen["train"]
+    assert "scipy.linalg" not in seen["step"]

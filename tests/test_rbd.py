@@ -29,10 +29,10 @@ G = 9.81
 
 
 def total_energy(tree: KinematicTree, q: np.ndarray, qd: np.ndarray) -> float:
-    """Kinetic plus gravitational potential energy (world z up the -gravity axis)."""
-    m = mass_matrix(tree, q)
-    kin = 0.5 * float(qd @ m @ qd)
-    r, p = tree.body_poses(q[None, :])
+    """Kinetic plus gravitational potential energy (world z up the -gravity axis) of one (1, n) state."""
+    m = mass_matrix(tree, q)[0]
+    kin = 0.5 * float(qd[0] @ m @ qd[0])
+    r, p = tree.body_poses(q)
     pot = 0.0
     for bi, b in enumerate(tree._bodies):
         if b.mass == 0.0:
@@ -134,11 +134,11 @@ def test_roundtrip_100_random_chains():
     worst = 0.0
     for _ in range(100):
         tree = random_chain(rng, int(rng.integers(2, 7)))
-        q = rng.uniform(-1.5, 1.5, tree.n_dof)
-        qd = rng.uniform(-1, 1, tree.n_dof)
-        tau = rng.uniform(-5, 5, tree.n_dof)
+        q = rng.uniform(-1.5, 1.5, (1, tree.n_dof))
+        qd = rng.uniform(-1, 1, (1, tree.n_dof))
+        tau = rng.uniform(-5, 5, (1, tree.n_dof))
         qdd = forward_dynamics(tree, q, qd, tau)
-        back = rnea(tree, GeneralizedState(q[None], qd[None], qdd[None]))[0]
+        back = rnea(tree, GeneralizedState(q, qd, qdd))
         worst = max(worst, float(np.abs(back - tau).max()))
     assert worst <= 1e-8
 
@@ -147,8 +147,8 @@ def test_mass_matrix_symmetric_spd_100():
     rng = np.random.default_rng(4)
     for _ in range(100):
         tree = random_chain(rng, int(rng.integers(2, 6)))
-        q = rng.uniform(-2, 2, tree.n_dof)
-        m = mass_matrix(tree, q)
+        q = rng.uniform(-2, 2, (1, tree.n_dof))
+        m = mass_matrix(tree, q)[0]
         assert np.abs(m - m.T).max() <= 1e-10
         np.linalg.cholesky(m)  # SPD via factorization success
 
@@ -184,14 +184,14 @@ def test_mass_matrix_matches_jacobian_inertia_oracle():
     for tree in trees:
         q = rng.uniform(-1.5, 1.5, tree.n_dof)
         expect = _jacobian_inertia_oracle(tree, q)
-        assert np.abs(mass_matrix(tree, q) - expect).max() <= 1e-6 * np.abs(expect).max()
+        assert np.abs(mass_matrix(tree, q[None])[0] - expect).max() <= 1e-6 * np.abs(expect).max()
 
 
 def test_pendulum_mass_matrix_analytic():
     m, lc, iy = 2.0, 1.0, 0.04
     tree = make_pendulum(m=m, lc=lc, iy=iy)
-    mm = mass_matrix(tree, np.array([0.7]))
-    assert abs(mm[0, 0] - (m * lc**2 + iy)) < 1e-12
+    mm = mass_matrix(tree, np.array([[0.7]]))
+    assert abs(mm[0, 0, 0] - (m * lc**2 + iy)) < 1e-12
 
 
 def test_rnea_affine_in_qdd():
@@ -220,15 +220,59 @@ def test_rnea_batched_equals_single():
         assert np.array_equal(batch[i : i + 1], one_row)
 
 
+def test_mass_matrix_batched_equals_single_and_rnea_columns():
+    """Each frame's mass matrix is, bit for bit, its one-row call and the
+    one-row rest RNEA of each unit acceleration, without gravity."""
+    for tree in (random_chain(np.random.default_rng(7), 3), build_t1()):
+        n = tree.n_dof
+        qs = np.random.default_rng(12).uniform(-1, 1, (3, n))
+        batch = mass_matrix(tree, qs)
+        assert batch.shape == (3, n, n)
+        for k in range(3):
+            assert batch[k].tobytes() == mass_matrix(tree, qs[k : k + 1])[0].tobytes()
+            for j in range(n):
+                column = rnea(tree, GeneralizedState(qs[k : k + 1], np.zeros((1, n)), np.eye(n)[j : j + 1]), np.zeros(3))
+                assert batch[k, :, j].tobytes() == column[0].tobytes()
+
+
+def test_forward_dynamics_and_step_batched_equal_single():
+    rng = np.random.default_rng(13)
+    for tree in (random_chain(rng, 4), build_t1()):
+        q, qd, tau = (rng.uniform(-1, 1, (5, tree.n_dof)) for _ in range(3))
+        qdd = forward_dynamics(tree, q, qd, tau)
+        q2, qd2 = step(tree, q, qd, tau, dt=0.01)
+        for i in range(5):
+            row = slice(i, i + 1)
+            assert qdd[row].tobytes() == forward_dynamics(tree, q[row], qd[row], tau[row]).tobytes()
+            one_q, one_qd = step(tree, q[row], qd[row], tau[row], dt=0.01)
+            assert q2[row].tobytes() == one_q.tobytes() and qd2[row].tobytes() == one_qd.tobytes()
+
+
+def test_singular_mass_matrix_is_domain_error(monkeypatch):
+    import hdys.rbd.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "mass_matrix", lambda tree, q: np.zeros((1, 1, 1)))
+    zero = np.zeros((1, 1))
+    with pytest.raises(HdysError, match="^singular mass matrix"):
+        forward_dynamics(make_pendulum(), zero, zero, zero)
+
+
 def test_frame_batched_functions_reject_one_dimensional_input():
-    """rnea, body_poses, forward_kinematics, solve_activations and synth_emg take
-    frames on axis 0 only; a bare (n,) input fails by name instead of as one frame or an IndexError."""
+    """rnea, mass_matrix, forward_dynamics, step, body_poses, forward_kinematics,
+    solve_activations and synth_emg take frames on axis 0 only; a bare (n,)
+    input fails by name instead of as one frame or an IndexError."""
     tree = random_chain(np.random.default_rng(11), 3)
     n = tree.n_dof
     one = np.zeros(n)
     shape = rf"^q must be \(F, {n}\), got shape \({n},\)$"
-    with pytest.raises(HdysError, match=rf"^state must be \(F, {n}\), got q of shape \({n},\)$"):
+    state = rf"^state must be \(F, {n}\), got q of shape \({n},\)$"
+    with pytest.raises(HdysError, match=state):
         rnea(tree, GeneralizedState(one, one, one))
+    with pytest.raises(HdysError, match=state):
+        mass_matrix(tree, one)
+    for entry in (forward_dynamics, step):
+        with pytest.raises(HdysError, match=state):
+            entry(tree, one, one, one)
     with pytest.raises(HdysError, match=shape):
         tree.body_poses(one)
     with pytest.raises(HdysError, match=shape):
@@ -239,6 +283,8 @@ def test_frame_batched_functions_reject_one_dimensional_input():
     with pytest.raises(HdysError, match=r"^a_sequence must be \(F, channels\), got shape \(5,\)$"):
         synth_emg(np.zeros(5), fps=90.0)
     assert rnea(tree, GeneralizedState(one[None], one[None], one[None])).shape == (1, n)
+    assert mass_matrix(tree, one[None]).shape == (1, n, n)
+    assert forward_dynamics(tree, one[None], one[None], one[None]).shape == (1, n)
     assert [a.shape[0] for a in tree.forward_kinematics(one[None])] == [1, 1, 1]
     assert solve_activations(ms, np.zeros((1, 1))).shape == (1, 2)
 
@@ -327,7 +373,7 @@ def test_rnea_is_bitwise_the_plain_recursion():
                         cases += 2
             # the mass matrix is the reference's unit-acceleration columns at rest, without gravity
             columns = _ref_rnea(tree, np.broadcast_to(q[-1], (n, n)), np.zeros((n, n)), np.eye(n), np.zeros(3))
-            assert mass_matrix(tree, q[-1]).tobytes() == columns.T.tobytes(), (tree.name, f)
+            assert mass_matrix(tree, q[-1:])[0].tobytes() == columns.T.tobytes(), (tree.name, f)
     assert cases == len(trees) * 3 * 27 * 2
 
 
@@ -363,10 +409,10 @@ def test_free_root_free_fall_zero_residual():
 def test_fd_inverts_rnea():
     rng = np.random.default_rng(8)
     tree = random_chain(rng, 5)
-    q = rng.uniform(-1, 1, tree.n_dof)
-    qd = rng.uniform(-1, 1, tree.n_dof)
-    target = rng.uniform(-3, 3, tree.n_dof)
-    tau = rnea(tree, GeneralizedState(q[None], qd[None], target[None]))[0]
+    q = rng.uniform(-1, 1, (1, tree.n_dof))
+    qd = rng.uniform(-1, 1, (1, tree.n_dof))
+    target = rng.uniform(-3, 3, (1, tree.n_dof))
+    tau = rnea(tree, GeneralizedState(q, qd, target))
     assert np.abs(forward_dynamics(tree, q, qd, tau) - target).max() <= 1e-8
 
 
@@ -374,18 +420,18 @@ def test_fd_zero_everything():
     rng = np.random.default_rng(9)
     tree = random_chain(rng, 3)
     tree2 = KinematicTree(tree.links, gravity=(0, 0, 0), marker_sites=tree.marker_sites)
-    q = rng.uniform(-1, 1, tree2.n_dof)
-    qdd = forward_dynamics(tree2, q, np.zeros(tree2.n_dof), np.zeros(tree2.n_dof))
+    q = rng.uniform(-1, 1, (1, tree2.n_dof))
+    qdd = forward_dynamics(tree2, q, np.zeros_like(q), np.zeros_like(q))
     assert np.abs(qdd).max() < 1e-12
 
 
 def test_pendulum_fd_analytic():
     m, lc, iy = 2.0, 1.0, 0.04
     tree = make_pendulum(m=m, lc=lc, iy=iy)
-    q = np.array([0.5])
-    qdd = forward_dynamics(tree, q, np.zeros(1), np.zeros(1))
+    q = np.array([[0.5]])
+    qdd = forward_dynamics(tree, q, np.zeros((1, 1)), np.zeros((1, 1)))
     expect = -(m * G * lc / (m * lc**2 + iy)) * np.sin(0.5)
-    assert abs(qdd[0] - expect) < 1e-12
+    assert abs(qdd[0, 0] - expect) < 1e-12
 
 
 def test_step_zero_dynamics_is_linear_drift():
@@ -393,20 +439,20 @@ def test_step_zero_dynamics_is_linear_drift():
         [Link("l", -1, "revolute", (0, 0, 1), (0, 0, 0), 1.0, (0.3, 0, 0), np.eye(3) * 0.01)],
         gravity=(0, 0, 0),
     )
-    q, qd = np.array([0.2]), np.array([1.5])
-    q2, qd2 = step(tree, q, qd, np.zeros(1), dt=0.01)
-    assert abs(qd2[0] - 1.5) < 1e-12 and abs(q2[0] - (0.2 + 0.01 * 1.5)) < 1e-12
+    q, qd = np.array([[0.2]]), np.array([[1.5]])
+    q2, qd2 = step(tree, q, qd, np.zeros((1, 1)), dt=0.01)
+    assert abs(qd2[0, 0] - 1.5) < 1e-12 and abs(q2[0, 0] - (0.2 + 0.01 * 1.5)) < 1e-12
 
 
 def test_step_richardson_order():
     tree = make_pendulum()
-    q, qd = np.array([0.6]), np.array([0.0])
+    q, qd = np.array([[0.6]]), np.array([[0.0]])
 
     def advance(dt, n):
         qq, dd = q.copy(), qd.copy()
         for _ in range(n):
-            qq, dd = step(tree, qq, dd, np.zeros(1), dt=dt)
-        return qq[0]
+            qq, dd = step(tree, qq, dd, np.zeros((1, 1)), dt=dt)
+        return qq[0, 0]
 
     dt = 1.0 / 90.0
     ref = advance(dt / 10, 10)
@@ -420,13 +466,13 @@ def test_step_rejects_bad_dt():
     tree = make_pendulum()
     for dt in (0.0, -0.01, float("nan"), float("inf")):
         with pytest.raises(HdysError, match="dt must be finite and positive"):
-            step(tree, np.zeros(1), np.zeros(1), np.zeros(1), dt=dt)
+            step(tree, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), dt=dt)
 
 
 def test_step_rejects_wrong_tau_shape():
     tree = random_chain(np.random.default_rng(5), 3, spherical_ok=False)
-    q = np.zeros(tree.n_dof)
-    for tau in (np.array([1.0]), 1.0, np.zeros(tree.n_dof + 1), np.zeros((1, tree.n_dof))):
+    q = np.zeros((1, tree.n_dof))
+    for tau in (np.array([1.0]), 1.0, np.zeros((1, tree.n_dof + 1)), np.zeros(tree.n_dof)):
         with pytest.raises(HdysError, match="tau has shape"):
             step(tree, q, q, tau)
         with pytest.raises(HdysError, match="tau has shape"):
@@ -438,17 +484,17 @@ def test_step_rejects_non_finite_torque():
     for bad in (np.nan, np.inf, -np.inf):
         for entry in (step, forward_dynamics):
             with pytest.raises(HdysError, match="non-finite torque"):
-                entry(tree, np.zeros(1), np.zeros(1), np.array([bad]))
+                entry(tree, np.zeros((1, 1)), np.zeros((1, 1)), np.array([[bad]]))
 
 
 def test_pendulum_energy_drift_under_two_percent():
     tree = make_pendulum()
-    q, qd = np.array([0.4]), np.array([0.0])
+    q, qd = np.array([[0.4]]), np.array([[0.0]])
     e0 = total_energy(tree, q, qd)
     e_min = -2.0 * G * 1.0  # hanging rest energy
     drift = 0.0
     for _ in range(90):
-        q, qd = step(tree, q, qd, np.zeros(1), dt=1.0 / 90.0)
+        q, qd = step(tree, q, qd, np.zeros((1, 1)), dt=1.0 / 90.0)
         drift = max(drift, abs(total_energy(tree, q, qd) - e0))
     assert drift < 0.02 * (e0 - e_min)
 
@@ -457,16 +503,16 @@ def test_rollout_reproduces_generating_trajectory():
     rng = np.random.default_rng(10)
     tree = random_chain(rng, 3)
     dt = 1.0 / 90.0
-    q, qd = rng.uniform(-0.5, 0.5, tree.n_dof), rng.uniform(-0.5, 0.5, tree.n_dof)
+    q, qd = rng.uniform(-0.5, 0.5, (1, tree.n_dof)), rng.uniform(-0.5, 0.5, (1, tree.n_dof))
     taus = rng.uniform(-2, 2, (5, tree.n_dof))
     states = [(q.copy(), qd.copy())]
     for i in range(5):
-        q, qd = step(tree, q, qd, taus[i], dt=dt)
+        q, qd = step(tree, q, qd, taus[i : i + 1], dt=dt)
         states.append((q.copy(), qd.copy()))
     # replay from the recorded start: bit-for-bit the same path
     q, qd = states[0]
     for i in range(5):
-        q, qd = step(tree, q, qd, taus[i], dt=dt)
+        q, qd = step(tree, q, qd, taus[i : i + 1], dt=dt)
         mse = float(((q - states[i + 1][0]) ** 2).mean())
         assert mse <= 1e-20 if i == 0 else mse <= 1e-12
 
@@ -476,8 +522,8 @@ def test_rollout_reproduces_generating_trajectory():
 def test_roundtrip_property(seed):
     rng = np.random.default_rng(seed)
     tree = random_chain(rng, int(rng.integers(2, 5)))
-    q = rng.uniform(-1, 1, tree.n_dof)
-    qd = rng.uniform(-1, 1, tree.n_dof)
-    tau = rng.uniform(-3, 3, tree.n_dof)
+    q = rng.uniform(-1, 1, (1, tree.n_dof))
+    qd = rng.uniform(-1, 1, (1, tree.n_dof))
+    tau = rng.uniform(-3, 3, (1, tree.n_dof))
     qdd = forward_dynamics(tree, q, qd, tau)
-    assert np.abs(rnea(tree, GeneralizedState(q[None], qd[None], qdd[None]))[0] - tau).max() <= 1e-8
+    assert np.abs(rnea(tree, GeneralizedState(q, qd, qdd)) - tau).max() <= 1e-8
