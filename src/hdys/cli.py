@@ -9,10 +9,10 @@ its profile cannot run, on sequences too short, without joint-torque labels
 or without the representation; an infeasible solve; a dead config; a profile without the sequences or labels a
 command needs; a run whose files do not parse or fit); 2 usage or
 configuration errors, before anything is written: unknown flags (each
-subcommand takes only the flags it reads), config values the program cannot
-run, a `--seeds` list that is empty, not integers or holds a negative seed, a
-negative `--seed`, and a `gen-data` `--fps` that is not positive or a sequence
-count below zero.
+subcommand takes only the flags it reads), a `--set` without `=`, config
+values the program cannot run, a `--seeds` list that is empty, not integers
+or holds a negative seed, a negative `--seed`, and a `gen-data` `--fps` that
+is not positive or a sequence count below zero.
 
 Every run directory, whether `train` or a `reproduce` study wrote it, holds
 its effective `config.txt` (seed included), the manifest it trained on
@@ -44,6 +44,7 @@ from .datahub import (
 from .engine import (
     EVAL_COLUMNS,
     ROLLOUT_COLUMNS,
+    EvalError,
     RecordCache,
     check_grid,
     evaluate,
@@ -64,12 +65,6 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
-
-
 def _data_dir(args) -> str:
     root = args.data or os.environ.get("HDYS_DATA_DIR") or "hdys_data"
     return root
@@ -79,9 +74,7 @@ def _require_dataset(root: str) -> DatasetManifest:
     try:
         return load_manifest(root)
     except DatasetError as exc:
-        raise CliError(
-            f"{exc}\nhint: run 'hdysctl gen-data --data {root}' first", code=EXIT_DOMAIN
-        )
+        raise DatasetError(f"{exc}\nhint: run 'hdysctl gen-data --data {root}' first")
 
 
 def _load_cfg(args) -> HDySConfig:
@@ -89,7 +82,7 @@ def _load_cfg(args) -> HDySConfig:
     pairs = []
     for kv in args.set or []:
         if "=" not in kv:
-            raise CliError(f"--set expects key=value, got {kv!r}")
+            raise ConfigError(f"--set expects key=value, got {kv!r}")
         key, value = kv.split("=", 1)
         pairs.append((key.strip(), value.strip()))
     return apply_overrides(cfg, pairs)
@@ -123,12 +116,11 @@ def cmd_validate(args) -> int:
     root = _data_dir(args)
     manifest = _require_dataset(root)
     cache = RecordCache.load(root, manifest)
-    manifest.validate_splits()
     for p in manifest.profiles:
         pid = p.profile_id
         train_ids = manifest.train_ids[pid]
         if not train_ids:
-            raise CliError(f"profile {pid} has no training sequences", code=EXIT_DOMAIN)
+            raise DatasetError(f"profile {pid} has no training sequences")
         n_train = sum(cache.train[(pid, sid)].n_frames for sid in train_ids)
         n_test = sum(cache.test[(pid, sid)].n_frames for sid in manifest.test_ids[pid])
         mask = sorted(cache.train[(pid, train_ids[0])].mask)
@@ -157,7 +149,7 @@ def cmd_eval(args) -> int:
     report = evaluate(model, stdizer, cfg, cache)
     t_eval = perf_counter() - t_eval
     if not report.rows:
-        raise CliError(f"{args.run}: its manifest lists no labelled test sequence", code=EXIT_DOMAIN)
+        raise EvalError(f"{args.run}: its manifest lists no labelled test sequence")
     out = args.out or os.path.join(args.run, "eval")
     os.makedirs(out, exist_ok=True)
     write_csv(os.path.join(out, "eval.csv"), EVAL_COLUMNS, [r.__dict__ for r in report.rows])
@@ -291,9 +283,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,6 +19,11 @@ if TYPE_CHECKING:
 FAMILIES = ("periodic-gait-like", "random-smooth-spline")
 
 
+def frame_count(duration: float, fps: float) -> int:
+    """Frames of a `duration`-second motion sampled at `fps`, both ends included."""
+    return int(round(duration * fps)) + 1
+
+
 def sample_trajectory(
     profile: DomainProfile,
     bias: np.ndarray,
@@ -30,7 +35,7 @@ def sample_trajectory(
     """One motion of `profile`'s family around the rest posture `bias`, with
     per-DoF amplitude ceilings `amp_base` scaled by a draw from `amp_scale`."""
     n = len(bias)
-    frames = int(round(duration * fps)) + 1
+    frames = frame_count(duration, fps)
     t = np.arange(frames) / fps
     amps = amp_base * rng.uniform(*profile.amp_scale, size=n)
 

@@ -31,6 +31,7 @@ from ..rbd import (
     T1_EMG_MUSCLES,
     T2_BIAS_POSTURE,
     GeneralizedState,
+    InfeasibleActivation,
     KinematicTree,
     MuscleSet,
     build_t1,
@@ -38,13 +39,13 @@ from ..rbd import (
     t1_muscles,
     t2_muscles,
 )
-from .motion import FAMILIES, sample_trajectory
+from .motion import FAMILIES, frame_count, sample_trajectory
 from .records import DatasetError, read_record, record_path, write_record
 
 MANIFEST_SCHEMA = "hdys-dataset/1"
 MANIFEST_NAME = "manifest.json"
 MAX_ATTEMPTS = 20  # motion draws per sequence before its generation fails
-TREE_CHANNELS = {"t1": ("x_a", "tau_tr"), "t2": ("x_s", "tau_ts")}  # a tree's coordinate and torque channel
+TREE_CHANNELS = {"t1": ("x_a", "tau_tr", "tau_e"), "t2": ("x_s", "tau_ts")}  # the channels only that tree carries
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,8 @@ class DomainProfile:
         own = TREE_CHANNELS.get(self.tree_key)
         if own is None:
             raise DatasetError(f"profile {self.profile_id}: unknown tree key '{self.tree_key}'")
-        foreign = [c for c in COORD_CHANNELS + TORQUE_CHANNELS if c in self.kin_mask + self.dyn_mask and c not in own]
+        channels = self.kin_mask + self.dyn_mask
+        foreign = [c for c in COORD_CHANNELS + TORQUE_CHANNELS + ("tau_e",) if c in channels and c not in own]
         if foreign:
             raise DatasetError(f"profile {self.profile_id}: tree {self.tree_key} has no {', '.join(foreign)} channel")
         if self.jitter_sigma < 0:
@@ -84,20 +86,17 @@ class DomainProfile:
 
     def require_frames(self, fps: float, need: int, why: str = "") -> None:
         """Raise DatasetError unless the shortest sequence has at least `need`
-        frames at `fps`, counted as sample_trajectory counts them; the message
-        names the lowest rate that has them, rounded up to 0.001 fps."""
+        frames at `fps`; the message names the lowest rate that has them,
+        rounded up to 0.001 fps."""
         shortest = min(self.duration)
-
-        def frames(rate: float) -> int:
-            return int(round(shortest * rate)) + 1
-
-        if frames(fps) >= need:
+        if frame_count(shortest, fps) >= need:
             return
         lowest = math.ceil((need - 1.5) / shortest * 1000) / 1000
-        while frames(lowest) < need:  # round() takes a tie to the even count
+        while frame_count(shortest, lowest) < need:  # round() takes a tie to the even count
             lowest += 0.001
         raise DatasetError(f"profile {self.profile_id}: at {fps:g} fps its shortest sequence ({shortest} s) has "
-                           f"{frames(fps)} frames, fewer than {need}{why}; the lowest rate that works is {lowest:g} fps")
+                           f"{frame_count(shortest, fps)} frames, fewer than {need}{why}; "
+                           f"the lowest rate that works is {lowest:g} fps")
 
 
 # -- tree registry -----------------------------------------------------------
@@ -286,8 +285,6 @@ def generate_sequence(
     muscle set's activation polytope is rejected and redrawn along a
     deterministic retry chain; the solve itself is never clipped.
     """
-    from ..rbd import InfeasibleActivation
-
     last_exc: Exception | None = None
     for attempt in range(MAX_ATTEMPTS):
         try:

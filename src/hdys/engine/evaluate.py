@@ -47,12 +47,6 @@ class EvalReport:
     rows: list[MetricRow] = field(default_factory=list)
     best_choice: dict[str, str] = field(default_factory=dict)
 
-    def row(self, profile: str, representation: str) -> MetricRow:
-        for r in self.rows:
-            if r.profile == profile and r.representation == representation:
-                return r
-        raise EvalError(f"no row for ({profile}, {representation})")
-
 
 def _metrics(err: np.ndarray, true: np.ndarray, pred: np.ndarray, mass_norm: float):
     mpje = float(np.abs(err).mean()) / mass_norm

@@ -10,7 +10,7 @@ every deviation under predicted torques is attributable to the predictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
 
 import numpy as np
@@ -38,17 +38,9 @@ ROLLOUT_COLUMNS = [f.name for f in fields(RolloutRow)]  # rollout CSV header
 
 @dataclass
 class RolloutReport:
-    profile: str
-    representation: str
     rows: list[RolloutRow] = field(default_factory=list)
     # wall seconds of sequence generation (oracle torques too), prediction and stepping
     timings: dict[str, float] = field(default_factory=lambda: dict.fromkeys(("generate_s", "predict_s", "step_s"), 0.0))
-
-    def mse(self, k: int, fps: float, source: str) -> float:
-        for r in self.rows:
-            if r.k == k and r.fps == fps and r.source == source:
-                return r.mse
-        raise EvalError(f"no rollout row ({k}, {fps}, {source})")
 
 
 def check_grid(cfg: HDySConfig, manifest: DatasetManifest) -> None:
@@ -88,30 +80,27 @@ def rollout_eval(
     fps_list=None,
     max_sequences: int | None = None,
 ) -> RolloutReport:
-    """The `cfg.rollout` grid; `fps_list` and `max_sequences` narrow it."""
+    """The `cfg.rollout` grid; `fps_list` and `max_sequences` narrow it, and
+    `check_grid` checks the narrowed grid."""
     rc = cfg.rollout
-    k_list = list(rc.k_list)
-    fps_list = list(fps_list if fps_list is not None else rc.fps_list)
-    pid = rc.profile
-    representation = rc.representation
-    max_sequences = max_sequences or rc.max_sequences
-
-    check_grid(cfg, manifest)
+    rc = replace(rc, fps_list=rc.fps_list if fps_list is None else tuple(fps_list),
+                 max_sequences=max_sequences or rc.max_sequences)
+    check_grid(replace(cfg, rollout=rc), manifest)
+    pid, representation = rc.profile, rc.representation
     profile = manifest.profile(pid)
     bundle = tree_bundle(profile.tree_key)
     if bundle.tree.root_dof != 0:
         raise EvalError("rollouts need a fixed-base tree")
     dyn = profile.dyn_mask[0]
     p_idx = manifest.gen_index[pid]
-    ids = manifest.test_ids[pid][:max_sequences]
-    k_max = max(k_list)
-    report = RolloutReport(profile=pid, representation=representation)
+    ids = manifest.test_ids[pid][: rc.max_sequences]
+    k_max = max(rc.k_list)
+    report = RolloutReport()
 
-    for fps in fps_list:
+    for fps in rc.fps_list:
         dt = 1.0 / fps
-        sq_sums = {(k, s): 0.0 for k in k_list for s in ("oracle", "predicted")}
-        counts = {(k, s): 0 for k in k_list for s in ("oracle", "predicted")}
-        diverged = {(k, s): 0 for k in k_list for s in ("oracle", "predicted")}
+        # per source, each start's step errors; a diverged start's list ends where it diverged
+        errors: dict[str, list[list[float]]] = {"oracle": [], "predicted": []}
         for sid in ids:
             t_generate = perf_counter()
             s_idx = int(sid[len(pid):])
@@ -137,32 +126,20 @@ def rollout_eval(
                 for source, tau_seq in (("oracle", tau_oracle), ("predicted", tau_pred)):
                     q, qd = q_ref[t0 : t0 + 1], qd_ref[t0 : t0 + 1]
                     errs = []
-                    died_at = None
                     for i in range(k_max):
                         try:
                             q, qd = step(bundle.tree, q, qd, tau_seq[t0 + i : t0 + i + 1], dt=dt)
                         except DivergedRollout:
-                            died_at = i
                             break
                         errs.append(float(((q - q_ref[t0 + i + 1 : t0 + i + 2]) ** 2).mean()))
-                    for k in k_list:
-                        if died_at is not None and died_at < k:
-                            diverged[(k, source)] += 1
-                            continue
-                        sq_sums[(k, source)] += float(np.mean(errs[:k]))
-                        counts[(k, source)] += 1
+                    errors[source].append(errs)
             report.timings["step_s"] += perf_counter() - t_step
-        for k in k_list:
+        for k in rc.k_list:
             for source in ("oracle", "predicted"):
-                c = counts[(k, source)]
-                report.rows.append(
-                    RolloutRow(
-                        k=k,
-                        fps=fps,
-                        source=source,
-                        mse=sq_sums[(k, source)] / c if c else float("nan"),
-                        n_starts=c,
-                        diverged=diverged[(k, source)],
-                    )
-                )
+                ran = [e[:k] for e in errors[source] if len(e) >= k]
+                total = 0.0  # summed in start order, as a plain loop, so the mean keeps its bits
+                for e in ran:
+                    total += float(np.mean(e))
+                mse = total / len(ran) if ran else float("nan")
+                report.rows.append(RolloutRow(k, fps, source, mse, len(ran), len(errors[source]) - len(ran)))
     return report

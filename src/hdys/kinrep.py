@@ -223,7 +223,6 @@ def attach_dynamics(
         if "tau_m" in kinds:
             record.channels["tau_m"] = np.clip(acts, 0.0, 1.0)
         if "tau_e" in kinds:
-            picked = acts[:, list(emg_muscles)] if emg_muscles else acts
-            record.channels["tau_e"] = synth_emg(picked, record.fps, noise_seed=seed)
+            record.channels["tau_e"] = synth_emg(acts[:, list(emg_muscles)], record.fps, noise_seed=seed)
     record.validate()
     return record

@@ -146,7 +146,7 @@ def _pair_nce(z_i: Tensor, z_j: Tensor, scale: float) -> Tensor:
     """
     b = z_i.shape[0]
     sims = mul(matmul(z_i, transpose(z_j)), Tensor(scale))
-    lse = add(mean(logsumexp(sims, axis=1)), mean(logsumexp(sims, axis=0)))
+    lse = add(mean(logsumexp(sims, axis=1), axis=0), mean(logsumexp(sims, axis=0), axis=0))
     return sub(lse, mul(sum_(mul(z_i, z_j)), Tensor(2.0 * scale / b)))
 
 
@@ -157,7 +157,7 @@ def _group_sources(out: GroupOutput) -> list[Tensor]:
     for stack, order in ((out.kin_stack, out.kin_order), (out.fdae_stack, out.fdae_order)):
         if stack is None:
             continue
-        flat = l2_normalize(reshape(stack, (len(order) * b, stack.shape[-1])), axis=-1)
+        flat = l2_normalize(reshape(stack, (len(order) * b, stack.shape[-1])))
         sources += [slice_axis(flat, 0, s * b, (s + 1) * b) for s in range(len(order))]
     return sources
 

@@ -60,7 +60,7 @@ class ChannelInventory:
                 elif ch == "tau_m":
                     dyn[ch] = bundle.muscles.n_muscles
                 elif ch == "tau_e":
-                    dyn[ch] = len(bundle.emg) if bundle.emg else bundle.muscles.n_muscles
+                    dyn[ch] = len(bundle.emg)
         return cls(dyn, coords, kp, ptree)
 
 
@@ -218,8 +218,6 @@ class HDySModel:
 
     def encode_kinematics_stripped(self, channel: str, stripped: np.ndarray) -> Tensor:
         """Acceleration-free block to FDAE-side latents."""
-        if self.cfg.no_fdae:
-            raise HdysError("model was built without the forward-dynamics branch")
         if channel in SET_CHANNELS:
             return self.fenc_set[channel](Tensor(stripped))
         return self.fenc_coord[channel](Tensor(stripped))

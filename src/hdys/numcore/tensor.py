@@ -112,7 +112,7 @@ class _Node:
     a rule keeps alive only the arrays it reads. A gelu or layer-norm node
     also has `rebuild`, the closure that computed the output from arrays its
     rule already saved, so a call returns the output again bit for bit; a
-    shared-weight matmul that reads the output holds `rebuild` instead.
+    matmul that reads the output holds `rebuild` instead.
     """
 
     __slots__ = ("op", "rule", "parents", "rebuild")
@@ -201,54 +201,43 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, "mul", (a, b), bwd)
 
 
-def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """`a @ b`, plus `bias` of shape (n,) over the last axis when given.
+def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """`a @ w`, plus `bias` of shape (n,) over the last axis when given.
 
-    A 2-D `b` is a weight shared by every leading index of `a`: those axes
-    fold into rows, so the forward pass and each gradient are one 2-D GEMM
+    `w` is a 2-D weight shared by every leading index of `a`: those axes fold
+    into rows, so the forward pass and each gradient are one 2-D GEMM
     (`a2 @ w`, `g2 @ w.T` only if `a` needs a gradient, `a2.T @ g2`) and the
     bias gradient is one column sum. The bias is added in place, so no second
     full-size array is kept. The weight gradient reads `a` again: if `a`'s
     node can rebuild it (a gelu or layer-norm output), the rule holds that
     closure and rebuilds `a2` then, so the graph does not keep `a` alive.
-    Other ranks use numpy's batched matmul with broadcasting.
     """
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: inputs must be at least 2-D, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    n = b.shape[-1]
-    parents = (a, b)
+    if a.ndim < 2 or w.ndim != 2:
+        raise ShapeError(f"matmul: needs a 2-D or wider input and a 2-D weight, got {a.shape} @ {w.shape}")
+    if a.shape[-1] != w.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {w.shape}")
+    n = w.shape[1]
+    parents = (a, w)
     if bias is not None:
         if bias.shape != (n,):
             raise ShapeError(f"matmul: bias shape {bias.shape} does not match output width {n}")
         parents += (bias,)
-    ad, bd = a.data, b.data
-    a_shape, b_shape, a_grad, shared = a.shape, b.shape, a.requires_grad, b.ndim == 2
-    if shared:
-        a2 = ad.reshape(-1, a_shape[-1])
-        out = (a2 @ bd).reshape(a_shape[:-1] + (n,))
-    else:
-        a2 = ad
-        out = ad @ bd
+    wd, a_shape, a_grad = w.data, a.shape, a.requires_grad
+    a2 = a.data.reshape(-1, a_shape[-1])
+    out = (a2 @ wd).reshape(a_shape[:-1] + (n,))
     if bias is not None:
         out += bias.data
     # `rows` is the rule's only way to `a`: a rule captures every name it
     # reads, so it must not read `a2` when `a` is rebuilt
-    rebuild = a._node.rebuild if shared and a._node is not None else None
+    rebuild = a._node.rebuild if a._node is not None else None
     rows = (lambda: a2) if rebuild is None else (lambda: rebuild().reshape(-1, a_shape[-1]))
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        if shared:
-            ga = np.empty(a_shape) if a_grad else None
-            if a_grad:
-                np.matmul(g2, bd.T, out=ga.reshape(-1, a_shape[-1]))
-            grads = (ga, rows().T @ g2)
-        else:
-            ga = g @ bd.swapaxes(-1, -2)
-            gb = rows().swapaxes(-1, -2) @ g
-            grads = (_unbroadcast(ga, a_shape), _unbroadcast(gb, b_shape))
+        ga = np.empty(a_shape) if a_grad else None
+        if a_grad:
+            np.matmul(g2, wd.T, out=ga.reshape(-1, a_shape[-1]))
+        grads = (ga, rows().T @ g2)
         return grads if bias is None else grads + (g2.sum(axis=0),)
 
     return _make(out, "matmul", parents, bwd)
@@ -288,16 +277,13 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _make(out, "slice", (x,), bwd)
 
 
-def mean(x: Tensor, axis: Optional[int] = None) -> Tensor:
-    """Mean over one axis, or over every element when `axis` is None."""
+def mean(x: Tensor, axis: int) -> Tensor:
+    """Mean over one axis."""
     out = x.data.mean(axis=axis)
     shape = x.shape
-    count = x.size if axis is None else shape[axis]
 
     def bwd(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape) / count,)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape) / shape[axis],)
 
     return _make(out, "mean", (x,), bwd)
 
@@ -367,7 +353,10 @@ def gelu(x: Tensor) -> Tensor:
     return _with_rebuild(_make(out, "gelu", (x,), bwd), rebuild)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+_LN_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then rescale."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -376,7 +365,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
     # Centre once; the mean of squares then equals np.var bit for bit.
     y = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.square(y).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(np.square(y).mean(axis=-1, keepdims=True) + _LN_EPS)
     y *= inv
     gd, bd = gamma.data, beta.data
 
@@ -417,14 +406,15 @@ def logsumexp(x: Tensor, axis: int = -1) -> Tensor:
     return _make(out, "logsumexp", (x,), bwd)
 
 
-def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
-    n = np.linalg.norm(x.data, axis=axis, keepdims=True)
+def l2_normalize(x: Tensor) -> Tensor:
+    """Scale each slice along the last axis to unit norm."""
+    n = np.linalg.norm(x.data, axis=-1, keepdims=True)
     if (n == 0.0).any():
         raise NonFiniteError("l2_normalize: zero-norm slice")
     y = x.data / n
 
     def bwd(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
+        inner = (g * y).sum(axis=-1, keepdims=True)
         return ((g - y * inner) / n,)
 
     return _make(y, "l2norm", (x,), bwd)

@@ -104,6 +104,8 @@ def test_unknown_override_is_usage_error(cli_dataset, tmp_path, capsys):
         code = main(["train", "--data", cli_dataset, "--out", str(tmp_path / "x"), "--set", kv])
         assert code == 2
         assert kv.split("=")[0].split(".")[1] in capsys.readouterr().err
+    assert main(["train", "--data", cli_dataset, "--out", str(tmp_path / "x"), "--set", "train.epochs"]) == 2
+    assert capsys.readouterr().err == "config error: --set expects key=value, got 'train.epochs'\n"
     assert not os.path.exists(tmp_path / "x")
 
 
@@ -660,7 +662,7 @@ def test_exception_classes_are_the_ones_a_caller_tells_apart():
         if inspect.isclass(obj) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
     }
     domain = {"DatasetError", "InfeasibleActivation", "DivergedRollout", "DeadConfigError", "TrainError", "EvalError"}
-    outside = {"ConfigError", "CliError", "ShapeError", "GraphError", "NonFiniteError"}
+    outside = {"ConfigError", "ShapeError", "GraphError", "NonFiniteError"}
     assert sorted(defined) == sorted(domain | outside | {"HdysError"})
     for name in domain:
         assert issubclass(defined[name], hdys.HdysError), name

@@ -248,12 +248,13 @@ def test_loaded_records_validated(small_dataset):
 
 
 def test_profile_masks_follow_the_tree_family():
-    a, b = default_profiles(n_train=1, n_test=1)[:2]  # t1 carries x_a and tau_tr, t2 x_s and tau_ts
+    a, b = default_profiles(n_train=1, n_test=1)[:2]  # t1 carries x_a, tau_tr and tau_e, t2 x_s and tau_ts
     for profile, kin, dyn, foreign in (
         (a, ("x_m", "x_s"), ("tau_tr",), "x_s"),
         (a, ("x_m", "x_a"), ("tau_ts",), "tau_ts"),
         (b, ("x_k", "x_a"), ("tau_ts",), "x_a"),
         (b, ("x_k", "x_s"), ("tau_tr",), "tau_tr"),
+        (b, ("x_k", "x_s"), ("tau_e",), "tau_e"),
     ):
         tree = profile.tree_key
         with pytest.raises(DatasetError, match=f"^profile {profile.profile_id}: tree {tree} has no {foreign} channel$"):

@@ -306,14 +306,16 @@ def test_evaluate_pure_and_best_consistent(small_cache, tmp_path):
     rep2 = evaluate(res.model, res.stdizer, cfg, cache)
     for a, b in zip(rep1.rows, rep2.rows):
         assert a == b
+    by_key = {(r.profile, r.representation): r for r in rep1.rows}
+    assert len(by_key) == len(rep1.rows)
     for pid in "ABCD":
         rows = [r for r in rep1.rows if r.profile == pid and r.representation not in ("avg", "best")]
-        best_row = rep1.row(pid, "best")
+        best_row = by_key[(pid, "best")]
         assert best_row.headline == min(r.headline for r in rows)
         chosen = rep1.best_choice[pid]
-        assert rep1.row(pid, chosen).headline == best_row.headline
+        assert by_key[(pid, chosen)].headline == best_row.headline
     # averaged row scores the mean prediction, not the mean of metrics
-    assert rep1.row("A", "avg").mpje != np.mean(
+    assert by_key[("A", "avg")].mpje != np.mean(
         [r.mpje for r in rep1.rows if r.profile == "A" and r.representation.startswith("x_")]
     )
 
@@ -369,8 +371,10 @@ def test_rollout_oracle_identity(small_cache, tmp_path):
     cfg = replace(cfg, rollout=replace(cfg.rollout, max_sequences=2, start_stride=40, fps_list=(90.0,)))
     res = train(cfg, cache, str(tmp_path / "ro"), seed=1)
     report = rollout_eval(res.model, res.stdizer, cfg, cache.manifest)
+    oracle = {r.k: r.mse for r in report.rows if r.fps == 90.0 and r.source == "oracle"}
+    assert sorted(oracle) == [1, 2, 3, 4, 5]
     for k in (1, 2, 3, 4, 5):
-        assert report.mse(k, 90.0, "oracle") <= 1e-12
+        assert oracle[k] <= 1e-12
     for row in report.rows:
         assert row.diverged == 0 and row.n_starts > 0
 
@@ -384,6 +388,17 @@ def test_rollout_rejects_profiles_without_torques(small_cache, tmp_path):
     cfg = replace(cfg, rollout=replace(cfg.rollout, profile="C"))
     with pytest.raises(EvalError):
         rollout_eval(res.model, res.stdizer, cfg, cache.manifest)
+
+
+def test_rollout_checks_the_grid_it_narrows_to(small_cache, tmp_path):
+    from hdys.datahub import DatasetError
+
+    _, cache = small_cache
+    cfg = tiny_cfg(epochs=0)
+    res = train(cfg, cache, str(tmp_path / "rn"), seed=0)
+    for fps in (4.0, 0.3):  # below one 16-frame window; below the 3 frames a difference needs
+        with pytest.raises(DatasetError, match="the lowest rate that works is 4.834 fps"):
+            rollout_eval(res.model, res.stdizer, cfg, cache.manifest, fps_list=(fps,), max_sequences=1)
 
 
 # -- ablation machinery ------------------------------------------------------------

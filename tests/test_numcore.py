@@ -72,11 +72,13 @@ def test_matmul_bias_fused_equals_separate_add():
 
     fused, fused_grads = run(lambda x, w, b: tz.matmul(x, w, b))
     split, split_grads = run(lambda x, w, b: tz.add(tz.matmul(x, w), b))
-    # The batched path with a broadcast weight is the unfolded reference.
-    batched, batched_grads = run(lambda x, w, b: tz.add(tz.matmul(x, tz.reshape(w, (1, 4, 6))), b))
+    # Plain numpy on the folded rows is the unfolded reference.
+    x2, g2 = xa.reshape(-1, 4), weights.data.reshape(-1, 6)
+    plain = (x2 @ wa + ba).reshape(fused.shape)
+    plain_grads = ((g2 @ wa.T).reshape(xa.shape), x2.T @ g2, g2.sum(0))
     assert np.array_equal(fused, split)
-    assert np.abs(fused - batched).max() <= 1e-12 * np.abs(batched).max()
-    for ref in (split_grads, batched_grads):
+    assert np.abs(fused - plain).max() <= 1e-12 * np.abs(plain).max()
+    for ref in (split_grads, plain_grads):
         for got, want in zip(fused_grads, ref):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -366,6 +368,8 @@ def test_non_finite_forward_raises():
 def test_shape_errors_name_offenders():
     with pytest.raises(ShapeError, match="matmul"):
         tz.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    with pytest.raises(ShapeError, match="2-D weight"):
+        tz.matmul(Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 4, 3))))
     with pytest.raises(ShapeError, match="bias"):
         tz.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
     with pytest.raises(ShapeError):
