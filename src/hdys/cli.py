@@ -3,11 +3,13 @@
 Exit codes: 0 success; 1 any `hdys.HdysError`, a failure that the inputs
 cause once the command runs, printed as `error: <message>` (a missing or
 unreadable dataset, manifest, record or run; a `gen-data --data` that is
-neither missing nor empty; records that disagree with their manifest; a
-sequence too short to difference or to fill one window; a rollout grid that
-its profile cannot run, on sequences too short, without joint-torque labels
-or without the representation; an infeasible solve; a dead config; a profile without the sequences or labels a
-command needs; a run whose files do not parse or fit); 2 usage or
+neither missing nor empty; records that disagree with their manifest in
+id, profile or channels; a sequence too short to difference or to fill one
+window; a rollout grid that its profile cannot run, on sequences too short,
+without joint-torque labels or without the representation; an infeasible
+solve; a dead config; a profile without the sequences or labels a command
+needs, such as a `reproduce --target` that is unknown or unlabelled, refused
+before `--out` is written; a run whose files do not parse or fit); 2 usage or
 configuration errors, before anything is written: unknown flags (each
 subcommand takes only the flags it reads), a `--set` without `=`, config
 values the program cannot run, a `--seeds` list that is empty, not integers
@@ -182,19 +184,21 @@ def cmd_reproduce(args) -> int:
     out = args.out or f"runs/{args.study}"
     seeds = args.seeds[:1] if args.study == "rollout-table" else args.seeds  # rollout-table trains one model
     check_grid(cfg, manifest)  # as each run's `train` does, before the study writes anything
-    freeze_run(out, cfg, manifest, seeds)
+    # the run list too, so a target that cannot be scored leaves no --out behind
     if args.study == "table1-analogue":
-        csv_path = run_study(grid(cfg, manifest, args.target), root, out, seeds, "ablation.csv", _log)
+        specs, csv_name = grid(cfg, manifest, args.target), "ablation.csv"
     elif args.study == "table2-analogue":
-        specs = scale_variants(cfg, manifest, "A") + scale_variants(cfg, manifest, "D")
-        csv_path = run_study(specs, root, out, seeds, "table2.csv", _log)
-    else:  # rollout-table
+        specs, csv_name = scale_variants(cfg, manifest, "A") + scale_variants(cfg, manifest, "D"), "table2.csv"
+    freeze_run(out, cfg, manifest, seeds)
+    if args.study == "rollout-table":
         cache = RecordCache.load(root, manifest)
         result = train(cfg, cache, os.path.join(out, f"train-s{seeds[0]}"), seed=seeds[0])
         report = rollout_eval(result.model, result.stdizer, cfg, manifest)
         csv_path = os.path.join(out, "rollout_table.csv")
         write_csv(csv_path, ROLLOUT_COLUMNS, [r.__dict__ for r in report.rows])
         write_json(os.path.join(out, "timings.json"), report.timings)
+    else:
+        csv_path = run_study(specs, root, out, seeds, csv_name, _log)
     print(f"study CSV: {csv_path}")
     return EXIT_OK
 

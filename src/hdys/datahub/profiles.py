@@ -372,12 +372,16 @@ def generate_dataset(root, manifest: DatasetManifest, verbose: bool = False) -> 
 
 
 def load_records(root, profile: DomainProfile, ids) -> list[SequenceRecord]:
-    """The records `ids` of `profile`; each must carry exactly the profile's channels."""
+    """The records `ids` of `profile`; each must carry its manifest id and
+    exactly the profile's channels."""
     pid = profile.profile_id
     channels = sorted(profile.kin_mask + profile.dyn_mask)
     out = []
     for sid in ids:
-        rec = read_record(record_path(root, pid, sid))
+        path = record_path(root, pid, sid)
+        rec = read_record(path)
+        if rec.seq_id != sid:
+            raise DatasetError(f"{path} holds record {rec.seq_id}, but the manifest lists it as {sid}")
         if rec.profile_id != pid:
             raise DatasetError(f"record {sid} belongs to profile {rec.profile_id}")
         if sorted(rec.mask) != channels:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 from ..datahub import DatasetManifest, fifty_fifty, restrict_profiles, subset_dataset
 from ..model import HDySConfig
-from .evaluate import evaluate
+from .evaluate import EvalError, evaluate
 from .report import write_csv
 from .train import RecordCache, TrainError, train
 
@@ -59,7 +59,10 @@ def grid(base_cfg: HDySConfig, manifest: DatasetManifest, target: str = "A") -> 
 
 def scale_variants(base_cfg: HDySConfig, manifest: DatasetManifest, target: str) -> list[RunSpec]:
     """The three data-scale runs scored on `target`: half of its training
-    set alone, that half mixed 50/50 with the other profiles, and all of it."""
+    set alone, that half mixed 50/50 with the other profiles, and all of it.
+    A target without dynamics labels would score no row: `EvalError`."""
+    if not manifest.profile(target).dyn_mask:
+        raise EvalError(f"profile {target} has no dynamics labels to score the data-scale runs on")
     n = len(manifest.profiles)
     ff = fifty_fifty(manifest, target)
     return [
@@ -74,7 +77,7 @@ def run_one(spec: RunSpec, root: str, out_dir: str, seed: int) -> list[dict]:
     cache = RecordCache.load(root, spec.manifest)
     result = train(spec.cfg, cache, out_dir, seed=seed)
     report = evaluate(result.model, result.stdizer, spec.cfg, cache, profiles=spec.eval_profiles)
-    return [{"run": spec.name, "seed": seed, **r.__dict__, "param_count": result.param_count} for r in report.rows]
+    return [{"run": spec.name, "seed": seed, **r.__dict__, "param_count": result.model.param_count()} for r in report.rows]
 
 
 def run_study(specs: list[RunSpec], root: str, out_dir: str, seeds, csv_name: str, log=None) -> str:

@@ -79,7 +79,6 @@ def build_groups(
     refs: list[WindowRef],
     window: int,
     stdizer: Standardizer,
-    profile_tree: dict[str, str],
     marker_rng: np.random.Generator | None = None,
 ) -> list[WindowGroup]:
     """Stack windows into groups keyed by (profile, availability).
@@ -123,7 +122,6 @@ def build_groups(
         groups.append(
             WindowGroup(
                 profile_id=pid,
-                tree_key=profile_tree[pid],
                 x={ch: np.stack(v) for ch, v in xs.items()},
                 weight=np.stack(weights),
             )

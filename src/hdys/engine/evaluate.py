@@ -70,7 +70,6 @@ def predict_sequences(
     cfg: HDySConfig,
     records: dict[tuple[str, str], object],
     profile_id: str,
-    tree_key: str,
     seq_ids: list[str],
 ) -> dict[str, dict[str, dict[str, np.ndarray]]]:
     """Per-frame dynamics predictions: seq_id -> kin source -> dyn -> (F, w).
@@ -88,7 +87,7 @@ def predict_sequences(
                 raise EvalError(f"{profile_id}/{sid}: {rec.n_frames} frames, shorter than one {window}-frame window")
             starts = tiling_starts(rec.n_frames, window)
             refs = [WindowRef(profile_id, sid, t0) for t0 in starts]
-            groups = build_groups(records, refs, window, stdizer, {profile_id: tree_key})
+            groups = build_groups(records, refs, window, stdizer)
             assert len(groups) == 1
             g = groups[0]
             res = model.forward_group(g, with_fdae=False)
@@ -145,7 +144,7 @@ def evaluate(
     report = EvalReport()
     for profile, dyn, ids, records, true, mass in _labelled_profiles(cache, profiles):
         pid = profile.profile_id
-        preds = predict_sequences(model, stdizer, cfg, records, pid, profile.tree_key, ids)
+        preds = predict_sequences(model, stdizer, cfg, records, pid, ids)
         sources = sorted(preds[ids[0]].keys())
         stacked: dict[str, np.ndarray] = {}
         for kin in sources:

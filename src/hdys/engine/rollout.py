@@ -112,9 +112,7 @@ def rollout_eval(
             t_predict = perf_counter()
             report.timings["generate_s"] += t_predict - t_generate
 
-            preds = predict_sequences(
-                model, stdizer, cfg, {(pid, sid): rec}, pid, profile.tree_key, [sid]
-            )[sid]
+            preds = predict_sequences(model, stdizer, cfg, {(pid, sid): rec}, pid, [sid])[sid]
             if representation == "avg":
                 tau_pred = np.mean([preds[k][dyn] for k in sorted(preds)], axis=0)
             else:

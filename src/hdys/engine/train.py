@@ -16,7 +16,6 @@ from ..model import (
     ConfigError,
     HDySConfig,
     HDySModel,
-    LossBreakdown,
     Normalisers,
     config_hash,
     load_config,
@@ -40,7 +39,6 @@ class TrainResult:
     curve: list[dict]
     model: HDySModel
     stdizer: Standardizer
-    param_count: int
 
 
 @dataclass
@@ -135,9 +133,9 @@ def train(
         steps: list[dict] = []
         for lo in range(0, len(refs), windows_per_batch):
             chunk = refs[lo : lo + windows_per_batch]
-            groups = build_groups(train_records, chunk, window, stdizer, inventory.profile_tree, marker_rng=rng)
+            groups = build_groups(train_records, chunk, window, stdizer, marker_rng=rng)
             norm = Normalisers.of_groups(cfg.model, groups)
-            bd = LossBreakdown()
+            terms: dict[str, float] = {}
             grads: dict[str, np.ndarray] = {}
             # One group at a time: its activations and graph are freed by its
             # backward pass, so peak memory follows the largest group.
@@ -148,7 +146,8 @@ def train(
                 except NonFiniteError as exc:
                     raise TrainError(f"non-finite loss at epoch {epoch}, batch {len(steps)}: {exc}")
                 del out
-                bd += part
+                for key, value in part.items():
+                    terms[key] = terms.get(key, 0.0) + value
                 if loss is None:
                     continue
                 if not np.isfinite(loss.data).all():
@@ -170,8 +169,8 @@ def train(
             # numpy's own pairwise sum, not a BLAS dot, so the thread count cannot round it
             grad_norm = math.sqrt(sum(float(np.square(g).sum()) for g in grads.values()))
             steps.append(
-                {"recon": bd.recon, "align": bd.align, "total": bd.total, "grad_norm": grad_norm}
-                | {f"recon_{t}": v for t, v in sorted(bd.per_target.items())}
+                {"recon": terms["recon"], "align": terms["align"], "total": terms["total"], "grad_norm": grad_norm}
+                | {k: v for k, v in sorted(terms.items()) if k.startswith("recon_")}
             )
         curve.append(_epoch_row(epoch, steps))
         if log and (epoch % 20 == 0 or epoch == cfg.train.epochs - 1):
@@ -194,13 +193,7 @@ def train(
             "seconds": round(time.time() - t_begin, 2),
         },
     )
-    return TrainResult(
-        checkpoint_path=ckpt_path,
-        curve=curve,
-        model=model,
-        stdizer=stdizer,
-        param_count=model.param_count(),
-    )
+    return TrainResult(checkpoint_path=ckpt_path, curve=curve, model=model, stdizer=stdizer)
 
 
 def load_model(cfg: HDySConfig, manifest: DatasetManifest, ckpt_path: str) -> tuple[HDySModel, Standardizer, AdamWState]:

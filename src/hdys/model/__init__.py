@@ -15,7 +15,7 @@ from .config import (
     save_config,
 )
 from .layers import MLP, LayerNorm, Linear, ParamSet, SetEncoder, TemporalTransformer, TransformerLayer
-from .losses import DeadConfigError, LossBreakdown, Normalisers, loss_align, loss_recon, total_loss
+from .losses import DeadConfigError, Normalisers, loss_align, loss_recon, total_loss
 from .network import (
     ChannelInventory,
     GroupOutput,

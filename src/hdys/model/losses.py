@@ -49,22 +49,6 @@ class DeadConfigError(HdysError):
 
 
 @dataclass
-class LossBreakdown:
-    recon: float = 0.0
-    align: float = 0.0
-    total: float = 0.0
-    per_target: dict[str, float] = field(default_factory=dict)
-
-    def __add__(self, other: "LossBreakdown") -> "LossBreakdown":
-        per_target = dict(self.per_target)
-        for name, value in other.per_target.items():
-            per_target[name] = per_target.get(name, 0.0) + value
-        return LossBreakdown(
-            self.recon + other.recon, self.align + other.align, self.total + other.total, per_target
-        )
-
-
-@dataclass
 class Normalisers:
     """Batch-wide divisors of the per-group loss terms.
 
@@ -187,12 +171,14 @@ def loss_align(out: GroupOutput, norm: Normalisers) -> Tensor | None:
     return mul(group_loss, Tensor(b / (n * (n - 1) * norm.weight_sum)))
 
 
-def total_loss(cfg: ModelConfig, out: GroupOutput, norm: Normalisers) -> tuple[Tensor | None, LossBreakdown]:
+def total_loss(cfg: ModelConfig, out: GroupOutput, norm: Normalisers) -> tuple[Tensor | None, dict[str, float]]:
     """ALPHA1 * reconstruction + ALPHA2 * alignment, honoring ablation flags.
 
     One group's term over the batch's `norm` (`Normalisers.of_groups`, which
     also judges dead configurations); a batch's loss is the sum over its
-    groups. None for a group that adds nothing.
+    groups. None for a group that adds nothing. The values come keyed as in
+    the loss curve: `recon`, `align` and `total` (0.0 for an absent term),
+    then `recon_<target>` for each target the group reconstructs.
     """
     recon_t, per_target = loss_recon(out, norm)
     align_t = None if cfg.no_align else loss_align(out, norm)
@@ -202,9 +188,9 @@ def total_loss(cfg: ModelConfig, out: GroupOutput, norm: Normalisers) -> tuple[T
     if align_t is not None:
         scaled = mul(align_t, Tensor(ALPHA2))
         total = scaled if total is None else add(total, scaled)
-    return total, LossBreakdown(
-        recon=float(recon_t.data) if recon_t is not None else 0.0,
-        align=float(align_t.data) if align_t is not None else 0.0,
-        total=float(total.data) if total is not None else 0.0,
-        per_target=per_target,
-    )
+    terms = {
+        "recon": float(recon_t.data) if recon_t is not None else 0.0,
+        "align": float(align_t.data) if align_t is not None else 0.0,
+        "total": float(total.data) if total is not None else 0.0,
+    }
+    return total, terms | {f"recon_{name}": value for name, value in per_target.items()}

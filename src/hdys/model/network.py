@@ -69,7 +69,6 @@ class WindowGroup:
     """Windows sharing profile, availability mask and marker count."""
 
     profile_id: str
-    tree_key: str
     x: dict[str, np.ndarray]  # standardized channel blocks, (n_win, W, ...)
     weight: np.ndarray  # (n_win, W) loss weight, 0 on boundary frames
 
@@ -255,6 +254,6 @@ class HDySModel:
             dyn_cat = dyn_parts[0] if len(dyn_parts) == 1 else concat(dyn_parts, axis=0)
             out.fdae_stack = self.composer(concat([kin_cat, dyn_cat], axis=-1))
             for target in out.accel_targets:
-                head = self.acc_heads[self.accel_head_key(target, group.tree_key)]
+                head = self.acc_heads[self.accel_head_key(target, self.inv.profile_tree[group.profile_id])]
                 out.accel_preds[target] = head(out.fdae_stack)
         return out

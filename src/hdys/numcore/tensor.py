@@ -17,32 +17,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "ShapeError",
-    "NonFiniteError",
-    "GraphError",
-    "no_grad",
-    "backward",
-    "OP_NAMES",
-    "matmul",
-    "add",
-    "sub",
-    "mul",
-    "concat",
-    "slice_axis",
-    "mean",
-    "sum_",
-    "reshape",
-    "transpose",
-    "gelu",
-    "layer_norm",
-    "logsumexp",
-    "l2_normalize",
-    "l1_distance",
-    "attention",
-]
-
 
 class ShapeError(Exception):
     pass

@@ -596,6 +596,42 @@ def test_records_that_disagree_with_their_manifest_masks_are_domain_error(cli_da
     assert not run.exists()
 
 
+def test_record_whose_id_is_not_its_manifest_id_is_domain_error(cli_dataset, tmp_path, capsys):
+    # one record file copied over another of its profile: same profile and channels, other stored id
+    manifest = load_manifest(cli_dataset)
+    source, victims = manifest.train_ids["A"][0], (manifest.train_ids["A"][1], manifest.test_ids["A"][0])
+    broken = str(tmp_path / "broken")
+    shutil.copytree(cli_dataset, broken)
+    for sid in victims:
+        shutil.copyfile(os.path.join(broken, "A", f"{source}.rec"), os.path.join(broken, "A", f"{sid}.rec"))
+    run = str(tmp_path / "run")
+    assert main(["train", "--data", cli_dataset, "--out", run, "--set", "train.epochs=0"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "t"
+    for argv, sid in (
+        (["validate", "--data", broken], victims[0]),
+        (["train", "--data", broken, "--out", str(out), "--set", "train.epochs=1"], victims[0]),
+        (["eval", "--run", run, "--data", broken, "--out", str(out)], victims[1]),  # reads the test split only
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        path = os.path.join(broken, "A", f"{sid}.rec")
+        assert err == f"error: {path} holds record {source}, but the manifest lists it as {sid}\n", err
+    assert not out.exists()
+
+
+def test_reproduce_refuses_an_unscorable_target_before_writing(cli_dataset, tmp_path, monkeypatch, capsys):
+    ablation = importlib.import_module("hdys.engine.ablation")
+    monkeypatch.setattr(ablation, "train", lambda *a, **k: pytest.fail("a study run started training"))
+    out = tmp_path / "out"
+    for target, message in (("Z", "unknown profile 'Z'"), ("E", "profile E has no dynamics labels")):
+        argv = ["reproduce", "--study", "table1-analogue", "--data", cli_dataset, "--target", target, "--out", str(out)]
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+        assert not out.exists(), argv
+
+
 def test_rollout_on_sequences_shorter_than_one_window_is_domain_error(cli_dataset, tmp_path, capsys):
     # `train` checks the rollout grid against profile A (3 s sequences) before
     # it writes anything: a rollout needs one 16-frame window and k_max + 3 frames

@@ -163,8 +163,7 @@ def _batch(cache, cfg, quota=3):
     rng = np.random.default_rng(0)
     draws = balanced_epoch_sampler(cache.manifest, quota, 0, 0)
     refs = [WindowRef(p, s, int(rng.integers(0, 200))) for p, s in draws]
-    tree_of = {p.profile_id: p.tree_key for p in cache.manifest.profiles}
-    return model, build_groups(cache.train, refs, cfg.model.window, st, tree_of, marker_rng=rng)
+    return model, build_groups(cache.train, refs, cfg.model.window, st, marker_rng=rng)
 
 
 def _one_graph_loss(model, cfg, groups):
@@ -193,7 +192,7 @@ def test_every_parameter_receives_gradient(small_cache):
 def test_per_group_gradients_add_up_to_the_batch_gradient(small_cache):
     # train's step: one forward/backward per group over the batch normalisers,
     # gradients added; against the same loss built over the batch as one graph
-    from hdys.model import LossBreakdown, Normalisers, total_loss
+    from hdys.model import Normalisers, total_loss
     from hdys.numcore import backward
 
     root, cache = small_cache
@@ -206,20 +205,22 @@ def test_per_group_gradients_add_up_to_the_batch_gradient(small_cache):
 
     norm = Normalisers.of_groups(cfg.model, groups)
     got = [np.zeros_like(p.data) for p in leaves]
-    bd = LossBreakdown()
+    bd: dict[str, float] = {}
     for g in groups:
         loss, part = total_loss(cfg.model, model.forward_group(g), norm)
         if not g.dyn_present:
-            assert part.recon == 0.0 and part.per_target == {} and part.align > 0.0
-        bd += part
+            assert part["recon"] == 0.0 and part["align"] > 0.0
+            assert not any(k.startswith("recon_") for k in part)
+        for key, value in part.items():
+            bd[key] = bd.get(key, 0.0) + value
         for acc, grad in zip(got, backward(loss, leaves)):
             if grad is not None:
                 acc += grad
     for w, g in zip(want, got):
         w = np.zeros_like(g) if w is None else w
         assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
-    assert abs(bd.total - float(whole.data)) <= 1e-12 * abs(float(whole.data))
-    assert bd.per_target.keys() == norm.counts.keys()
+    assert abs(bd["total"] - float(whole.data)) <= 1e-12 * abs(float(whole.data))
+    assert {k[len("recon_"):] for k in bd if k.startswith("recon_")} == norm.counts.keys()
 
 
 def test_parameters_no_group_reaches_get_zero_gradients_and_weight_decay(small_cache, tmp_path, monkeypatch):
@@ -329,9 +330,8 @@ def test_non_finite_prediction_is_an_eval_error(small_cache, tmp_path):
     cfg = replace(cfg, rollout=replace(cfg.rollout, max_sequences=1, fps_list=(90.0,)))
     res = train(cfg, cache, str(tmp_path / "inf"), seed=1)
     res.model.ps.params["enc.x_m.embed.w"].data[...] = -np.inf
-    a = cache.manifest.profile("A")
     with pytest.raises(EvalError, match="non-finite"):
-        predict_sequences(res.model, res.stdizer, cfg, cache.test, "A", a.tree_key, cache.manifest.test_ids["A"])
+        predict_sequences(res.model, res.stdizer, cfg, cache.test, "A", cache.manifest.test_ids["A"])
     with pytest.raises(EvalError, match="non-finite"):
         rollout_eval(res.model, res.stdizer, cfg, cache.manifest)
 
@@ -424,6 +424,14 @@ def test_grid_composition(small_cache):
     # shared test split everywhere
     full_test = cache.manifest.test_ids["A"]
     assert only_a.manifest.test_ids["A"] == full_test
+
+
+def test_scale_variants_refuse_a_target_without_dynamics_labels(small_cache):
+    from hdys.engine import EvalError, scale_variants
+
+    _, cache = small_cache
+    with pytest.raises(EvalError, match="profile E has no dynamics labels"):
+        scale_variants(tiny_cfg(), cache.manifest, "E")
 
 
 def test_rollout_replays_the_stored_test_split_of_a_restricted_manifest(small_cache, tmp_path, monkeypatch):

@@ -54,7 +54,7 @@ def make_group(rng, profile="A", n_win=2, window=8, n_markers=6, mask=("x_m", "x
             x[ch] = rng.normal(size=(n_win, window, INV.coord_widths[ch]))
         else:
             x[ch] = rng.normal(size=(n_win, window, INV.dyn_widths[ch]))
-    return WindowGroup(profile, tree, x, np.ones((n_win, window)))
+    return WindowGroup(profile, x, np.ones((n_win, window)))
 
 
 # -- encoders ----------------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_window_length_one_works():
 def test_temporal_ablation_is_frame_local():
     rng = np.random.default_rng(8)
     g1 = make_group(rng, n_win=1, mask=("x_a", "tau_tr"))
-    g2 = WindowGroup(g1.profile_id, g1.tree_key, {k: v.copy() for k, v in g1.x.items()}, g1.weight)
+    g2 = WindowGroup(g1.profile_id, {k: v.copy() for k, v in g1.x.items()}, g1.weight)
     g2.x["x_a"][0, 3] += 1.0  # perturb frame 3 only
 
     local = HDySModel(small_cfg(no_temporal_refinement=True), INV, seed=0)
@@ -242,7 +242,7 @@ def test_accel_block_helpers():
 
 
 def _single_pred_output(pred, target, weight=None, cfg=None):
-    g = WindowGroup("A", "t1", {"tau_tr": target}, weight if weight is not None else np.ones(target.shape[:2]))
+    g = WindowGroup("A", {"tau_tr": target}, weight if weight is not None else np.ones(target.shape[:2]))
     out = GroupOutput(group=g)
     out.kin_order = ["x_a"]
     out.dyn_preds = {"tau_tr": Tensor(pred)}
@@ -281,7 +281,7 @@ def test_loss_recon_all_masked_errors():
 
 def _latent_output(latents_by_source, window=1):
     n_win = latents_by_source[0].shape[0]
-    g = WindowGroup("E", "t2", {}, np.ones((n_win, window)))
+    g = WindowGroup("E", {}, np.ones((n_win, window)))
     out = GroupOutput(group=g)
     out.kin_order = [f"s{i}" for i in range(len(latents_by_source))]
     from hdys.numcore import concat
@@ -343,7 +343,7 @@ def _numpy_infonce(groups, temperature):
 
 def _stacked_output(rng, n_kin, n_fdae, n_win=3, window=4, d=5):
     """A group with `n_kin` encoder and `n_fdae` composed sources, plus its (B, d) sources."""
-    g = WindowGroup("A", "t1", {}, np.ones((n_win, window)))
+    g = WindowGroup("A", {}, np.ones((n_win, window)))
     out = GroupOutput(group=g)
     kin = rng.normal(size=(n_kin * n_win, window, d))
     out.kin_order = [f"k{s}" for s in range(n_kin)]
@@ -402,11 +402,11 @@ def test_total_loss_weighting_and_flags():
     out.kin_stack = concat([Tensor(z.reshape(2, 2, 6)), Tensor(rng.normal(size=(2, 2, 6)))], axis=0)
     norm = Normalisers(counts={"tau_tr": 2 * 2 * 3.0}, weight_sum=4.0)
     total, bd = total_loss(cfg, out, norm)
-    assert abs(bd.total - (0.01 * bd.recon + 0.05 * bd.align)) < 1e-12
+    assert abs(bd["total"] - (0.01 * bd["recon"] + 0.05 * bd["align"])) < 1e-12
 
     cfg_na = small_cfg(no_align=True)
     total2, bd2 = total_loss(cfg_na, out, norm)
-    assert bd2.align == 0.0 and abs(bd2.total - 0.01 * bd2.recon) < 1e-15
+    assert bd2["align"] == 0.0 and abs(bd2["total"] - 0.01 * bd2["recon"]) < 1e-15
 
 
 def test_total_loss_hand_value():
@@ -422,8 +422,8 @@ def test_total_loss_hand_value():
 
     out.kin_stack = concat([Tensor(z[:, None, :]), Tensor(z[:, None, :])], axis=0)
     total, bd = total_loss(cfg, out, Normalisers(counts={"tau_tr": 1.0}, weight_sum=1.0))
-    assert abs(bd.recon - 2.0) < 1e-15 and bd.align == 0.0
-    assert abs(bd.total - 0.02) < 1e-15
+    assert abs(bd["recon"] - 2.0) < 1e-15 and bd["align"] == 0.0
+    assert abs(bd["total"] - 0.02) < 1e-15
 
 
 def test_kin_only_with_no_align_is_dead():
