@@ -13,8 +13,9 @@ before `--out` is written; a run whose files do not parse or fit); 2 usage or
 configuration errors, before anything is written: unknown flags (each
 subcommand takes only the flags it reads), a `--set` without `=`, config
 values the program cannot run, a `--seeds` list that is empty, not integers
-or holds a negative seed, a negative `--seed`, and a `gen-data` `--fps` that
-is not positive or a sequence count below zero.
+or holds a negative seed, a negative `--seed`, a `reproduce --target` for a
+study other than table1-analogue, and a `gen-data` `--fps` that is not
+positive or a sequence count below zero.
 
 Every run directory, whether `train` or a `reproduce` study wrote it, holds
 its effective `config.txt` (seed included), the manifest it trained on
@@ -178,6 +179,8 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    if args.target is not None and args.study != "table1-analogue":
+        raise ConfigError(f"--target is read by table1-analogue only, not by {args.study}")
     root = _data_dir(args)
     cfg = _load_cfg(args)
     manifest = _manifest_for(args, root)
@@ -186,7 +189,7 @@ def cmd_reproduce(args) -> int:
     check_grid(cfg, manifest)  # as each run's `train` does, before the study writes anything
     # the run list too, so a target that cannot be scored leaves no --out behind
     if args.study == "table1-analogue":
-        specs, csv_name = grid(cfg, manifest, args.target), "ablation.csv"
+        specs, csv_name = grid(cfg, manifest, args.target or "A"), "ablation.csv"
     elif args.study == "table2-analogue":
         specs, csv_name = scale_variants(cfg, manifest, "A") + scale_variants(cfg, manifest, "D"), "table2.csv"
     freeze_run(out, cfg, manifest, seeds)
@@ -251,7 +254,7 @@ FLAGS = {
     "--fps": dict(type=_positive, default=90.0),
     "--study": dict(required=True, choices=["table1-analogue", "table2-analogue", "rollout-table"]),
     "--seeds": dict(type=_seed_list, default="0,1,2", help="comma-separated seeds (rollout-table trains only the first)"),
-    "--target": dict(default="A", help="target profile of table1's data-scale runs"),
+    "--target": dict(help="target profile of table1-analogue's data-scale runs (default A); no other study reads it"),
 }
 
 

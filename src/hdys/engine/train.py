@@ -6,6 +6,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -19,9 +20,10 @@ from ..model import (
     Normalisers,
     config_hash,
     load_config,
+    network,
     total_loss,
 )
-from ..numcore import AdamWState, NonFiniteError, adamw_step, backward, load_checkpoint, save_checkpoint
+from ..numcore import AdamWState, GraphError, NonFiniteError, Tensor, adamw_step, backward, load_checkpoint, save_checkpoint
 from .batching import Standardizer, WindowRef, build_groups
 from .report import RUN_MANIFEST, freeze_run, write_csv, write_json
 from .rollout import check_grid
@@ -64,6 +66,33 @@ class RecordCache:
         return cache
 
 
+def group_backward(loss: Tensor, leaves: list[Tensor], cuts: list[tuple[Tensor, Tensor]]) -> list[np.ndarray | None]:
+    """`backward(loss, leaves)` for a loss whose graph `forward_group` cut at
+    its encoders (`GroupOutput.cuts`; with no cut it is that call). One pass
+    runs from the loss to the leaves and the cut leaves; then each encoder's
+    graph runs its own pass from its output, seeded with its leaf's
+    gradient, on `run_shared`'s threads. An encoder's graph is reached only
+    through its output, so each pass visits its nodes in the order one pass
+    from the loss would, and every gradient keeps its bits.
+
+    A leaf that the pass from the loss and an encoder's pass both reach is a
+    `GraphError`. One group's encoders share no parameter, so a parameter
+    that several encoder passes reach comes from cuts of several groups
+    joined in one loss; those gradients add in cut order."""
+    grads = backward(loss, leaves + [leaf for _, leaf in cuts])
+    grads, seeds = grads[: len(leaves)], grads[len(leaves) :]
+    from_loss = [g is not None for g in grads]
+    passes = [partial(backward, z, leaves, g) for (z, _), g in zip(cuts, seeds) if g is not None]
+    for part in network.run_shared(passes):
+        for i, g in enumerate(part):
+            if g is None:
+                continue
+            if from_loss[i]:
+                raise GraphError(f"leaf {i} gets a gradient from the loss and from an encoder's pass")
+            grads[i] = g if grads[i] is None else grads[i] + g
+    return grads
+
+
 def _epoch_row(epoch: int, steps: list[dict]) -> dict:
     """Each value's mean over the epoch's steps that report it."""
     row = {"epoch": epoch}
@@ -92,8 +121,9 @@ def train(
     step `freeze_run` writes the effective config (seed included), the
     manifest trained on and `provenance.json`; after the last come
     `model.ckpt`, `loss_curve.csv` and `meta.json`. `meta.json` records the
-    config hash, the seed, the parameter count and the wall time, so no
-    other artifact carries a clock reading.
+    config hash, the seed, the parameter count, the encoder thread count
+    and the wall time, so no other artifact carries a clock reading or
+    depends on the machine.
     """
     t_begin = time.time()
     manifest = cache.manifest
@@ -145,6 +175,7 @@ def train(
                     loss, part = total_loss(cfg.model, out, norm)
                 except NonFiniteError as exc:
                     raise TrainError(f"non-finite loss at epoch {epoch}, batch {len(steps)}: {exc}")
+                cuts = out.cuts
                 del out
                 for key, value in part.items():
                     terms[key] = terms.get(key, 0.0) + value
@@ -152,7 +183,7 @@ def train(
                     continue
                 if not np.isfinite(loss.data).all():
                     raise TrainError(f"non-finite loss at epoch {epoch}, batch {len(steps)}")
-                for name, g in zip(names, backward(loss, leaves)):
+                for name, g in zip(names, group_backward(loss, leaves, cuts)):
                     if g is None:
                         continue
                     if name in grads:
@@ -190,6 +221,7 @@ def train(
             "config_hash": config_hash(cfg),
             "seed": seed,
             "param_count": model.param_count(),
+            "encoder_threads": network.ENCODER_THREADS,
             "seconds": round(time.time() - t_begin, 2),
         },
     )

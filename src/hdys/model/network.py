@@ -10,8 +10,11 @@ tree-agnostic; coordinate encoders and regression heads are per tree family.
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
@@ -33,6 +36,63 @@ DYN_ENCODER_HIDDEN, COMPOSER_HIDDEN = 64, 128  # forward-dynamics branch
 
 # acceleration targets: (target key, source kinematics channel requirement)
 ACCEL_OF_COORD = {"x_a": "acc_a", "x_s": "acc_s"}
+
+
+# The largest pool measured: each worker keeps its own glibc malloc arena, and
+# peak memory was measured at pools 1 and 2 only
+MAX_ENCODER_THREADS = 2
+
+
+def encoder_threads(environ: Mapping[str, str], cores: int) -> int:
+    """Threads that run a window group's encoder calls: the usable cores over
+    the BLAS thread count that OPENBLAS_NUM_THREADS or OMP_NUM_THREADS names,
+    from 1 to MAX_ENCODER_THREADS. With neither set to a positive count,
+    OpenBLAS takes every core itself, and the calls run on the calling
+    thread alone."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, min(MAX_ENCODER_THREADS, cores // int(value)))
+    return 1
+
+
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+ENCODER_THREADS = encoder_threads(os.environ, _CORES)
+_POOL = None  # the ENCODER_THREADS - 1 workers, started by the first call that needs them
+
+
+def run_shared(calls: list[Callable[[], object]]) -> list:
+    """Each call's result, in call order. At ENCODER_THREADS above 1 the
+    calling thread and ENCODER_THREADS - 1 pool workers take the calls from
+    one queue. The calling thread works rather than wait: ENCODER_THREADS
+    workers beside an idle caller kept about 20% more memory, in glibc's
+    per-thread malloc arenas."""
+    n = min(ENCODER_THREADS, len(calls))
+    if n <= 1:
+        return [call() for call in calls]
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    global _POOL
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(ENCODER_THREADS - 1, thread_name_prefix="hdys-encoder")
+    todo, results = deque(enumerate(calls)), [None] * len(calls)
+
+    def work():
+        while True:
+            try:
+                i, call = todo.popleft()  # atomic, so each call runs once
+            except IndexError:
+                return
+            results[i] = call()
+
+    workers = [_POOL.submit(work) for _ in range(n - 1)]
+    try:
+        work()
+    finally:
+        wait(workers)
+    for w in workers:
+        w.result()  # a worker's exception
+    return results
 
 
 @dataclass(frozen=True)
@@ -107,6 +167,10 @@ class GroupOutput:
     fdae_stack: Tensor | None = None  # (S'*n_win, W, d) composed latents
     accel_preds: dict[str, Tensor] = field(default_factory=dict)  # (S'*n_win, W, width)
     accel_targets: dict[str, np.ndarray] = field(default_factory=dict)
+    # (encoder output with its graph, the leaf the rest of the group reads in
+    # its place): a recorded graph is cut at each encoder, so the encoders'
+    # reverse passes run through `run_shared` too (`engine.group_backward`)
+    cuts: list[tuple[Tensor, Tensor]] = field(default_factory=list)
 
     def dyn_pred_by_source(self, kin: str, dyn: str) -> np.ndarray:
         """(n_win, W, width) prediction for one kinematics source."""
@@ -232,22 +296,36 @@ class HDySModel:
     # -- full group pass ------------------------------------------------------
 
     def forward_group(self, group: WindowGroup, with_fdae: bool = True) -> GroupOutput:
+        """One group's predictions. Its encoders share no parameter and no
+        input, so they run first, together, through `run_shared`: the
+        kinematics encoder of each source, then for the forward-dynamics
+        branch the acceleration-free encoder of each source and the dynamics
+        encoder of each label."""
         out = GroupOutput(group=group)
         out.kin_order = list(group.kin_present)
-        latents = [self.encode_kinematics(ch, group.x[ch]) for ch in out.kin_order]
-        out.kin_stack = latents[0] if len(latents) == 1 else concat(latents, axis=0)
+        out.fdae_order = fdae_order(group, with_fdae and not self.cfg.no_fdae)
+        calls = [partial(self.encode_kinematics, ch, group.x[ch]) for ch in out.kin_order]
+        if out.fdae_order:
+            calls += [
+                partial(self.encode_kinematics_stripped, ch, strip_accel_block(ch, group.x[ch]))
+                for ch in out.kin_order
+            ]
+            calls += [partial(self.dyn_enc[dyn], Tensor(group.x[dyn])) for dyn in group.dyn_present]
+        latents = run_shared(calls)
+        for i, z in enumerate(latents):
+            if z.requires_grad:  # a graph is being recorded
+                latents[i] = Tensor(z.data, requires_grad=True)
+                out.cuts.append((z, latents[i]))
+        n_kin = len(out.kin_order)
+        out.kin_stack = latents[0] if n_kin == 1 else concat(latents[:n_kin], axis=0)
         if group.dyn_present:
             refined = self.refine(out.kin_stack)
             for dyn in group.dyn_present:
                 out.dyn_preds[dyn] = self.id_heads[dyn](refined)
-        out.fdae_order = fdae_order(group, with_fdae and not self.cfg.no_fdae)
         if out.fdae_order:
             out.accel_targets = accel_targets(group)
-            stripped = {
-                ch: self.encode_kinematics_stripped(ch, strip_accel_block(ch, group.x[ch]))
-                for ch in out.kin_order
-            }
-            dyn_latents = {dyn: self.dyn_enc[dyn](Tensor(group.x[dyn])) for dyn in group.dyn_present}
+            stripped = dict(zip(out.kin_order, latents[n_kin : 2 * n_kin]))
+            dyn_latents = dict(zip(group.dyn_present, latents[2 * n_kin :]))
             kin_parts = [stripped[kin] for kin, _ in out.fdae_order]
             dyn_parts = [dyn_latents[dyn] for _, dyn in out.fdae_order]
             kin_cat = kin_parts[0] if len(kin_parts) == 1 else concat(kin_parts, axis=0)

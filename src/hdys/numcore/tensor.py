@@ -30,12 +30,17 @@ class GraphError(Exception):
     pass
 
 
+# One flag for the whole process, not one per thread: the worker threads that
+# run a window group's encoders (`hdys.model.network.run_shared`) read it
+# too, so under `eval`'s `no_grad` they record no graph either. A per-thread
+# flag would leave it set in every worker. Training and evaluation never
+# overlap in one process.
 _GRAD_ENABLED = True
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (evaluation mode)."""
+    """Disable graph recording inside the block (evaluation mode), on every thread."""
     global _GRAD_ENABLED
     prev = _GRAD_ENABLED
     _GRAD_ENABLED = False
@@ -463,9 +468,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def backward(root: Tensor, leaves: Sequence[Tensor]) -> list[Optional[np.ndarray]]:
+def backward(
+    root: Tensor, leaves: Sequence[Tensor], grad: Optional[np.ndarray] = None
+) -> list[Optional[np.ndarray]]:
     """Gradient of a scalar root w.r.t. leaves, as a list aligned with them;
-    a leaf the root does not reach gets None.
+    a leaf the root does not reach gets None. `grad`, of the root's shape,
+    seeds the pass in place of 1: the gradient that an earlier pass gave a
+    leaf cut from `root`, so this pass continues that one below the cut.
 
     A walk from the root's node orders the node DAG so that parents precede
     children; the reverse pass then visits each node once and frees it as it
@@ -475,8 +484,10 @@ def backward(root: Tensor, leaves: Sequence[Tensor]) -> list[Optional[np.ndarray
     reaches it raises. No two returned arrays share memory, so the caller may
     write into any.
     """
-    if root.size != 1:
+    if grad is None and root.size != 1:
         raise GraphError(f"backward root must be scalar, got shape {root.shape}")
+    if grad is not None and grad.shape != root.shape:
+        raise GraphError(f"backward seed has shape {grad.shape}, root {root.shape}")
     start = root._node or root
     nodes: list = []
     seen = set()
@@ -498,9 +509,10 @@ def backward(root: Tensor, leaves: Sequence[Tensor]) -> list[Optional[np.ndarray
         for p in parents:
             if p is not None and id(p) not in seen:
                 stack.append((p, False))
-    grads: dict[int, np.ndarray] = {id(start): np.ones_like(root.data)}
-    # keys whose array no other slot holds, so contributions add in place
-    owned = {id(start): True}
+    grads: dict[int, np.ndarray] = {id(start): np.ones_like(root.data) if grad is None else grad}
+    # keys whose array no other slot holds, so contributions add in place;
+    # the caller's seed is not
+    owned = {id(start): grad is None}
     for n in reversed(nodes):
         g, g_owned = grads.pop(id(n), None), owned.pop(id(n), False)
         if not isinstance(n, _Node):

@@ -632,6 +632,16 @@ def test_reproduce_refuses_an_unscorable_target_before_writing(cli_dataset, tmp_
         assert not out.exists(), argv
 
 
+def test_reproduce_target_is_a_usage_error_for_studies_that_do_not_read_it(cli_dataset, tmp_path, capsys):
+    out = tmp_path / "out"
+    for study in ("table2-analogue", "rollout-table"):
+        argv = ["reproduce", "--study", study, "--data", cli_dataset, "--target", "E", "--out", str(out)]
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == f"config error: --target is read by table1-analogue only, not by {study}\n", err
+        assert not out.exists(), argv
+
+
 def test_rollout_on_sequences_shorter_than_one_window_is_domain_error(cli_dataset, tmp_path, capsys):
     # `train` checks the rollout grid against profile A (3 s sequences) before
     # it writes anything: a rollout needs one 16-frame window and k_max + 3 frames

@@ -1,5 +1,6 @@
 import functools
 import importlib
+import json
 import os
 
 import numpy as np
@@ -10,6 +11,7 @@ from hdys.engine import (
     RecordCache,
     Standardizer,
     evaluate,
+    group_backward,
     load_model,
     mean_baseline,
     rollout_eval,
@@ -19,7 +21,7 @@ from hdys.engine import (
 from hdys.engine.ablation import grid
 from hdys.engine.evaluate import _metrics
 from hdys.model import ChannelInventory, HDySModel, desk_config
-from hdys.numcore import load_checkpoint
+from hdys.numcore import backward, load_checkpoint
 
 
 def tiny_cfg(**train_kw):
@@ -130,19 +132,19 @@ def test_non_finite_loss_or_gradient_stops_training_before_the_optimizer(small_c
         models.append((model, {k: p.data.copy() for k, p in model.ps.params.items()}))
         return model
 
-    def backward_with_inf(loss, leaves):
-        grads = real_backward(loss, leaves)
+    def backward_with_inf(loss, leaves, cuts):
+        grads = real_backward(loss, leaves, cuts)
         # parameter 3, or the next one this group reaches (unreached ones are None)
         i = next(i for i, g in enumerate(grads) if i >= 3 and g is not None)
         grads[i][0] = np.inf
         poisoned.append(i)
         return grads
 
-    real_model, real_backward = train_mod.HDySModel, train_mod.backward
+    real_model, real_backward = train_mod.HDySModel, train_mod.group_backward
     monkeypatch.setattr(train_mod, "HDySModel", recorded_model)
     monkeypatch.setattr(train_mod, "adamw_step", lambda *a: steps.append(a))
     if poison == "gradient":
-        monkeypatch.setattr(train_mod, "backward", backward_with_inf)
+        monkeypatch.setattr(train_mod, "group_backward", backward_with_inf)
     with pytest.raises(train_mod.TrainError, match="non-finite") as err:
         train(cfg, cache, str(tmp_path / poison), seed=2)
     assert "epoch 0, batch 0" in str(err.value)
@@ -167,24 +169,25 @@ def _batch(cache, cfg, quota=3):
 
 
 def _one_graph_loss(model, cfg, groups):
-    """The batch's loss as one graph: every group's term, joined with `add`."""
+    """The batch's loss as one graph, every group's term joined with `add`,
+    and the encoder cuts of every group, for `group_backward`."""
     from hdys.model import Normalisers, total_loss
     from hdys.numcore import add
 
     norm = Normalisers.of_groups(cfg.model, groups)
-    terms = [total_loss(cfg.model, model.forward_group(g), norm)[0] for g in groups]
-    return functools.reduce(add, [t for t in terms if t is not None])
+    outputs = [model.forward_group(g) for g in groups]
+    terms = [total_loss(cfg.model, out, norm)[0] for out in outputs]
+    cuts = [cut for out in outputs for cut in out.cuts]
+    return functools.reduce(add, [t for t in terms if t is not None]), cuts
 
 
 def test_every_parameter_receives_gradient(small_cache):
-    from hdys.numcore import backward
-
     root, cache = small_cache
     cfg = tiny_cfg()
     model, groups = _batch(cache, cfg)
-    loss = _one_graph_loss(model, cfg, groups)
+    loss, cuts = _one_graph_loss(model, cfg, groups)
     named = list(model.ps.params.items())
-    grads = backward(loss, [p for _, p in named])
+    grads = group_backward(loss, [p for _, p in named], cuts)
     dead = [name for (name, _), g in zip(named, grads) if not np.any(g)]
     assert dead == [], f"dead parameters: {dead[:6]}"
 
@@ -193,27 +196,27 @@ def test_per_group_gradients_add_up_to_the_batch_gradient(small_cache):
     # train's step: one forward/backward per group over the batch normalisers,
     # gradients added; against the same loss built over the batch as one graph
     from hdys.model import Normalisers, total_loss
-    from hdys.numcore import backward
 
     root, cache = small_cache
     cfg = tiny_cfg()
     model, groups = _batch(cache, cfg, quota=1)
     assert len(groups) >= 2 and any(not g.dyn_present for g in groups)
     leaves = list(model.ps.params.values())
-    whole = _one_graph_loss(model, cfg, groups)
-    want = backward(whole, leaves)
+    whole, cuts = _one_graph_loss(model, cfg, groups)
+    want = group_backward(whole, leaves, cuts)
 
     norm = Normalisers.of_groups(cfg.model, groups)
     got = [np.zeros_like(p.data) for p in leaves]
     bd: dict[str, float] = {}
     for g in groups:
-        loss, part = total_loss(cfg.model, model.forward_group(g), norm)
+        out = model.forward_group(g)
+        loss, part = total_loss(cfg.model, out, norm)
         if not g.dyn_present:
             assert part["recon"] == 0.0 and part["align"] > 0.0
             assert not any(k.startswith("recon_") for k in part)
         for key, value in part.items():
             bd[key] = bd.get(key, 0.0) + value
-        for acc, grad in zip(got, backward(loss, leaves)):
+        for acc, grad in zip(got, group_backward(loss, leaves, out.cuts)):
             if grad is not None:
                 acc += grad
     for w, g in zip(want, got):
@@ -221,6 +224,58 @@ def test_per_group_gradients_add_up_to_the_batch_gradient(small_cache):
         assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
     assert abs(bd["total"] - float(whole.data)) <= 1e-12 * abs(float(whole.data))
     assert {k[len("recon_"):] for k in bd if k.startswith("recon_")} == norm.counts.keys()
+
+
+def _rejoin(loss, cuts):
+    """Put each encoder output's node back where the graph reads its cut
+    leaf, so one `backward` from the loss runs through the encoders as well:
+    the single pass that the cuts split."""
+    from hdys.numcore.tensor import _Node
+
+    at = {id(leaf): z._node for z, leaf in cuts}
+    stack, seen = [loss._node], set()
+    while stack:
+        n = stack.pop()
+        if isinstance(n, _Node) and id(n) not in seen:
+            seen.add(id(n))
+            n.parents = tuple(at.get(id(p), p) for p in n.parents)
+            stack.extend(n.parents)
+
+
+def test_two_encoder_threads_give_the_single_pass_gradients_and_training_bytes(small_cache, tmp_path, monkeypatch):
+    # the pool is forced, so the test does not depend on the BLAS variables
+    from hdys.model import Normalisers, network, total_loss
+
+    root, cache = small_cache
+    cfg = tiny_cfg()
+    model, groups = _batch(cache, cfg)
+    norm = Normalisers.of_groups(cfg.model, groups)
+    leaves = list(model.ps.params.values())
+    assert any(g.dyn_present for g in groups)
+    for g in groups:
+        out = model.forward_group(g)
+        loss, _ = total_loss(cfg.model, out, norm)
+        _rejoin(loss, out.cuts)
+        single = backward(loss, leaves)
+        for threads in (1, 2):
+            monkeypatch.setattr(network, "ENCODER_THREADS", threads)
+            out = model.forward_group(g)
+            n_encoders = len(out.kin_order) + (len(out.kin_order) + len(g.dyn_present) if out.fdae_order else 0)
+            assert len(out.cuts) == n_encoders
+            loss, _ = total_loss(cfg.model, out, norm)
+            split = group_backward(loss, leaves, out.cuts)
+            for one, two in zip(single, split):
+                assert (one is None) == (two is None)
+                assert one is None or one.tobytes() == two.tobytes()
+
+    files = {}
+    for threads in (1, 2):
+        monkeypatch.setattr(network, "ENCODER_THREADS", threads)
+        run = tmp_path / f"threads{threads}"
+        train(cfg, cache, str(run), seed=3)
+        files[threads] = [(run / name).read_bytes() for name in ("model.ckpt", "loss_curve.csv")]
+        assert json.loads((run / "meta.json").read_text())["encoder_threads"] == threads
+    assert files[1] == files[2]
 
 
 def test_parameters_no_group_reaches_get_zero_gradients_and_weight_decay(small_cache, tmp_path, monkeypatch):
@@ -232,8 +287,8 @@ def test_parameters_no_group_reaches_get_zero_gradients_and_weight_decay(small_c
     cfg = replace(cfg, train=replace(cfg.train, frames_per_batch=cfg.model.window))
     reached, checked = set(), []
 
-    def recorded_backward(loss, leaves):
-        grads = real_backward(loss, leaves)
+    def recorded_backward(loss, leaves, cuts):
+        grads = real_backward(loss, leaves, cuts)
         reached.update(id(p) for p, g in zip(leaves, grads) if g is not None)
         return grads
 
@@ -248,8 +303,8 @@ def test_parameters_no_group_reaches_get_zero_gradients_and_weight_decay(small_c
         checked.append((len(missed), len(fresh)))
         reached.clear()
 
-    real_backward, real_step = train_mod.backward, train_mod.adamw_step
-    monkeypatch.setattr(train_mod, "backward", recorded_backward)
+    real_backward, real_step = train_mod.group_backward, train_mod.adamw_step
+    monkeypatch.setattr(train_mod, "group_backward", recorded_backward)
     monkeypatch.setattr(train_mod, "adamw_step", checked_step)
     train(cfg, cache, str(tmp_path / "r"), seed=1)
     assert train_mod.WEIGHT_DECAY > 0.0

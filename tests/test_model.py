@@ -1,4 +1,7 @@
+import sys
+import threading
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,14 +21,15 @@ from hdys.model import (
     desk_config,
     loss_align,
     loss_recon,
+    network,
     paper_config,
     total_loss,
 )
 from hdys.model.config import ModelConfig
 from hdys.model.layers import ParamSet, TransformerLayer
 from hdys.model.losses import ALPHA1, ALPHA2, TEMPERATURE
-from hdys.model.network import GroupOutput, accel_block, strip_accel_block
-from hdys.numcore import Tensor, backward, sum_
+from hdys.model.network import GroupOutput, accel_block, encoder_threads, strip_accel_block
+from hdys.numcore import Tensor, backward, no_grad, sum_
 
 INV = ChannelInventory(
     dyn_widths={"tau_tr": 23, "tau_ts": 12, "tau_m": 12, "tau_e": 8},
@@ -225,6 +229,76 @@ def test_fdae_stack_untied():
     out = model.forward_group(g)
     assert out.fdae_order == [("x_m", "tau_tr"), ("x_a", "tau_tr")]
     assert out.fdae_stack.shape == (2 * 2, 8, 32)
+
+
+def test_encoder_thread_count_follows_the_blas_thread_variables():
+    threads, pool = threading.active_count(), network._POOL
+    assert encoder_threads({}, 2) == 1  # OpenBLAS then takes every core itself
+    assert encoder_threads({"OPENBLAS_NUM_THREADS": "1"}, 2) == 2
+    assert encoder_threads({"OPENBLAS_NUM_THREADS": "2"}, 2) == 1
+    assert encoder_threads({"OPENBLAS_NUM_THREADS": "4"}, 2) == 1
+    assert encoder_threads({"OMP_NUM_THREADS": "1"}, 2) == 2
+    assert encoder_threads({"OMP_NUM_THREADS": "3"}, 8) == 2
+    assert encoder_threads({"OPENBLAS_NUM_THREADS": "1"}, 8) == network.MAX_ENCODER_THREADS == 2
+    # OpenBLAS reads its own variable first, and the next one if that is not a positive count
+    assert encoder_threads({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 8) == 2
+    assert encoder_threads({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2) == 2
+    for value in ("", "0", "-1", "two"):
+        assert encoder_threads({"OPENBLAS_NUM_THREADS": value}, 2) == 1
+    assert threading.active_count() == threads and network._POOL is pool
+
+
+def test_shared_calls_run_once_each_and_return_in_call_order(monkeypatch):
+    # more threads than cores and a short switch interval, so the threads interleave
+    monkeypatch.setattr(network, "ENCODER_THREADS", 4)
+    monkeypatch.setattr(network, "_POOL", None)
+    counts = [0] * 200
+
+    def call(i):
+        counts[i] += 1  # a call run twice, or lost, breaks the count
+        return i * i
+
+    def fails():
+        raise ValueError("from a shared call")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert network.run_shared([partial(call, i) for i in range(200)]) == [i * i for i in range(200)]
+        with pytest.raises(ValueError, match="from a shared call"):
+            network.run_shared([partial(call, 0), fails, partial(call, 1)])
+    finally:
+        sys.setswitchinterval(interval)
+        network._POOL.shutdown(wait=True)
+    assert counts == [21, 21] + [20] * 198
+
+
+def test_pooled_encoders_record_no_graph_under_no_grad(monkeypatch):
+    monkeypatch.setattr(network, "ENCODER_THREADS", 2)
+    names, both = [], threading.Barrier(2, timeout=30)
+    real = HDySModel.encode_kinematics
+
+    def on_two_threads(self, channel, block):
+        names.append(threading.current_thread().name)
+        if len(names) <= 2:
+            both.wait()  # so the first two calls run at once, one on a worker
+        return real(self, channel, block)
+
+    monkeypatch.setattr(HDySModel, "encode_kinematics", on_two_threads)
+    model = HDySModel(small_cfg(), INV, seed=0)
+    g = make_group(np.random.default_rng(10))
+    with no_grad():
+        out = model.forward_group(g)
+    assert len(set(names[:2])) == 2
+    assert out.cuts == []
+    tensors = [out.kin_stack, out.fdae_stack, *out.dyn_preds.values(), *out.accel_preds.values()]
+    assert all(t._node is None and not t.requires_grad for t in tensors)
+    # with a graph recorded, each of the 7 encoder outputs is cut from the rest
+    names.clear()
+    out = model.forward_group(g)
+    assert len(set(names[:2])) == 2
+    assert len(out.cuts) == 7 and all(z._node is not None and leaf._node is None for z, leaf in out.cuts)
 
 
 def test_accel_block_helpers():

@@ -322,6 +322,28 @@ def test_non_scalar_root_rejected():
         backward(tz.mul(x, x), [x])
 
 
+def test_seeded_backward_continues_a_pass_through_a_cut_bit_for_bit():
+    rng = np.random.default_rng(3)
+    xd, wd = rng.normal(size=(4, 5, 3)), rng.normal(size=(3, 6))
+
+    def encoder():
+        w = Tensor(wd, requires_grad=True)
+        return w, tz.gelu(tz.matmul(Tensor(xd), w))
+
+    def loss(z):
+        return tz.sum_(tz.mul(z, tz.l2_normalize(z)))
+
+    w, z = encoder()
+    (want,) = backward(loss(z), [w])
+    w, z = encoder()
+    cut = Tensor(z.data, requires_grad=True)
+    (seed,) = backward(loss(cut), [cut])
+    with pytest.raises(GraphError, match="seed"):
+        backward(z, [w], seed[0])
+    (got,) = backward(z, [w], seed)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_backward_frees_the_graph_and_runs_once_per_root():
     x = Tensor(np.ones(3), requires_grad=True)
     y = tz.mul(x, x)
