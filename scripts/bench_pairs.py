@@ -15,7 +15,11 @@ scipy versions, as bench/run.py prints it first), its `output` and `metric`
 lines and its result object. At the end it prints each distinct `env` line,
 then, for each end-to-end metric of BENCHMARK.json, the median [q1, q3] and
 the min-max range on each side and the number of pairs the change won (ties
-count for neither side), and whether every run printed the same outputs. If
+count for neither side). It does the same for every other `metric` line the
+runs print (the workload's named metrics, such as `rollout_steps_per_s`; a
+unit ending in `/s` is better higher, any other lower), leaving out
+`failed_share`, which the failed runs already show. Then it says whether
+every run printed the same outputs. If
 not, it says whether the runs within each side agree and prints each output
 line of the first parent run that differs from the first change run, the
 two lines one above the other.
@@ -70,6 +74,12 @@ def _spread(values: list[float]) -> str:
     return f"{q2:.6g} [{q1:.6g}, {q3:.6g}] {span}"
 
 
+def _named_metrics(run: dict, skip: set[str]) -> dict[str, tuple[float, str]]:
+    """{name: (value, unit)} from a run's `metric NAME VALUE UNIT ...` lines, less the names in skip."""
+    parts = (ln.split() for ln in run.get("metric_lines", []))
+    return {p[1]: (float(p[2]), p[3]) for p in parts if p[1] not in skip}
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> bool:
     """Print the per-metric summary; True if every run succeeded with the same outputs."""
     for env in sorted({json.dumps(r["env"], sort_keys=True) for r in runs}):
@@ -78,17 +88,30 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> bool:
     for r in runs:
         if r not in ok:
             print(f"pair {r['pair']} {r['side']}: failed (exit {r['returncode']})")
-    by_pair = {}
+    # the end-to-end metrics, then each run's other named metric lines (a failed
+    # share shows as a failed run above); a rate (unit "/s") is better higher
+    e2e = [(spec["name"], spec["unit"], spec["better"]) for spec in end_to_end]
+    skip = {name for name, _, _ in e2e} | {"failed_share"}
+    named, values = {}, []  # named: each other metric's unit, in first-seen order
     for r in ok:
-        by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
+        v = {name: r["result"]["metrics"][name]["value"] for name, _, _ in e2e}
+        for name, (value, unit) in _named_metrics(r, skip).items():
+            named.setdefault(name, unit)
+            v[name] = value
+        values.append(v)
+    specs = e2e + [(name, unit, "higher" if unit.endswith("/s") else "lower") for name, unit in named.items()]
+    by_pair = {}
+    for r, v in zip(ok, values):
+        by_pair.setdefault(r["pair"], {})[r["side"]] = v
     pairs = [p for p in by_pair.values() if len(p) == 2]
-    for spec in end_to_end:
-        name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
-        sides = {side: [r["result"]["metrics"][name]["value"] for r in ok if r["side"] == side]
+    for name, unit, better in specs:
+        sign = 1 if better == "lower" else -1
+        sides = {side: [v[name] for r, v in zip(ok, values) if r["side"] == side and name in v]
                  for side in ("parent", "change")}
-        won = sum(sign * (p["change"][name]["value"] - p["parent"][name]["value"]) < 0 for p in pairs)
-        print(f"{name} ({spec['unit']}, {spec['better']} is better): parent {_spread(sides['parent'])}, "
-              f"change {_spread(sides['change'])}; change won {won} of {len(pairs)} pairs")
+        both = [p for p in pairs if name in p["parent"] and name in p["change"]]
+        won = sum(sign * (p["change"][name] - p["parent"][name]) < 0 for p in both)
+        print(f"{name} ({unit}, {better} is better): parent {_spread(sides['parent'])}, "
+              f"change {_spread(sides['change'])}; change won {won} of {len(both)} pairs")
     outputs = {tuple(r["output_lines"]) for r in ok}
     if len(outputs) <= 1:
         print("outputs: identical in every run")

@@ -14,12 +14,18 @@ Every entry point takes states with frames on axis 0, (F, n_dof), and
 rejects a bare (n_dof,) state. A one-row RNEA call (the bias term of a
 one-row `forward_dynamics`) is bound by the count of small numpy calls
 per body, not by arithmetic, so the recursion keeps that count low and every
-byte as it is: each body's motion is a tuple of (F, 3) arrays; `_cross`
-forms numpy's six products with one gather per operand and one multiply;
-the massless bodies that spherical and free joints decompose into add no
-inertial terms; and a revolute body with an exactly zero joint offset
-(`at_origin`, as the inner bodies of a spherical joint) skips the offset
-products, which would add only zeros.
+byte as it is. What does not depend on the body is set up once per call:
+`KinematicTree.joint_transforms` forms every revolute body's rotation in one
+Rodrigues pass over all frames, the joint velocities and accelerations are
+multiplied by the axes as (F, n_bodies, 3) arrays, and every joint torque is
+read in one einsum after the backward sweep. Each body's motion is a tuple
+of (F, 3) arrays; `_cross` forms numpy's six products with one gather per
+operand and one multiply, and a constant operand (a body's COM, a
+revolute's joint offset) comes gathered once per tree (`_lcross`,
+`_rcross`); the massless bodies that spherical and free joints decompose
+into add no inertial terms; and a revolute body with an exactly zero joint
+offset (`at_origin`, as the inner bodies of a spherical joint) skips the
+offset products, which would add only zeros.
 `test_rnea_is_bitwise_the_plain_recursion` checks these rules against the
 plain recursion (`np.cross`, every product) bit for bit.
 """
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import HdysError
-from .tree import KinematicTree, joint_transform
+from .tree import _CROSS_A, _CROSS_B, KinematicTree
 
 
 class DivergedRollout(HdysError):
@@ -57,12 +63,21 @@ class GeneralizedState:
                 raise HdysError("non-finite generalized state")
 
 
-_CROSS_A, _CROSS_B = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
-
-
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b over the last axis, broadcasting; the same arithmetic as numpy's cross."""
     pq = a[..., _CROSS_A] * b[..., _CROSS_B]  # a1b2 a2b0 a0b1 | a2b1 a0b2 a1b0
+    return pq[..., :3] - pq[..., 3:]
+
+
+def _lcross(ca: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c x b for a constant c given pre-gathered as ca = c[_CROSS_A]; `_cross`'s arithmetic."""
+    pq = ca * b[..., _CROSS_B]
+    return pq[..., :3] - pq[..., 3:]
+
+
+def _rcross(a: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """a x c for a constant c given pre-gathered as cb = c[_CROSS_B]; `_cross`'s arithmetic."""
+    pq = a[..., _CROSS_A] * cb
     return pq[..., :3] - pq[..., 3:]
 
 
@@ -87,42 +102,47 @@ def rnea(
     g = tree.gravity if gravity is None else np.asarray(gravity, dtype=np.float64)
     bodies = tree._bodies
     nb = len(bodies)
+    xs = tree.joint_transforms(q)  # child pose in the parent frame, reused by the backward pass
+    # at rest every velocity and velocity product is zero; one moving frame
+    # sends the whole batch through the full recursion
+    moving = bool(qd.any())
+    # each body's joint motion, (F, n_bodies, 3): coordinate i moves body i along its axis
+    sd = qd[..., None] * tree._axes if moving else None
+    sdd = qdd[..., None] * tree._axes
 
     # per body, (F, 3) each: angular velocity and linear velocity of the body
     # origin (body coords), spatial angular and linear acceleration
     motion = []
     fn = np.zeros((nb, f, 3))  # net moment at body origin
     ff = np.zeros((nb, f, 3))  # net force
-    xs = []  # joint transforms (child pose in the parent frame), reused by the backward pass
-
+    offsets = []  # each body's p_pc[_CROSS_A] (None at its parent's origin), for the backward pass
     a_base = np.broadcast_to(-g, (f, 3))
-    # at rest every velocity and velocity product is zero; one moving frame
-    # sends the whole batch through the full recursion
-    moving = bool(qd.any())
     rest = np.zeros((f, 3))
 
     for bi, b in enumerate(bodies):
-        qdi, qddi = qd[:, b.dof], qdd[:, b.dof]
-        r_pc, p_pc = joint_transform(b, q[:, b.dof])
-        xs.append((r_pc, p_pc))
+        r_pc, p_pc = xs[bi]
         e = r_pc.transpose(0, 2, 1)  # parent -> child
         if b.parent == -1:
             wp = vp = alp = rest
             aap = a_base
         else:
             wp, vp, alp, aap = motion[b.parent]
+        p_a = p_b = None  # the offset's gathered operands: a revolute's are constant, a prismatic's move with q
+        if not b.at_origin:
+            p_a, p_b = (b.p_a, b.p_b) if b.kind == "rev" else (p_pc[..., _CROSS_A], p_pc[..., _CROSS_B])
+        offsets.append(p_a)
         wi = vi = rest
         if moving:
             wi = np.einsum("fij,fj->fi", e, wp)
-            vi = np.einsum("fij,fj->fi", e, vp if b.at_origin else vp + _cross(wp, p_pc))
+            vi = np.einsum("fij,fj->fi", e, vp if b.at_origin else vp + _rcross(wp, p_b))
         ali = np.einsum("fij,fj->fi", e, alp)
-        aai = np.einsum("fij,fj->fi", e, aap if b.at_origin else aap + _cross(alp, p_pc))
+        aai = np.einsum("fij,fj->fi", e, aap if b.at_origin else aap + _rcross(alp, p_b))
         if b.kind == "rev":
-            ali = ali + b.axis * qddi[:, None]
+            ali = ali + sdd[:, bi]
         else:
-            aai = aai + b.axis * qddi[:, None]
+            aai = aai + sdd[:, bi]
         if moving:
-            sj = b.axis * qdi[:, None]
+            sj = sd[:, bi]
             if b.kind == "rev":
                 wi = wi + sj
                 ali = ali + _cross(wi, sj)
@@ -133,32 +153,27 @@ def rnea(
         motion.append((wi, vi, ali, aai))
 
         if b.mass != 0.0:  # a massless body's own force rows stay zero
-            m, c, ic = b.mass, b.com, b.inertia
-            i_al = np.einsum("ij,fj->fi", ic, ali) - m * _cross(c, _cross(c, ali)) + m * _cross(c, aai)
-            i_aa = m * (aai + _cross(ali, c))
+            m, ca, cb, ic = b.mass, b.com_a, b.com_b, b.inertia
+            i_al = np.einsum("ij,fj->fi", ic, ali) - m * _lcross(ca, _lcross(ca, ali)) + m * _lcross(ca, aai)
+            i_aa = m * (aai + _rcross(ali, cb))
             if moving:
                 # spatial inertia applied to velocity: momentum (h_n, h_f)
-                h_n = np.einsum("ij,fj->fi", ic, wi) - m * _cross(c, _cross(c, wi)) + m * _cross(c, vi)
-                h_f = m * (vi + _cross(wi, c))
+                h_n = np.einsum("ij,fj->fi", ic, wi) - m * _lcross(ca, _lcross(ca, wi)) + m * _lcross(ca, vi)
+                h_f = m * (vi + _rcross(wi, cb))
                 fn[bi] = i_al + _cross(wi, h_n) + _cross(vi, h_f)
                 ff[bi] = i_aa + _cross(wi, h_f)
             else:
                 fn[bi], ff[bi] = i_al, i_aa
 
-    tau = np.zeros((f, tree.n_dof))
-    for bi in range(nb - 1, -1, -1):
+    for bi in range(nb - 1, 0, -1):  # body 0 is the only one attached to the world
         b = bodies[bi]
-        if b.kind == "rev":
-            tau[:, b.dof] = np.einsum("fi,i->f", fn[bi], b.axis)
-        else:
-            tau[:, b.dof] = np.einsum("fi,i->f", ff[bi], b.axis)
-        if b.parent != -1:
-            r_pc, p_pc = xs[bi]
-            f_par = np.einsum("fij,fj->fi", r_pc, ff[bi])
-            n_par = np.einsum("fij,fj->fi", r_pc, fn[bi])
-            fn[b.parent] += n_par if b.at_origin else n_par + _cross(p_pc, f_par)
-            ff[b.parent] += f_par
-    return tau
+        r_pc = xs[bi][0]
+        f_par = np.einsum("fij,fj->fi", r_pc, ff[bi])
+        n_par = np.einsum("fij,fj->fi", r_pc, fn[bi])
+        fn[b.parent] += n_par if b.at_origin else n_par + _lcross(offsets[bi], f_par)
+        ff[b.parent] += f_par
+    # a revolute's torque is its moment about the axis, a prismatic's its force along it
+    return np.einsum("bfi,bi->fb", np.where(tree._is_rev[:, None, None], fn, ff), tree._axes, order="C")
 
 
 def mass_matrix(tree: KinematicTree, q: np.ndarray) -> np.ndarray:

@@ -43,6 +43,11 @@ class Link:
     inertia: tuple  # 3x3 about the COM, link frame
 
 
+# a x b is pq[..., :3] - pq[..., 3:] with pq = a[..., _CROSS_A] * b[..., _CROSS_B]
+# (a1b2 a2b0 a0b1 | a2b1 a0b2 a1b0), the products numpy's cross forms
+_CROSS_A, _CROSS_B = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
+
+
 @dataclass(frozen=True)
 class _Body:
     """One internal 1-DoF body (revolute or prismatic)."""
@@ -54,10 +59,14 @@ class _Body:
     mass: float
     com: np.ndarray
     inertia: np.ndarray  # 3x3 about COM
-    dof: int
-    k: np.ndarray  # 3x3 skew matrix of the axis
-    kk: np.ndarray  # k @ k
+    dof: int  # the coordinate it moves, which is its own body index
+    rot: int  # a revolute's row of the tree's stacked Rodrigues operands, -1 for a prismatic
     at_origin: bool  # a revolute whose p_fix is exactly zero: its origin is its parent's
+    # p_fix and com gathered by _CROSS_A and _CROSS_B: their cross products' constant operands
+    p_a: np.ndarray
+    p_b: np.ndarray
+    com_a: np.ndarray
+    com_b: np.ndarray
 
 
 def _skew(axis: np.ndarray) -> np.ndarray:
@@ -66,21 +75,6 @@ def _skew(axis: np.ndarray) -> np.ndarray:
     k[1, 0], k[1, 2] = axis[2], -axis[0]
     k[2, 0], k[2, 1] = -axis[1], axis[0]
     return k
-
-
-def joint_transform(body: _Body, qi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pose of `body` in its parent's frame at joint coordinates qi of shape (F,).
-
-    Returns (R, p): the child's orientation (F, 3, 3) and origin (F, 3),
-    expressed in the parent frame. The one the joint leaves fixed (R of a
-    prismatic joint, p of a revolute) has a leading axis of 1 instead of F.
-    """
-    if body.kind == "rev":
-        # Rodrigues: I + sin(q) K + (1 - cos(q)) K^2
-        c = np.cos(qi)[:, None, None]
-        s = np.sin(qi)[:, None, None]
-        return _EYE3 + s * body.k + (1.0 - c) * body.kk, body.p_fix[None]
-    return _EYE3[None], body.p_fix + body.axis * qi[:, None]
 
 
 class KinematicTree:
@@ -135,7 +129,7 @@ class KinematicTree:
     def _build(self) -> None:
         bodies: list[_Body] = []
         link_body: list[int] = []
-        dof = 0
+        rev_k: list[np.ndarray] = []
         zero3 = np.zeros(3)
         zero33 = np.zeros((3, 3))
         for l in self.links:
@@ -145,27 +139,38 @@ class KinematicTree:
                 first, last = j == 0, j == len(chain) - 1
                 parent = (-1 if l.parent == -1 else link_body[l.parent]) if first else len(bodies) - 1
                 axis = np.asarray(l.axis, dtype=np.float64) if axis is None else axis
-                k = _skew(axis)
+                p_fix = np.asarray(l.offset, dtype=np.float64) if first else zero3
+                com = np.asarray(l.com, dtype=np.float64) if last else zero3
+                if kind == "rev":
+                    rev_k.append(_skew(axis))
                 bodies.append(
                     _Body(
                         parent,
                         kind,
                         axis,
-                        np.asarray(l.offset, dtype=np.float64) if first else zero3,
+                        p_fix,
                         float(l.mass) if last else 0.0,
-                        np.asarray(l.com, dtype=np.float64) if last else zero3,
+                        com,
                         np.asarray(l.inertia, dtype=np.float64) if last else zero33,
-                        dof + j,
-                        k,
-                        k @ k,
+                        len(bodies),
+                        len(rev_k) - 1 if kind == "rev" else -1,
                         kind == "rev" and not (first and np.any(l.offset)),
+                        p_fix[_CROSS_A],
+                        p_fix[_CROSS_B],
+                        com[_CROSS_A],
+                        com[_CROSS_B],
                     )
                 )
-            dof += len(chain)
             link_body.append(len(bodies) - 1)
         self._bodies = bodies
         self._link_body = link_body
-        self.n_dof = dof
+        # every joint type has a revolute body, so the Rodrigues stacks are never empty
+        self._rev_dof = np.array([b.dof for b in bodies if b.kind == "rev"])
+        self._k = np.stack(rev_k)  # (n_rev, 3, 3) skew matrices of the revolute axes
+        self._kk = np.stack([k @ k for k in rev_k])
+        self._axes = np.stack([b.axis for b in bodies])  # (n_bodies, 3), row i coordinate i's
+        self._is_rev = np.array([b.kind == "rev" for b in bodies])
+        self.n_dof = len(bodies)
         self.root_dof = 6 if self.links[0].joint == "free" else 0
         self.n_actuated = self.n_dof - self.root_dof
         self.subject_mass = float(sum(l.mass for l in self.links))
@@ -180,6 +185,24 @@ class KinematicTree:
 
     # -- kinematics ---------------------------------------------------------
 
+    def joint_transforms(self, q: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each body's pose in its parent's frame at the (F, n_dof) coordinates q.
+
+        Returns one (R, p) per body: the child's orientation (F, 3, 3) and
+        origin (F, 3), expressed in the parent frame. The one the joint leaves
+        fixed (R of a prismatic joint, p of a revolute) has a leading axis of 1
+        instead of F. One Rodrigues pass, I + sin(q) K + (1 - cos(q)) K^2,
+        gives every revolute body's rotation in every frame.
+        """
+        qr = q[:, self._rev_dof]
+        c = np.cos(qr)[..., None, None]
+        s = np.sin(qr)[..., None, None]
+        rot = _EYE3 + s * self._k + (1.0 - c) * self._kk
+        return [
+            (rot[:, b.rot], b.p_fix[None]) if b.kind == "rev" else (_EYE3[None], b.p_fix + b.axis * q[:, b.dof, None])
+            for b in self._bodies
+        ]
+
     def body_poses(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """World poses of every internal body at the (F, n_dof) coordinates q.
 
@@ -192,8 +215,7 @@ class KinematicTree:
         nb = len(self._bodies)
         r = np.empty((f, nb, 3, 3))
         p = np.empty((f, nb, 3))
-        for bi, b in enumerate(self._bodies):
-            r_pc, p_pc = joint_transform(b, q[:, b.dof])
+        for bi, (b, (r_pc, p_pc)) in enumerate(zip(self._bodies, self.joint_transforms(q))):
             if b.parent == -1:
                 r[:, bi] = r_pc
                 p[:, bi] = p_pc

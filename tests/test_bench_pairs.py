@@ -77,3 +77,29 @@ def test_summarize_prints_quartiles_and_range(capsys):
         "round_s (s, lower is better): parent 312.5 [306, 319] min-max [306, 319], "
         "change 288.35 [288.15, 288.625] min-max [288, 289]; change won 4 of 4 pairs"
     )
+
+
+def test_summarize_prints_the_named_metric_lines(capsys):
+    # each run's other metric lines get a row too: a rate (unit "/s") is better higher,
+    # a time lower; end-to-end and failed_share lines add none
+    bench_pairs = _bench_pairs()
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"][:1]
+    env = {"nproc": 2}
+    runs = []
+    pairs = [((190.0, 1.30), (240.0, 0.81)), ((195.0, 1.32), (180.0, 1.40)), ((193.0, 1.28), (242.0, 0.80))]
+    for pair, (parent, change) in enumerate(pairs, 1):
+        for side, (rate, step) in (("parent", parent), ("change", change)):
+            lines = ["metric round_s 2 s (wall 2)", "metric failed_share 0 ratio (0 of 20)",
+                     f"metric rollout_steps_per_s {rate:g} steps/s (wall {rate - 10:g})",
+                     f"metric train_step_s {step:g} s (wall {step - 0.3:g})"]
+            runs.append(dict(_run(side, 2.0, ["output a"], env), pair=pair, metric_lines=lines))
+    assert bench_pairs.summarize(runs, end_to_end)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("round_s (s, lower is better): ") and lines[1].endswith("change won 0 of 3 pairs")
+    assert lines[2:] == [
+        "rollout_steps_per_s (steps/s, higher is better): parent 193 [191.5, 194] min-max [190, 195], "
+        "change 240 [210, 241] min-max [180, 242]; change won 2 of 3 pairs",
+        "train_step_s (s, lower is better): parent 1.3 [1.29, 1.31] min-max [1.28, 1.32], "
+        "change 0.81 [0.805, 1.105] min-max [0.8, 1.4]; change won 2 of 3 pairs",
+        "outputs: identical in every run",
+    ]

@@ -278,6 +278,28 @@ def test_two_encoder_threads_give_the_single_pass_gradients_and_training_bytes(s
     assert files[1] == files[2]
 
 
+def test_two_encoder_threads_give_the_same_scores(small_cache, tmp_path, monkeypatch):
+    """README: the scores are the same bytes at any thread count. `hdysctl eval` writes the
+    same eval.csv and eval.json, and `rollout_eval` returns the same rows, at pool 1 and 2."""
+    from hdys.cli import main
+    from hdys.model import network
+
+    root, cache = small_cache
+    cfg = tiny_cfg(epochs=1, seed=2)
+    cfg = replace(cfg, rollout=replace(cfg.rollout, max_sequences=1, start_stride=40, fps_list=(90.0,)))
+    run = tmp_path / "run"
+    res = train(cfg, cache, str(run), seed=2)
+    scores, rows = {}, {}
+    for threads in (1, 2):
+        monkeypatch.setattr(network, "ENCODER_THREADS", threads)
+        out = tmp_path / f"eval{threads}"
+        assert main(["eval", "--data", root, "--run", str(run), "--out", str(out)]) == 0
+        scores[threads] = [(out / name).read_bytes() for name in ("eval.csv", "eval.json")]
+        rows[threads] = rollout_eval(res.model, res.stdizer, cfg, cache.manifest).rows
+    assert scores[1] == scores[2]
+    assert rows[1] and rows[1] == rows[2]
+
+
 def test_parameters_no_group_reaches_get_zero_gradients_and_weight_decay(small_cache, tmp_path, monkeypatch):
     # one window per batch, so each batch holds one profile and misses the
     # other profiles' encoders and heads

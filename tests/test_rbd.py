@@ -22,7 +22,7 @@ from hdys.rbd import (
     step,
     synth_emg,
 )
-from hdys.rbd.tree import joint_transform
+from hdys.rbd.tree import _skew
 from conftest import make_pendulum, random_chain
 
 G = 9.81
@@ -88,7 +88,9 @@ def test_fk_orthonormal_and_matrix_chain_oracle():
         # independent oracle: homogeneous 4x4 chain over the internal bodies
         world = {}
         for bi, b in enumerate(tree._bodies):
-            assert np.array_equal(b.kk, b.k @ b.k)
+            if b.kind == "rev":  # the stacked Rodrigues operands: K of the axis and K @ K
+                k = tree._k[b.rot]
+                assert np.array_equal(k, _skew(b.axis)) and np.array_equal(tree._kk[b.rot], k @ k)
             t = np.eye(4)
             t[:3, 3] = b.p_fix
             j = np.eye(4)
@@ -289,6 +291,19 @@ def test_frame_batched_functions_reject_one_dimensional_input():
     assert solve_activations(ms, np.zeros((1, 1))).shape == (1, 2)
 
 
+def joint_transform(body, qi):
+    """Pose of `body` in its parent's frame at joint coordinates qi of shape (F,), one body
+    at a time: the child's orientation (F, 3, 3) and origin (F, 3) in the parent frame, the
+    one the joint leaves fixed with a leading axis of 1."""
+    if body.kind == "rev":
+        # Rodrigues: I + sin(q) K + (1 - cos(q)) K^2
+        c = np.cos(qi)[:, None, None]
+        s = np.sin(qi)[:, None, None]
+        k = _skew(body.axis)
+        return np.eye(3) + s * k + (1.0 - c) * (k @ k), body.p_fix[None]
+    return np.eye(3)[None], body.p_fix + body.axis * qi[:, None]
+
+
 def _ref_rnea(tree, q, qd, qdd, gravity=None):
     """RNEA as the plain recursion over (F, n) states: `np.cross`, every offset
     product, and every velocity and inertial term of every body, none skipped."""
@@ -343,15 +358,59 @@ def _with_signed_zeros(rng, a):
     return a
 
 
+def _bitwise_trees(rng):
+    """T1, T2, and a random chain as free-root, all-spherical and at-origin trees, with
+    a pendulum and another random chain: every body kind and offset rule."""
+    chain = random_chain(rng, 4)
+    sites = chain.marker_sites
+    spherical = KinematicTree([replace(l, joint="spherical", axis=None) for l in chain.links], marker_sites=sites)
+    free_root = KinematicTree([replace(chain.links[0], joint="free")] + chain.links[1:], marker_sites=sites)
+    at_origin = KinematicTree([replace(l, offset=(0.0, -0.0, 0.0)) for l in chain.links], marker_sites=sites)
+    return [build_t1(), build_t2(), free_root, spherical, at_origin, make_pendulum(), random_chain(rng, 5)]
+
+
+def _ref_body_poses(tree, q):
+    """World poses of every body composed one body at a time from its own Rodrigues transform."""
+    f, nb = q.shape[0], len(tree._bodies)
+    r, p = np.empty((f, nb, 3, 3)), np.empty((f, nb, 3))
+    for bi, b in enumerate(tree._bodies):
+        r_pc, p_pc = joint_transform(b, q[:, b.dof])
+        if b.parent == -1:
+            r[:, bi], p[:, bi] = r_pc, p_pc
+        else:
+            rp = r[:, b.parent]
+            r[:, bi] = rp @ r_pc
+            p[:, bi] = p[:, b.parent] + np.einsum("fij,fj->fi", rp, p_pc)
+    return r, p
+
+
+def test_body_poses_is_bitwise_the_per_body_composition():
+    """One Rodrigues pass over every revolute body and frame changes no byte of the
+    body poses, link transforms or markers."""
+    rng = np.random.default_rng(17)
+    trees = _bitwise_trees(rng)
+    assert all(t.n_markers for t in trees)
+    for tree in trees:
+        links = np.asarray(tree._link_body)
+        sites = np.asarray([tree._link_body[li] for li, _ in tree.marker_sites])
+        offs = np.stack([off for _, off in tree.marker_sites])
+        for f in (1, 5, 271):
+            q = _with_signed_zeros(rng, rng.uniform(-2, 2, (f, tree.n_dof)))
+            q[0] = 0.0
+            q[-1] = -0.0
+            r, p = _ref_body_poses(tree, q)
+            got_r, got_p = tree.body_poses(q)
+            assert got_r.tobytes() == r.tobytes() and got_p.tobytes() == p.tobytes(), (tree.name, f)
+            markers = p[:, sites] + np.einsum("fsij,sj->fsi", r[:, sites], offs)
+            for got, want in zip(tree.forward_kinematics(q), (r[:, links], p[:, links], markers)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (tree.name, f)
+
+
 def test_rnea_is_bitwise_the_plain_recursion():
     """Skipped products (velocity terms at rest, massless bodies' inertial terms,
     offset terms of a body at its parent's origin) and `_cross` change no byte."""
     rng = np.random.default_rng(16)
-    chain = random_chain(rng, 4)
-    spherical = KinematicTree([replace(l, joint="spherical", axis=None) for l in chain.links])
-    free_root = KinematicTree([replace(chain.links[0], joint="free")] + chain.links[1:])
-    at_origin = KinematicTree([replace(l, offset=(0.0, -0.0, 0.0)) for l in chain.links])
-    trees = [build_t1(), build_t2(), free_root, spherical, at_origin, make_pendulum(), random_chain(rng, 5)]
+    trees = _bitwise_trees(rng)
     assert sum(b.at_origin for b in trees[0]._bodies) == 14  # 14 of T1's 23 bodies sit at their parent's origin
     cases = 0
     for tree in trees:
@@ -378,7 +437,8 @@ def test_rnea_is_bitwise_the_plain_recursion():
 
 
 def test_cross_is_bitwise_numpy_cross():
-    from hdys.rbd.dynamics import _cross
+    from hdys.rbd.dynamics import _cross, _lcross, _rcross
+    from hdys.rbd.tree import _CROSS_A, _CROSS_B
 
     rng = np.random.default_rng(8)
     a, b, c = rng.normal(size=(5, 3)), rng.normal(size=(5, 3)), rng.normal(size=3)
@@ -391,6 +451,21 @@ def test_cross_is_bitwise_numpy_cross():
     for x, y in pairs:
         got, want = _cross(x, y), np.cross(x, y)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # a constant operand gathered once: the left one by _CROSS_A, the right one by _CROSS_B
+        if x.ndim == 1:
+            got = _lcross(x[_CROSS_A], y)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if y.ndim == 1:
+            got = _rcross(x, y[_CROSS_B])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the tree's own gathered operands: each body's COM and joint offset
+    for tree in (build_t1(), build_t2()):
+        for b in tree._bodies:
+            for x in (a, z, one):
+                assert _lcross(b.com_a, x).tobytes() == np.cross(b.com, x).tobytes()
+                assert _rcross(x, b.com_b).tobytes() == np.cross(x, b.com).tobytes()
+                assert _lcross(b.p_a, x).tobytes() == np.cross(b.p_fix, x).tobytes()
+                assert _rcross(x, b.p_b).tobytes() == np.cross(x, b.p_fix).tobytes()
 
 
 def test_free_root_free_fall_zero_residual():
