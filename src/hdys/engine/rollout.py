@@ -84,7 +84,7 @@ def rollout_eval(
     `check_grid` checks the narrowed grid."""
     rc = cfg.rollout
     rc = replace(rc, fps_list=rc.fps_list if fps_list is None else tuple(fps_list),
-                 max_sequences=max_sequences or rc.max_sequences)
+                 max_sequences=rc.max_sequences if max_sequences is None else max_sequences)
     check_grid(replace(cfg, rollout=rc), manifest)
     pid, representation = rc.profile, rc.representation
     profile = manifest.profile(pid)

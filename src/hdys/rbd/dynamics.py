@@ -12,22 +12,26 @@ modelled.
 
 Every entry point takes states with frames on axis 0, (F, n_dof), and
 rejects a bare (n_dof,) state. A one-row RNEA call (the bias term of a
-one-row `forward_dynamics`) is bound by the count of small numpy calls
-per body, not by arithmetic, so the recursion keeps that count low and every
-byte as it is. What does not depend on the body is set up once per call:
-`KinematicTree.joint_transforms` forms every revolute body's rotation in one
-Rodrigues pass over all frames, the joint velocities and accelerations are
-multiplied by the axes as (F, n_bodies, 3) arrays, and every joint torque is
-read in one einsum after the backward sweep. Each body's motion is a tuple
-of (F, 3) arrays; `_cross` forms numpy's six products with one gather per
-operand and one multiply, and a constant operand (a body's COM, a
-revolute's joint offset) comes gathered once per tree (`_lcross`,
-`_rcross`); the massless bodies that spherical and free joints decompose
-into add no inertial terms; and a revolute body with an exactly zero joint
-offset (`at_origin`, as the inner bodies of a spherical joint) skips the
-offset products, which would add only zeros.
-`test_rnea_is_bitwise_the_plain_recursion` checks these rules against the
-plain recursion (`np.cross`, every product) bit for bit.
+one-row `forward_dynamics`) is bound by the count of small numpy calls, not
+by arithmetic, so the recursion sweeps the tree one depth level at a time
+instead of one body at a time, with every byte as it is. `KinematicTree`
+keeps its bodies in level order (`_Level`): each level is a contiguous slice
+of every (n_bodies, F, ...) array, siblings in descending body index.
+`KinematicTree.joint_rotations` forms every body's rotation in one Rodrigues
+pass over all frames; the forward sweep forms each level's motion with one
+einsum per quantity from its parents' rows; the inertial terms of all
+massive bodies come in one batched pass after it (the massless bodies that
+spherical and free joints decompose into add none); the backward sweep adds
+each level into its parents, with `np.add.at` in the level's order where
+siblings share a parent, which is the serial order; and one einsum reads
+every joint torque. `_cross` forms numpy's six products with one gather per
+operand and one multiply, and a constant operand (a COM, a revolute's joint
+offset) comes gathered once per tree (`_lcross`, `_rcross`). A level whose
+revolute bodies all have an exactly zero joint offset (`at_origin`, as the
+inner bodies of a spherical joint) skips the offset products, which would
+add only zeros. `test_rnea_is_bitwise_the_plain_recursion` checks these
+rules against the plain per-body recursion (`np.cross`, every product) bit
+for bit.
 """
 
 from __future__ import annotations
@@ -100,80 +104,98 @@ def rnea(
     _require_frames(tree, q)
     f = q.shape[0]
     g = tree.gravity if gravity is None else np.asarray(gravity, dtype=np.float64)
-    bodies = tree._bodies
-    nb = len(bodies)
-    xs = tree.joint_transforms(q)  # child pose in the parent frame, reused by the backward pass
+    nb = tree.n_dof
+    rot = tree.joint_rotations(q)  # child orientation in the parent frame, reused by the backward sweep
+    rot_t = rot.transpose(0, 1, 3, 2)  # parent -> child
     # at rest every velocity and velocity product is zero; one moving frame
     # sends the whole batch through the full recursion
     moving = bool(qd.any())
-    # each body's joint motion, (F, n_bodies, 3): coordinate i moves body i along its axis
-    sd = qd[..., None] * tree._axes if moving else None
-    sdd = qdd[..., None] * tree._axes
+    # each body's joint motion, (n_bodies, F, 3) in level order: coordinate i moves body i along its axis
+    sd = qd.T[tree._order, :, None] * tree._level_axes if moving else None
+    sdd = qdd.T[tree._order, :, None] * tree._level_axes
 
-    # per body, (F, 3) each: angular velocity and linear velocity of the body
-    # origin (body coords), spatial angular and linear acceleration
-    motion = []
-    fn = np.zeros((nb, f, 3))  # net moment at body origin
-    ff = np.zeros((nb, f, 3))  # net force
-    offsets = []  # each body's p_pc[_CROSS_A] (None at its parent's origin), for the backward pass
-    a_base = np.broadcast_to(-g, (f, 3))
-    rest = np.zeros((f, 3))
+    # per body, (n_bodies, F, 3) each in level order: angular velocity and linear
+    # velocity of the body origin (body coords), spatial angular and linear acceleration
+    w = np.empty((nb, f, 3)) if moving else None
+    v = np.empty((nb, f, 3)) if moving else None
+    al = np.empty((nb, f, 3))
+    aa = np.empty((nb, f, 3))
+    offsets = []  # each level's p_pc[_CROSS_A], for the backward sweep
+    rest = np.zeros((1, f, 3))
+    a_base = np.broadcast_to(-g, (1, f, 3))
 
-    for bi, b in enumerate(bodies):
-        r_pc, p_pc = xs[bi]
-        e = r_pc.transpose(0, 2, 1)  # parent -> child
-        if b.parent == -1:
+    for lv in tree._levels:
+        s = lv.span
+        e = rot_t[s]
+        if lv.parents is None:
             wp = vp = alp = rest
             aap = a_base
         else:
-            wp, vp, alp, aap = motion[b.parent]
-        p_a = p_b = None  # the offset's gathered operands: a revolute's are constant, a prismatic's move with q
-        if not b.at_origin:
-            p_a, p_b = (b.p_a, b.p_b) if b.kind == "rev" else (p_pc[..., _CROSS_A], p_pc[..., _CROSS_B])
-        offsets.append(p_a)
-        wi = vi = rest
-        if moving:
-            wi = np.einsum("fij,fj->fi", e, wp)
-            vi = np.einsum("fij,fj->fi", e, vp if b.at_origin else vp + _rcross(wp, p_b))
-        ali = np.einsum("fij,fj->fi", e, alp)
-        aai = np.einsum("fij,fj->fi", e, aap if b.at_origin else aap + _rcross(alp, p_b))
-        if b.kind == "rev":
-            ali = ali + sdd[:, bi]
+            par = lv.parents
+            wp, vp = (w[par], v[par]) if moving else (None, None)
+            alp, aap = al[par], aa[par]
+        b = lv.prism
+        if b is None:  # a revolute's offset is constant, a prismatic's moves with q
+            p_a, p_b = lv.p_a, lv.p_b
         else:
-            aai = aai + sdd[:, bi]
+            p_pc = b.p_fix + b.axis * q[:, b.dof, None]
+            p_a, p_b = p_pc[None, :, _CROSS_A], p_pc[None, :, _CROSS_B]
+        offsets.append(p_a)
         if moving:
-            sj = sd[:, bi]
-            if b.kind == "rev":
-                wi = wi + sj
-                ali = ali + _cross(wi, sj)
-                aai = aai + _cross(vi, sj)
+            np.einsum("bfij,bfj->bfi", e, wp, out=w[s])
+            np.einsum("bfij,bfj->bfi", e, vp if lv.at_origin else vp + _rcross(wp, p_b), out=v[s])
+        np.einsum("bfij,bfj->bfi", e, alp, out=al[s])
+        np.einsum("bfij,bfj->bfi", e, aap if lv.at_origin else aap + _rcross(alp, p_b), out=aa[s])
+        ali, aai = al[s], aa[s]
+        if b is None:
+            ali += sdd[s]
+        else:
+            aai += sdd[s]
+        if moving:
+            wi, vi, sj = w[s], v[s], sd[s]
+            if b is None:
+                wi += sj
+                ali += _cross(wi, sj)
+                aai += _cross(vi, sj)
             else:
-                vi = vi + sj
-                aai = aai + _cross(wi, sj)
-        motion.append((wi, vi, ali, aai))
+                vi += sj
+                aai += _cross(wi, sj)
 
-        if b.mass != 0.0:  # a massless body's own force rows stay zero
-            m, ca, cb, ic = b.mass, b.com_a, b.com_b, b.inertia
-            i_al = np.einsum("ij,fj->fi", ic, ali) - m * _lcross(ca, _lcross(ca, ali)) + m * _lcross(ca, aai)
-            i_aa = m * (aai + _rcross(ali, cb))
-            if moving:
-                # spatial inertia applied to velocity: momentum (h_n, h_f)
-                h_n = np.einsum("ij,fj->fi", ic, wi) - m * _lcross(ca, _lcross(ca, wi)) + m * _lcross(ca, vi)
-                h_f = m * (vi + _rcross(wi, cb))
-                fn[bi] = i_al + _cross(wi, h_n) + _cross(vi, h_f)
-                ff[bi] = i_aa + _cross(wi, h_f)
-            else:
-                fn[bi], ff[bi] = i_al, i_aa
+    # the inertial terms of every massive body in one pass; a massless body's force rows stay zero
+    mb = tree._massive
+    m, ca, cb, ic = tree._mass, tree._com_a, tree._com_b, tree._inertia
+    ali, aai = al[mb], aa[mb]
+    fn = np.zeros((nb, f, 3))  # net moment at body origin
+    ff = np.zeros((nb, f, 3))  # net force
+    i_al = np.einsum("bij,bfj->bfi", ic, ali) - m * _lcross(ca, _lcross(ca, ali)) + m * _lcross(ca, aai)
+    i_aa = m * (aai + _rcross(ali, cb))
+    if moving:
+        # spatial inertia applied to velocity: momentum (h_n, h_f)
+        wi, vi = w[mb], v[mb]
+        h_n = np.einsum("bij,bfj->bfi", ic, wi) - m * _lcross(ca, _lcross(ca, wi)) + m * _lcross(ca, vi)
+        h_f = m * (vi + _rcross(wi, cb))
+        fn[mb] = i_al + _cross(wi, h_n) + _cross(vi, h_f)
+        ff[mb] = i_aa + _cross(wi, h_f)
+    else:
+        fn[mb], ff[mb] = i_al, i_aa
 
-    for bi in range(nb - 1, 0, -1):  # body 0 is the only one attached to the world
-        b = bodies[bi]
-        r_pc = xs[bi][0]
-        f_par = np.einsum("fij,fj->fi", r_pc, ff[bi])
-        n_par = np.einsum("fij,fj->fi", r_pc, fn[bi])
-        fn[b.parent] += n_par if b.at_origin else n_par + _lcross(offsets[bi], f_par)
-        ff[b.parent] += f_par
+    # the root level is the only one attached to the world
+    for lv, p_a in zip(tree._levels[:0:-1], offsets[:0:-1]):
+        s, par = lv.span, lv.parents
+        r_pc = rot[s]
+        f_par = np.einsum("bfij,bfj->bfi", r_pc, ff[s])
+        n_par = np.einsum("bfij,bfj->bfi", r_pc, fn[s])
+        if not lv.at_origin:
+            n_par += _lcross(p_a, f_par)
+        if lv.shared:  # siblings add into their parent one at a time, in descending body index
+            np.add.at(fn, par, n_par)
+            np.add.at(ff, par, f_par)
+        else:
+            fn[par] += n_par
+            ff[par] += f_par
     # a revolute's torque is its moment about the axis, a prismatic's its force along it
-    return np.einsum("bfi,bi->fb", np.where(tree._is_rev[:, None, None], fn, ff), tree._axes, order="C")
+    torque = np.where(tree._level_rev, fn, ff)[tree._pos]
+    return np.einsum("bfi,bi->fb", torque, tree._axes, order="C")
 
 
 def mass_matrix(tree: KinematicTree, q: np.ndarray) -> np.ndarray:

@@ -60,13 +60,25 @@ class _Body:
     com: np.ndarray
     inertia: np.ndarray  # 3x3 about COM
     dof: int  # the coordinate it moves, which is its own body index
-    rot: int  # a revolute's row of the tree's stacked Rodrigues operands, -1 for a prismatic
     at_origin: bool  # a revolute whose p_fix is exactly zero: its origin is its parent's
-    # p_fix and com gathered by _CROSS_A and _CROSS_B: their cross products' constant operands
-    p_a: np.ndarray
-    p_b: np.ndarray
-    com_a: np.ndarray
-    com_b: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The bodies at one depth of the tree: a contiguous slice of the level order."""
+
+    span: slice  # its rows of every (n_bodies, ...) level-ordered array
+    parents: Optional[np.ndarray]  # each body's parent's row, None at the root level
+    shared: bool  # some bodies share a parent
+    # every body sits at its parent's origin, so the level skips the offset products; in a
+    # level that mixes, an at-origin body's zero offset adds exact zeros, which change no bit
+    # of the einsum outputs they meet, as those are never -0
+    at_origin: bool
+    # a prismatic body sits alone in its level, whose offset moves with q; None in a level of revolutes
+    prism: Optional[_Body]
+    # a revolute level's joint offsets gathered by _CROSS_A and _CROSS_B, (n, 1, 6) each
+    p_a: Optional[np.ndarray]
+    p_b: Optional[np.ndarray]
 
 
 def _skew(axis: np.ndarray) -> np.ndarray:
@@ -129,7 +141,6 @@ class KinematicTree:
     def _build(self) -> None:
         bodies: list[_Body] = []
         link_body: list[int] = []
-        rev_k: list[np.ndarray] = []
         zero3 = np.zeros(3)
         zero33 = np.zeros((3, 3))
         for l in self.links:
@@ -139,41 +150,76 @@ class KinematicTree:
                 first, last = j == 0, j == len(chain) - 1
                 parent = (-1 if l.parent == -1 else link_body[l.parent]) if first else len(bodies) - 1
                 axis = np.asarray(l.axis, dtype=np.float64) if axis is None else axis
-                p_fix = np.asarray(l.offset, dtype=np.float64) if first else zero3
-                com = np.asarray(l.com, dtype=np.float64) if last else zero3
-                if kind == "rev":
-                    rev_k.append(_skew(axis))
                 bodies.append(
                     _Body(
                         parent,
                         kind,
                         axis,
-                        p_fix,
+                        np.asarray(l.offset, dtype=np.float64) if first else zero3,
                         float(l.mass) if last else 0.0,
-                        com,
+                        np.asarray(l.com, dtype=np.float64) if last else zero3,
                         np.asarray(l.inertia, dtype=np.float64) if last else zero33,
                         len(bodies),
-                        len(rev_k) - 1 if kind == "rev" else -1,
                         kind == "rev" and not (first and np.any(l.offset)),
-                        p_fix[_CROSS_A],
-                        p_fix[_CROSS_B],
-                        com[_CROSS_A],
-                        com[_CROSS_B],
                     )
                 )
             link_body.append(len(bodies) - 1)
         self._bodies = bodies
         self._link_body = link_body
-        # every joint type has a revolute body, so the Rodrigues stacks are never empty
-        self._rev_dof = np.array([b.dof for b in bodies if b.kind == "rev"])
-        self._k = np.stack(rev_k)  # (n_rev, 3, 3) skew matrices of the revolute axes
-        self._kk = np.stack([k @ k for k in rev_k])
-        self._axes = np.stack([b.axis for b in bodies])  # (n_bodies, 3), row i coordinate i's
-        self._is_rev = np.array([b.kind == "rev" for b in bodies])
         self.n_dof = len(bodies)
         self.root_dof = 6 if self.links[0].joint == "free" else 0
         self.n_actuated = self.n_dof - self.root_dof
         self.subject_mass = float(sum(l.mass for l in self.links))
+        self._build_levels()
+
+    def _build_levels(self) -> None:
+        """The level order and its tables: bodies by depth, each depth in descending
+        body index, which is the order the backward sweep adds siblings into a
+        shared parent. Every level-ordered array has one row per body in this order."""
+        bodies = self._bodies
+        depth: list[int] = []
+        for b in bodies:
+            depth.append(0 if b.parent == -1 else depth[b.parent] + 1)
+        by_depth = [sorted((bi for bi, d in enumerate(depth) if d == level), reverse=True) for level in range(max(depth) + 1)]
+        self._order = np.array([bi for level in by_depth for bi in level])
+        self._pos = np.argsort(self._order)  # each body's row
+        self._levels = []
+        start = 0
+        for level in by_depth:
+            members = [bodies[bi] for bi in level]
+            prism = [b for b in members if b.kind == "prism"]
+            # only a free root's chain has prismatic bodies, one per depth
+            assert not prism or len(members) == 1
+            parents = None if members[0].parent == -1 else self._pos[[b.parent for b in members]]
+            p_fix = np.stack([b.p_fix for b in members])[:, None]
+            self._levels.append(
+                _Level(
+                    slice(start, start + len(level)),
+                    parents,
+                    parents is not None and len(set(parents.tolist())) < len(parents),
+                    all(b.at_origin for b in members),
+                    prism[0] if prism else None,
+                    None if prism else p_fix[..., _CROSS_A],
+                    None if prism else p_fix[..., _CROSS_B],
+                )
+            )
+            start += len(level)
+        ordered = [bodies[bi] for bi in self._order]
+        # the Rodrigues operands K and K^2 of each revolute axis, zero for a prismatic body,
+        # whose rotation then comes out as the identity
+        k = np.stack([_skew(b.axis) if b.kind == "rev" else np.zeros((3, 3)) for b in ordered])
+        self._k = k[:, None]
+        self._kk = (k @ k)[:, None]
+        self._level_axes = np.stack([b.axis for b in ordered])[:, None]  # (n_bodies, 1, 3)
+        self._level_rev = np.array([b.kind == "rev" for b in ordered])[:, None, None]
+        self._axes = np.stack([b.axis for b in bodies])  # (n_bodies, 3) in body order, row i coordinate i's
+        # the massive bodies' rows and inertial operands; massless bodies add no inertial terms
+        massive = [b for b in ordered if b.mass != 0.0]
+        com = np.stack([b.com for b in massive])[:, None]
+        self._massive = self._pos[[b.dof for b in massive]]
+        self._mass = np.array([b.mass for b in massive])[:, None, None]
+        self._com_a, self._com_b = com[..., _CROSS_A], com[..., _CROSS_B]
+        self._inertia = np.stack([b.inertia for b in massive])
 
     @property
     def n_links(self) -> int:
@@ -185,23 +231,14 @@ class KinematicTree:
 
     # -- kinematics ---------------------------------------------------------
 
-    def joint_transforms(self, q: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each body's pose in its parent's frame at the (F, n_dof) coordinates q.
-
-        Returns one (R, p) per body: the child's orientation (F, 3, 3) and
-        origin (F, 3), expressed in the parent frame. The one the joint leaves
-        fixed (R of a prismatic joint, p of a revolute) has a leading axis of 1
-        instead of F. One Rodrigues pass, I + sin(q) K + (1 - cos(q)) K^2,
-        gives every revolute body's rotation in every frame.
-        """
-        qr = q[:, self._rev_dof]
-        c = np.cos(qr)[..., None, None]
-        s = np.sin(qr)[..., None, None]
-        rot = _EYE3 + s * self._k + (1.0 - c) * self._kk
-        return [
-            (rot[:, b.rot], b.p_fix[None]) if b.kind == "rev" else (_EYE3[None], b.p_fix + b.axis * q[:, b.dof, None])
-            for b in self._bodies
-        ]
+    def joint_rotations(self, q: np.ndarray) -> np.ndarray:
+        """Every body's orientation in its parent's frame at the (F, n_dof) coordinates q,
+        (n_bodies, F, 3, 3) in level order: one Rodrigues pass, I + sin(q) K + (1 - cos(q)) K^2,
+        which leaves a prismatic body's rotation the identity."""
+        qt = q.T[self._order]
+        c = np.cos(qt)[..., None, None]
+        s = np.sin(qt)[..., None, None]
+        return _EYE3 + s * self._k + (1.0 - c) * self._kk
 
     def body_poses(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """World poses of every internal body at the (F, n_dof) coordinates q.
@@ -215,7 +252,11 @@ class KinematicTree:
         nb = len(self._bodies)
         r = np.empty((f, nb, 3, 3))
         p = np.empty((f, nb, 3))
-        for bi, (b, (r_pc, p_pc)) in enumerate(zip(self._bodies, self.joint_transforms(q))):
+        rot = self.joint_rotations(q)
+        for bi, b in enumerate(self._bodies):
+            # the child's pose in its parent's frame; a revolute leaves the offset fixed
+            r_pc = rot[self._pos[bi]]
+            p_pc = b.p_fix[None] if b.kind == "rev" else b.p_fix + b.axis * q[:, bi, None]
             if b.parent == -1:
                 r[:, bi] = r_pc
                 p[:, bi] = p_pc

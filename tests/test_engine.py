@@ -478,6 +478,18 @@ def test_rollout_checks_the_grid_it_narrows_to(small_cache, tmp_path):
             rollout_eval(res.model, res.stdizer, cfg, cache.manifest, fps_list=(fps,), max_sequences=1)
 
 
+def test_rollout_rejects_zero_max_sequences(small_cache, tmp_path):
+    """A grid narrowed to no sequence is a ConfigError, as `--set rollout.max_sequences=0`
+    is, not a run over the config's own count."""
+    from hdys.model import ConfigError
+
+    _, cache = small_cache
+    cfg = tiny_cfg(epochs=0)
+    res = train(cfg, cache, str(tmp_path / "rz"), seed=0)
+    with pytest.raises(ConfigError, match="^max_sequences and start_stride must be >= 1$"):
+        rollout_eval(res.model, res.stdizer, cfg, cache.manifest, max_sequences=0)
+
+
 # -- ablation machinery ------------------------------------------------------------
 
 

@@ -88,9 +88,9 @@ def test_fk_orthonormal_and_matrix_chain_oracle():
         # independent oracle: homogeneous 4x4 chain over the internal bodies
         world = {}
         for bi, b in enumerate(tree._bodies):
-            if b.kind == "rev":  # the stacked Rodrigues operands: K of the axis and K @ K
-                k = tree._k[b.rot]
-                assert np.array_equal(k, _skew(b.axis)) and np.array_equal(tree._kk[b.rot], k @ k)
+            if b.kind == "rev":  # the stacked Rodrigues operands: K of the axis and K @ K, at the body's row
+                k = tree._k[tree._pos[bi], 0]
+                assert np.array_equal(k, _skew(b.axis)) and np.array_equal(tree._kk[tree._pos[bi], 0], k @ k)
             t = np.eye(4)
             t[:3, 3] = b.p_fix
             j = np.eye(4)
@@ -358,15 +358,70 @@ def _with_signed_zeros(rng, a):
     return a
 
 
+def _random_branched_tree(rng, n_links=9):
+    """A random fixed-base tree whose root has three children, the later links taking random
+    parents, with revolute and spherical joints and some exactly zero joint offsets."""
+    chain = random_chain(rng, n_links)
+    parents = [-1, 0, 0, 0] + [int(rng.integers(0, i)) for i in range(4, n_links)]
+    joints = ["spherical", "revolute", "spherical", "revolute"] + [str(j) for j in rng.choice(["revolute", "spherical"], n_links - 4)]
+    links = []
+    for i, (l, parent, joint) in enumerate(zip(chain.links, parents, joints)):
+        axis = l.axis if l.axis is not None else tuple(np.eye(3)[i % 3])
+        offset = (0.0, -0.0, 0.0) if i % 3 == 1 else l.offset  # a revolute or spherical joint at its parent's origin
+        links.append(replace(l, parent=parent, joint=joint, axis=axis if joint == "revolute" else None, offset=offset))
+    return KinematicTree(links, marker_sites=chain.marker_sites, name="branched")
+
+
 def _bitwise_trees(rng):
     """T1, T2, and a random chain as free-root, all-spherical and at-origin trees, with
-    a pendulum and another random chain: every body kind and offset rule."""
+    a pendulum, another random chain, and a random branched tree with its free-root
+    variant: every body kind and offset rule, and levels whose bodies share a parent,
+    have several parents, or mix at-origin and offset bodies."""
     chain = random_chain(rng, 4)
     sites = chain.marker_sites
     spherical = KinematicTree([replace(l, joint="spherical", axis=None) for l in chain.links], marker_sites=sites)
     free_root = KinematicTree([replace(chain.links[0], joint="free")] + chain.links[1:], marker_sites=sites)
     at_origin = KinematicTree([replace(l, offset=(0.0, -0.0, 0.0)) for l in chain.links], marker_sites=sites)
-    return [build_t1(), build_t2(), free_root, spherical, at_origin, make_pendulum(), random_chain(rng, 5)]
+    branched = _random_branched_tree(np.random.default_rng(2))
+    free_branched = KinematicTree(
+        [replace(branched.links[0], joint="free")] + branched.links[1:], marker_sites=branched.marker_sites, name="free-branched"
+    )
+    return [build_t1(), build_t2(), free_root, spherical, at_origin, make_pendulum(), random_chain(rng, 5), branched, free_branched]
+
+
+def test_level_tables_order_every_body_once_after_its_parent():
+    """Each tree's level order holds every body once, each level after its bodies'
+    parents' level, siblings in descending body index and each prismatic body alone."""
+    trees = _bitwise_trees(np.random.default_rng(16))
+    assert [len(t._levels) for t in trees[:2]] == [10, 12]  # T1, T2
+    branched = trees[-2]
+    assert max(len(lv.parents) - len(set(lv.parents.tolist())) for lv in branched._levels[1:]) >= 2  # three siblings
+    assert any(lv.shared and len(set(lv.parents.tolist())) > 1 for lv in branched._levels)
+    # a level that mixes at-origin and offset bodies
+    assert any(len({branched._bodies[bi].at_origin for bi in branched._order[lv.span]}) == 2 for lv in branched._levels)
+    for tree in trees:
+        nb = len(tree._bodies)
+        assert sorted(tree._order.tolist()) == list(range(nb))
+        assert np.array_equal(tree._order[tree._pos], np.arange(nb))
+        spans = [lv.span for lv in tree._levels]
+        assert spans[0].start == 0 and spans[-1].stop == nb
+        assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
+        level_of = np.empty(nb, dtype=int)
+        for k, lv in enumerate(tree._levels):
+            members = tree._order[lv.span]
+            level_of[members] = k
+            assert list(members) == sorted(members, reverse=True)
+            parents = [tree._bodies[bi].parent for bi in members]
+            assert lv.parents is None if k == 0 else np.array_equal(lv.parents, tree._pos[parents])
+            assert lv.shared == (len(set(parents)) < len(parents))
+            assert lv.at_origin == all(tree._bodies[bi].at_origin for bi in members)
+            kinds = [tree._bodies[bi].kind for bi in members]
+            assert (lv.prism is not None) == ("prism" in kinds)
+            assert "prism" not in kinds or len(kinds) == 1
+        assert tree._levels[0].parents is None and len(tree._order[spans[0]]) == 1
+        for bi, b in enumerate(tree._bodies):
+            assert b.parent == -1 or level_of[b.parent] == level_of[bi] - 1
+    assert sum(b.kind == "prism" for b in trees[-1]._bodies) == 3
 
 
 def _ref_body_poses(tree, q):
@@ -458,14 +513,18 @@ def test_cross_is_bitwise_numpy_cross():
         if y.ndim == 1:
             got = _rcross(x, y[_CROSS_B])
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    # the tree's own gathered operands: each body's COM and joint offset
+    # the tree's own gathered operands: each massive body's COM and each revolute's joint offset
     for tree in (build_t1(), build_t2()):
-        for b in tree._bodies:
+        rows = [tree._bodies[bi] for bi in tree._order]
+        operands = [(ca, cb, rows[i].com) for ca, cb, i in zip(tree._com_a, tree._com_b, tree._massive)]
+        for lv in tree._levels:
+            if lv.prism is None:
+                operands += [(pa, pb, b.p_fix) for pa, pb, b in zip(lv.p_a, lv.p_b, rows[lv.span])]
+        assert len(operands) == sum(b.mass != 0.0 for b in rows) + len(rows)
+        for ca, cb, c in operands:
             for x in (a, z, one):
-                assert _lcross(b.com_a, x).tobytes() == np.cross(b.com, x).tobytes()
-                assert _rcross(x, b.com_b).tobytes() == np.cross(x, b.com).tobytes()
-                assert _lcross(b.p_a, x).tobytes() == np.cross(b.p_fix, x).tobytes()
-                assert _rcross(x, b.p_b).tobytes() == np.cross(x, b.p_fix).tobytes()
+                assert _lcross(ca, x).tobytes() == np.cross(c, x).tobytes()
+                assert _rcross(x, cb).tobytes() == np.cross(x, c).tobytes()
 
 
 def test_free_root_free_fall_zero_residual():
