@@ -6,7 +6,8 @@ unreadable dataset, manifest, record or run; a `gen-data --data` that is
 neither missing nor empty; records that disagree with their manifest in
 id, profile or channels; a sequence too short to difference or to fill one
 window; a rollout grid that its profile cannot run, on sequences too short,
-without joint-torque labels or without the representation; an infeasible
+without joint-torque labels, without the representation or without a test
+sequence, refused by `reproduce` before `--out` is written; an infeasible
 solve; a dead config; a profile without the sequences or labels a command
 needs, such as a `reproduce --target` that is unknown or unlabelled, refused
 before `--out` is written; a run whose files do not parse or fit); 2 usage or
@@ -22,10 +23,12 @@ its effective `config.txt` (seed included), the manifest it trained on
 (`run_manifest.json`), `provenance.json`, `model.ckpt`, `loss_curve.csv` and
 `meta.json`. `eval --run` reads the model from it and scores the test records
 under `--data`; `rollout --run` needs nothing else, because it regenerates
-its sequences from the run's manifest. A study directory holds the same
-config, manifest and provenance files plus its CSV (the rollout table
-also its phase `timings.json`). `eval` and `rollout` write their wall times
-to a `timings.json` beside their outputs. Every artifact is written atomically.
+its sequences from the run's manifest. Every study trains and scores its runs
+through one loop into `<out>/<run>-s<seed>` (the rollout table's one run is
+`train-s<first seed>`) and writes its one CSV beside the study's config,
+manifest and provenance files. `eval`, `rollout` and the rollout table write
+their wall times to a `timings.json` beside their CSVs. Every artifact is
+written atomically.
 """
 
 from __future__ import annotations
@@ -45,16 +48,20 @@ from .datahub import (
     read_manifest,
 )
 from .engine import (
+    CSV_COLUMNS,
     EVAL_COLUMNS,
     ROLLOUT_COLUMNS,
     EvalError,
     RecordCache,
     check_grid,
+    eval_rows,
     evaluate,
     freeze_run,
     grid,
     load_run,
     rollout_eval,
+    rollout_rows,
+    rollout_study,
     run_study,
     scale_variants,
     train,
@@ -188,20 +195,16 @@ def cmd_reproduce(args) -> int:
     seeds = args.seeds[:1] if args.study == "rollout-table" else args.seeds  # rollout-table trains one model
     check_grid(cfg, manifest)  # as each run's `train` does, before the study writes anything
     # the run list too, so a target that cannot be scored leaves no --out behind
+    score, columns = eval_rows, CSV_COLUMNS
     if args.study == "table1-analogue":
         specs, csv_name = grid(cfg, manifest, args.target or "A"), "ablation.csv"
     elif args.study == "table2-analogue":
         specs, csv_name = scale_variants(cfg, manifest, "A") + scale_variants(cfg, manifest, "D"), "table2.csv"
-    freeze_run(out, cfg, manifest, seeds)
-    if args.study == "rollout-table":
-        cache = RecordCache.load(root, manifest)
-        result = train(cfg, cache, os.path.join(out, f"train-s{seeds[0]}"), seed=seeds[0])
-        report = rollout_eval(result.model, result.stdizer, cfg, manifest)
-        csv_path = os.path.join(out, "rollout_table.csv")
-        write_csv(csv_path, ROLLOUT_COLUMNS, [r.__dict__ for r in report.rows])
-        write_json(os.path.join(out, "timings.json"), report.timings)
     else:
-        csv_path = run_study(specs, root, out, seeds, csv_name, _log)
+        specs, score, columns, csv_name = rollout_study(cfg, manifest), rollout_rows, ROLLOUT_COLUMNS, "rollout_table.csv"
+    freeze_run(out, cfg, manifest, seeds)
+    csv_path = os.path.join(out, csv_name)
+    write_csv(csv_path, columns, run_study(specs, root, out, seeds, score, _log))
     print(f"study CSV: {csv_path}")
     return EXIT_OK
 

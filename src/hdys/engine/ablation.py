@@ -8,11 +8,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from .. import HdysError
 from ..datahub import DatasetManifest, fifty_fifty, restrict_profiles, subset_dataset
 from ..model import HDySConfig
 from .evaluate import EvalError, evaluate
-from .report import write_csv
-from .train import RecordCache, TrainError, train
+from .report import write_json
+from .rollout import rollout_eval, rollout_profile
+from .train import RecordCache, train
 
 CSV_COLUMNS = [
     "run", "seed", "profile", "dyn_channel", "representation",
@@ -72,26 +74,34 @@ def scale_variants(base_cfg: HDySConfig, manifest: DatasetManifest, target: str)
     ]
 
 
-def run_one(spec: RunSpec, root: str, out_dir: str, seed: int) -> list[dict]:
-    """Train `spec` at `seed` into the run directory `out_dir` and score it."""
-    cache = RecordCache.load(root, spec.manifest)
-    result = train(spec.cfg, cache, out_dir, seed=seed)
+def eval_rows(spec: RunSpec, seed: int, result, cache: RecordCache, out_dir: str) -> list[dict]:
     report = evaluate(result.model, result.stdizer, spec.cfg, cache, profiles=spec.eval_profiles)
     return [{"run": spec.name, "seed": seed, **r.__dict__, "param_count": result.model.param_count()} for r in report.rows]
 
 
-def run_study(specs: list[RunSpec], root: str, out_dir: str, seeds, csv_name: str, log=None) -> str:
-    """Train and score every spec at every seed, each in its own run directory
-    `<out_dir>/<name>-s<seed>`, and write the rows to `<out_dir>/<csv_name>`."""
+def rollout_study(cfg: HDySConfig, manifest: DatasetManifest) -> list[RunSpec]:
+    """The rollout table's one run, refused before it trains if it cannot roll out."""
+    rollout_profile(cfg, manifest)
+    return [RunSpec("train", manifest, cfg, [])]
+
+
+def rollout_rows(spec: RunSpec, seed: int, result, cache: RecordCache, out_dir: str) -> list[dict]:
+    report = rollout_eval(result.model, result.stdizer, spec.cfg, spec.manifest)
+    write_json(os.path.join(out_dir, "timings.json"), report.timings)  # wall time stays out of the CSV
+    return [r.__dict__ for r in report.rows]
+
+
+def run_study(specs: list[RunSpec], root: str, out_dir: str, seeds, score, log) -> list[dict]:
+    """Train every spec at every seed into `<out_dir>/<name>-s<seed>` and return,
+    in order, the rows that `score(spec, seed, result, cache, out_dir)` gives each."""
     rows = []
     for spec in specs:
         for seed in seeds:
-            if log:
-                log(f"[study] {spec.name} seed {seed}")
+            log(f"[study] {spec.name} seed {seed}")
             try:
-                rows.extend(run_one(spec, root, os.path.join(out_dir, f"{spec.name}-s{seed}"), seed))
-            except TrainError as exc:
-                raise TrainError(f"run {spec.name} seed {seed}: {exc}") from exc
-    csv_path = os.path.join(out_dir, csv_name)
-    write_csv(csv_path, CSV_COLUMNS, rows)
-    return csv_path
+                cache = RecordCache.load(root, spec.manifest)
+                result = train(spec.cfg, cache, os.path.join(out_dir, f"{spec.name}-s{seed}"), seed=seed)
+                rows.extend(score(spec, seed, result, cache, out_dir))
+            except HdysError as exc:  # its class sets the exit code
+                raise type(exc)(f"run {spec.name} seed {seed}: {exc}") from exc
+    return rows

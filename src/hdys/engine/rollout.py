@@ -15,7 +15,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ..datahub import DatasetManifest, generate_sequence, tree_bundle
+from ..datahub import DatasetManifest, DomainProfile, generate_sequence, tree_bundle
 from ..kinrep import TORQUE_CHANNELS
 from ..model import HDySConfig, HDySModel
 from ..rbd import DivergedRollout, GeneralizedState, rnea, step
@@ -63,6 +63,14 @@ def check_grid(cfg: HDySConfig, manifest: DatasetManifest) -> None:
         profile.require_frames(fps, max(window, k_max + 3), f" (a {window}-frame window and {k_max} rollout steps)")
 
 
+def rollout_profile(cfg: HDySConfig, manifest: DatasetManifest) -> DomainProfile:
+    """The profile that `cfg.rollout` names; EvalError unless the manifest lists a test sequence of it."""
+    pid = cfg.rollout.profile
+    if not manifest.test_ids.get(pid):
+        raise EvalError(f"the manifest lists no test sequence of profile {pid} to roll out (rollout.profile)")
+    return manifest.profile(pid)
+
+
 def _reference(traj_q: np.ndarray, fps: float):
     """Backward-difference states and the torque-consistent accelerations."""
     qd = np.zeros_like(traj_q)
@@ -87,7 +95,7 @@ def rollout_eval(
                  max_sequences=rc.max_sequences if max_sequences is None else max_sequences)
     check_grid(replace(cfg, rollout=rc), manifest)
     pid, representation = rc.profile, rc.representation
-    profile = manifest.profile(pid)
+    profile = rollout_profile(cfg, manifest)
     bundle = tree_bundle(profile.tree_key)
     if bundle.tree.root_dof != 0:
         raise EvalError("rollouts need a fixed-base tree")

@@ -310,6 +310,19 @@ def test_reproduce_table2_byte_identical(cli_dataset, tmp_path):
         assert main(["eval", "--data", cli_dataset, "--run", run_dir]) == 0, run
 
 
+@pytest.mark.slow
+def test_reproduce_table1_byte_identical(cli_dataset, tmp_path):
+    args = ["reproduce", "--study", "table1-analogue", "--data", cli_dataset, "--seeds", "0", "--set", "train.epochs=0"]
+    out1, out2 = str(tmp_path / "a1"), str(tmp_path / "a2")
+    assert main(args + ["--out", out1]) == 0
+    assert main(args + ["--out", out2]) == 0
+    b1 = open(os.path.join(out1, "ablation.csv"), "rb").read()
+    b2 = open(os.path.join(out2, "ablation.csv"), "rb").read()
+    assert b1 == b2
+    runs = {line.split(b",", 1)[0] for line in b1.splitlines()[1:]}
+    assert len(runs) == 19 and b"full" in runs and b"single-A" in runs
+
+
 def test_usage_error_on_bad_subcommand(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["ablate"]) == 2  # gone: `reproduce --study table1-analogue` runs the grid
@@ -630,6 +643,17 @@ def test_reproduce_refuses_an_unscorable_target_before_writing(cli_dataset, tmp_
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, err
         assert not out.exists(), argv
+    # a rollout table whose manifest lacks rollout.profile, or lists no test sequence of it
+    full = load_manifest(cli_dataset)
+    no_test = dataclasses.replace(full, test_ids={**full.test_ids, "A": []})
+    for name, manifest in (("BC", restrict_profiles(full, ["B", "C"])), ("no-test", no_test)):
+        path = str(tmp_path / f"{name}.json")
+        write_manifest(path, manifest)
+        argv = ["reproduce", "--study", "rollout-table", "--data", cli_dataset, "--manifest", path, "--out", str(out)]
+        assert main(argv) == 1, name
+        err = capsys.readouterr().err
+        assert err == "error: the manifest lists no test sequence of profile A to roll out (rollout.profile)\n", err
+        assert not out.exists(), name
 
 
 def test_reproduce_target_is_a_usage_error_for_studies_that_do_not_read_it(cli_dataset, tmp_path, capsys):
@@ -685,6 +709,43 @@ def test_rollout_on_sequences_shorter_than_one_window_is_domain_error(cli_datase
     argv = ["train", "--data", cli_dataset, "--manifest", sub, "--out", str(tmp_path / "b"),
             "--set", "train.epochs=0", "--set", "rollout.fps_list=4"]
     assert main(argv) == 0
+
+
+def test_rollout_without_test_sequences_is_domain_error(tmp_path, capsys):
+    data, run = str(tmp_path / "data"), tmp_path / "run"
+    assert main(["gen-data", "--data", data, "--train-seqs", "1", "--test-seqs", "0"]) == 0
+    assert main(["train", "--data", data, "--out", str(run), "--set", "train.epochs=0"]) == 0
+    capsys.readouterr()
+    for argv, message in (
+        (["eval", "--data", data, "--run", str(run)], "lists no labelled test sequence"),
+        (["rollout", "--run", str(run)], "lists no test sequence of profile A to roll out"),
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+    assert not (run / "rollout").exists()  # no rollout.csv of zero-start rows
+
+
+def test_a_study_failure_names_its_run_and_seed(cli_dataset, tmp_path, monkeypatch, capsys):
+    from hdys.engine import EvalError, RunSpec, run_study
+    from hdys.model import desk_config
+
+    cfg = dataclasses.replace(desk_config(), train=dataclasses.replace(desk_config().train, epochs=0))
+    spec = RunSpec("full", load_manifest(cli_dataset), cfg, ["A"])
+    ablation = importlib.import_module("hdys.engine.ablation")
+    for error in (EvalError, DatasetError):
+        def fail(*args, error=error, **kwargs):
+            raise error("non-finite prediction")
+
+        with pytest.raises(error) as info:  # the class is kept...
+            run_study([spec], cli_dataset, str(tmp_path / "direct"), [3], fail, lambda msg: None)
+        assert type(info.value) is error and str(info.value) == "run full seed 3: non-finite prediction"
+        # ...so a scoring failure inside a study still exits 1, naming its run
+        monkeypatch.setattr(ablation, "evaluate", fail)
+        argv = ["reproduce", "--study", "table2-analogue", "--data", cli_dataset, "--seeds", "4",
+                "--set", "train.epochs=0", "--out", str(tmp_path / error.__name__)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: run single50-A seed 4: non-finite prediction\n"
 
 
 def test_loss_curve_does_not_depend_on_the_blas_thread_count(cli_dataset, tmp_path):
