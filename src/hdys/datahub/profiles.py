@@ -213,8 +213,13 @@ class DatasetManifest:
     def from_dict(cls, doc: dict) -> "DatasetManifest":
         if doc.get("schema") != MANIFEST_SCHEMA:
             raise DatasetError(f"unsupported manifest schema {doc.get('schema')!r}")
+        if type(doc["seed"]) is not int:  # bool is an int subclass, so isinstance would pass True
+            raise DatasetError(f"manifest: seed must be an integer, got {doc['seed']!r}")
         if doc["seed"] < 0:
             raise DatasetError(f"manifest: seed must be >= 0, got {doc['seed']}")
+        gen_index = doc.get("gen_index", {})
+        if any(type(v) is not int for v in gen_index.values()):
+            raise DatasetError(f"manifest: gen_index values must be integers, got {gen_index!r}")
         names = {f.name for f in fields(DomainProfile)}
         profiles = []
         for p in doc["profiles"]:
@@ -231,7 +236,7 @@ class DatasetManifest:
         m = cls(seed=doc["seed"], profiles=profiles,
                 train_ids={k: list(v) for k, v in doc["train_ids"].items()},
                 test_ids={k: list(v) for k, v in doc["test_ids"].items()},
-                gen_index={k: int(v) for k, v in doc.get("gen_index", {}).items()})
+                gen_index=gen_index)
         m.validate_splits()
         return m
 

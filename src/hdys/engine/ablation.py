@@ -96,10 +96,11 @@ def run_study(specs: list[RunSpec], root: str, out_dir: str, seeds, score, log) 
     in order, the rows that `score(spec, seed, result, cache, out_dir)` gives each."""
     rows = []
     for spec in specs:
+        cache = None  # read at the spec's first seed: no run writes to it
         for seed in seeds:
             log(f"[study] {spec.name} seed {seed}")
             try:
-                cache = RecordCache.load(root, spec.manifest)
+                cache = cache or RecordCache.load(root, spec.manifest)
                 result = train(spec.cfg, cache, os.path.join(out_dir, f"{spec.name}-s{seed}"), seed=seed)
                 rows.extend(score(spec, seed, result, cache, out_dir))
             except HdysError as exc:  # its class sets the exit code

@@ -97,8 +97,6 @@ def rollout_eval(
     pid, representation = rc.profile, rc.representation
     profile = rollout_profile(cfg, manifest)
     bundle = tree_bundle(profile.tree_key)
-    if bundle.tree.root_dof != 0:
-        raise EvalError("rollouts need a fixed-base tree")
     dyn = profile.dyn_mask[0]
     p_idx = manifest.gen_index[pid]
     ids = manifest.test_ids[pid][: rc.max_sequences]

@@ -184,7 +184,7 @@ def build_representations(
         subject_mass=tree.subject_mass,
         channels=channels,
         marker_ids=marker_ids,
-        n_actuated=tree.n_actuated,
+        n_actuated=tree.n_dof,
     )
 
 
@@ -209,8 +209,7 @@ def attach_dynamics(
     unknown = kinds.difference(DYNAMIC_CHANNELS)
     if unknown:
         raise HdysError(f"unknown dynamics channels {sorted(unknown)}")
-    tau_full = rnea(tree, traj)
-    tau_act = tau_full[:, tree.root_dof :]
+    tau_act = rnea(tree, traj)
 
     for torque in TORQUE_CHANNELS:
         if torque in kinds:

@@ -116,7 +116,7 @@ class ChannelInventory:
                     coords[ch] = 3 * bundle.tree.n_dof
             for ch in p.dyn_mask:
                 if ch in TORQUE_CHANNELS:
-                    dyn[ch] = bundle.tree.n_actuated
+                    dyn[ch] = bundle.tree.n_dof
                 elif ch == "tau_m":
                     dyn[ch] = bundle.muscles.n_muscles
                 elif ch == "tau_e":

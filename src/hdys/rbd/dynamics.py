@@ -1,4 +1,6 @@
-"""Inverse and forward dynamics on kinematic trees.
+"""Inverse and forward dynamics on fixed-base kinematic trees with revolute
+and spherical joints only, so every internal body turns about one axis and
+each joint torque is its body's moment about that axis.
 
 Recursive Newton-Euler (RNEA) is the one dynamics recursion: it runs
 batched over frames, with spatial vectors kept as separate angular/linear
@@ -21,13 +23,13 @@ of every (n_bodies, F, ...) array, siblings in descending body index.
 pass over all frames; the forward sweep forms each level's motion with one
 einsum per quantity from its parents' rows; the inertial terms of all
 massive bodies come in one batched pass after it (the massless bodies that
-spherical and free joints decompose into add none); the backward sweep adds
+spherical joints decompose into add none); the backward sweep adds
 each level into its parents, with `np.add.at` in the level's order where
 siblings share a parent, which is the serial order; and one einsum reads
 every joint torque. `_cross` forms numpy's six products with one gather per
-operand and one multiply, and a constant operand (a COM, a revolute's joint
-offset) comes gathered once per tree (`_lcross`, `_rcross`). A level whose
-revolute bodies all have an exactly zero joint offset (`at_origin`, as the
+operand and one multiply, and a constant operand (a COM, a joint offset)
+comes gathered once per tree (`_lcross`, `_rcross`). A level whose bodies
+all have an exactly zero joint offset (`at_origin`, as the
 inner bodies of a spherical joint) skips the offset products, which would
 add only zeros. `test_rnea_is_bitwise_the_plain_recursion` checks these
 rules against the plain per-body recursion (`np.cross`, every product) bit
@@ -95,11 +97,7 @@ def rnea(
     state: GeneralizedState,
     gravity: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Generalized forces (F, n_dof) required to realize the (F, n_dof) states.
-
-    For a free-root tree the first six columns are the residual root wrench,
-    which is not an actuation label.
-    """
+    """Generalized forces (F, n_dof) required to realize the (F, n_dof) states."""
     q, qd, qdd = state.q, state.qd, state.qdd
     _require_frames(tree, q)
     f = q.shape[0]
@@ -120,7 +118,6 @@ def rnea(
     v = np.empty((nb, f, 3)) if moving else None
     al = np.empty((nb, f, 3))
     aa = np.empty((nb, f, 3))
-    offsets = []  # each level's p_pc[_CROSS_A], for the backward sweep
     rest = np.zeros((1, f, 3))
     a_base = np.broadcast_to(-g, (1, f, 3))
 
@@ -134,32 +131,18 @@ def rnea(
             par = lv.parents
             wp, vp = (w[par], v[par]) if moving else (None, None)
             alp, aap = al[par], aa[par]
-        b = lv.prism
-        if b is None:  # a revolute's offset is constant, a prismatic's moves with q
-            p_a, p_b = lv.p_a, lv.p_b
-        else:
-            p_pc = b.p_fix + b.axis * q[:, b.dof, None]
-            p_a, p_b = p_pc[None, :, _CROSS_A], p_pc[None, :, _CROSS_B]
-        offsets.append(p_a)
         if moving:
             np.einsum("bfij,bfj->bfi", e, wp, out=w[s])
-            np.einsum("bfij,bfj->bfi", e, vp if lv.at_origin else vp + _rcross(wp, p_b), out=v[s])
+            np.einsum("bfij,bfj->bfi", e, vp if lv.at_origin else vp + _rcross(wp, lv.p_b), out=v[s])
         np.einsum("bfij,bfj->bfi", e, alp, out=al[s])
-        np.einsum("bfij,bfj->bfi", e, aap if lv.at_origin else aap + _rcross(alp, p_b), out=aa[s])
+        np.einsum("bfij,bfj->bfi", e, aap if lv.at_origin else aap + _rcross(alp, lv.p_b), out=aa[s])
         ali, aai = al[s], aa[s]
-        if b is None:
-            ali += sdd[s]
-        else:
-            aai += sdd[s]
+        ali += sdd[s]
         if moving:
-            wi, vi, sj = w[s], v[s], sd[s]
-            if b is None:
-                wi += sj
-                ali += _cross(wi, sj)
-                aai += _cross(vi, sj)
-            else:
-                vi += sj
-                aai += _cross(wi, sj)
+            wi, sj = w[s], sd[s]
+            wi += sj
+            ali += _cross(wi, sj)
+            aai += _cross(v[s], sj)
 
     # the inertial terms of every massive body in one pass; a massless body's force rows stay zero
     mb = tree._massive
@@ -180,22 +163,21 @@ def rnea(
         fn[mb], ff[mb] = i_al, i_aa
 
     # the root level is the only one attached to the world
-    for lv, p_a in zip(tree._levels[:0:-1], offsets[:0:-1]):
+    for lv in tree._levels[:0:-1]:
         s, par = lv.span, lv.parents
         r_pc = rot[s]
         f_par = np.einsum("bfij,bfj->bfi", r_pc, ff[s])
         n_par = np.einsum("bfij,bfj->bfi", r_pc, fn[s])
         if not lv.at_origin:
-            n_par += _lcross(p_a, f_par)
+            n_par += _lcross(lv.p_a, f_par)
         if lv.shared:  # siblings add into their parent one at a time, in descending body index
             np.add.at(fn, par, n_par)
             np.add.at(ff, par, f_par)
         else:
             fn[par] += n_par
             ff[par] += f_par
-    # a revolute's torque is its moment about the axis, a prismatic's its force along it
-    torque = np.where(tree._level_rev, fn, ff)[tree._pos]
-    return np.einsum("bfi,bi->fb", torque, tree._axes, order="C")
+    # each joint's torque is its body's moment about the axis
+    return np.einsum("bfi,bi->fb", fn[tree._pos], tree._axes, order="C")
 
 
 def mass_matrix(tree: KinematicTree, q: np.ndarray) -> np.ndarray:

@@ -91,9 +91,9 @@ def t1_muscles() -> MuscleSet:
     caps = _t1_torque_caps()
     arm = 0.05
     names, rows, fmax = [], [], []
-    for j in range(tree.n_actuated):
+    for j in range(tree.n_dof):
         for sign, tag in ((1.0, "ag"), (-1.0, "an")):
-            row = np.zeros(tree.n_actuated)
+            row = np.zeros(tree.n_dof)
             row[j] = sign * arm
             names.append(f"d{j:02d}_{tag}")
             rows.append(row)
@@ -126,7 +126,7 @@ def t2_muscles(tree: KinematicTree | None = None) -> MuscleSet:
     rest = np.zeros((1, tree.n_dof))
     static = rnea(tree, GeneralizedState(T2_BIAS_POSTURE[None], rest, rest))[0]
     arm = 0.05
-    n = tree.n_actuated
+    n = tree.n_dof
     signs = np.where(static >= 0, 1.0, -1.0)
     arms = np.zeros((n, n))
     fmax = np.empty(n)

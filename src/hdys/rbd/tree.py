@@ -1,10 +1,11 @@
 """Articulated kinematic trees and batched forward kinematics.
 
-Joint types: `revolute` (1 DoF about a fixed axis), `spherical` (3 DoF,
-decomposed internally into three orthogonal revolutes with intrinsic x-y-z
-angles, so every coordinate stays a scalar angle), and `free` (6 DoF root:
-x/y/z translation then x/y/z rotation). Public links stay as declared; the
-decomposition only introduces massless internal bodies.
+Trees are fixed-base: the root link's joint sits at a fixed point of the
+world. Joint types: `revolute` (1 DoF about a fixed axis) and `spherical`
+(3 DoF, decomposed internally into three orthogonal revolutes with intrinsic
+x-y-z angles, so every coordinate stays a scalar angle). Every internal body
+is thus a revolute. Public links stay as declared; the decomposition only
+introduces massless internal bodies.
 """
 
 from __future__ import annotations
@@ -21,14 +22,9 @@ _AX = np.array([1.0, 0.0, 0.0])
 _AY = np.array([0.0, 1.0, 0.0])
 _AZ = np.array([0.0, 0.0, 1.0])
 
-# joint type -> its internal 1-DoF bodies (kind, axis), parent first; a
+# joint type -> the axes of its internal revolute bodies, parent first; a
 # revolute's axis (None here) is its link's own
-_CHAINS = {
-    "revolute": (("rev", None),),
-    "spherical": (("rev", _AX), ("rev", _AY), ("rev", _AZ)),
-    "free": (("prism", _AX), ("prism", _AY), ("prism", _AZ), ("rev", _AX), ("rev", _AY), ("rev", _AZ)),
-}
-JOINT_DOF = {joint: len(chain) for joint, chain in _CHAINS.items()}
+_CHAINS = {"revolute": (None,), "spherical": (_AX, _AY, _AZ)}
 
 
 @dataclass(frozen=True)
@@ -50,17 +46,15 @@ _CROSS_A, _CROSS_B = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
 
 @dataclass(frozen=True)
 class _Body:
-    """One internal 1-DoF body (revolute or prismatic)."""
+    """One internal revolute body; its coordinate is its own body index."""
 
     parent: int  # internal body index, -1 for world
-    kind: str  # "rev" | "prism"
     axis: np.ndarray
     p_fix: np.ndarray  # 3, joint origin in the parent body's frame
     mass: float
     com: np.ndarray
     inertia: np.ndarray  # 3x3 about COM
-    dof: int  # the coordinate it moves, which is its own body index
-    at_origin: bool  # a revolute whose p_fix is exactly zero: its origin is its parent's
+    at_origin: bool  # its p_fix is exactly zero: its origin is its parent's
 
 
 @dataclass(frozen=True)
@@ -74,11 +68,9 @@ class _Level:
     # level that mixes, an at-origin body's zero offset adds exact zeros, which change no bit
     # of the einsum outputs they meet, as those are never -0
     at_origin: bool
-    # a prismatic body sits alone in its level, whose offset moves with q; None in a level of revolutes
-    prism: Optional[_Body]
-    # a revolute level's joint offsets gathered by _CROSS_A and _CROSS_B, (n, 1, 6) each
-    p_a: Optional[np.ndarray]
-    p_b: Optional[np.ndarray]
+    # the level's joint offsets gathered by _CROSS_A and _CROSS_B, (n, 1, 6) each
+    p_a: np.ndarray
+    p_b: np.ndarray
 
 
 def _skew(axis: np.ndarray) -> np.ndarray:
@@ -91,6 +83,10 @@ def _skew(axis: np.ndarray) -> np.ndarray:
 
 class KinematicTree:
     """Immutable articulated chain with inertial data and marker sites."""
+
+    # a fixed base actuates every coordinate; no src/ code reads this, bench/workloads.py
+    # slices rnea's columns by it
+    root_dof = 0
 
     def __init__(
         self,
@@ -115,10 +111,8 @@ class KinematicTree:
         if len(roots) != 1 or roots[0] != 0:
             raise HdysError("tree must have exactly one root at index 0")
         for i, l in enumerate(self.links):
-            if l.joint not in JOINT_DOF:
+            if l.joint not in _CHAINS:
                 raise HdysError(f"link {i}: unknown joint type '{l.joint}'")
-            if l.joint == "free" and i != 0:
-                raise HdysError(f"link {i}: free joint only allowed at the root")
             if not (-1 <= l.parent < i):
                 raise HdysError(f"link {i}: parent {l.parent} is not topologically sorted")
             if l.mass <= 0:
@@ -146,29 +140,25 @@ class KinematicTree:
         for l in self.links:
             # the joint offset goes on the chain's first body, the link's inertia on its last
             chain = _CHAINS[l.joint]
-            for j, (kind, axis) in enumerate(chain):
+            for j, axis in enumerate(chain):
                 first, last = j == 0, j == len(chain) - 1
                 parent = (-1 if l.parent == -1 else link_body[l.parent]) if first else len(bodies) - 1
                 axis = np.asarray(l.axis, dtype=np.float64) if axis is None else axis
                 bodies.append(
                     _Body(
                         parent,
-                        kind,
                         axis,
                         np.asarray(l.offset, dtype=np.float64) if first else zero3,
                         float(l.mass) if last else 0.0,
                         np.asarray(l.com, dtype=np.float64) if last else zero3,
                         np.asarray(l.inertia, dtype=np.float64) if last else zero33,
-                        len(bodies),
-                        kind == "rev" and not (first and np.any(l.offset)),
+                        not (first and np.any(l.offset)),
                     )
                 )
             link_body.append(len(bodies) - 1)
         self._bodies = bodies
         self._link_body = link_body
         self.n_dof = len(bodies)
-        self.root_dof = 6 if self.links[0].joint == "free" else 0
-        self.n_actuated = self.n_dof - self.root_dof
         self.subject_mass = float(sum(l.mass for l in self.links))
         self._build_levels()
 
@@ -187,9 +177,6 @@ class KinematicTree:
         start = 0
         for level in by_depth:
             members = [bodies[bi] for bi in level]
-            prism = [b for b in members if b.kind == "prism"]
-            # only a free root's chain has prismatic bodies, one per depth
-            assert not prism or len(members) == 1
             parents = None if members[0].parent == -1 else self._pos[[b.parent for b in members]]
             p_fix = np.stack([b.p_fix for b in members])[:, None]
             self._levels.append(
@@ -198,28 +185,25 @@ class KinematicTree:
                     parents,
                     parents is not None and len(set(parents.tolist())) < len(parents),
                     all(b.at_origin for b in members),
-                    prism[0] if prism else None,
-                    None if prism else p_fix[..., _CROSS_A],
-                    None if prism else p_fix[..., _CROSS_B],
+                    p_fix[..., _CROSS_A],
+                    p_fix[..., _CROSS_B],
                 )
             )
             start += len(level)
         ordered = [bodies[bi] for bi in self._order]
-        # the Rodrigues operands K and K^2 of each revolute axis, zero for a prismatic body,
-        # whose rotation then comes out as the identity
-        k = np.stack([_skew(b.axis) if b.kind == "rev" else np.zeros((3, 3)) for b in ordered])
+        # the Rodrigues operands K and K^2 of each axis
+        k = np.stack([_skew(b.axis) for b in ordered])
         self._k = k[:, None]
         self._kk = (k @ k)[:, None]
         self._level_axes = np.stack([b.axis for b in ordered])[:, None]  # (n_bodies, 1, 3)
-        self._level_rev = np.array([b.kind == "rev" for b in ordered])[:, None, None]
         self._axes = np.stack([b.axis for b in bodies])  # (n_bodies, 3) in body order, row i coordinate i's
         # the massive bodies' rows and inertial operands; massless bodies add no inertial terms
-        massive = [b for b in ordered if b.mass != 0.0]
-        com = np.stack([b.com for b in massive])[:, None]
-        self._massive = self._pos[[b.dof for b in massive]]
-        self._mass = np.array([b.mass for b in massive])[:, None, None]
+        massive = [bi for bi in self._order if bodies[bi].mass != 0.0]
+        com = np.stack([bodies[bi].com for bi in massive])[:, None]
+        self._massive = self._pos[massive]
+        self._mass = np.array([bodies[bi].mass for bi in massive])[:, None, None]
         self._com_a, self._com_b = com[..., _CROSS_A], com[..., _CROSS_B]
-        self._inertia = np.stack([b.inertia for b in massive])
+        self._inertia = np.stack([bodies[bi].inertia for bi in massive])
 
     @property
     def n_links(self) -> int:
@@ -233,8 +217,7 @@ class KinematicTree:
 
     def joint_rotations(self, q: np.ndarray) -> np.ndarray:
         """Every body's orientation in its parent's frame at the (F, n_dof) coordinates q,
-        (n_bodies, F, 3, 3) in level order: one Rodrigues pass, I + sin(q) K + (1 - cos(q)) K^2,
-        which leaves a prismatic body's rotation the identity."""
+        (n_bodies, F, 3, 3) in level order: one Rodrigues pass, I + sin(q) K + (1 - cos(q)) K^2."""
         qt = q.T[self._order]
         c = np.cos(qt)[..., None, None]
         s = np.sin(qt)[..., None, None]
@@ -254,9 +237,9 @@ class KinematicTree:
         p = np.empty((f, nb, 3))
         rot = self.joint_rotations(q)
         for bi, b in enumerate(self._bodies):
-            # the child's pose in its parent's frame; a revolute leaves the offset fixed
+            # the child's pose in its parent's frame: its rotation and its fixed offset
             r_pc = rot[self._pos[bi]]
-            p_pc = b.p_fix[None] if b.kind == "rev" else b.p_fix + b.axis * q[:, bi, None]
+            p_pc = b.p_fix[None]
             if b.parent == -1:
                 r[:, bi] = r_pc
                 p[:, bi] = p_pc

@@ -142,6 +142,11 @@ def test_unreadable_manifest_is_domain_error(tmp_path, capsys):
         "not-object": "[1, 2]",
         "no-seed": json.dumps(no_seed),
         "negative-seed": json.dumps({**json.loads(good), "seed": -1}),
+        "float-seed": json.dumps({**json.loads(good), "seed": 1.5}),
+        "whole-float-seed": json.dumps({**json.loads(good), "seed": 1.0}),
+        "bool-seed": json.dumps({**json.loads(good), "seed": True}),
+        "float-gen-index": json.dumps({**json.loads(good), "gen_index": {**json.loads(good)["gen_index"], "A": 1.9}}),
+        "string-gen-index": json.dumps({**json.loads(good), "gen_index": {**json.loads(good)["gen_index"], "B": "1"}}),
         "not-utf8": b"\xff\xfe{}",
     }
     for name, text in docs.items():
@@ -153,6 +158,18 @@ def test_unreadable_manifest_is_domain_error(tmp_path, capsys):
         assert not (tmp_path / "run").exists(), name
     with pytest.raises(DatasetError, match="seed must be >= 0, got -1"):
         read_manifest(tmp_path / "negative-seed.json")
+    for name, got in (("float-seed", "1.5"), ("whole-float-seed", "1.0"), ("bool-seed", "True")):
+        with pytest.raises(DatasetError, match=f"seed must be an integer, got {got}$"):
+            read_manifest(tmp_path / f"{name}.json")
+    for name in ("float-gen-index", "string-gen-index"):
+        with pytest.raises(DatasetError, match="gen_index values must be integers"):
+            read_manifest(tmp_path / f"{name}.json")
+    # a study reads the manifest's seed too: refused before --out, not a TypeError mid-study
+    argv = ["reproduce", "--study", "table2-analogue", "--data", str(tmp_path), "--manifest",
+            str(tmp_path / "float-seed.json"), "--out", str(tmp_path / "study")]
+    assert main(argv) == 1
+    assert "seed must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "study").exists()
     root = tmp_path / "root"
     root.mkdir()
     (root / "manifest.json").write_text(docs["truncated"])

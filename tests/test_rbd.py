@@ -43,12 +43,36 @@ def total_energy(tree: KinematicTree, q: np.ndarray, qd: np.ndarray) -> float:
 
 
 def test_tree_invariants():
+    root = Link("a", -1, "revolute", (0, 0, 1), (0, 0, 0), 1.0, (0, 0, 0), np.eye(3))
+    with pytest.raises(HdysError, match="^tree has no links$"):
+        KinematicTree([])
     with pytest.raises(HdysError, match="^link 0: mass must be positive$"):
-        KinematicTree([Link("a", -1, "revolute", (0, 0, 1), (0, 0, 0), -1.0, (0, 0, 0), np.eye(3))])
+        KinematicTree([replace(root, mass=-1.0)])
     with pytest.raises(HdysError, match="^tree must have exactly one root at index 0$"):
-        KinematicTree([Link("a", 0, "revolute", (0, 0, 1), (0, 0, 0), 1.0, (0, 0, 0), np.eye(3))])
+        KinematicTree([replace(root, parent=0)])
+    for joint in ("free", "prismatic", "ball"):  # trees are fixed-base, with revolute and spherical joints only
+        with pytest.raises(HdysError, match=f"^link 0: unknown joint type '{joint}'$"):
+            KinematicTree([replace(root, joint=joint, axis=None)])
+    with pytest.raises(HdysError, match="^link 1: unknown joint type 'free'$"):
+        KinematicTree([root, replace(root, parent=0, joint="free", axis=None)])
+    for parent in (1, 2):
+        with pytest.raises(HdysError, match=f"^link 1: parent {parent} is not topologically sorted$"):
+            KinematicTree([root, replace(root, parent=parent), replace(root, parent=0)])
+    asymmetric = np.eye(3)
+    asymmetric[0, 1] = 0.01
+    with pytest.raises(HdysError, match="^link 0: inertia must be symmetric 3x3$"):
+        KinematicTree([replace(root, inertia=asymmetric)])
+    with pytest.raises(HdysError, match="^link 0: inertia must be symmetric 3x3$"):
+        KinematicTree([replace(root, inertia=np.eye(2))])
     with pytest.raises(HdysError, match="^link 0: inertia must be positive definite$"):
-        KinematicTree([Link("a", -1, "revolute", (0, 0, 1), (0, 0, 0), 1.0, (0, 0, 0), -np.eye(3))])
+        KinematicTree([replace(root, inertia=-np.eye(3))])
+    for axis in ((0, 0, 2), (0.6, 0.6, 0.6), (0, 0, 0)):
+        with pytest.raises(HdysError, match="^link 0: revolute axis must be a unit vector$"):
+            KinematicTree([replace(root, axis=axis)])
+    for site in (1, -1):
+        with pytest.raises(HdysError, match=f"^marker site on unknown link {site}$"):
+            KinematicTree([root], marker_sites=[(0, (0, 0, 0)), (site, (0, 0, 0))])
+    assert KinematicTree([root, replace(root, parent=0, joint="spherical", axis=None)]).n_dof == 4
     tree = make_pendulum()
     assert tree.subject_mass == 2.0
 
@@ -88,16 +112,13 @@ def test_fk_orthonormal_and_matrix_chain_oracle():
         # independent oracle: homogeneous 4x4 chain over the internal bodies
         world = {}
         for bi, b in enumerate(tree._bodies):
-            if b.kind == "rev":  # the stacked Rodrigues operands: K of the axis and K @ K, at the body's row
-                k = tree._k[tree._pos[bi], 0]
-                assert np.array_equal(k, _skew(b.axis)) and np.array_equal(tree._kk[tree._pos[bi], 0], k @ k)
+            # the stacked Rodrigues operands: K of the axis and K @ K, at the body's row
+            k = tree._k[tree._pos[bi], 0]
+            assert np.array_equal(k, _skew(b.axis)) and np.array_equal(tree._kk[tree._pos[bi], 0], k @ k)
             t = np.eye(4)
             t[:3, 3] = b.p_fix
             j = np.eye(4)
-            if b.kind == "rev":
-                j[:3, :3] = Rotation.from_rotvec(b.axis * q[b.dof]).as_matrix()
-            else:
-                j[:3, 3] = b.axis * q[b.dof]
+            j[:3, :3] = Rotation.from_rotvec(b.axis * q[bi]).as_matrix()
             parent = world[b.parent] if b.parent != -1 else np.eye(4)
             world[bi] = parent @ t @ j
         for (li, off), got in zip(tree.marker_sites, markers[0]):
@@ -181,8 +202,6 @@ def test_mass_matrix_matches_jacobian_inertia_oracle():
     rng = np.random.default_rng(5)
     trees = [random_chain(rng, int(rng.integers(2, 6))) for _ in range(12)]
     assert sum(l.joint == "spherical" for t in trees for l in t.links) >= 10
-    free = random_chain(rng, 4)
-    trees.append(KinematicTree([replace(free.links[0], joint="free")] + free.links[1:]))
     for tree in trees:
         q = rng.uniform(-1.5, 1.5, tree.n_dof)
         expect = _jacobian_inertia_oracle(tree, q)
@@ -293,15 +312,12 @@ def test_frame_batched_functions_reject_one_dimensional_input():
 
 def joint_transform(body, qi):
     """Pose of `body` in its parent's frame at joint coordinates qi of shape (F,), one body
-    at a time: the child's orientation (F, 3, 3) and origin (F, 3) in the parent frame, the
-    one the joint leaves fixed with a leading axis of 1."""
-    if body.kind == "rev":
-        # Rodrigues: I + sin(q) K + (1 - cos(q)) K^2
-        c = np.cos(qi)[:, None, None]
-        s = np.sin(qi)[:, None, None]
-        k = _skew(body.axis)
-        return np.eye(3) + s * k + (1.0 - c) * (k @ k), body.p_fix[None]
-    return np.eye(3)[None], body.p_fix + body.axis * qi[:, None]
+    at a time: the child's orientation (F, 3, 3) from Rodrigues, I + sin(q) K + (1 - cos(q)) K^2,
+    and its fixed origin in the parent frame with a leading axis of 1."""
+    c = np.cos(qi)[:, None, None]
+    s = np.sin(qi)[:, None, None]
+    k = _skew(body.axis)
+    return np.eye(3) + s * k + (1.0 - c) * (k @ k), body.p_fix[None]
 
 
 def _ref_rnea(tree, q, qd, qdd, gravity=None):
@@ -311,8 +327,8 @@ def _ref_rnea(tree, q, qd, qdd, gravity=None):
     g = tree.gravity if gravity is None else gravity
     zero = np.zeros((f, 3))
     motion, fn, ff, xs = [], [], [], []
-    for b in tree._bodies:
-        r_pc, p_pc = joint_transform(b, q[:, b.dof])
+    for bi, b in enumerate(tree._bodies):
+        r_pc, p_pc = joint_transform(b, q[:, bi])
         xs.append((r_pc, p_pc))
         e = r_pc.transpose(0, 2, 1)
         wp, vp, alp, aap = (zero, zero, zero, np.broadcast_to(-g, (f, 3))) if b.parent == -1 else motion[b.parent]
@@ -320,16 +336,11 @@ def _ref_rnea(tree, q, qd, qdd, gravity=None):
         vi = np.einsum("fij,fj->fi", e, vp + np.cross(wp, p_pc))
         ali = np.einsum("fij,fj->fi", e, alp)
         aai = np.einsum("fij,fj->fi", e, aap + np.cross(alp, p_pc))
-        sj, sdd = b.axis * qd[:, b.dof, None], b.axis * qdd[:, b.dof, None]
-        if b.kind == "rev":
-            ali = ali + sdd
-            wi = wi + sj
-            ali = ali + np.cross(wi, sj)
-            aai = aai + np.cross(vi, sj)
-        else:
-            aai = aai + sdd
-            vi = vi + sj
-            aai = aai + np.cross(wi, sj)
+        sj, sdd = b.axis * qd[:, bi, None], b.axis * qdd[:, bi, None]
+        ali = ali + sdd
+        wi = wi + sj
+        ali = ali + np.cross(wi, sj)
+        aai = aai + np.cross(vi, sj)
         motion.append((wi, vi, ali, aai))
         m, c, ic = b.mass, b.com, b.inertia
         i_al = np.einsum("ij,fj->fi", ic, ali) - m * np.cross(c, np.cross(c, ali)) + m * np.cross(c, aai)
@@ -341,7 +352,7 @@ def _ref_rnea(tree, q, qd, qdd, gravity=None):
     tau = np.zeros((f, tree.n_dof))
     for bi in range(len(tree._bodies) - 1, -1, -1):
         b = tree._bodies[bi]
-        tau[:, b.dof] = np.einsum("fi,i->f", fn[bi] if b.kind == "rev" else ff[bi], b.axis)
+        tau[:, bi] = np.einsum("fi,i->f", fn[bi], b.axis)
         if b.parent != -1:
             r_pc, p_pc = xs[bi]
             f_par = np.einsum("fij,fj->fi", r_pc, ff[bi])
@@ -373,28 +384,23 @@ def _random_branched_tree(rng, n_links=9):
 
 
 def _bitwise_trees(rng):
-    """T1, T2, and a random chain as free-root, all-spherical and at-origin trees, with
-    a pendulum, another random chain, and a random branched tree with its free-root
-    variant: every body kind and offset rule, and levels whose bodies share a parent,
-    have several parents, or mix at-origin and offset bodies."""
+    """T1, T2, and a random chain as all-spherical and at-origin trees, with a pendulum,
+    another random chain and a random branched tree: every offset rule, and levels whose
+    bodies share a parent, have several parents, or mix at-origin and offset bodies."""
     chain = random_chain(rng, 4)
     sites = chain.marker_sites
     spherical = KinematicTree([replace(l, joint="spherical", axis=None) for l in chain.links], marker_sites=sites)
-    free_root = KinematicTree([replace(chain.links[0], joint="free")] + chain.links[1:], marker_sites=sites)
     at_origin = KinematicTree([replace(l, offset=(0.0, -0.0, 0.0)) for l in chain.links], marker_sites=sites)
     branched = _random_branched_tree(np.random.default_rng(2))
-    free_branched = KinematicTree(
-        [replace(branched.links[0], joint="free")] + branched.links[1:], marker_sites=branched.marker_sites, name="free-branched"
-    )
-    return [build_t1(), build_t2(), free_root, spherical, at_origin, make_pendulum(), random_chain(rng, 5), branched, free_branched]
+    return [build_t1(), build_t2(), spherical, at_origin, make_pendulum(), random_chain(rng, 5), branched]
 
 
 def test_level_tables_order_every_body_once_after_its_parent():
     """Each tree's level order holds every body once, each level after its bodies'
-    parents' level, siblings in descending body index and each prismatic body alone."""
+    parents' level, siblings in descending body index."""
     trees = _bitwise_trees(np.random.default_rng(16))
     assert [len(t._levels) for t in trees[:2]] == [10, 12]  # T1, T2
-    branched = trees[-2]
+    branched = trees[-1]
     assert max(len(lv.parents) - len(set(lv.parents.tolist())) for lv in branched._levels[1:]) >= 2  # three siblings
     assert any(lv.shared and len(set(lv.parents.tolist())) > 1 for lv in branched._levels)
     # a level that mixes at-origin and offset bodies
@@ -415,13 +421,9 @@ def test_level_tables_order_every_body_once_after_its_parent():
             assert lv.parents is None if k == 0 else np.array_equal(lv.parents, tree._pos[parents])
             assert lv.shared == (len(set(parents)) < len(parents))
             assert lv.at_origin == all(tree._bodies[bi].at_origin for bi in members)
-            kinds = [tree._bodies[bi].kind for bi in members]
-            assert (lv.prism is not None) == ("prism" in kinds)
-            assert "prism" not in kinds or len(kinds) == 1
         assert tree._levels[0].parents is None and len(tree._order[spans[0]]) == 1
         for bi, b in enumerate(tree._bodies):
             assert b.parent == -1 or level_of[b.parent] == level_of[bi] - 1
-    assert sum(b.kind == "prism" for b in trees[-1]._bodies) == 3
 
 
 def _ref_body_poses(tree, q):
@@ -429,7 +431,7 @@ def _ref_body_poses(tree, q):
     f, nb = q.shape[0], len(tree._bodies)
     r, p = np.empty((f, nb, 3, 3)), np.empty((f, nb, 3))
     for bi, b in enumerate(tree._bodies):
-        r_pc, p_pc = joint_transform(b, q[:, b.dof])
+        r_pc, p_pc = joint_transform(b, q[:, bi])
         if b.parent == -1:
             r[:, bi], p[:, bi] = r_pc, p_pc
         else:
@@ -440,7 +442,7 @@ def _ref_body_poses(tree, q):
 
 
 def test_body_poses_is_bitwise_the_per_body_composition():
-    """One Rodrigues pass over every revolute body and frame changes no byte of the
+    """One Rodrigues pass over every body and frame changes no byte of the
     body poses, link transforms or markers."""
     rng = np.random.default_rng(17)
     trees = _bitwise_trees(rng)
@@ -469,7 +471,7 @@ def test_rnea_is_bitwise_the_plain_recursion():
     assert sum(b.at_origin for b in trees[0]._bodies) == 14  # 14 of T1's 23 bodies sit at their parent's origin
     cases = 0
     for tree in trees:
-        assert [b.at_origin for b in tree._bodies] == [b.kind == "rev" and not b.p_fix.any() for b in tree._bodies]
+        assert [b.at_origin for b in tree._bodies] == [not b.p_fix.any() for b in tree._bodies]
         n = tree.n_dof
         for f in (1, 5, 271):
             q = _with_signed_zeros(rng, rng.uniform(-1, 1, (f, n)))
@@ -498,7 +500,7 @@ def test_cross_is_bitwise_numpy_cross():
     rng = np.random.default_rng(8)
     a, b, c = rng.normal(size=(5, 3)), rng.normal(size=(5, 3)), rng.normal(size=3)
     one = rng.normal(size=(1, 3))  # a single frame
-    offset = np.broadcast_to(rng.normal(size=3), (5, 3))  # a revolute joint's fixed offset
+    offset = np.broadcast_to(rng.normal(size=3), (5, 3))  # a joint's fixed offset
     # signed and exact zeros, whose products and differences keep a sign np.cross keeps
     z = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -0.0], [2.0, -0.0, 0.0], [-1.0, 0.0, -0.0], [0.0, 0.0, 0.0]])
     pairs = [(a, b), (c, a), (a, c), (c, c), (one, one), (one, c), (c, one), (a, offset), (offset, a)]
@@ -513,28 +515,17 @@ def test_cross_is_bitwise_numpy_cross():
         if y.ndim == 1:
             got = _rcross(x, y[_CROSS_B])
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    # the tree's own gathered operands: each massive body's COM and each revolute's joint offset
+    # the tree's own gathered operands: each massive body's COM and each body's joint offset
     for tree in (build_t1(), build_t2()):
         rows = [tree._bodies[bi] for bi in tree._order]
         operands = [(ca, cb, rows[i].com) for ca, cb, i in zip(tree._com_a, tree._com_b, tree._massive)]
         for lv in tree._levels:
-            if lv.prism is None:
-                operands += [(pa, pb, b.p_fix) for pa, pb, b in zip(lv.p_a, lv.p_b, rows[lv.span])]
+            operands += [(pa, pb, b.p_fix) for pa, pb, b in zip(lv.p_a, lv.p_b, rows[lv.span])]
         assert len(operands) == sum(b.mass != 0.0 for b in rows) + len(rows)
         for ca, cb, c in operands:
             for x in (a, z, one):
                 assert _lcross(ca, x).tobytes() == np.cross(c, x).tobytes()
                 assert _rcross(x, cb).tobytes() == np.cross(x, c).tobytes()
-
-
-def test_free_root_free_fall_zero_residual():
-    tree = KinematicTree([Link("r", -1, "free", None, (0, 0, 0), 3.0, (0, 0, 0), np.eye(3) * 0.1)])
-    q = np.zeros((1, 6))
-    qd = np.array([[1.0, 0.5, 0.0, 0.0, 0.0, 0.0]])
-    qdd = np.array([[0.0, 0.0, -G, 0.0, 0.0, 0.0]])
-    tau = rnea(tree, GeneralizedState(q, qd, qdd))
-    assert np.abs(tau).max() < 1e-10
-    assert tree.root_dof == 6 and tree.n_actuated == 0
 
 
 # -- forward dynamics and stepping ------------------------------------------------
