@@ -1,28 +1,32 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the benchmark, with a summary.
 
-Exports the parent revision with `git archive` into a temporary directory
-(no worktree is registered in the repository), then runs
+Exports two fresh checkouts with `git archive` into a temporary directory
+(no worktree is registered in the repository): the parent revision
+("parent") and the working tree's tracked files, uncommitted edits included
+and untracked files left out ("change"; `git stash create`, or HEAD when
+the tree is clean). Both sides thus run from new directories of the same
+kind, so neither carries the state of a checkout that has run before. It
+then runs
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
-alternately in that checkout ("parent") and in this working tree ("change"),
-with T the `run_seconds` of BENCHMARK.json. Odd pairs run the parent first,
-even pairs the change first. Each run is
-appended to --out as one JSON line, tagged with side, pair, workload and
-seed, holding the run's `env` object (core count, BLAS threads, numpy and
-scipy versions, as bench/run.py prints it first), its `output` and `metric`
-lines and its result object. At the end it prints each distinct `env` line,
-then, for each end-to-end metric of BENCHMARK.json, the median [q1, q3] and
-the min-max range on each side and the number of pairs the change won (ties
-count for neither side). It does the same for every other `metric` line the
-runs print (the workload's named metrics, such as `rollout_steps_per_s`; a
-unit ending in `/s` is better higher, any other lower), leaving out
-`failed_share`, which the failed runs already show. Then it says whether
-every run printed the same outputs. If
-not, it says whether the runs within each side agree and prints each output
-line of the first parent run that differs from the first change run, the
-two lines one above the other.
+alternately in the two checkouts, with T the `run_seconds` of
+BENCHMARK.json. Odd pairs run the parent first, even pairs the change
+first. Each run is appended to --out as one JSON line, tagged with side,
+pair, workload and seed, holding the run's `env` object (core count, BLAS
+threads, numpy and scipy versions, as bench/run.py prints it first), its
+`output` and `metric` lines and its result object. At the end it prints each
+distinct `env` line, then, for each end-to-end metric of BENCHMARK.json, the
+median [q1, q3] and the min-max range on each side and the number of pairs
+the change won (ties count for neither side). It does the same for every
+other `metric` line the runs print (the workload's named metrics, such as
+`rollout_steps_per_s`; a unit ending in `/s` is better higher, any other
+lower), leaving out `failed_share`, which the failed runs already show. Then
+it says whether every run printed the same outputs. If not, it says whether
+the runs within each side agree and prints each output line of the first
+parent run that differs from the first change run, the two lines one above
+the other.
 
     python3 scripts/bench_pairs.py --parent HEAD --workload assess --seed 2 --pairs 10 --out pairs.jsonl
 
@@ -42,6 +46,22 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def working_tree_rev(root: Path) -> str:
+    """A commit of the working tree's tracked files, uncommitted edits
+    included, that no branch or stash entry records; HEAD when the tree is
+    clean."""
+    cmd = ["git", "-C", str(root), "-c", "user.name=bench_pairs", "-c", "user.email=bench_pairs@localhost",
+           "stash", "create"]
+    return subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True).stdout.strip() or "HEAD"
+
+
+def export(root: Path, rev: str, dest: Path) -> None:
+    """Extract the tracked files of `rev` into the new directory `dest`."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "-C", str(root), "archive", rev], stdout=subprocess.PIPE, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -143,14 +163,13 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    parent = tmp / "parent"
+    parent, change = tmp / "parent", tmp / "change"
     runs = []
     try:
-        parent.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent], stdout=subprocess.PIPE, check=True)
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+        export(ROOT, args.parent, parent)
+        export(ROOT, working_tree_rev(ROOT), change)
         for pair in range(1, args.pairs + 1):
-            order = [("parent", parent), ("change", ROOT)]
+            order = [("parent", parent), ("change", change)]
             for side, checkout in order if pair % 2 else order[::-1]:
                 print(f"pair {pair}/{args.pairs}: {side}", flush=True)
                 run = {"pair": pair, "workload": args.workload, "seed": args.seed, "side": side, "seconds": seconds}

@@ -145,7 +145,7 @@ def cmd_validate(args) -> int:
 def cmd_train(args) -> int:
     root = _data_dir(args)
     cfg = _load_cfg(args)
-    cache = RecordCache.load(root, _manifest_for(args, root))
+    cache = RecordCache.load(root, _manifest_for(args, root), splits=("train",))
     result = train(cfg, cache, args.out or "runs/train", seed=args.seed, log=_log)
     print(f"checkpoint: {result.checkpoint_path}")
     return EXIT_OK

@@ -377,10 +377,11 @@ def generate_dataset(root, manifest: DatasetManifest, verbose: bool = False) -> 
 
 
 def load_records(root, profile: DomainProfile, ids) -> list[SequenceRecord]:
-    """The records `ids` of `profile`; each must carry its manifest id and
-    exactly the profile's channels."""
+    """The records `ids` of `profile`; each must carry its manifest id,
+    exactly the profile's channels and one torque column per DoF of its tree."""
     pid = profile.profile_id
     channels = sorted(profile.kin_mask + profile.dyn_mask)
+    n_dof = tree_bundle(profile.tree_key).tree.n_dof
     out = []
     for sid in ids:
         path = record_path(root, pid, sid)
@@ -392,5 +393,9 @@ def load_records(root, profile: DomainProfile, ids) -> list[SequenceRecord]:
         if sorted(rec.mask) != channels:
             msg = f"record {pid}/{sid} has channels {sorted(rec.mask)}"
             raise DatasetError(f"{msg}, but profile {pid}'s kin_mask + dyn_mask is {channels}")
+        for name in TORQUE_CHANNELS:
+            if name in rec.channels and rec.channels[name].shape[1:] != (n_dof,):
+                raise DatasetError(f"record {pid}/{sid}: {name} has shape {rec.channels[name].shape}, "
+                                   f"but tree {profile.tree_key} has {n_dof} DoF")
         out.append(rec)
     return out

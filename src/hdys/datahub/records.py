@@ -2,14 +2,18 @@
 
 Record layout (strings, arrays and payloads as encoded by `hdys.codec`):
 
-    magic "HDYSREC1", u32 version,
+    magic "HDYSREC1", u32 version 2,
     seq_id / profile_id / tree_name strings,
-    f64 fps, f64 subject_mass, u32 n_frames, u32 n_actuated,
+    f64 fps, f64 subject_mass, u32 n_frames,
     u32 n_marker_ids, i64 marker id payload,
     u8 n_channels, per channel: name string, array (frames on axis 0)
 
-Round trips are lossless: payloads are raw float64 bytes. Files are
-replaced atomically.
+A kinematics channel stores its positions only ((F, N, 3) points for x_m
+and x_k, (F, n) coordinates for x_a and x_s); reading derives velocity and
+acceleration with `kinrep.triples` at the header's fps, as generation did,
+so every array keeps its bits. Version-1 records, which stored them too,
+must be regenerated. Payloads are raw float64 bytes, so round trips are
+lossless. Files are replaced atomically.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ import os
 
 from .. import HdysError
 from ..codec import Reader, Writer, atomic_write
-from ..kinrep import CHANNELS, SequenceRecord
+from ..kinrep import CHANNELS, KINEMATIC_CHANNELS, SequenceRecord, positions, triples
 
 MAGIC = b"HDYSREC1"
-VERSION = 1
+VERSION = 2
 
 
 class DatasetError(HdysError):
@@ -34,14 +38,15 @@ def record_to_bytes(rec: SequenceRecord) -> bytes:
     w.str(rec.seq_id)
     w.str(rec.profile_id)
     w.str(rec.tree_name)
-    w.pack("<ddII", rec.fps, rec.subject_mass, rec.n_frames, rec.n_actuated)
+    w.pack("<ddI", rec.fps, rec.subject_mass, rec.n_frames)
     w.pack("<I", rec.marker_ids.size)
     w.payload(rec.marker_ids, "<i8")
     names = [c for c in CHANNELS if c in rec.channels]
     w.pack("<B", len(names))
     for name in names:
         w.str(name)
-        w.array(rec.channels[name])
+        block = rec.channels[name]
+        w.array(positions(name, block) if name in KINEMATIC_CHANNELS else block)
     return w.bytes()
 
 
@@ -49,9 +54,10 @@ def record_from_bytes(data: bytes) -> SequenceRecord:
     r = Reader(data, MAGIC, "record", DatasetError)
     version = r.unpack("<I")
     if version != VERSION:
-        raise DatasetError(f"unsupported record version {version}")
+        raise DatasetError(f"unsupported record version {version} (this hdys reads version {VERSION}); "
+                           "regenerate the dataset with 'hdysctl gen-data'")
     seq_id, profile_id, tree_name = r.str(), r.str(), r.str()
-    fps, mass, n_frames, n_act = r.unpack("<ddII")
+    fps, mass, n_frames = r.unpack("<ddI")
     marker_ids = r.payload((r.unpack("<I"),), "<i8")
     channels = {}
     for _ in range(r.unpack("<B")):
@@ -63,6 +69,7 @@ def record_from_bytes(data: bytes) -> SequenceRecord:
             raise DatasetError(f"channel '{name}' frame count disagrees with header")
     r.done()
     try:
+        channels = {k: triples(k, v, fps) if k in KINEMATIC_CHANNELS else v for k, v in channels.items()}
         return SequenceRecord(
             seq_id=seq_id,
             profile_id=profile_id,
@@ -71,7 +78,6 @@ def record_from_bytes(data: bytes) -> SequenceRecord:
             subject_mass=mass,
             channels=channels,
             marker_ids=marker_ids,
-            n_actuated=n_act,
         )
     except Exception as exc:
         raise DatasetError(f"record fails validation: {exc}") from exc

@@ -5,13 +5,15 @@ Channel layouts (all float64):
   x_k   (F, n_links, 9)     joint-center position, velocity, acceleration
   x_a   (F, 3*n_dof)        angle-tree coordinates as (q, qd, qdd) per DoF
   x_s   (F, 3*n_dof)        pose-tree coordinates, same triple layout
-  tau_tr / tau_ts (F, n_actuated)  oracle joint torques per tree family
+  tau_tr / tau_ts (F, n_dof) oracle joint torques per tree family
   tau_m (F, n_muscles)      activations in [0, 1], one solve per sequence
   tau_e (F, n_channels)     synthetic surface EMG, >= 0
 
 Velocities and accelerations always come from finite differences of the
 sampled positions (never from the oracle), so a representation is exactly
-what a motion-capture consumer could compute.
+what a motion-capture consumer could compute. `triples` builds every block
+from its positions, at generation and when a record (which stores only the
+positions, `positions(channel, block)`) is read.
 """
 
 from __future__ import annotations
@@ -59,19 +61,23 @@ def finite_difference(x: np.ndarray, fps: float) -> tuple[np.ndarray, np.ndarray
     return v, a
 
 
-def _triple_rows(p: np.ndarray, v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(F, N, 3) position/velocity/acceleration -> (F, N, 9) rows."""
-    return np.concatenate([p, v, a], axis=-1)
+def triples(channel: str, pos: np.ndarray, fps: float) -> np.ndarray:
+    """A kinematics channel's block from its positions: (F, N, 3) -> (F, N, 9)
+    rows of (position, velocity, acceleration) for x_m and x_k, and
+    (F, n) -> (F, 3n) with (q, qd, qdd) per DoF for x_a and x_s."""
+    rows = channel in SET_CHANNELS
+    if pos.ndim != 2 + rows or (rows and pos.shape[-1] != 3):
+        raise HdysError(f"{channel} positions must be {'(F, N, 3)' if rows else '(F, n)'}, got {pos.shape}")
+    v, a = finite_difference(pos, fps)
+    if rows:
+        return np.concatenate([pos, v, a], axis=-1)
+    f, n = pos.shape
+    return np.stack([pos, v, a], axis=-1).reshape(f, 3 * n)
 
 
-def _triple_flat(q: np.ndarray, v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(F, n) coordinate arrays -> (F, 3n) with (q, qd, qdd) per entity."""
-    f, n = q.shape
-    out = np.empty((f, 3 * n))
-    out[:, 0::3] = q
-    out[:, 1::3] = v
-    out[:, 2::3] = a
-    return out
+def positions(channel: str, block: np.ndarray) -> np.ndarray:
+    """The positions that `triples` built `block` from (a view)."""
+    return block[..., :3] if channel in SET_CHANNELS else block[:, 0::3]
 
 
 @dataclass
@@ -85,7 +91,6 @@ class SequenceRecord:
     subject_mass: float
     channels: dict[str, np.ndarray]
     marker_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    n_actuated: int = 0
 
     def __post_init__(self):
         self.validate()
@@ -105,9 +110,6 @@ class SequenceRecord:
             raise HdysError("channel frame counts differ")
         if self.n_frames < 3:
             raise HdysError("sequences need at least 3 frames")
-        for name in TORQUE_CHANNELS:
-            if name in self.channels and self.n_actuated and self.channels[name].shape[1] != self.n_actuated:
-                raise HdysError(f"{name} must have one column per actuated DoF")
         for name in self.channels:
             if name not in CHANNELS:
                 raise HdysError(f"unknown channel '{name}'")
@@ -160,21 +162,12 @@ def build_representations(
             raise HdysError("marker channel requested with an empty subset")
         if marker_ids.min() < 0 or marker_ids.max() >= tree.n_markers:
             raise HdysError("marker subset index out of range")
-        pos = markers[:, marker_ids]
-        if jitter_sigma > 0.0:
-            pos = pos + jitter_rng.normal(0.0, jitter_sigma, size=pos.shape)
-        v, a = finite_difference(pos, fps)
-        channels["x_m"] = _triple_rows(pos, v, a)
-    if "x_k" in mask:
-        pos = joints
-        if jitter_sigma > 0.0:
-            pos = pos + jitter_rng.normal(0.0, jitter_sigma, size=pos.shape)
-        v, a = finite_difference(pos, fps)
-        channels["x_k"] = _triple_rows(pos, v, a)
-    for coord in COORD_CHANNELS:
-        if coord in mask:
-            v, a = finite_difference(q, fps)
-            channels[coord] = _triple_flat(q, v, a)
+    for ch in KINEMATIC_CHANNELS:
+        if ch in mask:
+            pos = q if ch in COORD_CHANNELS else joints if ch == "x_k" else markers[:, marker_ids]
+            if jitter_sigma > 0.0 and ch in SET_CHANNELS:
+                pos = pos + jitter_rng.normal(0.0, jitter_sigma, size=pos.shape)
+            channels[ch] = triples(ch, pos, fps)
 
     return SequenceRecord(
         seq_id=seq_id,
@@ -184,7 +177,6 @@ def build_representations(
         subject_mass=tree.subject_mass,
         channels=channels,
         marker_ids=marker_ids,
-        n_actuated=tree.n_dof,
     )
 
 

@@ -35,7 +35,7 @@ class InfeasibleActivation(HdysError):
 @dataclass(frozen=True)
 class MuscleSet:
     names: tuple[str, ...]
-    moment_arms: np.ndarray  # (n_muscles, n_actuated), meters
+    moment_arms: np.ndarray  # (n_muscles, n_dof), meters
     f_max: np.ndarray  # (n_muscles,), Newtons
 
     def __post_init__(self):
@@ -44,7 +44,7 @@ class MuscleSet:
         object.__setattr__(self, "moment_arms", arms)
         object.__setattr__(self, "f_max", fmax)
         if arms.ndim != 2 or arms.shape[0] != len(self.names):
-            raise HdysError("moment_arms must be (n_muscles, n_actuated)")
+            raise HdysError("moment_arms must be (n_muscles, n_dof)")
         if fmax.shape != (len(self.names),) or (fmax <= 0).any():
             raise HdysError("f_max must be positive per muscle")
 
@@ -53,12 +53,8 @@ class MuscleSet:
         return len(self.names)
 
     @property
-    def n_actuated(self) -> int:
-        return self.moment_arms.shape[1]
-
-    @property
     def torque_map(self) -> np.ndarray:
-        """B with tau = B a: (n_actuated, n_muscles)."""
+        """B with tau = B a: (n_dof, n_muscles)."""
         return self.moment_arms.T * self.f_max[None, :]
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,3 +104,30 @@ def test_summarize_prints_the_named_metric_lines(capsys):
         "change 0.81 [0.805, 1.105] min-max [0.8, 1.4]; change won 2 of 3 pairs",
         "outputs: identical in every run",
     ]
+
+
+def test_change_side_exports_the_tracked_working_tree(tmp_path):
+    # the change side runs from an export of the tracked files as they stand,
+    # uncommitted edits included and untracked files left out
+    bench_pairs = _bench_pairs()
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        cmd = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@localhost", *args]
+        return subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    (repo / "a.txt").write_text("committed")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "first")
+    assert bench_pairs.working_tree_rev(repo) == "HEAD"  # a clean tree exports HEAD
+    (repo / "a.txt").write_text("edited")
+    (repo / "untracked.txt").write_text("not exported")
+    rev = bench_pairs.working_tree_rev(repo)
+    assert rev != "HEAD"
+    bench_pairs.export(repo, rev, tmp_path / "change")
+    assert sorted(p.name for p in (tmp_path / "change").iterdir()) == ["a.txt"]
+    assert (tmp_path / "change" / "a.txt").read_text() == "edited"
+    assert git("status", "--porcelain") == "M a.txt\n?? untracked.txt"  # the working tree is untouched
+    assert git("stash", "list") == ""

@@ -55,6 +55,20 @@ def test_validate_ok(cli_dataset, capsys):
     assert "dataset valid" in out
 
 
+def test_validate_refuses_a_version_1_record(cli_dataset, tmp_path, capsys):
+    from hdys.datahub import record_path, records
+
+    root = str(tmp_path / "old")
+    shutil.copytree(cli_dataset, root)
+    path = record_path(root, "A", load_manifest(root).train_ids["A"][0])
+    with open(path, "r+b") as fh:  # the u32 version follows the 8-byte magic
+        fh.seek(len(records.MAGIC))
+        fh.write((1).to_bytes(4, "little"))
+    assert main(["validate", "--data", root]) == 1
+    err = capsys.readouterr().err
+    assert "unsupported record version 1" in err and "regenerate the dataset with 'hdysctl gen-data'" in err
+
+
 def test_validate_missing_dataset(tmp_path, capsys):
     code = main(["validate", "--data", str(tmp_path / "nope")])
     assert code == 1
@@ -286,6 +300,20 @@ def test_eval_reads_only_the_test_split(cli_dataset, tmp_path, monkeypatch):
     test_paths = [record_path(cli_dataset, pid, sid) for pid, ids in manifest.test_ids.items() for sid in ids]
     assert len(test_paths) == 10  # 2 test sequences per profile; 30 records with the train split
     assert sorted(read) == sorted(test_paths)
+
+
+def test_train_reads_only_the_train_split(cli_dataset, tmp_path, monkeypatch):
+    import hdys.datahub.profiles as profiles
+    from hdys.datahub import record_path
+
+    read = []
+    real = profiles.read_record
+    monkeypatch.setattr(profiles, "read_record", lambda path: read.append(path) or real(path))
+    assert main(["train", "--data", cli_dataset, "--out", str(tmp_path / "run"), "--set", "train.epochs=0"]) == 0
+    manifest = load_manifest(cli_dataset)
+    train_paths = [record_path(cli_dataset, pid, sid) for pid, ids in manifest.train_ids.items() for sid in ids]
+    assert len(train_paths) == 30  # 6 train sequences per profile; 40 records with the test split
+    assert sorted(read) == sorted(train_paths)
 
 
 def test_eval_writes_its_wall_time_beside_the_scores(cli_dataset, tmp_path):

@@ -25,6 +25,8 @@ from hdys.datahub import (
     tree_bundle,
     write_record,
 )
+from hdys.datahub import records
+from hdys.kinrep import KINEMATIC_CHANNELS, positions, triples
 from hdys.rbd import GeneralizedState, muscle_to_torque, rnea
 
 
@@ -59,6 +61,23 @@ def test_generation_deterministic(small_dataset):
     assert record_to_bytes(rec) == stored
 
 
+def test_kinematics_read_back_as_generated(small_dataset):
+    # a record stores positions only; every block read back equals the one
+    # generation built, bit for bit, and each was built by `triples`
+    root, manifest = small_dataset
+    for p_idx, profile in enumerate(manifest.profiles):
+        pid = profile.profile_id
+        for sid in manifest.train_ids[pid] + manifest.test_ids[pid]:
+            rec = read_record(record_path(root, pid, sid))
+            gen, _ = generate_sequence(manifest.seed, profile, p_idx, int(sid[1:]))
+            assert list(rec.channels) == list(gen.channels)
+            for ch in set(KINEMATIC_CHANNELS).intersection(gen.channels):
+                block = gen.channels[ch]
+                assert triples(ch, positions(ch, block), gen.fps).tobytes() == block.tobytes(), (sid, ch)
+                assert rec.channels[ch].shape == block.shape and rec.channels[ch].tobytes() == block.tobytes(), (sid, ch)
+            assert os.path.getsize(record_path(root, pid, sid)) < sum(a.nbytes for a in gen.channels.values())
+
+
 def test_corrupt_magic_rejected(tmp_path, small_dataset):
     root, manifest = small_dataset
     blob = bytearray(open(record_path(root, "A", "A0000"), "rb").read())
@@ -73,8 +92,8 @@ def test_corrupt_magic_rejected(tmp_path, small_dataset):
         return struct.pack("<H", len(text)) + text.encode()
 
     rank0 = (
-        b"HDYSREC1" + struct.pack("<I", 1) + pstr("A9999") + pstr("A") + pstr("t1")
-        + struct.pack("<ddIII", 90.0, 70.0, 5, 0, 0)
+        b"HDYSREC1" + struct.pack("<I", records.VERSION) + pstr("A9999") + pstr("A") + pstr("t1")
+        + struct.pack("<ddII", 90.0, 70.0, 5, 0)
         + struct.pack("<B", 1) + pstr("x_m") + struct.pack("<Bd", 0, 1.0)
     )
     with pytest.raises(DatasetError, match="frame count"):
@@ -239,12 +258,20 @@ def test_split_leakage_validation(small_dataset):
         bad.validate_splits()
 
 
-def test_loaded_records_validated(small_dataset):
+def test_loaded_records_validated(small_dataset, tmp_path):
     root, manifest = small_dataset
     recs = load_records(root, manifest.profile("D"), manifest.train_ids["D"][:2])
     for rec in recs:
         assert (rec.channels["tau_e"] >= 0).all()
-        assert rec.n_actuated == 23
+    # a torque label needs one column per DoF of the profile's tree (23 on t1)
+    sid = manifest.train_ids["A"][0]
+    rec = read_record(record_path(root, "A", sid))
+    assert rec.channels["tau_tr"].shape[1] == 23
+    rec.channels["tau_tr"] = rec.channels["tau_tr"][:, :22]
+    os.makedirs(tmp_path / "A")
+    write_record(record_path(tmp_path, "A", sid), rec)
+    with pytest.raises(DatasetError, match=rf"^record A/{sid}: tau_tr has shape \(\d+, 22\), but tree t1 has 23 DoF$"):
+        load_records(tmp_path, manifest.profile("A"), [sid])
 
 
 def test_profile_masks_follow_the_tree_family():

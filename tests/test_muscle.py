@@ -174,7 +174,7 @@ def test_mixed_batch_rows_equal_their_one_row_calls():
     # target leave the box and share one Newton run
     ms, _, hard = random_feasible(523)
     reachable = muscle_to_torque(ms, np.random.default_rng(0).uniform(0.0, 1.0, (3, ms.n_muscles)))
-    zero = np.zeros(ms.n_actuated)
+    zero = np.zeros(ms.moment_arms.shape[1])
     batch = np.stack([zero, hard, reachable[0], zero, reachable[1], hard, reachable[2]])
     acts = solve_activations(ms, batch)
     for row, a in zip(batch, acts):
