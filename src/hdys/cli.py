@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from operator import attrgetter
 from time import perf_counter
 
 from . import HdysError
@@ -45,6 +46,7 @@ from .datahub import (
     default_profiles,
     generate_dataset,
     load_manifest,
+    load_records,
     read_manifest,
 )
 from .engine import (
@@ -125,18 +127,19 @@ def cmd_gen_data(args) -> int:
 def cmd_validate(args) -> int:
     root = _data_dir(args)
     manifest = _require_dataset(root)
-    cache = RecordCache.load(root, manifest)
+    frames = {}  # `map` holds no record while `load_records` reads the next one
+    for split, ids in (("train", manifest.train_ids), ("test", manifest.test_ids)):
+        for p in manifest.profiles:
+            frames[split, p.profile_id] = sum(map(attrgetter("n_frames"), load_records(root, p, ids[p.profile_id])))
     for p in manifest.profiles:
         pid = p.profile_id
         train_ids = manifest.train_ids[pid]
         if not train_ids:
             raise DatasetError(f"profile {pid} has no training sequences")
-        n_train = sum(cache.train[(pid, sid)].n_frames for sid in train_ids)
-        n_test = sum(cache.test[(pid, sid)].n_frames for sid in manifest.test_ids[pid])
-        mask = sorted(cache.train[(pid, train_ids[0])].mask)
         print(
-            f"profile {pid}: {len(train_ids)} train seqs / {n_train} frames, "
-            f"{len(manifest.test_ids[pid])} test seqs / {n_test} frames, channels {mask}"
+            f"profile {pid}: {len(train_ids)} train seqs / {frames['train', pid]} frames, "
+            f"{len(manifest.test_ids[pid])} test seqs / {frames['test', pid]} frames, "
+            f"channels {sorted(p.kin_mask + p.dyn_mask)}"  # `load_records` checked each record's channels
         )
     print("dataset valid")
     return EXIT_OK

@@ -22,6 +22,7 @@ import math
 import os
 import shutil
 from dataclasses import asdict, dataclass, field, fields
+from typing import Iterator
 
 import numpy as np
 
@@ -376,13 +377,14 @@ def generate_dataset(root, manifest: DatasetManifest, verbose: bool = False) -> 
     return manifest
 
 
-def load_records(root, profile: DomainProfile, ids) -> list[SequenceRecord]:
-    """The records `ids` of `profile`; each must carry its manifest id,
-    exactly the profile's channels and one torque column per DoF of its tree."""
+def load_records(root, profile: DomainProfile, ids) -> Iterator[SequenceRecord]:
+    """The records `ids` of `profile`, read one at a time; each must carry its
+    manifest id, exactly the profile's channels, the profile's fps, tree name
+    and subject mass, and one torque column per DoF of its tree."""
     pid = profile.profile_id
     channels = sorted(profile.kin_mask + profile.dyn_mask)
-    n_dof = tree_bundle(profile.tree_key).tree.n_dof
-    out = []
+    tree = tree_bundle(profile.tree_key).tree
+    expected = {"fps": profile.fps, "tree_name": tree.name, "subject_mass": tree.subject_mass}
     for sid in ids:
         path = record_path(root, pid, sid)
         rec = read_record(path)
@@ -393,9 +395,12 @@ def load_records(root, profile: DomainProfile, ids) -> list[SequenceRecord]:
         if sorted(rec.mask) != channels:
             msg = f"record {pid}/{sid} has channels {sorted(rec.mask)}"
             raise DatasetError(f"{msg}, but profile {pid}'s kin_mask + dyn_mask is {channels}")
+        for name, want in expected.items():
+            if getattr(rec, name) != want:
+                raise DatasetError(f"record {pid}/{sid} has {name} {getattr(rec, name)!r}, but profile {pid} has {want!r}")
         for name in TORQUE_CHANNELS:
-            if name in rec.channels and rec.channels[name].shape[1:] != (n_dof,):
+            if name in rec.channels and rec.channels[name].shape[1:] != (tree.n_dof,):
                 raise DatasetError(f"record {pid}/{sid}: {name} has shape {rec.channels[name].shape}, "
-                                   f"but tree {profile.tree_key} has {n_dof} DoF")
-        out.append(rec)
-    return out
+                                   f"but tree {profile.tree_key} has {tree.n_dof} DoF")
+        yield rec
+        del rec  # so a caller that keeps no record holds one at a time

@@ -22,7 +22,7 @@ import os
 
 from .. import HdysError
 from ..codec import Reader, Writer, atomic_write
-from ..kinrep import CHANNELS, KINEMATIC_CHANNELS, SequenceRecord, positions, triples
+from ..kinrep import CHANNELS, KINEMATIC_CHANNELS, SequenceRecord, leading, triples
 
 MAGIC = b"HDYSREC1"
 VERSION = 2
@@ -46,7 +46,7 @@ def record_to_bytes(rec: SequenceRecord) -> bytes:
     for name in names:
         w.str(name)
         block = rec.channels[name]
-        w.array(positions(name, block) if name in KINEMATIC_CHANNELS else block)
+        w.array(leading(name, block, 1) if name in KINEMATIC_CHANNELS else block)
     return w.bytes()
 
 

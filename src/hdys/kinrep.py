@@ -13,7 +13,8 @@ Velocities and accelerations always come from finite differences of the
 sampled positions (never from the oracle), so a representation is exactly
 what a motion-capture consumer could compute. `triples` builds every block
 from its positions, at generation and when a record (which stores only the
-positions, `positions(channel, block)`) is read.
+positions) is read. This module alone knows that layout: `leading` and
+`acceleration` carve a block by derivative order for every other module.
 """
 
 from __future__ import annotations
@@ -75,9 +76,24 @@ def triples(channel: str, pos: np.ndarray, fps: float) -> np.ndarray:
     return np.stack([pos, v, a], axis=-1).reshape(f, 3 * n)
 
 
-def positions(channel: str, block: np.ndarray) -> np.ndarray:
-    """The positions that `triples` built `block` from (a view)."""
-    return block[..., :3] if channel in SET_CHANNELS else block[:, 0::3]
+def leading(channel: str, block: np.ndarray, k: int) -> np.ndarray:
+    """The first k of each entity's (position, velocity, acceleration) in a
+    block of `triples`' layout, any leading axes, in the block's own layout:
+    k=1 gives the positions it was built from (what a record stores), k=2 the
+    acceleration-free block that the forward-dynamics branch encodes."""
+    if channel in SET_CHANNELS:
+        return block[..., : 3 * k]
+    return block.reshape(block.shape[:-1] + (-1, 3))[..., :k].reshape(block.shape[:-1] + (-1,))
+
+
+def acceleration(channel: str, block: np.ndarray) -> np.ndarray:
+    """Each entity's acceleration in a block of `triples`' layout, flattened
+    per frame as the acceleration heads predict it: (.., 3N) entity-major
+    for x_m and x_k, (.., n) for x_a and x_s."""
+    if channel in SET_CHANNELS:
+        acc = block[..., 6:9]
+        return acc.reshape(acc.shape[:-2] + (-1,))
+    return block.reshape(block.shape[:-1] + (-1, 3))[..., 2]
 
 
 @dataclass

@@ -16,11 +16,4 @@ from .config import (
 )
 from .layers import MLP, LayerNorm, Linear, ParamSet, SetEncoder, TemporalTransformer, TransformerLayer
 from .losses import DeadConfigError, Normalisers, loss_align, loss_recon, total_loss
-from .network import (
-    ChannelInventory,
-    GroupOutput,
-    HDySModel,
-    WindowGroup,
-    accel_block,
-    strip_accel_block,
-)
+from .network import ChannelInventory, GroupOutput, HDySModel, WindowGroup

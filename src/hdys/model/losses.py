@@ -38,7 +38,7 @@ from ..numcore import (
     transpose,
 )
 from .config import ModelConfig
-from .network import GroupOutput, WindowGroup, accel_targets, fdae_order
+from .network import GroupOutput, WindowGroup, fdae_order
 
 ALPHA1, ALPHA2 = 0.01, 0.05  # weights of reconstruction and alignment
 TEMPERATURE = 0.1  # of the InfoNCE scores
@@ -57,7 +57,8 @@ class Normalisers:
     the frame count of the groups with at least two latent sources. Both
     follow from window weights, source counts and target widths alone, so
     `of_groups` knows them before any forward pass, and a batch's loss is
-    the sum of its groups' terms however the groups are passed in.
+    the sum of its groups' terms however the groups are passed in. The
+    acceleration widths are those of `WindowGroup.accel_targets`.
     """
 
     counts: dict[str, float] = field(default_factory=dict)
@@ -74,7 +75,7 @@ class Normalisers:
             # target -> (source copies, width)
             targets = {dyn: (n_kin, g.x[dyn].shape[-1]) for dyn in g.dyn_present}
             if pairs:
-                targets.update({name: (len(pairs), t.shape[-1]) for name, t in accel_targets(g).items()})
+                targets.update({name: (len(pairs), t.shape[-1]) for name, t in g.accel_targets.items()})
             for name, (copies, width) in targets.items():
                 norm.counts[name] = norm.counts.get(name, 0.0) + float(g.weight.sum()) * copies * width
             if n_kin + len(pairs) >= 2:
@@ -109,7 +110,7 @@ def loss_recon(out: GroupOutput, norm: Normalisers) -> tuple[Tensor | None, dict
     error, over the batch's `norm.counts`; None when it has no target."""
     g = out.group
     pairs = [(dyn, pred, g.x[dyn]) for dyn, pred in out.dyn_preds.items()]
-    pairs += [(name, pred, out.accel_targets[name]) for name, pred in out.accel_preds.items()]
+    pairs += [(name, pred, g.accel_targets[name]) for name, pred in out.accel_preds.items()]
     total = None
     per_target: dict[str, float] = {}
     for name, pred, target in sorted(pairs, key=lambda p: p[0]):

@@ -13,14 +13,16 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
 from .. import HdysError
 from ..datahub import DatasetManifest, tree_bundle
-from ..kinrep import COORD_CHANNELS, DYNAMIC_CHANNELS, KINEMATIC_CHANNELS, SET_CHANNELS, TORQUE_CHANNELS
+from ..kinrep import (
+    COORD_CHANNELS, DYNAMIC_CHANNELS, KINEMATIC_CHANNELS, SET_CHANNELS, TORQUE_CHANNELS, acceleration, leading,
+)
 from ..numcore import Tensor, concat
 from .layers import MLP, ParamSet, SetEncoder, TemporalTransformer
 
@@ -34,8 +36,9 @@ ID_LAYERS, ID_HEADS, ID_FFN_MULT = 4, 4, 2  # temporal transformer of the invers
 HEAD_HIDDEN_SMALL, HEAD_HIDDEN_BIG = 32, 64  # regression heads
 DYN_ENCODER_HIDDEN, COMPOSER_HIDDEN = 64, 128  # forward-dynamics branch
 
-# acceleration targets: (target key, source kinematics channel requirement)
-ACCEL_OF_COORD = {"x_a": "acc_a", "x_s": "acc_s"}
+# kinematics channel -> the acceleration target the forward branch predicts
+# from it; marker accelerations are never predicted
+ACCEL_TARGETS = {"x_k": "acc_k", "x_a": "acc_a", "x_s": "acc_s"}
 
 
 # The largest pool measured: each worker keeps its own glibc malloc arena, and
@@ -148,10 +151,18 @@ class WindowGroup:
     def dyn_present(self) -> list[str]:
         return [c for c in DYNAMIC_CHANNELS if c in self.x]
 
+    @cached_property
+    def accel_targets(self) -> dict[str, np.ndarray]:
+        """Target -> (n_win, W, width) standardized accelerations of each
+        channel in ACCEL_TARGETS that the group has, carved once and read by
+        `Normalisers.of_groups`, `HDySModel.forward_group` and `loss_recon`."""
+        return {name: acceleration(ch, self.x[ch]) for ch, name in ACCEL_TARGETS.items() if ch in self.x}
+
 
 @dataclass
 class GroupOutput:
-    """Source-stacked forward results for one window group.
+    """Source-stacked forward results for one window group: latents and
+    predictions only; the targets stay on the group.
 
     Latents and predictions carry all kinematics sources stacked along the
     leading window axis: block s of `kin_stack` (rows s*n_win..(s+1)*n_win)
@@ -166,7 +177,6 @@ class GroupOutput:
     fdae_order: list[tuple[str, str]] = field(default_factory=list)
     fdae_stack: Tensor | None = None  # (S'*n_win, W, d) composed latents
     accel_preds: dict[str, Tensor] = field(default_factory=dict)  # (S'*n_win, W, width)
-    accel_targets: dict[str, np.ndarray] = field(default_factory=dict)
     # (encoder output with its graph, the leaf the rest of the group reads in
     # its place): a recorded graph is cut at each encoder, so the encoders'
     # reverse passes run through `run_shared` too (`engine.group_backward`)
@@ -179,39 +189,12 @@ class GroupOutput:
         return self.dyn_preds[dyn].data[s * n : (s + 1) * n]
 
 
-def strip_accel_block(channel: str, block: np.ndarray) -> np.ndarray:
-    if channel in SET_CHANNELS:
-        return block[..., :6]
-    n = block.shape[-1] // 3
-    return block.reshape(block.shape[:-1] + (n, 3))[..., :2].reshape(block.shape[:-1] + (2 * n,))
-
-
-def accel_block(channel: str, block: np.ndarray) -> np.ndarray:
-    """The acceleration components, flattened per frame."""
-    if channel in SET_CHANNELS:
-        acc = block[..., 6:9]
-        return acc.reshape(acc.shape[:-2] + (-1,))
-    n = block.shape[-1] // 3
-    return block.reshape(block.shape[:-1] + (n, 3))[..., 2]
-
-
 def fdae_order(group: WindowGroup, use_fdae: bool) -> list[tuple[str, str]]:
     """(kinematics, dynamics) pairs the forward-dynamics branch composes for a
     group: every pair when the branch runs and the group has labels."""
     if not use_fdae:
         return []
     return [(kin, dyn) for kin in group.kin_present for dyn in group.dyn_present]
-
-
-def accel_targets(group: WindowGroup) -> dict[str, np.ndarray]:
-    """Marker accelerations are never predicted; everything else present is."""
-    targets: dict[str, np.ndarray] = {}
-    if "x_k" in group.x:
-        targets["acc_k"] = accel_block("x_k", group.x["x_k"])
-    for coord, name in ACCEL_OF_COORD.items():
-        if coord in group.x:
-            targets[name] = accel_block(coord, group.x[coord])
-    return targets
 
 
 class HDySModel:
@@ -255,7 +238,7 @@ class HDySModel:
                     ps, f"fdec.head.acc_k.{tree_key}", [d, small, 3 * n_kp]
                 )
             for ch, w in inventory.coord_widths.items():
-                name = ACCEL_OF_COORD[ch]
+                name = ACCEL_TARGETS[ch]
                 hidden = small if ch == "x_a" else big
                 self.acc_heads[name] = MLP(ps, f"fdec.head.{name}", [d, hidden, w // 3])
 
@@ -307,7 +290,7 @@ class HDySModel:
         calls = [partial(self.encode_kinematics, ch, group.x[ch]) for ch in out.kin_order]
         if out.fdae_order:
             calls += [
-                partial(self.encode_kinematics_stripped, ch, strip_accel_block(ch, group.x[ch]))
+                partial(self.encode_kinematics_stripped, ch, leading(ch, group.x[ch], 2))
                 for ch in out.kin_order
             ]
             calls += [partial(self.dyn_enc[dyn], Tensor(group.x[dyn])) for dyn in group.dyn_present]
@@ -323,7 +306,6 @@ class HDySModel:
             for dyn in group.dyn_present:
                 out.dyn_preds[dyn] = self.id_heads[dyn](refined)
         if out.fdae_order:
-            out.accel_targets = accel_targets(group)
             stripped = dict(zip(out.kin_order, latents[n_kin : 2 * n_kin]))
             dyn_latents = dict(zip(group.dyn_present, latents[2 * n_kin :]))
             kin_parts = [stripped[kin] for kin, _ in out.fdae_order]
@@ -331,7 +313,7 @@ class HDySModel:
             kin_cat = kin_parts[0] if len(kin_parts) == 1 else concat(kin_parts, axis=0)
             dyn_cat = dyn_parts[0] if len(dyn_parts) == 1 else concat(dyn_parts, axis=0)
             out.fdae_stack = self.composer(concat([kin_cat, dyn_cat], axis=-1))
-            for target in out.accel_targets:
+            for target in group.accel_targets:
                 head = self.acc_heads[self.accel_head_key(target, self.inv.profile_tree[group.profile_id])]
                 out.accel_preds[target] = head(out.fdae_stack)
         return out

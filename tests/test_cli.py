@@ -316,6 +316,45 @@ def test_train_reads_only_the_train_split(cli_dataset, tmp_path, monkeypatch):
     assert sorted(read) == sorted(train_paths)
 
 
+def test_validate_holds_one_record_at_a_time(cli_dataset, monkeypatch, capsys):
+    import weakref
+
+    import hdys.datahub.profiles as profiles
+
+    real, read, alive = profiles.read_record, [], []
+
+    def read_one(path):
+        alive.append(sum(ref() is not None for ref in read))  # earlier records still alive as this one is read
+        rec = real(path)
+        read.append(weakref.ref(rec))
+        return rec
+
+    monkeypatch.setattr(profiles, "read_record", read_one)
+    assert main(["validate", "--data", cli_dataset]) == 0
+    assert len(read) == 40 and alive == [0] * 40  # 6 train and 2 test sequences per profile
+    assert capsys.readouterr().out.endswith("dataset valid\n")
+
+
+def test_record_at_another_rate_or_from_another_tree_is_domain_error(cli_dataset, tmp_path, capsys):
+    from hdys.datahub import read_record, record_path, tree_bundle, write_record
+
+    sid = load_manifest(cli_dataset).train_ids["A"][0]
+    t1, t2 = tree_bundle("t1").tree, tree_bundle("t2").tree
+    for field, value, want in (("fps", 60.0, 90.0), ("tree_name", t2.name, t1.name),
+                               ("subject_mass", t2.subject_mass, t1.subject_mass)):
+        broken = str(tmp_path / field)
+        shutil.copytree(cli_dataset, broken)
+        path = record_path(broken, "A", sid)
+        write_record(path, dataclasses.replace(read_record(path), **{field: value}))
+        out = tmp_path / f"run-{field}"
+        for argv in (["validate", "--data", broken], ["train", "--data", broken, "--out", str(out)]):
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err == f"error: record A/{sid} has {field} {value!r}, but profile A has {want!r}\n", captured.err
+            assert captured.out == ""
+        assert not out.exists()
+
+
 def test_eval_writes_its_wall_time_beside_the_scores(cli_dataset, tmp_path):
     run = str(tmp_path / "run")
     assert main(["train", "--data", cli_dataset, "--out", run, "--set", "train.epochs=0"]) == 0

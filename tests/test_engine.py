@@ -278,6 +278,25 @@ def test_two_encoder_threads_give_the_single_pass_gradients_and_training_bytes(s
     assert files[1] == files[2]
 
 
+def test_a_training_step_carves_each_group_s_acceleration_targets_once(small_cache, tmp_path, monkeypatch):
+    # `Normalisers.of_groups`, `forward_group` and `loss_recon` all read one carve per target
+    from hdys.model import network
+
+    train_module = importlib.import_module("hdys.engine.train")
+
+    _, cache = small_cache
+    carve, build = network.acceleration, train_module.build_groups
+    carved, steps = [], []
+    monkeypatch.setattr(network, "acceleration", lambda ch, block: carved.append(id(block)) or carve(ch, block))
+    monkeypatch.setattr(train_module, "build_groups", lambda *a, **kw: steps.append(build(*a, **kw)) or steps[-1])
+    train(tiny_cfg(epochs=1, seed=2), cache, str(tmp_path / "run"))
+    assert len(steps) == 1 and len(steps[0]) == 5  # one desk step, one group per profile
+    groups = steps[0]
+    # the forward branch runs on the labelled groups: x_k on A to D, x_a on A, x_s on B and C
+    targets = [id(g.x[ch]) for g in groups if g.dyn_present for ch in network.ACCEL_TARGETS if ch in g.x]
+    assert len(targets) == 7 and sorted(carved) == sorted(targets)
+
+
 def test_two_encoder_threads_give_the_same_scores(small_cache, tmp_path, monkeypatch):
     """README: the scores are the same bytes at any thread count. `hdysctl eval` writes the
     same eval.csv and eval.json, and `rollout_eval` returns the same rows, at pool 1 and 2."""

@@ -6,10 +6,15 @@ import hypothesis.strategies as st
 from hdys import HdysError
 from hdys.datahub import DomainProfile, sample_trajectory
 from hdys.kinrep import (
+    KINEMATIC_CHANNELS,
+    SET_CHANNELS,
     SequenceRecord,
+    acceleration,
     attach_dynamics,
     build_representations,
     finite_difference,
+    leading,
+    triples,
 )
 from hdys.rbd import GeneralizedState, muscle_to_torque, rnea
 from conftest import make_pendulum, random_chain
@@ -55,6 +60,23 @@ def test_fd_linearity(seed):
     vy, ay = finite_difference(y, 50.0)
     assert np.allclose(v1, al * vx + be * vy, atol=1e-9, rtol=0)
     assert np.allclose(a1, al * ax + be * ay, atol=1e-6, rtol=0)
+
+
+@pytest.mark.parametrize("channel", KINEMATIC_CHANNELS)
+def test_carves_return_what_triples_built_the_block_from(channel):
+    rng = np.random.default_rng(10)
+    fps = 90.0
+    pos = rng.normal(size=(7, 5, 3) if channel in SET_CHANNELS else (7, 4))
+    block = triples(channel, pos, fps)
+    v, a = finite_difference(pos, fps)
+    assert leading(channel, block, 1).tobytes() == pos.tobytes()
+    pos_vel = np.concatenate([pos, v], axis=-1) if channel in SET_CHANNELS else np.stack([pos, v], axis=-1).reshape(7, 8)
+    assert leading(channel, block, 2).tobytes() == np.ascontiguousarray(pos_vel).tobytes()
+    assert acceleration(channel, block).tobytes() == a.reshape(7, -1).tobytes()  # 15 per frame for sets, 4 for coords
+    # a stack of windows, as a window group holds, is carved window by window
+    windows = np.stack([block[:4], block[3:]])
+    assert np.array_equal(leading(channel, windows, 2), np.stack([leading(channel, w, 2) for w in windows]))
+    assert np.array_equal(acceleration(channel, windows), np.stack([acceleration(channel, w) for w in windows]))
 
 
 def _static_traj(tree, frames=10):

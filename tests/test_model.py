@@ -28,7 +28,7 @@ from hdys.model import (
 from hdys.model.config import ModelConfig
 from hdys.model.layers import ParamSet, TransformerLayer
 from hdys.model.losses import ALPHA1, ALPHA2, TEMPERATURE
-from hdys.model.network import GroupOutput, accel_block, encoder_threads, strip_accel_block
+from hdys.model.network import GroupOutput, encoder_threads
 from hdys.numcore import Tensor, backward, no_grad, sum_
 
 INV = ChannelInventory(
@@ -299,17 +299,6 @@ def test_pooled_encoders_record_no_graph_under_no_grad(monkeypatch):
     out = model.forward_group(g)
     assert len(set(names[:2])) == 2
     assert len(out.cuts) == 7 and all(z._node is not None and leaf._node is None for z, leaf in out.cuts)
-
-
-def test_accel_block_helpers():
-    rng = np.random.default_rng(10)
-    rows = rng.normal(size=(2, 3, 5, 9))
-    assert np.array_equal(strip_accel_block("x_m", rows), rows[..., :6])
-    assert accel_block("x_k", rows).shape == (2, 3, 15)
-    flat = rng.normal(size=(2, 3, 12))
-    assert np.array_equal(strip_accel_block("x_a", flat), flat.reshape(2, 3, 4, 3)[..., :2].reshape(2, 3, 8))
-    assert accel_block("x_a", flat).shape == (2, 3, 4)
-    assert np.array_equal(accel_block("x_a", flat), flat.reshape(2, 3, 4, 3)[..., 2])
 
 
 # -- losses -------------------------------------------------------------------------
