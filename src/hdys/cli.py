@@ -1,22 +1,24 @@
 """hdysctl: generation, training, evaluation, rollouts and study reproduction.
 
-Exit codes: 0 success; 1 any `hdys.HdysError`, a failure that the inputs
-cause once the command runs, printed as `error: <message>` (a missing or
-unreadable dataset, manifest, record or run; a `gen-data --data` that is
-neither missing nor empty; records that disagree with their manifest in
-id, profile or channels; a sequence too short to difference or to fill one
-window; a rollout grid that its profile cannot run, on sequences too short,
-without joint-torque labels, without the representation or without a test
-sequence, refused by `reproduce` before `--out` is written; an infeasible
-solve; a dead config; a profile without the sequences or labels a command
-needs, such as a `reproduce --target` that is unknown or unlabelled, refused
-before `--out` is written; a run whose files do not parse or fit); 2 usage or
-configuration errors, before anything is written: unknown flags (each
-subcommand takes only the flags it reads), a `--set` without `=`, config
-values the program cannot run, a `--seeds` list that is empty, not integers
-or holds a negative seed, a negative `--seed`, a `reproduce --target` for a
-study other than table1-analogue, and a `gen-data` `--fps` that is not
-positive or a sequence count below zero.
+Exit codes: 0 success; 1 any `hdys.HdysError` or `OSError`, a failure that
+the inputs cause once the command runs, printed as `error: <message>` (a
+missing or unreadable dataset, manifest, record, run or `--config` file; an
+`--out` that is an existing file; a `gen-data --data` that is neither
+missing nor empty; records that disagree with their manifest in id, profile
+or channels, or with their tree in a channel's shape or a marker id; a
+sequence too short to difference or to fill one window; a rollout grid that
+its profile cannot run, on sequences too short, without joint-torque labels,
+without the representation or without a test sequence, refused by
+`reproduce` before `--out` is written; an infeasible solve; a dead config; a
+profile without the sequences or labels a command needs, such as a
+`reproduce --target` that is unknown or unlabelled, refused before `--out`
+is written; a run whose files do not parse or fit); 2 usage or configuration
+errors, before anything is written: unknown flags (each subcommand takes
+only the flags it reads), a `--set` without `=`, a config file that is not
+utf-8 text, config values the program cannot run, a `--seeds` list that is
+empty, not integers or holds a negative seed, a negative `--seed`, a
+`reproduce --target` for a study other than table1-analogue, and a
+`gen-data` `--fps` that is not positive or a sequence count below zero.
 
 Every run directory, whether `train` or a `reproduce` study wrote it, holds
 its effective `config.txt` (seed included), the manifest it trained on
@@ -299,7 +301,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except HdysError as exc:
+    except (HdysError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from ..codec import atomic_write
-from ..kinrep import COORD_CHANNELS, TORQUE_CHANNELS, SequenceRecord, attach_dynamics, build_representations
+from ..kinrep import SequenceRecord, attach_dynamics, build_representations, frame_shape
 from ..rbd import (
     T1_EMG_MUSCLES,
     T2_BIAS_POSTURE,
@@ -46,7 +46,6 @@ from .records import DatasetError, read_record, record_path, write_record
 MANIFEST_SCHEMA = "hdys-dataset/1"
 MANIFEST_NAME = "manifest.json"
 MAX_ATTEMPTS = 20  # motion draws per sequence before its generation fails
-TREE_CHANNELS = {"t1": ("x_a", "tau_tr", "tau_e"), "t2": ("x_s", "tau_ts")}  # the channels only that tree carries
 
 
 @dataclass(frozen=True)
@@ -68,11 +67,11 @@ class DomainProfile:
     def __post_init__(self):
         if not self.kin_mask:
             raise DatasetError(f"profile {self.profile_id}: needs at least one kinematics channel")
-        own = TREE_CHANNELS.get(self.tree_key)
-        if own is None:
-            raise DatasetError(f"profile {self.profile_id}: unknown tree key '{self.tree_key}'")
-        channels = self.kin_mask + self.dyn_mask
-        foreign = [c for c in COORD_CHANNELS + TORQUE_CHANNELS + ("tau_e",) if c in channels and c not in own]
+        try:
+            own = tree_bundle(self.tree_key).channels
+        except DatasetError as exc:
+            raise DatasetError(f"profile {self.profile_id}: {exc}") from None
+        foreign = [c for c in self.kin_mask + self.dyn_mask if c not in own]
         if foreign:
             raise DatasetError(f"profile {self.profile_id}: tree {self.tree_key} has no {', '.join(foreign)} channel")
         if self.jitter_sigma < 0:
@@ -123,11 +122,14 @@ _T2_AMP_GENTLE = np.array(
 
 
 class _TreeBundle:
-    def __init__(self, tree: KinematicTree, muscles: MuscleSet | None, bias, emg=None):
+    def __init__(self, tree: KinematicTree, muscles: MuscleSet, coord: str, torque: str, bias=None, emg=None):
         self.tree = tree
         self.muscles = muscles
-        self.bias = np.asarray(bias)
+        self.bias = np.zeros(tree.n_dof) if bias is None else np.asarray(bias)
         self.emg = emg
+        # each channel the tree carries -> entities per frame: marker sites, links, DoF, muscles or EMG channels
+        self.channels = {"x_m": tree.n_markers, "x_k": tree.n_links, coord: tree.n_dof, torque: tree.n_dof,
+                         "tau_m": muscles.n_muscles, **({} if emg is None else {"tau_e": len(emg)})}
 
 
 _BUNDLES: dict[str, _TreeBundle] = {}
@@ -136,10 +138,10 @@ _BUNDLES: dict[str, _TreeBundle] = {}
 def tree_bundle(key: str) -> _TreeBundle:
     if key not in _BUNDLES:
         if key == "t1":
-            _BUNDLES[key] = _TreeBundle(build_t1(), t1_muscles(), np.zeros(23), T1_EMG_MUSCLES)
+            _BUNDLES[key] = _TreeBundle(build_t1(), t1_muscles(), "x_a", "tau_tr", emg=T1_EMG_MUSCLES)
         elif key == "t2":
             t2 = build_t2()
-            _BUNDLES[key] = _TreeBundle(t2, t2_muscles(t2), T2_BIAS_POSTURE)
+            _BUNDLES[key] = _TreeBundle(t2, t2_muscles(t2), "x_s", "tau_ts", T2_BIAS_POSTURE)
         else:
             raise DatasetError(f"unknown tree key '{key}'")
     return _BUNDLES[key]
@@ -379,12 +381,12 @@ def generate_dataset(root, manifest: DatasetManifest, verbose: bool = False) -> 
 
 def load_records(root, profile: DomainProfile, ids) -> Iterator[SequenceRecord]:
     """The records `ids` of `profile`, read one at a time; each must carry its
-    manifest id, exactly the profile's channels, the profile's fps, tree name
-    and subject mass, and one torque column per DoF of its tree."""
+    manifest id, exactly the profile's channels, the profile's fps, and its
+    tree's name, subject mass, channel shapes and marker sites."""
     pid = profile.profile_id
     channels = sorted(profile.kin_mask + profile.dyn_mask)
-    tree = tree_bundle(profile.tree_key).tree
-    expected = {"fps": profile.fps, "tree_name": tree.name, "subject_mass": tree.subject_mass}
+    bundle = tree_bundle(profile.tree_key)
+    expected = {"fps": profile.fps, "tree_name": bundle.tree.name, "subject_mass": bundle.tree.subject_mass}
     for sid in ids:
         path = record_path(root, pid, sid)
         rec = read_record(path)
@@ -398,9 +400,13 @@ def load_records(root, profile: DomainProfile, ids) -> Iterator[SequenceRecord]:
         for name, want in expected.items():
             if getattr(rec, name) != want:
                 raise DatasetError(f"record {pid}/{sid} has {name} {getattr(rec, name)!r}, but profile {pid} has {want!r}")
-        for name in TORQUE_CHANNELS:
-            if name in rec.channels and rec.channels[name].shape[1:] != (tree.n_dof,):
-                raise DatasetError(f"record {pid}/{sid}: {name} has shape {rec.channels[name].shape}, "
-                                   f"but tree {profile.tree_key} has {tree.n_dof} DoF")
+        ids = rec.marker_ids
+        if ids.size and not 0 <= ids.min() <= ids.max() < bundle.channels["x_m"]:
+            raise DatasetError(f"record {pid}/{sid}: x_m marker ids span {ids.min()}..{ids.max()}, "
+                               f"but tree {profile.tree_key} has marker sites 0..{bundle.channels['x_m'] - 1}")
+        for name, block in rec.channels.items():
+            want = block.shape[:1] + frame_shape(name, ids.size if name == "x_m" else bundle.channels[name])
+            if block.shape != want:
+                raise DatasetError(f"record {pid}/{sid}: {name} has shape {block.shape}, but tree {profile.tree_key} gives it {want}")
         yield rec
         del rec  # so a caller that keeps no record holds one at a time

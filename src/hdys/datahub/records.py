@@ -8,12 +8,11 @@ Record layout (strings, arrays and payloads as encoded by `hdys.codec`):
     u32 n_marker_ids, i64 marker id payload,
     u8 n_channels, per channel: name string, array (frames on axis 0)
 
-A kinematics channel stores its positions only ((F, N, 3) points for x_m
-and x_k, (F, n) coordinates for x_a and x_s); reading derives velocity and
-acceleration with `kinrep.triples` at the header's fps, as generation did,
-so every array keeps its bits. Version-1 records, which stored them too,
-must be regenerated. Payloads are raw float64 bytes, so round trips are
-lossless. Files are replaced atomically.
+A kinematics channel stores its positions only (`kinrep.leading` at k=1);
+reading derives velocity and acceleration with `kinrep.triples` at the
+header's fps, as generation did, so every array keeps its bits. Version-1
+records, which stored them too, must be regenerated. Payloads are raw
+float64 bytes, so round trips are lossless. Files are replaced atomically.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ def record_from_bytes(data: bytes) -> SequenceRecord:
             marker_ids=marker_ids,
         )
     except Exception as exc:
-        raise DatasetError(f"record fails validation: {exc}") from exc
+        raise DatasetError(f"record {profile_id}/{seq_id} fails validation: {exc}") from exc
 
 
 def write_record(path, rec: SequenceRecord) -> None:

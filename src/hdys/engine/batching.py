@@ -16,8 +16,8 @@ class Standardizer:
     """Per-channel, per-component affine normalization fitted on a train split.
 
     Cartesian channels pool statistics over entities (one mean/std per column
-    of the 9-dim rows); coordinate and dynamics channels keep one statistic
-    per component. Applied before batching; inverted for reporting.
+    of their `kinrep.triples` rows); coordinate and dynamics channels keep one
+    statistic per component. Applied before batching; inverted for reporting.
     """
 
     stats: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)

@@ -1,20 +1,15 @@
 """Per-frame kinematics/dynamics representations built from oracle trajectories.
 
-Channel layouts (all float64):
-  x_m   (F, n_markers, 9)   marker position, velocity, acceleration
-  x_k   (F, n_links, 9)     joint-center position, velocity, acceleration
-  x_a   (F, 3*n_dof)        angle-tree coordinates as (q, qd, qdd) per DoF
-  x_s   (F, 3*n_dof)        pose-tree coordinates, same triple layout
-  tau_tr / tau_ts (F, n_dof) oracle joint torques per tree family
-  tau_m (F, n_muscles)      activations in [0, 1], one solve per sequence
-  tau_e (F, n_channels)     synthetic surface EMG, >= 0
+Channels, float64 with frames on axis 0: marker and joint-centre rows (x_m,
+x_k), angle- and pose-tree coordinates (x_a, x_s), oracle joint torques
+(tau_tr, tau_ts), activations in [0, 1] (tau_m) and surface EMG >= 0 (tau_e).
 
 Velocities and accelerations always come from finite differences of the
 sampled positions (never from the oracle), so a representation is exactly
 what a motion-capture consumer could compute. `triples` builds every block
 from its positions, at generation and when a record (which stores only the
-positions) is read. This module alone knows that layout: `leading` and
-`acceleration` carve a block by derivative order for every other module.
+positions) is read. This module alone knows that layout: `width` and
+`frame_shape` size blocks, `leading` and `acceleration` carve them.
 """
 
 from __future__ import annotations
@@ -62,18 +57,29 @@ def finite_difference(x: np.ndarray, fps: float) -> tuple[np.ndarray, np.ndarray
     return v, a
 
 
+def width(channel: str, n: int, orders: int = 3) -> int:
+    """Values per frame of the first `orders` derivative orders of n entities
+    in `triples`' layout: 3 per order and entity for x_m and x_k, whose rows
+    hold one entity each, 1 per order and DoF for x_a and x_s, n otherwise."""
+    return n if channel in DYNAMIC_CHANNELS else (3 if channel in SET_CHANNELS else 1) * orders * n
+
+
+def frame_shape(channel: str, n: int) -> tuple[int, ...]:
+    """One frame of a block of n entities: for x_m and x_k, n rows of width(channel, 1)."""
+    return (n, width(channel, 1)) if channel in SET_CHANNELS else (width(channel, n),)
+
+
 def triples(channel: str, pos: np.ndarray, fps: float) -> np.ndarray:
     """A kinematics channel's block from its positions: (F, N, 3) -> (F, N, 9)
     rows of (position, velocity, acceleration) for x_m and x_k, and
     (F, n) -> (F, 3n) with (q, qd, qdd) per DoF for x_a and x_s."""
     rows = channel in SET_CHANNELS
-    if pos.ndim != 2 + rows or (rows and pos.shape[-1] != 3):
+    if pos.ndim != 2 + rows or (rows and pos.shape[-1] != width(channel, 1, 1)):
         raise HdysError(f"{channel} positions must be {'(F, N, 3)' if rows else '(F, n)'}, got {pos.shape}")
     v, a = finite_difference(pos, fps)
     if rows:
         return np.concatenate([pos, v, a], axis=-1)
-    f, n = pos.shape
-    return np.stack([pos, v, a], axis=-1).reshape(f, 3 * n)
+    return np.stack([pos, v, a], axis=-1).reshape(pos.shape[0], -1)
 
 
 def leading(channel: str, block: np.ndarray, k: int) -> np.ndarray:
@@ -82,16 +88,16 @@ def leading(channel: str, block: np.ndarray, k: int) -> np.ndarray:
     k=1 gives the positions it was built from (what a record stores), k=2 the
     acceleration-free block that the forward-dynamics branch encodes."""
     if channel in SET_CHANNELS:
-        return block[..., : 3 * k]
+        return block[..., : width(channel, 1, k)]
     return block.reshape(block.shape[:-1] + (-1, 3))[..., :k].reshape(block.shape[:-1] + (-1,))
 
 
 def acceleration(channel: str, block: np.ndarray) -> np.ndarray:
     """Each entity's acceleration in a block of `triples`' layout, flattened
-    per frame as the acceleration heads predict it: (.., 3N) entity-major
-    for x_m and x_k, (.., n) for x_a and x_s."""
+    per frame as the acceleration heads predict it: width(channel, N, 1)
+    values, entity-major for x_m and x_k."""
     if channel in SET_CHANNELS:
-        acc = block[..., 6:9]
+        acc = block[..., width(channel, 1, 2) :]
         return acc.reshape(acc.shape[:-2] + (-1,))
     return block.reshape(block.shape[:-1] + (-1, 3))[..., 2]
 
@@ -130,11 +136,13 @@ class SequenceRecord:
             if name not in CHANNELS:
                 raise HdysError(f"unknown channel '{name}'")
         for name in SET_CHANNELS:
-            if name in self.channels and self.channels[name].shape[-1] != 9:
-                raise HdysError(f"{name} rows must be 9-dim")
+            if name in self.channels and self.channels[name].shape[-1] != width(name, 1):
+                raise HdysError(f"{name} rows must be {width(name, 1)}-dim")
         for name in COORD_CHANNELS:
-            if name in self.channels and self.channels[name].shape[-1] % 3 != 0:
+            if name in self.channels and self.channels[name].shape[-1] % width(name, 1) != 0:
                 raise HdysError(f"{name} must hold (value, velocity, acceleration) triples")
+        if "x_m" in self.channels and self.channels["x_m"].shape[1:-1] != self.marker_ids.shape:
+            raise HdysError(f"x_m has shape {self.channels['x_m'].shape}, but {self.marker_ids.size} marker ids")
         if "tau_m" in self.channels:
             tm = self.channels["tau_m"]
             if (tm < -1e-9).any() or (tm > 1 + 1e-9).any():

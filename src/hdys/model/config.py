@@ -193,8 +193,12 @@ def config_from_text(text: str) -> HDySConfig:
 
 
 def load_config(path) -> HDySConfig:
-    with open(path) as fh:
-        return config_from_text(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not utf-8 text ({exc})") from None
+    return config_from_text(text)
 
 
 def save_config(path, cfg: HDySConfig) -> None:

@@ -3,7 +3,7 @@ decoder (shared temporal transformer + per-channel regression heads) and a
 forward-dynamics branch that composes acceleration-free kinematics with a
 dynamics latent to predict accelerations.
 
-Channel widths are derived from the dataset inventory, so the same model
+Layer widths are `kinrep.width` of the trees' entity counts, so one model
 class serves any profile mix. Marker and keypoint encoders are set-based and
 tree-agnostic; coordinate encoders and regression heads are per tree family.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from .. import HdysError
 from ..datahub import DatasetManifest, tree_bundle
 from ..kinrep import (
-    COORD_CHANNELS, DYNAMIC_CHANNELS, KINEMATIC_CHANNELS, SET_CHANNELS, TORQUE_CHANNELS, acceleration, leading,
+    COORD_CHANNELS, DYNAMIC_CHANNELS, KINEMATIC_CHANNELS, SET_CHANNELS, acceleration, leading, width,
 )
 from ..numcore import Tensor, concat
 from .layers import MLP, ParamSet, SetEncoder, TemporalTransformer
@@ -100,10 +100,10 @@ def run_shared(calls: list[Callable[[], object]]) -> list:
 
 @dataclass(frozen=True)
 class ChannelInventory:
-    """Widths and tree facts the architecture must honor."""
+    """Entity counts and tree facts the architecture must honor."""
 
-    dyn_widths: dict[str, int]  # tau channel -> components
-    coord_widths: dict[str, int]  # x_a / x_s -> 3n layout width
+    dyn_counts: dict[str, int]  # tau channel -> components
+    coord_counts: dict[str, int]  # x_a / x_s -> DoF
     keypoint_counts: dict[str, int]  # tree_key -> joint count
     profile_tree: dict[str, str]  # profile_id -> tree_key
 
@@ -111,19 +111,11 @@ class ChannelInventory:
     def from_manifest(cls, manifest: DatasetManifest) -> "ChannelInventory":
         dyn, coords, kp, ptree = {}, {}, {}, {}
         for p in manifest.profiles:
-            bundle = tree_bundle(p.tree_key)
+            sizes = tree_bundle(p.tree_key).channels
             ptree[p.profile_id] = p.tree_key
-            kp[p.tree_key] = bundle.tree.n_links
-            for ch in p.kin_mask:
-                if ch in COORD_CHANNELS:
-                    coords[ch] = 3 * bundle.tree.n_dof
-            for ch in p.dyn_mask:
-                if ch in TORQUE_CHANNELS:
-                    dyn[ch] = bundle.tree.n_dof
-                elif ch == "tau_m":
-                    dyn[ch] = bundle.muscles.n_muscles
-                elif ch == "tau_e":
-                    dyn[ch] = len(bundle.emg)
+            kp[p.tree_key] = sizes["x_k"]
+            coords.update((ch, sizes[ch]) for ch in p.kin_mask if ch in COORD_CHANNELS)
+            dyn.update((ch, sizes[ch]) for ch in p.dyn_mask)
         return cls(dyn, coords, kp, ptree)
 
 
@@ -206,41 +198,41 @@ class HDySModel:
         d = cfg.latent_dim
 
         self.enc_set = {
-            ch: SetEncoder(ps, f"enc.{ch}", 9, d, SET_LAYERS, SET_HEADS, cfg.set_ffn_mult)
+            ch: SetEncoder(ps, f"enc.{ch}", width(ch, 1), d, SET_LAYERS, SET_HEADS, cfg.set_ffn_mult)
             for ch in SET_CHANNELS
         }
         self.enc_coord = {
-            ch: MLP(ps, f"enc.{ch}", [w, *MLP_HIDDEN, d]) for ch, w in inventory.coord_widths.items()
+            ch: MLP(ps, f"enc.{ch}", [width(ch, n), *MLP_HIDDEN, d]) for ch, n in inventory.coord_counts.items()
         }
         self.temporal = TemporalTransformer(ps, "idec.temporal", d, ID_LAYERS, ID_HEADS, ID_FFN_MULT, cfg.window)
         small, big = HEAD_HIDDEN_SMALL, HEAD_HIDDEN_BIG
         head_hidden = {"tau_tr": small, "tau_e": small, "tau_ts": big, "tau_m": big}
         self.id_heads = {
-            ch: MLP(ps, f"idec.head.{ch}", [d, head_hidden[ch], w])
-            for ch, w in inventory.dyn_widths.items()
+            ch: MLP(ps, f"idec.head.{ch}", [d, head_hidden[ch], n])
+            for ch, n in inventory.dyn_counts.items()
         }
 
         if not cfg.no_fdae:
             self.fenc_set = {
-                ch: SetEncoder(ps, f"fenc.{ch}", 6, d, SET_LAYERS, SET_HEADS, cfg.set_ffn_mult)
+                ch: SetEncoder(ps, f"fenc.{ch}", width(ch, 1, 2), d, SET_LAYERS, SET_HEADS, cfg.set_ffn_mult)
                 for ch in SET_CHANNELS
             }
             self.fenc_coord = {
-                ch: MLP(ps, f"fenc.{ch}", [2 * w // 3, *MLP_HIDDEN, d]) for ch, w in inventory.coord_widths.items()
+                ch: MLP(ps, f"fenc.{ch}", [width(ch, n, 2), *MLP_HIDDEN, d]) for ch, n in inventory.coord_counts.items()
             }
             self.dyn_enc = {
-                ch: MLP(ps, f"fenc.dyn.{ch}", [w, DYN_ENCODER_HIDDEN, d]) for ch, w in inventory.dyn_widths.items()
+                ch: MLP(ps, f"fenc.dyn.{ch}", [n, DYN_ENCODER_HIDDEN, d]) for ch, n in inventory.dyn_counts.items()
             }
             self.composer = MLP(ps, "fdec.composer", [2 * d, COMPOSER_HIDDEN, d])
             self.acc_heads = {}
             for tree_key, n_kp in inventory.keypoint_counts.items():
                 self.acc_heads[f"acc_k.{tree_key}"] = MLP(
-                    ps, f"fdec.head.acc_k.{tree_key}", [d, small, 3 * n_kp]
+                    ps, f"fdec.head.acc_k.{tree_key}", [d, small, width("x_k", n_kp, 1)]
                 )
-            for ch, w in inventory.coord_widths.items():
+            for ch, n in inventory.coord_counts.items():
                 name = ACCEL_TARGETS[ch]
                 hidden = small if ch == "x_a" else big
-                self.acc_heads[name] = MLP(ps, f"fdec.head.{name}", [d, hidden, w // 3])
+                self.acc_heads[name] = MLP(ps, f"fdec.head.{name}", [d, hidden, width(ch, n, 1)])
 
     # -- pieces ---------------------------------------------------------------
 
@@ -248,16 +240,16 @@ class HDySModel:
         return self.ps.count()
 
     def encode_kinematics(self, channel: str, block: np.ndarray) -> Tensor:
-        """One kinematics block to latents; (.., T, 9) for sets, (.., 3n) for coords."""
+        """One kinematics block of `kinrep.triples`' layout, any leading axes, to latents."""
         if channel in SET_CHANNELS:
             if block.shape[-2] < 1:
                 raise HdysError(f"{channel}: empty token set")
-            if block.shape[-1] != 9:
-                raise HdysError(f"{channel}: rows must be 9-dim, got {block.shape[-1]}")
+            if block.shape[-1] != width(channel, 1):
+                raise HdysError(f"{channel}: rows must be {width(channel, 1)}-dim, got {block.shape[-1]}")
             return self.enc_set[channel](Tensor(block))
         if channel not in self.enc_coord:
             raise HdysError(f"no encoder for channel '{channel}'")
-        expect = self.inv.coord_widths[channel]
+        expect = width(channel, self.inv.coord_counts[channel])
         if block.shape[-1] != expect:
             raise HdysError(f"{channel}: expected width {expect}, got {block.shape[-1]}")
         return self.enc_coord[channel](Tensor(block))

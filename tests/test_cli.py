@@ -717,6 +717,78 @@ def test_record_whose_id_is_not_its_manifest_id_is_domain_error(cli_dataset, tmp
     assert not out.exists()
 
 
+def test_channel_that_does_not_fit_its_tree_is_domain_error(cli_dataset, tmp_path, capsys):
+    from hdys.datahub import read_record, record_path, write_record
+
+    manifest = load_manifest(cli_dataset)
+    run = str(tmp_path / "run")
+    assert main(["train", "--data", cli_dataset, "--out", run, "--set", "train.epochs=0"]) == 0
+    capsys.readouterr()
+
+    def narrow(channel, cut):
+        return lambda rec: rec.channels.update({channel: cut(rec.channels[channel])})
+
+    for pid, channel, edit in (
+        ("D", "tau_e", narrow("tau_e", lambda b: b[:, :7])),  # 8 EMG channels on t1
+        ("C", "tau_m", narrow("tau_m", lambda b: b[:, :11])),  # 12 muscles on t2
+        ("A", "x_k", narrow("x_k", lambda b: b[:, :8])),  # 9 links on t1
+        ("B", "x_k", narrow("x_k", lambda b: b[:, :11])),  # 12 links on t2
+        ("A", "x_a", narrow("x_a", lambda b: b[:, :66])),  # 23 DoF on t1
+        ("A", "x_m", narrow("x_m", lambda b: b[:, 1:])),  # one row fewer than marker ids
+        ("D", "x_m", lambda rec: setattr(rec, "marker_ids", rec.marker_ids + 40)),  # t1 has 40 marker sites
+    ):
+        broken = str(tmp_path / f"{pid}-{channel}")
+        shutil.copytree(cli_dataset, broken)
+        for sid in manifest.train_ids[pid] + manifest.test_ids[pid]:
+            rec = read_record(record_path(broken, pid, sid))
+            edit(rec)
+            write_record(record_path(broken, pid, sid), rec)
+        out = tmp_path / "out"
+        for argv, sid in (
+            (["validate", "--data", broken], manifest.train_ids[pid][0]),
+            (["train", "--data", broken, "--out", str(out), "--set", "train.epochs=1"], manifest.train_ids[pid][0]),
+            (["eval", "--run", run, "--data", broken, "--out", str(out)], manifest.test_ids[pid][0]),
+        ):
+            assert main(argv) == 1, (channel, argv)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: record {pid}/{sid}") and f" {channel} " in err, (channel, argv, err)
+            assert "Traceback" not in err and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+def test_file_errors_print_one_line_without_a_traceback(cli_dataset, tmp_path, capsys):
+    run = tmp_path / "run"
+    fast_rollout = ["--set", "rollout.max_sequences=1", "--set", "rollout.fps_list=90"]
+    assert main(["train", "--data", cli_dataset, "--out", str(run), "--set", "train.epochs=0", *fast_rollout]) == 0
+    capsys.readouterr()
+    undecodable = tmp_path / "config.txt"
+    undecodable.write_bytes(b"\xff\xfe")
+    existing = tmp_path / "existing"
+    existing.write_text("kept\n")
+    out = str(tmp_path / "out")
+    train = ["train", "--data", cli_dataset, "--set", "train.epochs=0"]
+
+    def tree():
+        return sorted(os.path.join(d, f) for d, dirs, files in os.walk(tmp_path) for f in dirs + files)
+
+    before = tree()
+    for argv, code, prefix in (
+        (train + ["--config", str(tmp_path / "nonexistent.txt"), "--out", out], 1, "error: [Errno 2] "),
+        (train + ["--config", str(run), "--out", out], 1, "error: [Errno 21] "),
+        (train + ["--config", str(undecodable), "--out", out], 2, f"config error: {undecodable}: not utf-8 text"),
+        (train + ["--out", str(existing)], 1, "error: [Errno 17] "),
+        (["eval", "--data", cli_dataset, "--run", str(run), "--out", str(existing)], 1, "error: [Errno 17] "),
+        (["rollout", "--run", str(run), "--out", str(existing)], 1, "error: [Errno 17] "),
+        (["reproduce", "--study", "table2-analogue", "--data", cli_dataset, "--seeds", "0", "--out", str(existing)],
+         1, "error: [Errno 17] "),
+    ):
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, (argv, captured.err)
+        assert "Traceback" not in captured.err
+        assert tree() == before and existing.read_text() == "kept\n", argv
+
+
 def test_reproduce_refuses_an_unscorable_target_before_writing(cli_dataset, tmp_path, monkeypatch, capsys):
     ablation = importlib.import_module("hdys.engine.ablation")
     monkeypatch.setattr(ablation, "train", lambda *a, **k: pytest.fail("a study run started training"))

@@ -270,7 +270,7 @@ def test_loaded_records_validated(small_dataset, tmp_path):
     rec.channels["tau_tr"] = rec.channels["tau_tr"][:, :22]
     os.makedirs(tmp_path / "A")
     write_record(record_path(tmp_path, "A", sid), rec)
-    with pytest.raises(DatasetError, match=rf"^record A/{sid}: tau_tr has shape \(\d+, 22\), but tree t1 has 23 DoF$"):
+    with pytest.raises(DatasetError, match=rf"^record A/{sid}: tau_tr has shape \((\d+), 22\), but tree t1 gives it \(\1, 23\)$"):
         list(load_records(tmp_path, manifest.profile("A"), [sid]))
 
 

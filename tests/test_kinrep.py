@@ -13,8 +13,10 @@ from hdys.kinrep import (
     attach_dynamics,
     build_representations,
     finite_difference,
+    frame_shape,
     leading,
     triples,
+    width,
 )
 from hdys.rbd import GeneralizedState, muscle_to_torque, rnea
 from conftest import make_pendulum, random_chain
@@ -77,6 +79,13 @@ def test_carves_return_what_triples_built_the_block_from(channel):
     windows = np.stack([block[:4], block[3:]])
     assert np.array_equal(leading(channel, windows, 2), np.stack([leading(channel, w, 2) for w in windows]))
     assert np.array_equal(acceleration(channel, windows), np.stack([acceleration(channel, w) for w in windows]))
+    # `width` counts the values per frame of what each carve returns, and `frame_shape` gives a frame of the block
+    n = pos.shape[1]
+    for orders, carved in ((1, leading(channel, block, 1)), (2, leading(channel, block, 2)), (3, block)):
+        assert carved[0].size == width(channel, n, orders), orders
+        assert carved.shape[-1] == width(channel, 1 if channel in SET_CHANNELS else n, orders), orders
+    assert acceleration(channel, block).shape[1:] == (width(channel, n, 1),)
+    assert block.shape[1:] == frame_shape(channel, n)
 
 
 def _static_traj(tree, frames=10):
@@ -182,11 +191,14 @@ def test_attach_muscle_actions_roundtrip():
 
 def test_frame_sample_invariants():
     rec_channels = {"x_m": np.zeros((5, 3, 9)), "tau_m": np.full((5, 2), 0.5)}
-    rec = SequenceRecord("s", "p", "t", 90.0, 70.0, rec_channels)
+    rec = SequenceRecord("s", "p", "t", 90.0, 70.0, rec_channels, np.arange(3))
     assert rec.mask == frozenset({"x_m", "tau_m"})
     bad = {"x_m": np.zeros((5, 3, 8))}
     with pytest.raises(HdysError, match="^x_m rows must be 9-dim$"):
-        SequenceRecord("s", "p", "t", 90.0, 70.0, bad)
+        SequenceRecord("s", "p", "t", 90.0, 70.0, bad, np.arange(3))
+    # one x_m row per marker id
+    with pytest.raises(HdysError, match=r"^x_m has shape \(5, 3, 9\), but 4 marker ids$"):
+        SequenceRecord("s", "p", "t", 90.0, 70.0, rec_channels, np.arange(4))
     with pytest.raises(HdysError, match=r"^muscle actions must lie in \[0, 1\]$"):
         SequenceRecord("s", "p", "t", 90.0, 70.0, {"tau_m": np.full((5, 2), 1.5)})
 

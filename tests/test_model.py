@@ -29,11 +29,12 @@ from hdys.model.config import ModelConfig
 from hdys.model.layers import ParamSet, TransformerLayer
 from hdys.model.losses import ALPHA1, ALPHA2, TEMPERATURE
 from hdys.model.network import GroupOutput, encoder_threads
+from hdys.kinrep import width
 from hdys.numcore import Tensor, backward, no_grad, sum_
 
 INV = ChannelInventory(
-    dyn_widths={"tau_tr": 23, "tau_ts": 12, "tau_m": 12, "tau_e": 8},
-    coord_widths={"x_a": 69, "x_s": 36},
+    dyn_counts={"tau_tr": 23, "tau_ts": 12, "tau_m": 12, "tau_e": 8},
+    coord_counts={"x_a": 23, "x_s": 12},
     keypoint_counts={"t1": 9, "t2": 12},
     profile_tree={"A": "t1", "B": "t2", "C": "t2", "D": "t1", "E": "t2"},
 )
@@ -55,9 +56,9 @@ def make_group(rng, profile="A", n_win=2, window=8, n_markers=6, mask=("x_m", "x
         elif ch == "x_k":
             x[ch] = rng.normal(size=(n_win, window, n_kp, 9))
         elif ch in ("x_a", "x_s"):
-            x[ch] = rng.normal(size=(n_win, window, INV.coord_widths[ch]))
+            x[ch] = rng.normal(size=(n_win, window, width(ch, INV.coord_counts[ch])))
         else:
-            x[ch] = rng.normal(size=(n_win, window, INV.dyn_widths[ch]))
+            x[ch] = rng.normal(size=(n_win, window, INV.dyn_counts[ch]))
     return WindowGroup(profile, x, np.ones((n_win, window)))
 
 
